@@ -163,12 +163,23 @@ class ReplayAnnotator:
         ``examples`` supply instructions, ``mappings`` supply the retained
         raw annotator output for those examples.
         """
+        return cls.from_raw_records(examples, (
+            {"benchmark": m.benchmark, "example_id": m.example_id, "raw": m.raw_annotator_output}
+            for m in mappings
+        ), annotator_id)
+
+    @classmethod
+    def from_raw_records(
+        cls, examples: Iterable, records: Iterable[Mapping], annotator_id: str = "replay"
+    ) -> "ReplayAnnotator":
+        """Like :meth:`from_records`, for unresolved mapping-file records
+        (``benchmark``, ``example_id`` and ``raw`` keys)."""
         instruction_by_key = {(e.benchmark, e.example_id): e.instruction for e in examples}
         recorded: dict[str, str] = {}
-        for m in mappings:
-            key = (m.benchmark, m.example_id)
+        for r in records:
+            key = (r["benchmark"], r["example_id"])
             if key in instruction_by_key:
-                recorded[instruction_by_key[key]] = m.raw_annotator_output
+                recorded[instruction_by_key[key]] = r["raw"]
         return cls(recorded, annotator_id)
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:

@@ -29,7 +29,7 @@ UNATTRIBUTED = "unattributed"
 _Z_ONE_SIDED_95 = 1.6448536269514722
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkflowNode:
     """One hierarchical workflow step; roots carry trajectory metadata."""
 
@@ -122,6 +122,10 @@ class LevelStats:
     successes: int
     totals: int
 
+    def __post_init__(self):
+        if not 0 <= self.successes <= self.totals or self.totals < 1:
+            raise ValueError(f"bad level counts {self.successes}/{self.totals}")
+
     @property
     def sr(self) -> float:
         return self.successes / self.totals
@@ -135,6 +139,10 @@ class LevelStats:
         center = p + z * z / (2 * n)
         spread = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
         return max(0.0, (center - spread) / denom)
+
+    def metric(self, confidence_mode: str) -> float:
+        """The rate a threshold is applied to: ``lcb`` in lcb mode, else ``sr``."""
+        return self.lcb if confidence_mode == "lcb" else self.sr
 
 
 @dataclass(frozen=True)
@@ -230,14 +238,13 @@ def autonomy_level(
     if confidence_mode not in ("raw", "lcb"):
         raise ValueError(f"confidence_mode must be 'raw' or 'lcb', got {confidence_mode!r}")
 
-    def metric(stats: LevelStats) -> float:
-        return stats.lcb if confidence_mode == "lcb" else stats.sr
-
-    eligible = {k: s for k, s in curve.levels.items() if s.totals >= min_samples}
-    passing = [k for k, s in eligible.items() if metric(s) >= threshold]
+    rates = {
+        k: s.metric(confidence_mode) for k, s in curve.levels.items() if s.totals >= min_samples
+    }
+    passing = [k for k, r in rates.items() if r >= threshold]
     level = max(passing) if passing else None
     flags = (
-        tuple(sorted(k for k, s in eligible.items() if k < level and metric(s) < threshold))
+        tuple(sorted(k for k, r in rates.items() if k < level and r < threshold))
         if level is not None
         else ()
     )
@@ -368,9 +375,6 @@ def advise(
     if not matched:
         raise ValueError(f"no curves match task {task.key}; cannot advise")
 
-    def metric(stats: LevelStats) -> float:
-        return stats.lcb if confidence_mode == "lcb" else stats.sr
-
     consulted: list[ConsultedValue] = []
     all_pass = True
     for g in matched:
@@ -378,7 +382,7 @@ def advise(
         passed = (
             stats is not None
             and stats.totals >= min_samples
-            and metric(stats) >= threshold
+            and stats.metric(confidence_mode) >= threshold
         )
         consulted.append(
             ConsultedValue(
@@ -400,7 +404,7 @@ def advise(
                 if (
                     k < complexity_estimate
                     and stats.totals >= min_samples
-                    and metric(stats) >= threshold
+                    and stats.metric(confidence_mode) >= threshold
                 ):
                     can_decompose = True
                     consulted.append(

@@ -1,9 +1,14 @@
 """Command-line front end orchestrating the library modules.
 
 Subcommands: ``map``, ``coverage``, ``sample``, ``economics``, ``autonomy``,
-``advise``, ``report``. Every run writes into a fresh directory under
-``--out`` and seals a manifest with content digests, so re-running with the
-same inputs and ``--seed`` reproduces byte-identical tables.
+``advise``, ``report``. Every subcommand validates its inputs the same way
+before writing anything: :func:`validate_inputs` parses each input file its
+own flags name exactly once and runs the cross-file checks, and the
+subcommand then computes on those parsed objects. A missing required flag
+exits 2 and any input violation exits 3, both before a run directory
+exists. Every run writes into a fresh directory under ``--out`` and seals a
+manifest with content digests, so re-running with the same inputs and
+``--seed`` reproduces byte-identical tables.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 annotator
 failure, 5 internal error. The remote annotator reads its endpoint and
@@ -17,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,17 +32,19 @@ from .annotate import (
     KeywordAnnotator,
     RemoteAnnotator,
     ReplayAnnotator,
+    parse_candidates,
 )
+from .autonomy import AutonomyCurve, WorkflowNode, autonomy_level, success_rates
 from .autonomy import advise as autonomy_advise
-from .autonomy import autonomy_level, success_rates
-from .coverage import ForeignPathError
 from .economics import (
+    DigitalLabel,
+    ImportanceTable,
+    OccupationStats,
     digital_share,
     domain_employment_capital,
     effective_skill_employment_capital,
 )
 from .io import (
-    InputFormatError,
     fixture_path,
     read_curves,
     read_digital_labels,
@@ -51,7 +58,6 @@ from .io import (
     write_mappings,
 )
 from .mapping import (
-    CorpusError,
     CorpusMappingAborted,
     MappingResult,
     TaskExample,
@@ -63,6 +69,7 @@ from .reporting import (
     alignment_suite,
     autonomy_heatmap_series,
     coverage_suite,
+    effort_distributions,
     emit_digital,
     emit_family_econ,
     emit_outcome_stats,
@@ -71,23 +78,13 @@ from .reporting import (
     make_run_dir,
 )
 from .sampling import build_pool, permutation_sensitivity
-from .taxonomy import Taxonomy, TaxonomyError, TaxonomyKind, load_taxonomy, resolve_path
+from .taxonomy import PathResolutionError, Taxonomy, TaxonomyKind, load_taxonomy, resolve_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_ANNOTATOR = 4
 EXIT_INTERNAL = 5
-
-_INPUT_ERRORS = (
-    InputFormatError,
-    TaxonomyError,
-    ForeignPathError,
-    CorpusError,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-)
 
 FIXTURE_DEFAULTS = {
     "examples": "examples.jsonl",
@@ -101,6 +98,10 @@ FIXTURE_DEFAULTS = {
     "workflows": "workflows.jsonl",
 }
 
+#: Config keys that name input files; a subcommand reads only those its
+#: own flags declare.
+_INPUT_KEYS = (*FIXTURE_DEFAULTS, "mappings", "curves", "replay_mappings")
+
 
 class ConfigError(ValueError):
     pass
@@ -113,26 +114,14 @@ class RunConfig:
     command: str
     values: dict
 
-    def __getattr__(self, name: str):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def path(self, name: str, required: bool = False) -> Path | None:
-        value = self.values.get(name)
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required input --{name.replace('_', '-')}")
-            return None
-        p = Path(value)
-        if not p.exists():
-            raise FileNotFoundError(f"input file does not exist: {p}")
-        return p
-
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    """Precedence: explicit flag > config-file entry > default."""
+    """Precedence: explicit flag > config-file entry > default.
+
+    Input files the subcommand does not declare are dropped, whether they
+    come from the config file or from ``--fixtures``, so they are never read.
+    """
+    declared = vars(args)
     file_values = {}
     if getattr(args, "config", None):
         config_path = Path(args.config)
@@ -146,15 +135,17 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
     values = dict(defaults)
     for key, value in file_values.items():
-        values[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
+        key = key.replace("-", "_")
+        if key in declared or key not in _INPUT_KEYS:
+            values[key] = value
+    for key, value in declared.items():
         if key in ("command", "config", "handler"):
             continue
         if value is not None:
             values[key] = value
     if values.get("fixtures"):
         for key, name in FIXTURE_DEFAULTS.items():
-            if values.get(key) is None:
+            if key in declared and values.get(key) is None:
                 candidate = fixture_path(name)
                 if candidate.exists():
                     values[key] = str(candidate)
@@ -178,7 +169,7 @@ _PARAM_DEFAULTS = {
 
 
 # ---------------------------------------------------------------------------
-# Input validation
+# Loading and validation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -189,173 +180,157 @@ class Violation:
 
 
 @dataclass
-class ValidationReport:
-    violations: list[Violation]
+class LoadedInputs:
+    """Every input file of one invocation, parsed once and cross-checked.
+
+    A field stays ``None`` (or empty) when its file was not given or did not
+    parse; ``violations`` says why for the latter.
+    """
+
+    violations: list[Violation] = field(default_factory=list)
+    taxonomies: dict[TaxonomyKind, Taxonomy] = field(default_factory=dict)
+    examples: list[TaskExample] | None = None
+    mappings: list[MappingResult] | None = None
+    occupations: list[OccupationStats] | None = None
+    importance: ImportanceTable | None = None
+    labels: list[DigitalLabel] | None = None
+    workflows: list[WorkflowNode] | None = None
+    curves: dict[str, AutonomyCurve] | None = None
+    rules: dict[TaxonomyKind, KeywordAnnotator] = field(default_factory=dict)
+    replay_records: list[dict] | None = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def validate_inputs(config: RunConfig) -> ValidationReport:
-    """Parse every referenced input and run cross-file referential checks.
+class InvalidInputs(Exception):
+    """The inputs of a subcommand failed validation (``args[0]`` lists the
+    violations); nothing was written."""
 
-    Violations are the report's content; this never raises for bad data.
-    Checks: files parse; example keys unique with non-empty instructions;
-    mapping paths resolve in the supplied taxonomies; occupation SOC codes
-    are unique and known to the domain taxonomy; importance rows reference
+
+def validate_inputs(config: RunConfig) -> LoadedInputs:
+    """Parse every input file named in ``config`` once and cross-check them.
+
+    This is the only place the CLI reads input files; violations are the
+    result's content, and bad data never raises. Checks: files parse;
+    taxonomies are of the kind their flag names; example keys are unique
+    with non-empty instructions; mapping paths resolve in the supplied
+    taxonomies; occupation SOC codes are unique; importance rows reference
     known SOC codes and activity ids; digital labels reference known SOC
-    codes; workflow documents are well-formed trees.
+    codes. An occupation whose SOC code is absent from the domain taxonomy
+    is not a violation: the economics tables list it as unmatched.
     """
-    violations: list[Violation] = []
+    values = config.values
+    inputs = LoadedInputs()
 
-    def check(name: str, loader):
-        value = config.values.get(name)
-        if value is None:
+    def violation(key: str, where: str, reason: str) -> None:
+        inputs.violations.append(Violation(str(values[key]), where, reason))
+
+    def parse(key: str, reader, *args):
+        if values.get(key) is None:
             return None
         try:
-            return loader(Path(value))
+            return reader(Path(values[key]), *args)
         except Exception as err:  # any parse problem is a violation, not a crash
-            violations.append(Violation(file=str(value), where="(file)", reason=str(err)))
+            line = getattr(err, "line_no", None)
+            violation(key, "(file)" if line is None else f"line {line}", str(err))
             return None
 
-    t_domain = check("domain_taxonomy", load_taxonomy)
-    t_skill = check("skill_taxonomy", load_taxonomy)
-    if t_domain is not None and t_domain.kind is not TaxonomyKind.DOMAIN:
-        violations.append(
-            Violation(str(config.values["domain_taxonomy"]), "(kind)", "expected a domain taxonomy")
-        )
-        t_domain = None
-    if t_skill is not None and t_skill.kind is not TaxonomyKind.SKILL:
-        violations.append(
-            Violation(str(config.values["skill_taxonomy"]), "(kind)", "expected a skill taxonomy")
-        )
-        t_skill = None
+    for kind in TaxonomyKind:
+        key = f"{kind.value}_taxonomy"
+        taxonomy = parse(key, load_taxonomy)
+        if taxonomy is not None and taxonomy.kind is not kind:
+            violation(key, "(kind)", f"expected a {kind.value} taxonomy, got {taxonomy.kind.value}")
+        elif taxonomy is not None:
+            inputs.taxonomies[kind] = taxonomy
+    taxonomies_ok = inputs.ok
 
-    examples = check("examples", read_examples)
-    if examples is not None:
-        seen = set()
-        for e in examples:
-            if not e.instruction.strip():
-                violations.append(
-                    Violation(str(config.values["examples"]), f"{e.benchmark}/{e.example_id}",
-                              "empty instruction")
-                )
-            if e.key in seen:
-                violations.append(
-                    Violation(str(config.values["examples"]), f"{e.benchmark}/{e.example_id}",
-                              "duplicate (benchmark, example_id)")
-                )
-            seen.add(e.key)
+    inputs.examples = parse("examples", read_examples)
+    seen = set()
+    for e in inputs.examples or ():
+        where = f"{e.benchmark}/{e.example_id}"
+        if not e.instruction.strip():
+            violation("examples", where, "empty instruction")
+        if e.key in seen:
+            violation("examples", where, "duplicate (benchmark, example_id)")
+        seen.add(e.key)
 
-    mappings_value = config.values.get("mappings")
-    if mappings_value is not None and (t_domain is not None or t_skill is not None):
-        taxonomies = {
-            k: t
-            for k, t in ((TaxonomyKind.DOMAIN, t_domain), (TaxonomyKind.SKILL, t_skill))
-            if t is not None
-        }
-        try:
-            read_mappings(Path(mappings_value), taxonomies)
-        except InputFormatError as err:
-            violations.append(Violation(str(mappings_value), f"line {err.line_no}", str(err)))
+    mode = values.get("annotator", "keyword")
+    if mode == "keyword":
+        for kind in TaxonomyKind:
+            rules = parse(f"{kind.value}_rules", KeywordAnnotator.from_file)
+            if rules is not None:
+                inputs.rules[kind] = rules
+    elif mode == "replay":
+        inputs.replay_records = parse("replay_mappings", read_raw_mappings)
 
-    occupations = check("occupations", read_occupations)
-    soc_codes = set()
-    if occupations is not None:
-        for o in occupations:
-            if o.soc_code in soc_codes:
-                violations.append(
-                    Violation(str(config.values["occupations"]), o.soc_code, "duplicate SOC code")
-                )
-            soc_codes.add(o.soc_code)
-        if t_domain is not None:
-            known = {
-                occ.annotations.get("soc_code")
-                for fam in t_domain.root.children
-                for occ in fam.children
-            }
-            for o in occupations:
-                if o.soc_code not in known:
-                    violations.append(
-                        Violation(str(config.values["occupations"]), o.soc_code,
-                                  "SOC code not present in the domain taxonomy")
-                    )
+    if inputs.taxonomies and taxonomies_ok:
+        inputs.mappings = parse("mappings", read_mappings, inputs.taxonomies)
 
-    importance = check("importance", read_importance)
-    if importance is not None:
-        known_activities = set()
-        if t_skill is not None:
-            for path in t_skill.path_index:
-                activity = t_skill.node(path.node_ids[-1]).annotations.get("activity_id")
-                if activity:
-                    known_activities.add(activity)
-        for record in importance.records:
+    inputs.occupations = parse("occupations", read_occupations)
+    soc_codes: set[str] = set()
+    for o in inputs.occupations or ():
+        if o.soc_code in soc_codes:
+            violation("occupations", o.soc_code, "duplicate SOC code")
+        soc_codes.add(o.soc_code)
+
+    inputs.importance = parse("importance", read_importance)
+    t_skill = inputs.taxonomies.get(TaxonomyKind.SKILL)
+    if inputs.importance is not None:
+        activities = {
+            t_skill.node(p.node_ids[-1]).annotations.get("activity_id")
+            for p in t_skill.path_index
+        } if t_skill is not None else set()
+        for record in inputs.importance.records:
             where = f"{record.soc_code}/{record.activity_id}"
-            if soc_codes and record.soc_code not in soc_codes:
-                violations.append(
-                    Violation(str(config.values["importance"]), where, "unknown SOC code")
-                )
-            if t_skill is not None and record.activity_id not in known_activities:
-                violations.append(
-                    Violation(str(config.values["importance"]), where, "unknown activity_id")
-                )
+            if inputs.occupations is not None and record.soc_code not in soc_codes:
+                violation("importance", where, "unknown SOC code")
+            if t_skill is not None and record.activity_id not in activities:
+                violation("importance", where, "unknown activity_id")
 
-    labels = check("digital_labels", read_digital_labels)
-    if labels is not None and soc_codes:
-        for lab in labels:
+    inputs.labels = parse("digital_labels", read_digital_labels)
+    if inputs.occupations is not None:
+        for lab in inputs.labels or ():
             if lab.soc_code not in soc_codes:
-                violations.append(
-                    Violation(str(config.values["digital_labels"]), lab.soc_code,
-                              "label references unknown SOC code")
-                )
+                violation("digital_labels", lab.soc_code, "label references unknown SOC code")
 
-    check("workflows", read_workflows)
-    return ValidationReport(violations=violations)
+    inputs.workflows = parse("workflows", read_workflows)
+    inputs.curves = parse("curves", read_curves)
+    return inputs
+
+
+def _load(config: RunConfig, *required: str | tuple[str, ...]) -> LoadedInputs:
+    """Check the required inputs are given (a tuple needs any one), then
+    validate; both failures surface before any run directory exists."""
+    for need in required:
+        options = need if isinstance(need, tuple) else (need,)
+        if all(config.values.get(key) is None for key in options):
+            flags = " or ".join(f"--{key.replace('_', '-')}" for key in options)
+            raise ConfigError(f"missing required input {flags}")
+    inputs = validate_inputs(config)
+    if not inputs.ok:
+        raise InvalidInputs(inputs.violations)
+    return inputs
 
 
 # ---------------------------------------------------------------------------
-# Shared loading helpers
+# Shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_taxonomies(config: RunConfig, require: bool = True) -> dict[TaxonomyKind, Taxonomy]:
-    taxonomies: dict[TaxonomyKind, Taxonomy] = {}
-    for key, kind in (("domain_taxonomy", TaxonomyKind.DOMAIN),
-                      ("skill_taxonomy", TaxonomyKind.SKILL)):
-        path = config.path(key, required=require)
-        if path is not None:
-            t = load_taxonomy(path)
-            if t.kind is not kind:
-                raise ConfigError(f"{path} holds a {t.kind.value} taxonomy, expected {kind.value}")
-            taxonomies[kind] = t
-    if not taxonomies:
-        raise ConfigError("at least one taxonomy is required")
-    return taxonomies
-
-
-def _build_annotator(config: RunConfig, kind: TaxonomyKind,
+def _build_annotator(config: RunConfig, inputs: LoadedInputs, kind: TaxonomyKind,
                      examples: Sequence[TaskExample]) -> Annotator:
     mode = config.values.get("annotator", "keyword")
     if mode == "keyword":
-        key = "domain_rules" if kind is TaxonomyKind.DOMAIN else "skill_rules"
-        rules = config.path(key, required=True)
-        return KeywordAnnotator.from_file(rules)
+        if kind not in inputs.rules:
+            raise ConfigError(f"missing required input --{kind.value}-rules")
+        return inputs.rules[kind]
     if mode == "replay":
-        source = config.path("replay_mappings", required=True)
-        records = [
-            r for r in read_raw_mappings(source) if r["taxonomy_kind"] == kind.value
-        ]
-
-        class _Raw:
-            __slots__ = ("benchmark", "example_id", "raw_annotator_output")
-
-            def __init__(self, record):
-                self.benchmark = record["benchmark"]
-                self.example_id = record["example_id"]
-                self.raw_annotator_output = record["raw"]
-
-        return ReplayAnnotator.from_records(
-            examples, [_Raw(r) for r in records], annotator_id=f"replay:{kind.value}"
+        if inputs.replay_records is None:
+            raise ConfigError("missing required input --replay-mappings")
+        records = [r for r in inputs.replay_records if r["taxonomy_kind"] == kind.value]
+        return ReplayAnnotator.from_raw_records(
+            examples, records, annotator_id=f"replay:{kind.value}"
         )
     if mode == "remote":
         try:
@@ -373,19 +348,26 @@ def _start_bundle(config: RunConfig) -> ReportBundle:
         if k not in ("out", "run_id") and v is not None
     }
     bundle.config["command"] = config.command
-    for key in ("examples", "mappings", "domain_taxonomy", "skill_taxonomy",
-                "domain_rules", "skill_rules", "occupations", "importance",
-                "digital_labels", "workflows", "curves", "replay_mappings"):
+    for key in _INPUT_KEYS:
         value = config.values.get(key)
         if value is not None and Path(value).exists():
             bundle.record_input(key, value)
     return bundle
 
 
+def _annotators(config: RunConfig, inputs: LoadedInputs) -> dict[TaxonomyKind, Annotator]:
+    """One annotator per loaded taxonomy; built before the run bundle starts,
+    so a bad annotator configuration leaves no run directory behind."""
+    return {
+        kind: _build_annotator(config, inputs, kind, inputs.examples)
+        for kind in inputs.taxonomies
+    }
+
+
 def _map_all_kinds(
     config: RunConfig,
-    taxonomies: dict[TaxonomyKind, Taxonomy],
-    examples: Sequence[TaskExample],
+    inputs: LoadedInputs,
+    annotators: dict[TaxonomyKind, Annotator],
     bundle: ReportBundle,
 ) -> dict[TaxonomyKind, list[MappingResult]]:
     """Map the corpus against every loaded taxonomy, persisting as we go.
@@ -396,10 +378,9 @@ def _map_all_kinds(
     results: dict[TaxonomyKind, list[MappingResult]] = {}
     flat: list[MappingResult] = []
     try:
-        for kind, taxonomy in taxonomies.items():
-            annotator = _build_annotator(config, kind, examples)
+        for kind, annotator in annotators.items():
             mapped = map_corpus(
-                examples, taxonomy, annotator,
+                inputs.examples, inputs.taxonomies[kind], annotator,
                 parallelism=int(config.values.get("parallelism", 1)),
             )
             results[kind] = mapped
@@ -423,77 +404,60 @@ def _split_by_kind(results: Sequence[MappingResult]) -> dict[TaxonomyKind, list[
 
 def _sensitivity_rows(config: RunConfig, results: Sequence[MappingResult],
                       taxonomies: dict[TaxonomyKind, Taxonomy]):
-    t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
-    t_skill = taxonomies.get(TaxonomyKind.SKILL)
     by_benchmark: dict[str, list[MappingResult]] = {}
     for r in results:
         by_benchmark.setdefault(r.benchmark, []).append(r)
-    summaries = []
-    for bench in sorted(by_benchmark):
-        summaries.append(
-            permutation_sensitivity(
-                build_pool(by_benchmark[bench]), t_domain, t_skill,
-                batch_size=int(config.values["batch_size"]),
-                delta=float(config.values["delta"]),
-                permutations=int(config.values["permutations"]),
-                rng_seed=int(config.values["seed"]),
-            )
-        )
+    pools = [by_benchmark[bench] for bench in sorted(by_benchmark)]
     if len(by_benchmark) > 1:
-        summaries.append(
-            permutation_sensitivity(
-                build_pool(results), t_domain, t_skill,
-                batch_size=int(config.values["batch_size"]),
-                delta=float(config.values["delta"]),
-                permutations=int(config.values["permutations"]),
-                rng_seed=int(config.values["seed"]),
-            )
+        pools.append(results)
+    return [
+        permutation_sensitivity(
+            build_pool(pool),
+            taxonomies.get(TaxonomyKind.DOMAIN),
+            taxonomies.get(TaxonomyKind.SKILL),
+            batch_size=int(config.values["batch_size"]),
+            delta=float(config.values["delta"]),
+            permutations=int(config.values["permutations"]),
+            rng_seed=int(config.values["seed"]),
         )
-    return summaries
+        for pool in pools
+    ]
 
 
-def _economics_suite(config: RunConfig, taxonomies, results_by_kind, bundle: ReportBundle):
-    occupations = read_occupations(config.path("occupations", required=True))
-    family_econ = domain_employment_capital(occupations, taxonomies[TaxonomyKind.DOMAIN])
+def _economics_suite(inputs: LoadedInputs, bundle: ReportBundle):
+    """Emit the economics tables; returns the (family, skill, digital)
+    tables, the last two ``None`` without importance or labels."""
+    t_domain = inputs.taxonomies[TaxonomyKind.DOMAIN]
+    family_econ = domain_employment_capital(inputs.occupations, t_domain)
     emit_family_econ(bundle, family_econ)
 
     skill_econ = None
-    importance_path = config.path("importance")
-    if importance_path is not None and TaxonomyKind.SKILL in taxonomies:
-        importance = read_importance(importance_path)
+    if inputs.importance is not None:
         skill_econ = effective_skill_employment_capital(
-            occupations, importance, taxonomies[TaxonomyKind.SKILL]
+            inputs.occupations, inputs.importance, inputs.taxonomies[TaxonomyKind.SKILL]
         )
         emit_skill_econ(bundle, skill_econ)
 
     digital = None
-    labels_path = config.path("digital_labels")
-    if labels_path is not None:
-        labels = read_digital_labels(labels_path)
-        digital = digital_share(labels, occupations, taxonomies[TaxonomyKind.DOMAIN])
+    if inputs.labels is not None:
+        digital = digital_share(inputs.labels, inputs.occupations, t_domain)
         emit_digital(bundle, digital)
-
-    if results_by_kind and skill_econ is not None:
-        alignment_suite(bundle, results_by_kind, taxonomies, family_econ, skill_econ, digital)
+    return family_econ, skill_econ, digital
 
 
-def _autonomy_suite(config: RunConfig, bundle: ReportBundle):
-    workflows = read_workflows(config.path("workflows", required=True))
+def _autonomy_suite(config: RunConfig, workflows: Sequence[WorkflowNode],
+                    bundle: ReportBundle) -> None:
     group_by = config.values.get("group_by", "benchmark")
-    curves = success_rates(workflows, group_by)
-    overall = success_rates(workflows, "overall")
+    curves = {**success_rates(workflows, group_by), **success_rates(workflows, "overall")}
     curves_path = bundle.run_dir / "tables" / "autonomy_curves.csv"
     curves_path.parent.mkdir(parents=True, exist_ok=True)
-    write_curves(curves_path, {**curves, **overall})
+    write_curves(curves_path, curves)
     bundle.record_output("tables/autonomy_curves.csv")
 
     threshold = float(config.values["threshold"])
     min_samples = int(config.values["min_samples"])
     mode = config.values.get("confidence_mode", "raw")
-    assessed = {
-        g: autonomy_level(c, threshold, min_samples, mode)
-        for g, c in {**curves, **overall}.items()
-    }
+    assessed = {g: autonomy_level(c, threshold, min_samples, mode) for g, c in curves.items()}
     bundle.add_table(
         "autonomy_levels",
         ["group", "autonomy_level", "threshold", "min_samples", "confidence_mode",
@@ -504,7 +468,7 @@ def _autonomy_suite(config: RunConfig, bundle: ReportBundle):
             for g, c in sorted(assessed.items())
         ],
     )
-    bundle.add_plot_series("autonomy_heatmap", autonomy_heatmap_series({**curves, **overall}))
+    bundle.add_plot_series("autonomy_heatmap", autonomy_heatmap_series(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -512,66 +476,68 @@ def _autonomy_suite(config: RunConfig, bundle: ReportBundle):
 # ---------------------------------------------------------------------------
 
 def _cmd_map(config: RunConfig) -> int:
-    taxonomies = _load_taxonomies(config)
-    examples = read_examples(config.path("examples", required=True))
+    inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
+    annotators = _annotators(config, inputs)
     bundle = _start_bundle(config)
-    results = _map_all_kinds(config, taxonomies, examples, bundle)
+    results = _map_all_kinds(config, inputs, annotators, bundle)
     for kind, mapped in results.items():
-        pooled = [r for r in mapping_outcome_stats(mapped) if r.benchmark == "(all)"][0]
-        print(f"{kind.value}: {pooled.mapped} mapped / {pooled.empty} empty / "
-              f"{pooled.invalid} invalid of {pooled.total}")
+        for pooled in (r for r in mapping_outcome_stats(mapped) if r.benchmark == "(all)"):
+            print(f"{kind.value}: {pooled.mapped} mapped / {pooled.empty} empty / "
+                  f"{pooled.invalid} invalid of {pooled.total}")
     bundle.finalize()
-    print(f"mapped {len(examples)} examples -> {bundle.run_dir}")
+    print(f"mapped {len(inputs.examples)} examples -> {bundle.run_dir}")
     return EXIT_OK
 
 
 def _cmd_coverage(config: RunConfig) -> int:
-    taxonomies = _load_taxonomies(config, require=False)
-    mappings_path = config.path("mappings", required=True)
-    results = read_mappings(mappings_path, taxonomies)
+    inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
     bundle = _start_bundle(config)
-    coverage_suite(bundle, _split_by_kind(results), taxonomies, corpus_label=str(mappings_path))
+    coverage_suite(bundle, _split_by_kind(inputs.mappings), inputs.taxonomies,
+                   corpus_label=str(Path(config.values["mappings"])))
     bundle.finalize()
     print(f"coverage tables -> {bundle.run_dir}")
     return EXIT_OK
 
 
 def _cmd_sample(config: RunConfig) -> int:
-    taxonomies = _load_taxonomies(config, require=False)
-    results = read_mappings(config.path("mappings", required=True), taxonomies)
+    inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
     bundle = _start_bundle(config)
-    emit_sensitivity(bundle, _sensitivity_rows(config, results, taxonomies))
+    emit_sensitivity(bundle, _sensitivity_rows(config, inputs.mappings, inputs.taxonomies))
     bundle.finalize()
     print(f"sampling sensitivity -> {bundle.run_dir}")
     return EXIT_OK
 
 
 def _cmd_economics(config: RunConfig) -> int:
-    taxonomies = _load_taxonomies(config)
-    results_by_kind: dict[TaxonomyKind, list[MappingResult]] = {}
-    mappings_path = config.path("mappings")
-    if mappings_path is not None:
-        results_by_kind = _split_by_kind(read_mappings(mappings_path, taxonomies))
+    inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "occupations")
+    results_by_kind = _split_by_kind(inputs.mappings or ())
     bundle = _start_bundle(config)
-    _economics_suite(config, taxonomies, results_by_kind, bundle)
+    family, skill, digital = _economics_suite(inputs, bundle)
+    if results_by_kind and skill is not None:
+        efforts = effort_distributions(results_by_kind, inputs.taxonomies)
+        alignment_suite(bundle, efforts, family, skill, digital)
     bundle.finalize()
     print(f"economics tables -> {bundle.run_dir}")
     return EXIT_OK
 
 
 def _cmd_autonomy(config: RunConfig) -> int:
+    inputs = _load(config, "workflows")
     bundle = _start_bundle(config)
-    _autonomy_suite(config, bundle)
+    _autonomy_suite(config, inputs.workflows, bundle)
     bundle.finalize()
     print(f"autonomy tables -> {bundle.run_dir}")
     return EXIT_OK
 
 
 def _cmd_advise(config: RunConfig) -> int:
-    curves = read_curves(config.path("curves", required=True))
     instruction = config.values.get("instruction")
     if not instruction:
         raise ConfigError("--instruction is required")
+    complexity_estimate = config.values.get("complexity")
+    if complexity_estimate is None:
+        raise ConfigError("--complexity is required (the advisor never invents one)")
+    inputs = _load(config, "curves")
     task = TaskExample(
         benchmark=config.values.get("benchmark", "adhoc"),
         example_id=config.values.get("example_id", "query"),
@@ -582,13 +548,10 @@ def _cmd_advise(config: RunConfig) -> int:
         groups = [g.strip() for g in str(groups_value).split(",") if g.strip()]
         matcher = lambda _task: groups  # noqa: E731
     else:
-        taxonomies = _load_taxonomies(config, require=False)
-        if TaxonomyKind.DOMAIN not in taxonomies:
+        t_domain = inputs.taxonomies.get(TaxonomyKind.DOMAIN)
+        if t_domain is None:
             raise ConfigError("either --groups or a domain taxonomy with rules is required")
-        t_domain = taxonomies[TaxonomyKind.DOMAIN]
-        annotator = _build_annotator(config, TaxonomyKind.DOMAIN, [task])
-        from .annotate import parse_candidates
-        from .taxonomy import PathResolutionError
+        annotator = _build_annotator(config, inputs, TaxonomyKind.DOMAIN, [task])
 
         def matcher(t: TaskExample) -> list[str]:
             sequences, _ = parse_candidates(annotator.annotate(t.instruction, ""))
@@ -600,14 +563,11 @@ def _cmd_advise(config: RunConfig) -> int:
                     continue
             return sorted(set(families))
 
-    complexity_estimate = config.values.get("complexity")
-    if complexity_estimate is None:
-        raise ConfigError("--complexity is required (the advisor never invents one)")
     try:
         advice = autonomy_advise(
             task,
             float(config.values["threshold"]),
-            curves,
+            inputs.curves,
             matcher,
             int(complexity_estimate),
             min_samples=int(config.values["min_samples"]),
@@ -638,23 +598,24 @@ def _cmd_advise(config: RunConfig) -> int:
 
 
 def _cmd_report(config: RunConfig) -> int:
-    validation = validate_inputs(config)
-    if not validation.ok:
-        for v in validation.violations:
-            print(f"input violation: {v.file} [{v.where}]: {v.reason}", file=sys.stderr)
-        return EXIT_INPUT
-    taxonomies = _load_taxonomies(config)
-    examples = read_examples(config.path("examples", required=True))
+    inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
+    annotators = _annotators(config, inputs)
     bundle = _start_bundle(config)
-    results_by_kind = _map_all_kinds(config, taxonomies, examples, bundle)
+    # The economics and autonomy tables need no mappings. Emitting them first
+    # releases their parsed inputs before mapping and sampling, which hold
+    # the most memory.
+    econ = _economics_suite(inputs, bundle) if inputs.occupations is not None else None
+    if inputs.workflows is not None:
+        _autonomy_suite(config, inputs.workflows, bundle)
+    inputs.occupations = inputs.importance = inputs.labels = inputs.workflows = None
+
+    results_by_kind = _map_all_kinds(config, inputs, annotators, bundle)
     flat = [r for rs in results_by_kind.values() for r in rs]
-    coverage_suite(bundle, results_by_kind, taxonomies,
-                   corpus_label=str(config.values["examples"]))
-    emit_sensitivity(bundle, _sensitivity_rows(config, flat, taxonomies))
-    if config.values.get("occupations"):
-        _economics_suite(config, taxonomies, results_by_kind, bundle)
-    if config.values.get("workflows"):
-        _autonomy_suite(config, bundle)
+    efforts = coverage_suite(bundle, results_by_kind, inputs.taxonomies,
+                             corpus_label=str(config.values["examples"]))
+    emit_sensitivity(bundle, _sensitivity_rows(config, flat, inputs.taxonomies))
+    if econ is not None and econ[1] is not None:
+        alignment_suite(bundle, efforts, *econ)
     bundle.finalize()
     print(f"report bundle -> {bundle.run_dir}")
     return EXIT_OK
@@ -674,24 +635,37 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; keys mirror flag names")
         p.add_argument("--out", help="output root (default: runs)")
-        p.add_argument("--run-id", dest="run_id", help="run directory name (default: timestamp)")
+        p.add_argument("--run-id", help="run directory name (default: timestamp)")
         p.add_argument("--seed", type=int, help="master random seed (default: 0)")
         p.add_argument("--fixtures", action="store_true", default=None,
                        help="fill unset inputs from the bundled fixture data")
 
     def taxonomy_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--domain-taxonomy", dest="domain_taxonomy")
-        p.add_argument("--skill-taxonomy", dest="skill_taxonomy")
+        p.add_argument("--domain-taxonomy")
+        p.add_argument("--skill-taxonomy")
 
     def annotator_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--annotator", choices=["keyword", "replay", "remote"])
-        p.add_argument("--domain-rules", dest="domain_rules",
-                       help="keyword rules file for the domain taxonomy")
-        p.add_argument("--skill-rules", dest="skill_rules",
-                       help="keyword rules file for the skill taxonomy")
-        p.add_argument("--replay-mappings", dest="replay_mappings",
+        p.add_argument("--domain-rules", help="keyword rules file for the domain taxonomy")
+        p.add_argument("--skill-rules", help="keyword rules file for the skill taxonomy")
+        p.add_argument("--replay-mappings",
                        help="recorded mappings file for the replay annotator")
         p.add_argument("--parallelism", type=int)
+
+    def labour_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--occupations")
+        p.add_argument("--importance")
+        p.add_argument("--digital-labels")
+
+    def sampling_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--delta", type=float)
+        p.add_argument("--permutations", type=int)
+
+    def level_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--threshold", type=float)
+        p.add_argument("--min-samples", type=int)
+        p.add_argument("--confidence-mode", choices=["raw", "lcb"])
 
     p_map = sub.add_parser("map", help="map examples onto the taxonomies")
     common(p_map); taxonomy_flags(p_map); annotator_flags(p_map)
@@ -706,27 +680,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="saturation-sampling sensitivity analysis")
     common(p_sample); taxonomy_flags(p_sample)
     p_sample.add_argument("--mappings")
-    p_sample.add_argument("--batch-size", dest="batch_size", type=int)
-    p_sample.add_argument("--delta", type=float)
-    p_sample.add_argument("--permutations", type=int)
+    sampling_flags(p_sample)
     p_sample.set_defaults(handler=_cmd_sample)
 
     p_econ = sub.add_parser("economics", help="employment/capital/digital tables")
-    common(p_econ); taxonomy_flags(p_econ)
-    p_econ.add_argument("--occupations")
-    p_econ.add_argument("--importance")
-    p_econ.add_argument("--digital-labels", dest="digital_labels")
+    common(p_econ); taxonomy_flags(p_econ); labour_flags(p_econ)
     p_econ.add_argument("--mappings", help="optional; enables the alignment tables")
     p_econ.set_defaults(handler=_cmd_economics)
 
     p_auto = sub.add_parser("autonomy", help="success-rate curves and autonomy levels")
     common(p_auto)
     p_auto.add_argument("--workflows")
-    p_auto.add_argument("--group-by", dest="group_by",
+    p_auto.add_argument("--group-by",
                         help="overall | benchmark | agent | model (default: benchmark)")
-    p_auto.add_argument("--threshold", type=float)
-    p_auto.add_argument("--min-samples", dest="min_samples", type=int)
-    p_auto.add_argument("--confidence-mode", dest="confidence_mode", choices=["raw", "lcb"])
+    level_flags(p_auto)
     p_auto.set_defaults(handler=_cmd_autonomy)
 
     p_advise = sub.add_parser("advise", help="delegate-or-decompose advice for one task")
@@ -734,28 +701,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.add_argument("--curves", help="curve CSV exported by the autonomy subcommand")
     p_advise.add_argument("--instruction")
     p_advise.add_argument("--benchmark")
-    p_advise.add_argument("--example-id", dest="example_id")
+    p_advise.add_argument("--example-id")
     p_advise.add_argument("--complexity", type=int)
     p_advise.add_argument("--groups", help="comma-separated curve groups (skips mapping)")
-    p_advise.add_argument("--threshold", type=float)
-    p_advise.add_argument("--min-samples", dest="min_samples", type=int)
-    p_advise.add_argument("--confidence-mode", dest="confidence_mode", choices=["raw", "lcb"])
+    level_flags(p_advise)
     p_advise.set_defaults(handler=_cmd_advise)
 
     p_report = sub.add_parser("report", help="full pipeline over one input set")
     common(p_report); taxonomy_flags(p_report); annotator_flags(p_report)
     p_report.add_argument("--examples")
-    p_report.add_argument("--occupations")
-    p_report.add_argument("--importance")
-    p_report.add_argument("--digital-labels", dest="digital_labels")
+    labour_flags(p_report)
     p_report.add_argument("--workflows")
-    p_report.add_argument("--batch-size", dest="batch_size", type=int)
-    p_report.add_argument("--delta", type=float)
-    p_report.add_argument("--permutations", type=int)
-    p_report.add_argument("--threshold", type=float)
-    p_report.add_argument("--min-samples", dest="min_samples", type=int)
-    p_report.add_argument("--confidence-mode", dest="confidence_mode", choices=["raw", "lcb"])
-    p_report.add_argument("--group-by", dest="group_by")
+    sampling_flags(p_report); level_flags(p_report)
+    p_report.add_argument("--group-by")
     p_report.set_defaults(handler=_cmd_report)
 
     return parser
@@ -776,8 +734,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except _INPUT_ERRORS as err:
-        print(f"input error: {err}", file=sys.stderr)
+    except InvalidInputs as err:
+        for v in err.args[0]:
+            print(f"input violation: {v.file} [{v.where}]: {v.reason}", file=sys.stderr)
         return EXIT_INPUT
     except (AnnotatorTransportError, CorpusMappingAborted) as err:
         print(f"annotator failure: {err}", file=sys.stderr)

@@ -89,6 +89,7 @@ class CoverageReport:
     total_paths: int
     coverage: float
     per_benchmark: dict[str, float]
+    per_benchmark_covered: dict[str, int]  # benchmark -> covered-path count
 
 
 def coverage(results: Sequence[MappingResult], t: Taxonomy) -> CoverageReport:
@@ -113,6 +114,7 @@ def coverage(results: Sequence[MappingResult], t: Taxonomy) -> CoverageReport:
         total_paths=total,
         coverage=len(covered) / total,
         per_benchmark={b: len(s) / total for b, s in sorted(by_benchmark.items())},
+        per_benchmark_covered={b: len(s) for b, s in sorted(by_benchmark.items())},
     )
 
 

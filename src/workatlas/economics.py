@@ -3,10 +3,12 @@
 Occupation rows (SOC code, employment, median wage) are joined onto the
 domain taxonomy through the SOC annotations on its occupation layer and
 rolled up to job families: family employment is a worker head-count sum,
-family capital is the wage-times-employment sum. Skill-level figures weight
-each occupation by its activity importance normalized to [0, 1] by the
-declared scale maximum; the results are relative importance weights over
-the labor market, not head-counts, and all outputs label them as such.
+family capital is the wage-times-employment sum. A row whose SOC code
+matches no occupation node is reported as unmatched, not rejected.
+Skill-level figures weight each occupation by its activity importance
+normalized to [0, 1] by the declared scale maximum; the results are
+relative importance weights over the labor market, not head-counts, and all
+outputs label them as such.
 
 Digital shares come from per-task DIGITAL/PHYSICAL labels produced by an
 annotator: an occupation's ratio is its fraction of digital tasks, and the
@@ -25,7 +27,7 @@ from .coverage import EffortDistribution, GroupLevel
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyNode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccupationStats:
     soc_code: str
     title: str
@@ -39,7 +41,7 @@ class OccupationStats:
             raise ValueError(f"{self.soc_code}: median_wage must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImportanceRecord:
     soc_code: str
     activity_id: str
@@ -73,7 +75,7 @@ class WorkMode(str, Enum):
     PHYSICAL = "PHYSICAL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitalLabel:
     """A DIGITAL/PHYSICAL judgment for one occupational task.
 
@@ -349,7 +351,6 @@ def digital_share(
             for o in family.children
             if "soc_code" in o.annotations and o.annotations["soc_code"] in ratio_by_soc
         ]
-        socs = [s for s in socs if s in occ_by_soc]
         if socs:
             weights = [occ_by_soc[s].employment for s in socs]
             ratios = [ratio_by_soc[s] for s in socs]

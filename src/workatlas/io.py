@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,6 +38,13 @@ class InputFormatError(ValueError):
         self.line_no = line_no
         where = f"{path}:{line_no}" if line_no is not None else str(path)
         super().__init__(f"{where}: {reason}")
+
+
+def _finite(value: str, name: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _iter_jsonl(path: str | Path):
@@ -182,8 +190,8 @@ def read_occupations(path: str | Path) -> list[OccupationStats]:
                     OccupationStats(
                         soc_code=record["soc_code"],
                         title=record["title"],
-                        employment=float(record["employment"]),
-                        median_wage=float(record["median_wage"]),
+                        employment=_finite(record["employment"], "employment"),
+                        median_wage=_finite(record["median_wage"], "median_wage"),
                     )
                 )
             except (TypeError, ValueError) as err:
@@ -201,7 +209,7 @@ def read_importance(path: str | Path) -> ImportanceTable:
                 path, 1, f"first line must declare the scale, e.g. '{SCALE_MAX_PREFIX} 5.0'"
             )
         try:
-            scale_max = float(first[len(SCALE_MAX_PREFIX):].strip())
+            scale_max = _finite(first[len(SCALE_MAX_PREFIX):].strip(), "scale_max")
         except ValueError as err:
             raise InputFormatError(path, 1, f"bad scale_max value: {err}") from err
         reader = csv.DictReader(fh)
@@ -215,7 +223,7 @@ def read_importance(path: str | Path) -> ImportanceTable:
                     ImportanceRecord(
                         soc_code=record["soc_code"],
                         activity_id=record["activity_id"],
-                        importance=float(record["importance"]),
+                        importance=_finite(record["importance"], "importance"),
                     )
                 )
             except (TypeError, ValueError) as err:

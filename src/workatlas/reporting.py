@@ -141,7 +141,8 @@ def emit_coverage(bundle: ReportBundle, report: CoverageReport, corpus_label: st
     rows = [("(pooled)", corpus_label, len(report.covered_paths), report.total_paths,
              report.coverage)]
     for bench, frac in report.per_benchmark.items():
-        rows.append((bench, corpus_label, round(frac * report.total_paths), report.total_paths, frac))
+        rows.append((bench, corpus_label, report.per_benchmark_covered[bench],
+                     report.total_paths, frac))
     bundle.add_table(
         f"coverage_{report.taxonomy_kind.value}",
         ["benchmark", "corpus", "covered_paths", "total_paths", "coverage"],
@@ -346,24 +347,40 @@ def autonomy_heatmap_series(curves: Mapping[str, object]) -> dict:
 # Composite analytics used by the CLI `report` pipeline
 # ---------------------------------------------------------------------------
 
+#: The level each kind's effort and breadth are reported at.
+REPORT_LEVEL = {
+    TaxonomyKind.DOMAIN: GroupLevel.DOMAIN_FAMILY,
+    TaxonomyKind.SKILL: GroupLevel.SKILL_LEAF,
+}
+
+
+def effort_distributions(
+    results_by_kind: Mapping[TaxonomyKind, Sequence[MappingResult]],
+    taxonomies: Mapping[TaxonomyKind, Taxonomy],
+) -> dict[TaxonomyKind, EffortDistribution]:
+    """Each kind's effort at its reporting level."""
+    return {
+        kind: effort_by_node(list(results_by_kind.get(kind, [])), t, REPORT_LEVEL[kind])
+        for kind, t in taxonomies.items()
+    }
+
+
 def coverage_suite(
     bundle: ReportBundle,
     results_by_kind: Mapping[TaxonomyKind, Sequence[MappingResult]],
     taxonomies: Mapping[TaxonomyKind, Taxonomy],
     corpus_label: str,
-) -> dict[TaxonomyKind, CoverageReport]:
-    reports = {}
+) -> dict[TaxonomyKind, EffortDistribution]:
+    """Coverage, effort and breadth tables per kind; returns the efforts so
+    the alignment tables reuse them."""
+    efforts = effort_distributions(results_by_kind, taxonomies)
     summary: dict = {"corpus": corpus_label, "kinds": {}}
     for kind, taxonomy in taxonomies.items():
         results = list(results_by_kind.get(kind, []))
         report = coverage(results, taxonomy)
-        reports[kind] = report
         emit_coverage(bundle, report, corpus_label)
-        level = (
-            GroupLevel.DOMAIN_FAMILY if kind is TaxonomyKind.DOMAIN else GroupLevel.SKILL_LEAF
-        )
-        breadth_stats = breadth(results, taxonomy, level)
-        emit_effort(bundle, effort_by_node(results, taxonomy, level))
+        breadth_stats = breadth(results, taxonomy, REPORT_LEVEL[kind])
+        emit_effort(bundle, efforts[kind])
         emit_breadth(bundle, breadth_stats)
         summary["kinds"][kind.value] = {
             "covered_paths": len(report.covered_paths),
@@ -382,33 +399,22 @@ def coverage_suite(
     bundle.add_text(
         "coverage_summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
-    return reports
+    return efforts
 
 
 def alignment_suite(
     bundle: ReportBundle,
-    results_by_kind: Mapping[TaxonomyKind, Sequence[MappingResult]],
-    taxonomies: Mapping[TaxonomyKind, Taxonomy],
+    efforts: Mapping[TaxonomyKind, EffortDistribution],
     family_econ: FamilyEconTable,
     skill_econ: SkillEconTable,
     digital: DigitalShareTable | None,
 ) -> None:
-    domain_effort = effort_by_node(
-        list(results_by_kind.get(TaxonomyKind.DOMAIN, [])),
-        taxonomies[TaxonomyKind.DOMAIN],
-        GroupLevel.DOMAIN_FAMILY,
-    )
-    domain_alignment = alignment_report(domain_effort, family_econ, digital)
+    domain_alignment = alignment_report(efforts[TaxonomyKind.DOMAIN], family_econ, digital)
     emit_alignment(bundle, domain_alignment)
     bundle.add_plot_series(
         "effort_vs_employment", effort_vs_employment_series(domain_alignment)
     )
 
-    skill_effort = effort_by_node(
-        list(results_by_kind.get(TaxonomyKind.SKILL, [])),
-        taxonomies[TaxonomyKind.SKILL],
-        GroupLevel.SKILL_LEAF,
-    )
-    skill_alignment = alignment_report(skill_effort, skill_econ)
+    skill_alignment = alignment_report(efforts[TaxonomyKind.SKILL], skill_econ)
     emit_alignment(bundle, skill_alignment)
     bundle.add_plot_series("skill_distribution", skill_distribution_series(skill_alignment))

@@ -94,6 +94,19 @@ class TestReplayAnnotator:
             instruction = by_key[result.key].instruction
             assert annotator.annotate(instruction, "") == result.raw_annotator_output
 
+    def test_from_raw_records_matches_from_records(self, tmp_path, examples_corpus,
+                                                   domain_results):
+        from workatlas.io import read_raw_mappings, write_mappings
+
+        path = tmp_path / "mappings.jsonl"
+        write_mappings(path, domain_results)
+        raw = ReplayAnnotator.from_raw_records(examples_corpus, read_raw_mappings(path))
+        resolved = ReplayAnnotator.from_records(examples_corpus, domain_results)
+        for example in examples_corpus:
+            assert raw.annotate(example.instruction, "") == resolved.annotate(
+                example.instruction, ""
+            )
+
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     fail_times = 0

@@ -90,6 +90,14 @@ class TestMapCommand:
         assert pooled_domain["empty"] == "2"
         assert pooled_domain["invalid"] == "1"
 
+    def test_empty_corpus_maps_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "examples.jsonl"
+        empty.write_text("", encoding="utf-8")
+        code = main(["map", *fixture_args(), "--examples", str(empty),
+                     "--out", str(tmp_path), "--run-id", "m0"])
+        assert code == EXIT_OK
+        assert (tmp_path / "m0" / "mappings.jsonl").read_text() == ""
+
 
 class TestPipelineEquivalence:
     def test_cli_coverage_equals_module_output(self, tmp_path, capsys,
@@ -223,6 +231,81 @@ class TestReportValidation:
         assert "9.Z.9" in err and "activity_id" in err
 
 
+class TestSharedValidation:
+    """Every subcommand validates its inputs before writing anything."""
+
+    def test_economics_cross_file_error_exits_input_without_run_dir(self, tmp_path, capsys):
+        occupations = tmp_path / "occupations.csv"
+        occupations.write_text(
+            "".join(
+                line for line in fixture_path("occupations.csv").read_text().splitlines(True)
+                if not line.startswith("13-2011,")
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "runs"
+        code = main(["economics", "--fixtures", "--occupations", str(occupations),
+                     "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(fixture_path("importance.csv")) in err and "13-2011" in err
+        assert not out.exists()
+
+    def test_wrong_kind_taxonomy_is_input_error(self, tmp_path, capsys, domain_results):
+        from workatlas.io import write_mappings
+
+        mappings = tmp_path / "mappings.jsonl"
+        write_mappings(mappings, domain_results)
+        out = tmp_path / "runs"
+        code = main([
+            "coverage", "--mappings", str(mappings),
+            "--domain-taxonomy", str(fixture_path("taxonomy_skill.json")),
+            "--out", str(out),
+        ])
+        assert code == EXIT_INPUT
+        assert "expected a domain taxonomy" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_employment_is_input_error(self, tmp_path, capsys):
+        occupations = tmp_path / "occupations.csv"
+        occupations.write_text(
+            fixture_path("occupations.csv").read_text().replace(",100000,", ",nan,"),
+            encoding="utf-8",
+        )
+        code = main(["economics", "--fixtures", "--occupations", str(occupations),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_INPUT
+        assert "employment must be a finite number" in capsys.readouterr().err
+
+    def test_report_lists_unmatched_soc_codes(self, tmp_path, capsys):
+        occupations = tmp_path / "occupations.csv"
+        occupations.write_text(
+            fixture_path("occupations.csv").read_text() + "99-9999,Ghost Occupation,100,50000\n",
+            encoding="utf-8",
+        )
+        code = main([
+            "report", *fixture_args(), "--permutations", "20",
+            "--occupations", str(occupations), "--out", str(tmp_path), "--run-id", "r",
+        ])
+        assert code == EXIT_OK
+        rows = read_table(tmp_path / "r" / "tables" / "unmatched_soc_codes.csv")
+        assert rows == [{"soc_code": "99-9999"}]
+
+    def test_inputs_of_other_subcommands_are_not_read(self, tmp_path, capsys):
+        garbage = tmp_path / "mappings.jsonl"
+        garbage.write_text("{not json\n", encoding="utf-8")
+        shared = tmp_path / "shared.json"
+        shared.write_text(json.dumps({
+            "mappings": str(garbage),
+            "workflows": str(fixture_path("workflows.jsonl")),
+        }), encoding="utf-8")
+        code = main(["autonomy", "--config", str(shared), "--fixtures",
+                     "--out", str(tmp_path), "--run-id", "a"])
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"workflows"}
+
+
 class TestValidateInputs:
     def base_config(self, **overrides):
         values = {
@@ -325,3 +408,54 @@ class TestReportDeterminism:
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "viacfg" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 7
+
+
+class TestPinnedFixtureOutputs:
+    """SHA-256 of every seeded ``report --fixtures`` output.
+
+    A change that alters seeded output on purpose updates these digests.
+    """
+
+    PINNED = {
+        "mappings.jsonl": "a0831f34d409678d5acba938f8d32278e544855847a9b4cd19a24f8eee946436",
+        "plots/autonomy_heatmap.json": "587564b10ea6194cd701bcaad6d1deabe1b2beed746e050c14ebe4106d48fa6d",
+        "plots/effort_vs_employment.json": "988d0e743efa9c2ec3a5f1e3818485bcd820fcfe02694234c40b6f24dd56f3a3",
+        "plots/skill_distribution.json": "7e271c6ff3d53e7c9b67bdb74f1da2516fc52a39f5654ae48fdcc08a1455e98c",
+        "tables/alignment_domain_family.csv": "a29f13ab5b1326c3edc1aabbeecad8e58f9f2a1bd91c4e9bf875369757cef049",
+        "tables/alignment_skill_leaf.csv": "d59edae3e2b32533f6202507aa1586d1ab701e14fd1a423d6e923c316d890554",
+        "tables/autonomy_curves.csv": "c81872c058a97d630b903510605cb6aa979b8c5fcf8bb404541b131565bf27d9",
+        "tables/autonomy_levels.csv": "1b9429e409bb1a920936010f60346cc7b3e508866c3ca6217f735a084e46fa4a",
+        "tables/breadth_domain_family.csv": "3e9499e127d1bf467edf57664fb4a59697713b61c8fce9b1b2bae4f18c70d369",
+        "tables/breadth_domain_family_summary.csv": "4c172f8e4a628ec24cfd675766737aded6fcd835ecd3b1f2710d55f8e3b6a36b",
+        "tables/breadth_skill_leaf.csv": "3a08eaee8e8dfa07ae1f26831402cc5a46743a3c9e6c36f5921df4b5aaabd500",
+        "tables/breadth_skill_leaf_summary.csv": "349ca71710c543327fe70a61c9f5a993eca611706a7a783e6b9c593a6152949b",
+        "tables/coverage_domain.csv": "d814ee2e8795d82b8b6df8c160b2f33664765bfdc660dc6856835ccd56b49bd3",
+        "tables/coverage_skill.csv": "9efc3970b30898a464fab2ec1a536db45b8dd9e1a9a9e7591165d9b178eca8f9",
+        "tables/digital_families.csv": "a6e0aedc968375ae706be803c0ee877d99b217cf4903056fc8eddbfa39306420",
+        "tables/digital_occupations.csv": "b7ce3791a071d6d9df96d8e801576f5bc8777611f435e828b681c0b1b8e97afb",
+        "tables/effort_domain_family.csv": "ca436995670065a64960e4f44f4560f35fe789a6a1ebe851dbaa84dc32cd18b1",
+        "tables/effort_skill_leaf.csv": "2c73e5c81699ccef7d1130ac7d210eb2d84347e3736708f56049297bde04f65b",
+        "tables/family_economics.csv": "adadfb65bda8f63aa27aff380d4e1cd70838e4945cee29459606cd0f2f24aa39",
+        "tables/mapping_outcomes.csv": "0d09542478a5d3972965cab5f907d2eed42635ece9430beff9e47b44a4cd7e0a",
+        "tables/sampling_sensitivity.csv": "eb59e1f9b7063d50a3f1048ec03db3d33f452c03a908e5d4f929ce2d217f43de",
+        "tables/skill_economics.csv": "bb8dbeb6e8c2c6bf04b3a6411fb05a414a943f1335a0c7511b68d0699eca9a3c",
+    }
+
+    def test_report_fixture_outputs_match_pinned_digests(self, tmp_path, capsys):
+        import hashlib
+
+        code = main([
+            "report", *fixture_args(), "--permutations", "100",
+            "--out", str(tmp_path), "--run-id", "pin",
+        ])
+        assert code == EXIT_OK
+        run_dir = tmp_path / "pin"
+        # the coverage tables name the corpus by path; pin them install-independently
+        corpus = str(fixture_path("examples.jsonl")).encode()
+        produced = {
+            p.relative_to(run_dir).as_posix():
+                hashlib.sha256(p.read_bytes().replace(corpus, b"<examples>")).hexdigest()
+            for p in run_dir.rglob("*")
+            if p.is_file() and (p.parent.name in ("tables", "plots") or p.name == "mappings.jsonl")
+        }
+        assert produced == self.PINNED

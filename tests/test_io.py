@@ -102,6 +102,38 @@ class TestEconomicsFiles:
         with pytest.raises(InputFormatError, match="scale"):
             read_importance(path)
 
+    def test_occupations_reject_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "occ.csv"
+        path.write_text(
+            "soc_code,title,employment,median_wage\n"
+            "13-2011,Accountants,100,50000\n"
+            "13-2031,Budget Analysts,nan,85000\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="occ.csv:3: employment must be a finite"):
+            read_occupations(path)
+        path.write_text(
+            "soc_code,title,employment,median_wage\n13-2011,Accountants,100,inf\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="occ.csv:2: median_wage must be a finite"):
+            read_occupations(path)
+
+    def test_importance_rejects_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "imp.csv"
+        path.write_text(
+            "# scale_max: 5.0\nsoc_code,activity_id,importance\n13-2011,4.A.1.a.1,NaN\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="imp.csv:3: importance must be a finite"):
+            read_importance(path)
+        path.write_text(
+            "# scale_max: inf\nsoc_code,activity_id,importance\n13-2011,4.A.1.a.1,4.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="imp.csv:1: .*scale_max must be a finite"):
+            read_importance(path)
+
     def test_digital_labels_bundled(self, digital_labels):
         assert len(digital_labels) == 12
         assert {l.label.value for l in digital_labels} == {"DIGITAL", "PHYSICAL"}
@@ -154,6 +186,16 @@ class TestCurvesFile:
         assert set(loaded) == set(curves)
         for group, curve in curves.items():
             assert loaded[group].levels == curve.levels
+
+
+    def test_empty_level_named_with_line(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text(
+            "group,level,successes,totals,sr,lcb\ng,1,3,4,0.75,0.3\ng,2,0,0,0.0,0.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="curves.csv:3"):
+            read_curves(path)
 
 
 def test_render_table_float_stability():
