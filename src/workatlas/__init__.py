@@ -52,11 +52,13 @@ from .mapping import (  # noqa: F401
 )
 from .coverage import (  # noqa: F401
     BreadthStats,
+    CheckedResults,
     CoverageAccumulator,
     CoverageReport,
     EffortDistribution,
     GroupLevel,
     breadth,
+    check_results,
     coverage,
     effort_by_node,
 )

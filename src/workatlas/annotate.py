@@ -114,14 +114,25 @@ class KeywordRule:
 class KeywordAnnotator:
     """Deterministic annotator: substring keyword rules fire label sequences.
 
-    Matching is case-insensitive; rules fire in declaration order and the
-    output is the structured candidate grammar, so repeated calls are
-    byte-identical. Stateless, hence safe for concurrent use.
+    Matching is case-insensitive: a rule fires when its lowercased keyword
+    occurs in the lowercased instruction. Rules fire in declaration order and
+    the output is the structured candidate grammar, so repeated calls are
+    byte-identical. Immutable after construction, hence safe for concurrent
+    use.
+
+    The lowercased keywords are indexed by length, so an instruction is
+    matched by looking up each of its windows of every keyword length, in
+    time proportional to its length times the number of distinct keyword
+    lengths rather than to the number of rules.
     """
 
     def __init__(self, rules: Iterable[KeywordRule], annotator_id: str = "keyword"):
         self.rules = tuple(rules)
         self.annotator_id = annotator_id
+        self._by_length: dict[int, dict[str, list[int]]] = {}
+        for i, rule in enumerate(self.rules):
+            keyword = rule.keyword.lower()
+            self._by_length.setdefault(len(keyword), {}).setdefault(keyword, []).append(i)
 
     @classmethod
     def from_file(cls, path: str | Path, annotator_id: str | None = None) -> "KeywordAnnotator":
@@ -133,10 +144,15 @@ class KeywordAnnotator:
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:
         lowered = instruction.lower()
-        hits = [rule.labels for rule in self.rules if rule.keyword.lower() in lowered]
-        if not hits:
+        fired: set[int] = set()
+        for length, keywords in self._by_length.items():
+            for start in range(len(lowered) - length + 1):
+                indices = keywords.get(lowered[start : start + length])
+                if indices is not None:
+                    fired.update(indices)
+        if not fired:
             return "[]"
-        return format_candidates(hits)
+        return format_candidates(self.rules[i].labels for i in sorted(fired))
 
 
 class ReplayAnnotator:

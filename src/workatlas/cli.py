@@ -149,7 +149,21 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> RunConfig:
                 candidate = fixture_path(name)
                 if candidate.exists():
                     values[key] = str(candidate)
+    for key, (convert, ok, requirement) in _PARAM_RANGES.items():
+        if key in declared:
+            values[key] = _checked_param(key, values[key], convert, ok, requirement)
     return RunConfig(command=args.command, values=values)
+
+
+def _checked_param(key: str, value, convert, ok, requirement: str):
+    flag = "--" + key.replace("_", "-")
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{flag} must be a number, got {value!r}") from None
+    if not ok(converted):
+        raise ConfigError(f"{flag} must be {requirement}, got {value!r}")
+    return converted
 
 
 _PARAM_DEFAULTS = {
@@ -165,6 +179,19 @@ _PARAM_DEFAULTS = {
     "group_by": "benchmark",
     "out": "runs",
     "fixtures": False,
+}
+
+#: Numeric parameters and the ranges the library enforces, checked when the
+#: configuration is merged so that a bad value exits 2 before any run
+#: directory exists.
+_PARAM_RANGES = {
+    "batch_size": (int, lambda v: v >= 1, ">= 1"),
+    "delta": (float, lambda v: v > 0, "> 0"),
+    "permutations": (int, lambda v: v >= 1, ">= 1"),
+    "threshold": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "min_samples": (int, lambda v: v >= 1, ">= 1"),
+    "parallelism": (int, lambda v: v >= 1, ">= 1"),
+    "seed": (int, lambda v: True, "an integer"),
 }
 
 
@@ -218,8 +245,9 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     with non-empty instructions; mapping paths resolve in the supplied
     taxonomies; occupation SOC codes are unique; importance rows reference
     known SOC codes and activity ids; digital labels reference known SOC
-    codes. An occupation whose SOC code is absent from the domain taxonomy
-    is not a violation: the economics tables list it as unmatched.
+    codes; a replay recording holds an output for every example and
+    taxonomy kind. An occupation whose SOC code is absent from the domain
+    taxonomy is not a violation: the economics tables list it as unmatched.
     """
     values = config.values
     inputs = LoadedInputs()
@@ -264,6 +292,16 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
                 inputs.rules[kind] = rules
     elif mode == "replay":
         inputs.replay_records = parse("replay_mappings", read_raw_mappings)
+        if inputs.replay_records is not None:
+            recorded = {
+                (r["benchmark"], r["example_id"], r["taxonomy_kind"])
+                for r in inputs.replay_records
+            }
+            for e in inputs.examples or ():
+                for kind in inputs.taxonomies:
+                    if (*e.key, kind.value) not in recorded:
+                        violation("replay_mappings", f"{e.benchmark}/{e.example_id}",
+                                  f"no recorded {kind.value} output for this example")
 
     if inputs.taxonomies and taxonomies_ok:
         inputs.mappings = parse("mappings", read_mappings, inputs.taxonomies)
@@ -279,8 +317,7 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     t_skill = inputs.taxonomies.get(TaxonomyKind.SKILL)
     if inputs.importance is not None:
         activities = {
-            t_skill.node(p.node_ids[-1]).annotations.get("activity_id")
-            for p in t_skill.path_index
+            leaf.annotations.get("activity_id") for leaf in t_skill.leaves()
         } if t_skill is not None else set()
         for record in inputs.importance.records:
             where = f"{record.soc_code}/{record.activity_id}"
@@ -381,7 +418,7 @@ def _map_all_kinds(
         for kind, annotator in annotators.items():
             mapped = map_corpus(
                 inputs.examples, inputs.taxonomies[kind], annotator,
-                parallelism=int(config.values.get("parallelism", 1)),
+                parallelism=config.values["parallelism"],
             )
             results[kind] = mapped
             flat.extend(mapped)
@@ -415,10 +452,10 @@ def _sensitivity_rows(config: RunConfig, results: Sequence[MappingResult],
             build_pool(pool),
             taxonomies.get(TaxonomyKind.DOMAIN),
             taxonomies.get(TaxonomyKind.SKILL),
-            batch_size=int(config.values["batch_size"]),
-            delta=float(config.values["delta"]),
-            permutations=int(config.values["permutations"]),
-            rng_seed=int(config.values["seed"]),
+            batch_size=config.values["batch_size"],
+            delta=config.values["delta"],
+            permutations=config.values["permutations"],
+            rng_seed=config.values["seed"],
         )
         for pool in pools
     ]
@@ -454,8 +491,8 @@ def _autonomy_suite(config: RunConfig, workflows: Sequence[WorkflowNode],
     write_curves(curves_path, curves)
     bundle.record_output("tables/autonomy_curves.csv")
 
-    threshold = float(config.values["threshold"])
-    min_samples = int(config.values["min_samples"])
+    threshold = config.values["threshold"]
+    min_samples = config.values["min_samples"]
     mode = config.values.get("confidence_mode", "raw")
     assessed = {g: autonomy_level(c, threshold, min_samples, mode) for g, c in curves.items()}
     bundle.add_table(
@@ -566,11 +603,11 @@ def _cmd_advise(config: RunConfig) -> int:
     try:
         advice = autonomy_advise(
             task,
-            float(config.values["threshold"]),
+            config.values["threshold"],
             inputs.curves,
             matcher,
             int(complexity_estimate),
-            min_samples=int(config.values["min_samples"]),
+            min_samples=config.values["min_samples"],
             confidence_mode=config.values.get("confidence_mode", "raw"),
         )
     except ValueError as err:

@@ -7,8 +7,8 @@ however many of its paths land there. Breadth is the per-example count of
 distinct nodes at that level.
 
 All operations are pure functions of their inputs and invariant to input
-order; :class:`CoverageAccumulator` provides the incremental form the
-sampler uses, which is exactly equivalent to a from-scratch set union.
+order; :class:`CoverageAccumulator` provides an incremental form, which is
+exactly equivalent to a from-scratch set union.
 """
 
 from __future__ import annotations
@@ -44,7 +44,27 @@ def node_at_level(path: TaxonomyPath, level: GroupLevel) -> tuple[str, str]:
     return path.node_ids[-1], path.labels[-1]
 
 
-def _check_results(results: Iterable[MappingResult], t: Taxonomy) -> list[MappingResult]:
+class CheckedResults(tuple):
+    """Mapping results already checked against ``taxonomy``.
+
+    :func:`coverage`, :func:`effort_by_node` and :func:`breadth` accept them
+    for that taxonomy without checking every path again.
+    """
+
+    def __new__(cls, results: Iterable[MappingResult], taxonomy: Taxonomy):
+        checked = super().__new__(cls, results)
+        checked.taxonomy = taxonomy
+        return checked
+
+
+def check_results(results: Iterable[MappingResult], t: Taxonomy) -> CheckedResults:
+    """Check that every result is of ``t``'s kind and every path is in ``t``.
+
+    Raises :class:`ForeignPathError` otherwise. Results checked against the
+    same taxonomy before are returned as they are.
+    """
+    if isinstance(results, CheckedResults) and results.taxonomy is t:
+        return results
     checked = []
     for r in results:
         if r.taxonomy_kind is not t.kind:
@@ -56,7 +76,7 @@ def _check_results(results: Iterable[MappingResult], t: Taxonomy) -> list[Mappin
             if not t.contains_path(p):
                 raise ForeignPathError(f"path {p} from {r.key} is not in the taxonomy")
         checked.append(r)
-    return checked
+    return CheckedResults(checked, t)
 
 
 class CoverageAccumulator:
@@ -73,9 +93,6 @@ class CoverageAccumulator:
             )
         if result.status is MappingStatus.MAPPED:
             self.covered.update(result.paths)
-
-    def add_paths(self, paths: Iterable[TaxonomyPath]) -> None:
-        self.covered.update(paths)
 
     @property
     def coverage(self) -> float:
@@ -99,7 +116,7 @@ def coverage(results: Sequence[MappingResult], t: Taxonomy) -> CoverageReport:
     nothing. Every per-benchmark fraction uses the full taxonomy as its
     denominator.
     """
-    checked = _check_results(results, t)
+    checked = check_results(results, t)
     covered: set[TaxonomyPath] = set()
     by_benchmark: dict[str, set[TaxonomyPath]] = {}
     for r in checked:
@@ -159,7 +176,7 @@ def effort_by_node(
     it reaches at the grouping level (family for domains, leaf activity for
     skills), never once per path."""
     _validate_level(t, level)
-    checked = _check_results(results, t)
+    checked = check_results(results, t)
     per_example = _nodes_per_example(checked, level)
     counts: Counter[str] = Counter()
     labels: dict[str, str] = {}
@@ -200,7 +217,7 @@ def breadth(
     """Per-example breadth (distinct nodes at the grouping level) plus its
     histogram and summary shares."""
     _validate_level(t, level)
-    checked = _check_results(results, t)
+    checked = check_results(results, t)
     per_example = {k: len(v) for k, v in _nodes_per_example(checked, level).items()}
     n = len(per_example)
     histogram = dict(sorted(Counter(per_example.values()).items()))

@@ -224,8 +224,7 @@ def effective_skill_employment_capital(
     occ_by_soc = {o.soc_code: o for o in occupations}
 
     leaf_by_activity: dict[str, TaxonomyNode] = {}
-    for path in t_skill.path_index:
-        leaf = t_skill.node(path.node_ids[-1])
+    for leaf in t_skill.leaves():
         activity = leaf.annotations.get("activity_id")
         if activity is not None:
             leaf_by_activity[activity] = leaf

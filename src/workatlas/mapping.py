@@ -9,7 +9,7 @@ verbatim so any corpus can be re-audited or replayed later.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -151,7 +151,8 @@ def map_corpus(
     produced for them). Duplicate (benchmark, example_id) keys are a corpus
     corruption and raise :class:`CorpusError`. A transport failure that
     survives the annotator's retry budget aborts the run with the completed
-    results attached (:class:`CorpusMappingAborted`).
+    results attached (:class:`CorpusMappingAborted`); with ``parallelism >
+    1``, examples not yet started when it surfaces are cancelled.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -177,19 +178,19 @@ def map_corpus(
                 raise CorpusMappingAborted(err, results) from err
         return results
 
-    slots: list[MappingResult | None] = [None] * len(valid)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {pool.submit(run_one, e): i for i, e in enumerate(valid)}
-        error: AnnotatorTransportError | None = None
-        for future, i in futures.items():
-            try:
-                slots[i] = future.result()
-            except AnnotatorTransportError as err:
-                error = error or err
-    if error is not None:
-        completed = [r for r in slots if r is not None]
-        raise CorpusMappingAborted(error, completed) from error
-    return [r for r in slots if r is not None]
+        futures = [pool.submit(run_one, e) for e in valid]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except AnnotatorTransportError as err:
+            # Examples not yet started are never sent; running ones finish.
+            pool.shutdown(cancel_futures=True)
+            completed = [
+                f.result() for f in futures if not f.cancelled() and f.exception() is None
+            ]
+            raise CorpusMappingAborted(err, completed) from err
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .coverage import (
     EffortDistribution,
     GroupLevel,
     breadth,
+    check_results,
     coverage,
     effort_by_node,
 )
@@ -372,13 +373,15 @@ def coverage_suite(
     corpus_label: str,
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Coverage, effort and breadth tables per kind; returns the efforts so
-    the alignment tables reuse them."""
-    efforts = effort_distributions(results_by_kind, taxonomies)
+    the alignment tables reuse them. Each kind's results are checked against
+    its taxonomy once, then shared by the three computations."""
+    efforts: dict[TaxonomyKind, EffortDistribution] = {}
     summary: dict = {"corpus": corpus_label, "kinds": {}}
     for kind, taxonomy in taxonomies.items():
-        results = list(results_by_kind.get(kind, []))
+        results = check_results(results_by_kind.get(kind, ()), taxonomy)
         report = coverage(results, taxonomy)
         emit_coverage(bundle, report, corpus_label)
+        efforts[kind] = effort_by_node(results, taxonomy, REPORT_LEVEL[kind])
         breadth_stats = breadth(results, taxonomy, REPORT_LEVEL[kind])
         emit_effort(bundle, efforts[kind])
         emit_breadth(bundle, breadth_stats)

@@ -11,6 +11,14 @@ Permutation replays of the rule give an empirical view of how sensitive the
 stop size and achieved coverage are to task ordering, and a Chao1 richness
 estimate extrapolates how many distinct paths the pool plausibly holds
 beyond the ones observed.
+
+The rule runs on an interned copy of the pool: each distinct path becomes a
+dense int per kind, so coverage is a ``bytearray`` and a counter. A random
+order is drawn lazily, by a forward Fisher-Yates (Durstenfeld) shuffle that
+fixes only the positions the rule consumes. On pools of thousands of units
+the rule typically stops after a few dozen, so a permutation costs its stop
+size rather than the pool size; its consumed prefix is the same as that of
+a full shuffle drawn from the same seed.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coverage import CoverageAccumulator
 from .mapping import MappingResult, MappingStatus
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
 
@@ -76,6 +83,124 @@ class SamplingRun:
         return trace[-1] if trace else 0.0
 
 
+@dataclass
+class _Replay:
+    """One run of the stopping rule: ``order[:stop_size]`` are the unit
+    indices consumed, ``distinct`` the number of paths covered per kind."""
+
+    order: list[int]
+    stop_size: int
+    stop_batch_index: int
+    stopped_by: str
+    trace: list[list[float]]
+    distinct: list[int]
+
+
+class _Sampler:
+    """The stopping rule over one pool, in the form it replays fast.
+
+    The pool is interned once: each distinct path becomes a dense int per
+    kind and each unit one int tuple per considered kind, so coverage is a
+    ``bytearray`` plus a counter. The benchmark label and the path
+    occurrence counts are computed once too.
+    """
+
+    def __init__(
+        self,
+        pool: Sequence[MappingResult] | Sequence[PoolUnit],
+        t_domain: Taxonomy | None,
+        t_skill: Taxonomy | None,
+        batch_size: int,
+        delta: float,
+        stop_when: str,
+        delta_unit: str,
+    ):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if delta <= 0:
+            raise ValueError(f"delta must be > 0, got {delta}")
+        if stop_when not in ("all", "any"):
+            raise ValueError(f"stop_when must be 'all' or 'any', got {stop_when!r}")
+        if delta_unit not in ("pp", "fraction"):
+            raise ValueError(f"delta_unit must be 'pp' or 'fraction', got {delta_unit!r}")
+        taxonomies = {
+            kind: t
+            for kind, t in ((TaxonomyKind.DOMAIN, t_domain), (TaxonomyKind.SKILL, t_skill))
+            if t is not None
+        }
+        if not taxonomies:
+            raise ValueError("at least one taxonomy is required")
+        units = _as_units(pool)
+        if not units:
+            raise ValueError("pool is empty")
+        self.batch_size = batch_size
+        self.delta = delta
+        self.scale = 100.0 if delta_unit == "pp" else 1.0
+        self.stop_all = stop_when == "all"
+
+        self.kinds = list(taxonomies)
+        self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
+        self.keys = [u.key for u in units]
+        ids: list[dict[tuple[str, ...], int]] = [{} for _ in self.kinds]
+        self.occurrence: list[list[int]] = [[] for _ in self.kinds]
+        self.units: list[tuple[tuple[int, ...], ...]] = []
+        for unit in units:
+            interned = []
+            for k, kind in enumerate(self.kinds):
+                kind_ids, counts = ids[k], self.occurrence[k]
+                row = []
+                for path in unit.paths.get(kind, ()):
+                    i = kind_ids.setdefault(path.node_ids, len(kind_ids))
+                    if i == len(counts):
+                        counts.append(0)
+                    counts[i] += 1
+                    row.append(i)
+                interned.append(tuple(row))
+            self.units.append(tuple(interned))
+        benchmarks = {key[0] for key in self.keys}
+        self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK
+
+    def replay(self, rng: random.Random | None) -> _Replay:
+        """Consume the pool batch by batch until the gain falls below delta.
+
+        With an ``rng``, position ``i`` is filled just before it is consumed
+        by swapping in ``rng.randrange(i, n)``: a forward Fisher-Yates
+        (Durstenfeld) shuffle stopped where the rule stops, so the consumed
+        prefix equals that of the full shuffle drawn from the same state.
+        """
+        n = len(self.units)
+        order = list(range(n))
+        covered = [bytearray(len(counts)) for counts in self.occurrence]
+        distinct = [0] * len(self.kinds)
+        previous = [0.0] * len(self.kinds)
+        trace: list[list[float]] = [[] for _ in self.kinds]
+        stopped_by = "exhausted"
+        batch_index = end = 0
+        for start in range(0, n, self.batch_size):
+            end = min(start + self.batch_size, n)
+            batch_index += 1
+            for i in range(start, end):
+                if rng is not None:
+                    j = rng.randrange(i, n)
+                    order[i], order[j] = order[j], order[i]
+                for k, paths in enumerate(self.units[order[i]]):
+                    seen = covered[k]
+                    for p in paths:
+                        if not seen[p]:
+                            seen[p] = 1
+                            distinct[k] += 1
+            below = []
+            for k, leaf_count in enumerate(self.leaf_counts):
+                current = distinct[k] / leaf_count
+                trace[k].append(current)
+                below.append((current - previous[k]) * self.scale < self.delta)
+                previous[k] = current
+            if (all(below) if self.stop_all else any(below)):
+                stopped_by = "saturation"
+                break
+        return _Replay(order, end, batch_index, stopped_by, trace, distinct)
+
+
 def sample_until_saturation(
     pool: Sequence[MappingResult] | Sequence[PoolUnit],
     t_domain: Taxonomy | None,
@@ -93,7 +218,9 @@ def sample_until_saturation(
     ----------
     pool : sequence of MappingResult or PoolUnit
         Sampling order is the given order (results are grouped per example
-        first). Pass ``shuffle=True`` to shuffle once with ``rng_seed``.
+        first). Pass ``shuffle=True`` to draw a random order from
+        ``rng_seed``, the same draw one permutation of
+        :func:`permutation_sensitivity` makes from its sub-seed.
     t_domain, t_skill : Taxonomy or None
         Coverage denominators. A kind whose taxonomy is ``None`` is ignored
         by the stopping rule; at least one must be given.
@@ -110,62 +237,16 @@ def sample_until_saturation(
     after each batch and therefore non-decreasing; they equal a from-scratch
     coverage computation on each selected prefix.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if stop_when not in ("all", "any"):
-        raise ValueError(f"stop_when must be 'all' or 'any', got {stop_when!r}")
-    if delta_unit not in ("pp", "fraction"):
-        raise ValueError(f"delta_unit must be 'pp' or 'fraction', got {delta_unit!r}")
-    taxonomies = {
-        kind: t
-        for kind, t in ((TaxonomyKind.DOMAIN, t_domain), (TaxonomyKind.SKILL, t_skill))
-        if t is not None
-    }
-    if not taxonomies:
-        raise ValueError("at least one taxonomy is required")
-
-    units = _as_units(pool)
-    if not units:
-        raise ValueError("pool is empty")
-    if shuffle:
-        units = list(units)
-        random.Random(rng_seed).shuffle(units)
-
-    scale = 100.0 if delta_unit == "pp" else 1.0
-    accumulators = {kind: CoverageAccumulator(t) for kind, t in taxonomies.items()}
-    trace: dict[TaxonomyKind, list[float]] = {kind: [] for kind in taxonomies}
-    selected: list[tuple[str, str]] = []
-    stopped_by = "exhausted"
-    batch_index = 0
-
-    for start in range(0, len(units), batch_size):
-        batch = units[start : start + batch_size]
-        batch_index += 1
-        previous = {kind: acc.coverage for kind, acc in accumulators.items()}
-        for unit in batch:
-            selected.append(unit.key)
-            for kind, acc in accumulators.items():
-                acc.add_paths(unit.paths.get(kind, frozenset()))
-        gains = {}
-        for kind, acc in accumulators.items():
-            trace[kind].append(acc.coverage)
-            gains[kind] = (acc.coverage - previous[kind]) * scale
-        below = [g < delta for g in gains.values()]
-        if (all(below) if stop_when == "all" else any(below)):
-            stopped_by = "saturation"
-            break
-
-    benchmarks = {key[0] for key in selected} | {u.key[0] for u in units}
+    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta, stop_when, delta_unit)
+    run = sampler.replay(random.Random(rng_seed) if shuffle else None)
     return SamplingRun(
-        benchmark=benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK,
-        selected=tuple(selected),
+        benchmark=sampler.benchmark,
+        selected=tuple(sampler.keys[i] for i in run.order[: run.stop_size]),
         batch_size=batch_size,
         delta=delta,
-        stop_batch_index=batch_index,
-        stopped_by=stopped_by,
-        coverage_trace={kind: tuple(v) for kind, v in trace.items()},
+        stop_batch_index=run.stop_batch_index,
+        stopped_by=run.stopped_by,
+        coverage_trace={kind: tuple(run.trace[k]) for k, kind in enumerate(sampler.kinds)},
         rng_seed=rng_seed,
     )
 
@@ -253,76 +334,50 @@ def permutation_sensitivity(
 ) -> SensitivitySummary:
     """Replay the stopping rule over random permutations of the pool.
 
-    Each permutation shuffles with an independent sub-seed derived from
-    ``rng_seed``, so the whole analysis is reproducible from a single seed.
+    Each permutation draws its order from an independent 64-bit sub-seed
+    taken from ``rng_seed``, so the whole analysis is reproducible from a
+    single seed. The order is drawn lazily: a forward Fisher-Yates shuffle
+    fixes only the positions the rule consumes before it stops, which gives
+    the same prefix as shuffling the whole pool with that sub-seed first.
     Reported coverage comes in two forms: raw taxonomy coverage at the stop
     point, and the number of distinct paths at stop relative to the pool's
     Chao1-estimated path richness.
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
-    units = _as_units(pool)
-    if not units:
-        raise ValueError("pool is empty")
-    kinds = [
-        kind
-        for kind, t in ((TaxonomyKind.DOMAIN, t_domain), (TaxonomyKind.SKILL, t_skill))
-        if t is not None
-    ]
+    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta, stop_when, delta_unit)
+    kinds = sampler.kinds
+    richness = [chao1(counts) if counts else 0.0 for counts in sampler.occurrence]
 
     seed_source = random.Random(rng_seed)
     sub_seeds = [seed_source.getrandbits(64) for _ in range(permutations)]
 
-    occurrence: dict[TaxonomyKind, dict[TaxonomyPath, int]] = {k: {} for k in kinds}
-    for unit in units:
-        for kind in kinds:
-            for path in unit.paths.get(kind, frozenset()):
-                occurrence[kind][path] = occurrence[kind].get(path, 0) + 1
-    richness = {
-        kind: (chao1(occurrence[kind]) if occurrence[kind] else 0.0) for kind in kinds
-    }
-
     stop_sizes: list[int] = []
-    cov_at_stop: dict[TaxonomyKind, list[float]] = {k: [] for k in kinds}
-    paths_at_stop: dict[TaxonomyKind, list[float]] = {k: [] for k in kinds}
-    chao1_cov: dict[TaxonomyKind, list[float]] = {k: [] for k in kinds}
+    cov_at_stop: list[list[float]] = [[] for _ in kinds]
+    paths_at_stop: list[list[float]] = [[] for _ in kinds]
+    chao1_cov: list[list[float]] = [[] for _ in kinds]
     for sub_seed in sub_seeds:
-        shuffled = list(units)
-        random.Random(sub_seed).shuffle(shuffled)
-        run = sample_until_saturation(
-            shuffled,
-            t_domain,
-            t_skill,
-            batch_size=batch_size,
-            delta=delta,
-            rng_seed=sub_seed,
-            stop_when=stop_when,
-            delta_unit=delta_unit,
-        )
+        run = sampler.replay(random.Random(sub_seed))
         stop_sizes.append(run.stop_size)
-        selected = set(run.selected)
-        for kind in kinds:
-            distinct = len(
-                set().union(*(u.paths.get(kind, frozenset()) for u in units if u.key in selected))
-                if selected
-                else set()
-            )
-            cov_at_stop[kind].append(run.coverage_at_stop(kind))
-            paths_at_stop[kind].append(float(distinct))
-            chao1_cov[kind].append(distinct / richness[kind] if richness[kind] else 0.0)
+        for k, distinct in enumerate(run.distinct):
+            cov_at_stop[k].append(run.trace[k][-1])
+            paths_at_stop[k].append(float(distinct))
+            chao1_cov[k].append(distinct / richness[k] if richness[k] else 0.0)
 
-    benchmarks = {u.key[0] for u in units}
+    def summarise(values: list[list[float]]) -> dict[TaxonomyKind, SummaryStat]:
+        return {kind: SummaryStat.from_values(values[k]) for k, kind in enumerate(kinds)}
+
     return SensitivitySummary(
-        benchmark=benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK,
-        pool_size=len(units),
+        benchmark=sampler.benchmark,
+        pool_size=len(sampler.units),
         permutations=permutations,
         batch_size=batch_size,
         delta=delta,
         rng_seed=rng_seed,
         stop_size=SummaryStat.from_values([float(s) for s in stop_sizes]),
         stop_sizes=tuple(stop_sizes),
-        coverage_at_stop={k: SummaryStat.from_values(v) for k, v in cov_at_stop.items()},
-        paths_at_stop={k: SummaryStat.from_values(v) for k, v in paths_at_stop.items()},
-        chao1_richness=richness,
-        chao1_coverage={k: SummaryStat.from_values(v) for k, v in chao1_cov.items()},
+        coverage_at_stop=summarise(cov_at_stop),
+        paths_at_stop=summarise(paths_at_stop),
+        chao1_richness=dict(zip(kinds, richness)),
+        chao1_coverage=summarise(chao1_cov),
     )

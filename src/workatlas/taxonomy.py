@@ -108,6 +108,7 @@ class Taxonomy:
     _children_by_label: dict[str, dict[str, TaxonomyNode]] = field(
         default_factory=dict, repr=False
     )
+    _paths_by_leaf: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
 
     @property
     def leaf_count(self) -> int:
@@ -130,6 +131,17 @@ class Taxonomy:
 
     def contains_path(self, path: TaxonomyPath) -> bool:
         return path in self.path_index
+
+    def path_for_leaf(self, leaf_id: str) -> TaxonomyPath:
+        """The root-to-leaf path ending at the leaf with id ``leaf_id``."""
+        try:
+            return self._paths_by_leaf[leaf_id]
+        except KeyError:
+            raise UnknownPathError(f"no leaf with id {leaf_id!r}") from None
+
+    def leaves(self) -> list[TaxonomyNode]:
+        """Leaf nodes, in document order."""
+        return [self._nodes_by_id[leaf_id] for leaf_id in self._paths_by_leaf]
 
 
 def _parse_node(doc: object, level: int, where: str) -> TaxonomyNode:
@@ -231,6 +243,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
                 )
 
     paths: dict[tuple[str, ...], TaxonomyPath] = {}
+    paths_by_leaf: dict[str, TaxonomyPath] = {}
     children_by_label: dict[str, dict[str, TaxonomyNode]] = {}
 
     def walk(node: TaxonomyNode, ids: tuple[str, ...], labels: tuple[str, ...]) -> None:
@@ -243,6 +256,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
                     node.id, f"path label sequence {labels!r} is not unique"
                 )
             paths[key] = path
+            paths_by_leaf[node.id] = path
             return
         for child in node.children:
             walk(child, ids + (child.id,), labels + (child.label,))
@@ -256,6 +270,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
         _nodes_by_id=nodes_by_id,
         _paths_by_labels=paths,
         _children_by_label=children_by_label,
+        _paths_by_leaf=paths_by_leaf,
     )
 
 

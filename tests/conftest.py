@@ -16,7 +16,7 @@ from workatlas.io import (
     read_workflows,
 )
 from workatlas.mapping import MappingResult, MappingStatus, map_corpus
-from workatlas.taxonomy import Taxonomy, TaxonomyPath, load_taxonomy
+from workatlas.taxonomy import Taxonomy, load_taxonomy
 
 
 @pytest.fixture(scope="session")
@@ -108,8 +108,7 @@ def synthetic_result(
     benchmark: str = "synth",
 ) -> MappingResult:
     """A mapped (or empty) result over the synthetic taxonomy's leaves."""
-    by_leaf: dict[str, TaxonomyPath] = {p.node_ids[-1]: p for p in taxonomy.path_index}
-    paths = frozenset(by_leaf[f"leaf-{i}"] for i in leaf_indices)
+    paths = frozenset(taxonomy.path_for_leaf(f"leaf-{i}") for i in leaf_indices)
     return MappingResult(
         benchmark=benchmark,
         example_id=example_id,

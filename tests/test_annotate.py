@@ -1,5 +1,6 @@
 import http.server
 import json
+import random
 import threading
 
 import pytest
@@ -75,6 +76,68 @@ class TestKeywordAnnotator:
         first = domain_annotator.annotate("Reconcile bank statements", "whatever")
         second = domain_annotator.annotate("Reconcile bank statements", "other taxonomy")
         assert first == second
+
+
+def linear_scan(rules, instruction):
+    """Reference matcher: test every rule's lowercased keyword in turn."""
+    lowered = instruction.lower()
+    hits = [rule.labels for rule in rules if rule.keyword.lower() in lowered]
+    return format_candidates(hits) if hits else "[]"
+
+
+class TestKeywordIndexEquivalence:
+    """The length-indexed matcher returns exactly what the linear scan does."""
+
+    def assert_equivalent(self, rules, instructions):
+        annotator = KeywordAnnotator(rules)
+        for text in instructions:
+            assert annotator.annotate(text, "") == linear_scan(rules, text), text
+
+    def test_bundled_rules(self, domain_annotator, skill_annotator, examples_corpus):
+        texts = [e.instruction for e in examples_corpus]
+        texts += [t.upper() for t in texts] + ["", "x"]
+        for annotator in (domain_annotator, skill_annotator):
+            self.assert_equivalent(annotator.rules, texts)
+
+    def test_synthetic_5k_rules(self):
+        rng = random.Random(5_000)
+        alphabet = "abcdeAB\u00c9\u0130 "
+        keywords = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+            for _ in range(5_000)
+        ]
+        rules = [KeywordRule(kw, (f"L{i}", "x", "y")) for i, kw in enumerate(keywords)]
+        texts = []
+        for _ in range(300):
+            planted = [rng.choice(keywords) for _ in range(rng.randint(0, 4))]
+            noise = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+                     for _ in range(3)]
+            parts = planted + noise
+            rng.shuffle(parts)
+            texts.append("".join(parts))
+        self.assert_equivalent(rules, texts)
+
+    def test_edge_cases(self):
+        rules = [
+            KeywordRule("budget", ("Dup", "first", "rule")),
+            KeywordRule("budget", ("Dup", "second", "rule")),
+            KeywordRule("budgets", ("Nested", "longer", "keyword")),
+            KeywordRule("BudGet", ("Mixed", "case", "keyword")),
+            KeywordRule("a budget review meeting", ("Longer", "than", "text")),
+            KeywordRule("\u0130stanbul", ("Dotted", "capital", "I")),
+            KeywordRule("stanbul", ("Suffix", "of", "non-ascii")),
+            KeywordRule("", ("Empty", "keyword", "always")),
+        ]
+        self.assert_equivalent(rules, [
+            "Review the BUDGETS.",
+            "budget",
+            "Plan a budge",
+            "Fly to \u0130STANBUL, then review the budget",
+            "istanbul",
+            "",
+        ])
+        fired = parse_candidates(KeywordAnnotator(rules).annotate("BUDGETS", ""))[0]
+        assert [seq[0] for seq in fired] == ["Dup", "Dup", "Nested", "Mixed", "Empty"]
 
 
 class TestReplayAnnotator:

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from workatlas.cli import (
     EXIT_ANNOTATOR,
     EXIT_CONFIG,
@@ -304,6 +306,82 @@ class TestSharedValidation:
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {"workflows"}
+
+
+class TestParameterRanges:
+    """Out-of-range parameters are configuration errors caught before any
+    run directory exists."""
+
+    @pytest.fixture
+    def mappings(self, tmp_path, domain_results, skill_results):
+        from workatlas.io import write_mappings
+
+        path = tmp_path / "mappings.jsonl"
+        write_mappings(path, list(domain_results) + list(skill_results))
+        return str(path)
+
+    @pytest.mark.parametrize("flag, value, command", [
+        ("--batch-size", "0", "sample"),
+        ("--delta", "0", "sample"),
+        ("--permutations", "0", "sample"),
+        ("--threshold", "2", "autonomy"),
+        ("--min-samples", "0", "autonomy"),
+        ("--parallelism", "0", "map"),
+    ])
+    def test_out_of_range_exits_config_without_run_dir(self, tmp_path, capsys, mappings,
+                                                       flag, value, command):
+        argv = [command, "--fixtures", flag, value, "--out", str(tmp_path / "runs")]
+        if command == "sample":
+            argv += ["--mappings", mappings]
+        assert main(argv) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key", ["threshold", "seed"])
+    def test_config_file_value_checked(self, tmp_path, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "abc"}), encoding="utf-8")
+        code = main(["autonomy", "--fixtures", "--config", str(config),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert f"--{key} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_undeclared_parameter_not_checked(self, tmp_path, capsys):
+        # map takes no --threshold, so a shared config's value is not its concern
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": 2}), encoding="utf-8")
+        code = main(["map", "--fixtures", "--config", str(config),
+                     "--out", str(tmp_path), "--run-id", "m"])
+        assert code == EXIT_OK
+
+
+class TestReplayCoverage:
+    def test_recording_missing_an_example_is_input_error(self, tmp_path, capsys):
+        assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        lines = (tmp_path / "m" / "mappings.jsonl").read_text(encoding="utf-8").splitlines(True)
+        dropped = [json.loads(line) for line in lines[5:7]]
+        recording = tmp_path / "recording.jsonl"
+        recording.write_text("".join(lines[:5] + lines[7:]), encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["map", "--fixtures", "--annotator", "replay",
+                     "--replay-mappings", str(recording), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(dropped)
+        for line, record in zip(err, dropped):
+            assert line.startswith(f"input violation: {recording} ")
+            assert f"[{record['benchmark']}/{record['example_id']}]" in line
+            assert f"no recorded {record['taxonomy_kind']} output" in line
+        assert not out.exists()
+
+    def test_complete_recording_replays(self, tmp_path, capsys):
+        assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        recording = tmp_path / "m" / "mappings.jsonl"
+        code = main(["map", "--fixtures", "--annotator", "replay",
+                     "--replay-mappings", str(recording), "--out", str(tmp_path),
+                     "--run-id", "r"])
+        assert code == EXIT_OK
 
 
 class TestValidateInputs:

@@ -7,10 +7,13 @@ from workatlas.coverage import (
     ForeignPathError,
     GroupLevel,
     breadth,
+    check_results,
     coverage,
     effort_by_node,
 )
 from workatlas.mapping import MappingStatus
+from workatlas.reporting import ReportBundle, coverage_suite
+from workatlas.taxonomy import TaxonomyKind
 
 from conftest import random_corpus, synthetic_result, synthetic_taxonomy
 
@@ -166,3 +169,48 @@ class TestBreadth:
             breadth(shuffled, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
             == breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
         )
+
+
+class TestCheckOncePerKind:
+    def test_checked_results_are_not_checked_again(self, domain_results, domain_taxonomy,
+                                                   monkeypatch):
+        checked = check_results(domain_results, domain_taxonomy)
+        assert check_results(checked, domain_taxonomy) is checked
+        expected = (
+            coverage(domain_results, domain_taxonomy),
+            effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+            breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+        )
+        calls = []
+        monkeypatch.setattr(type(domain_taxonomy), "contains_path",
+                            lambda self, p: calls.append(p) or True)
+        assert (
+            coverage(checked, domain_taxonomy),
+            effort_by_node(checked, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+            breadth(checked, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+        ) == expected
+        assert calls == []
+
+    def test_checked_against_another_taxonomy_is_checked(self, domain_results,
+                                                         domain_taxonomy):
+        checked = check_results(domain_results, domain_taxonomy)
+        with pytest.raises(ForeignPathError):
+            coverage(checked, synthetic_taxonomy(10))
+
+    def test_suite_checks_each_kind_once(self, tmp_path, domain_results, skill_results,
+                                         domain_taxonomy, skill_taxonomy, monkeypatch):
+        taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
+        results = {TaxonomyKind.DOMAIN: domain_results, TaxonomyKind.SKILL: skill_results}
+        paths = sum(len(r.paths) for rs in results.values() for r in rs)
+        calls = []
+        original = type(domain_taxonomy).contains_path
+        monkeypatch.setattr(type(domain_taxonomy), "contains_path",
+                            lambda self, p: calls.append(p) or original(self, p))
+        coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
+        assert len(calls) == paths
+
+    def test_suite_rejects_foreign_paths(self, tmp_path, domain_results, skill_taxonomy):
+        with pytest.raises(ForeignPathError):
+            coverage_suite(ReportBundle(run_dir=tmp_path),
+                           {TaxonomyKind.SKILL: domain_results},
+                           {TaxonomyKind.SKILL: skill_taxonomy}, corpus_label="c")

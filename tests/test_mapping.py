@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -147,6 +149,34 @@ class TestMapCorpus:
             map_corpus(corpus, domain_taxonomy, Flaky())
         assert len(excinfo.value.partial_results) == 3
 
+    def test_parallel_abort_cancels_pending_examples(self, domain_taxonomy):
+        class FailsOnce:
+            annotator_id = "fails-once"
+
+            def __init__(self):
+                self.calls = 0
+                self._lock = threading.Lock()
+
+            def annotate(self, instruction, taxonomy_text):
+                with self._lock:
+                    self.calls += 1
+                time.sleep(0.01)
+                if instruction == "task 4":
+                    raise AnnotatorTransportError("down", attempts=3)
+                return "[]"
+
+        annotator = FailsOnce()
+        corpus = [example(f"task {i}", eid=f"e{i}") for i in range(60)]
+        with pytest.raises(CorpusMappingAborted) as excinfo:
+            map_corpus(corpus, domain_taxonomy, annotator, parallelism=2)
+        assert annotator.calls < len(corpus)
+        partial = excinfo.value.partial_results
+        # every call but the failing one completed and is carried, in input order
+        assert len(partial) == annotator.calls - 1
+        ids = [r.example_id for r in partial]
+        assert "e4" not in ids
+        assert ids == sorted(ids, key=lambda eid: int(eid[1:]))
+
     def test_validation_soundness_of_persisted_paths(self, domain_results, domain_taxonomy):
         for result in domain_results:
             for path in result.paths:
@@ -189,8 +219,7 @@ class TestOutcomeStats:
 
 
 def paths_from(taxonomy, *leaf_indices):
-    by_leaf = {p.node_ids[-1]: p for p in taxonomy.path_index}
-    return frozenset(by_leaf[f"leaf-{i}"] for i in leaf_indices)
+    return frozenset(taxonomy.path_for_leaf(f"leaf-{i}") for i in leaf_indices)
 
 
 @pytest.fixture(scope="module")

@@ -267,3 +267,87 @@ def test_summary_stat_from_values():
     assert stat.median == 2.5
     assert stat.mean == 2.5
     assert stat.ci_low <= stat.median <= stat.ci_high
+
+
+def eager_replay(units, kinds, leaf_counts, sub_seed, batch_size, delta):
+    """Reference: a full forward Fisher-Yates shuffle from ``sub_seed``, then
+    the stopping rule recomputed from scratch on every batch prefix. Returns
+    (selected keys, coverage at stop, distinct paths at stop) per kind."""
+    order = list(units)
+    rng = random.Random(sub_seed)
+    for i in range(len(order)):
+        j = rng.randrange(i, len(order))
+        order[i], order[j] = order[j], order[i]
+    previous = {kind: 0.0 for kind in kinds}
+    for end in range(batch_size, len(order) + batch_size, batch_size):
+        prefix = order[:end]
+        covered = {kind: set().union(*(u.paths.get(kind, frozenset()) for u in prefix))
+                   for kind in kinds}
+        current = {kind: len(covered[kind]) / leaf_counts[kind] for kind in kinds}
+        below = [(current[k] - previous[k]) * 100.0 < delta for k in kinds]
+        previous = current
+        if all(below) or end >= len(order):
+            return ([u.key for u in prefix], current,
+                    {kind: float(len(covered[kind])) for kind in kinds})
+
+
+def skewed_pool(rng, taxonomies, n_units):
+    """Units whose paths concentrate on a few leaves, so the rule stops long
+    before the pool runs out."""
+    units = []
+    for i in range(n_units):
+        paths = {}
+        for kind, t in taxonomies.items():
+            leaves = sorted(t.path_index, key=str)
+            k = rng.randint(0, 2)
+            paths[kind] = frozenset(leaves[min(int(rng.expovariate(0.4)), len(leaves) - 1)]
+                                    for _ in range(k))
+        units.append(PoolUnit(key=(f"b{i % 3}", f"u{i}"), paths=paths))
+    return units
+
+
+class TestLazyDrawEquivalence:
+    def pools(self):
+        rng = random.Random(2_024)
+        d30 = synthetic_taxonomy(30, kind="domain")
+        d200 = synthetic_taxonomy(200, kind="domain")
+        s8 = synthetic_taxonomy(8, kind="skill")
+        return [
+            ({TaxonomyKind.DOMAIN: d30}, skewed_pool(rng, {TaxonomyKind.DOMAIN: d30}, 300)),
+            ({TaxonomyKind.DOMAIN: d200, TaxonomyKind.SKILL: s8},
+             skewed_pool(rng, {TaxonomyKind.DOMAIN: d200, TaxonomyKind.SKILL: s8}, 400)),
+            ({TaxonomyKind.SKILL: s8}, skewed_pool(rng, {TaxonomyKind.SKILL: s8}, 150)),
+        ]
+
+    def test_matches_eager_full_shuffle(self):
+        for taxonomies, units in self.pools():
+            kinds = list(taxonomies)
+            leaf_counts = {kind: t.leaf_count for kind, t in taxonomies.items()}
+            t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
+            t_skill = taxonomies.get(TaxonomyKind.SKILL)
+            summary = permutation_sensitivity(units, t_domain, t_skill, batch_size=5,
+                                              delta=0.1, permutations=60, rng_seed=17)
+            seed_source = random.Random(17)
+            sub_seeds = [seed_source.getrandbits(64) for _ in range(60)]
+            reference = [eager_replay(units, kinds, leaf_counts, s, 5, 0.1) for s in sub_seeds]
+            # non-degenerate: every permutation stops before the pool runs out
+            assert max(len(ref[0]) for ref in reference) < len(units)
+            assert summary.stop_sizes == tuple(len(ref[0]) for ref in reference)
+            for kind in kinds:
+                assert summary.coverage_at_stop[kind] == SummaryStat.from_values(
+                    [ref[1][kind] for ref in reference])
+                assert summary.paths_at_stop[kind] == SummaryStat.from_values(
+                    [ref[2][kind] for ref in reference])
+            for sub_seed, (keys, cov, _) in zip(sub_seeds[:10], reference):
+                run = sample_until_saturation(units, t_domain, t_skill, batch_size=5,
+                                              delta=0.1, rng_seed=sub_seed, shuffle=True)
+                assert list(run.selected) == keys
+                assert {kind: run.coverage_at_stop(kind) for kind in kinds} == cov
+
+    def test_same_seed_same_summary(self):
+        for taxonomies, units in self.pools():
+            args = (units, taxonomies.get(TaxonomyKind.DOMAIN), taxonomies.get(TaxonomyKind.SKILL))
+            first = permutation_sensitivity(*args, permutations=100, rng_seed=8)
+            second = permutation_sensitivity(*args, permutations=100, rng_seed=8)
+            assert first == second
+            assert repr(first) == repr(second)

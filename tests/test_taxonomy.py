@@ -168,6 +168,19 @@ class TestPaths:
             for path in all_paths(t):
                 assert resolve_path(t, path.labels) == path
 
+    def test_path_for_leaf_indexes_every_leaf(self, domain_taxonomy, skill_taxonomy):
+        for t in (domain_taxonomy, skill_taxonomy):
+            leaves = t.leaves()
+            assert len(leaves) == t.leaf_count
+            assert leaves == [n for n in t.nodes_at_level(3)]
+            assert {t.path_for_leaf(n.id) for n in leaves} == all_paths(t)
+            for leaf in leaves:
+                assert t.path_for_leaf(leaf.id).node_ids[-1] == leaf.id
+
+    def test_path_for_unknown_leaf(self, domain_taxonomy):
+        with pytest.raises(UnknownPathError, match="fam-business"):
+            domain_taxonomy.path_for_leaf("fam-business")  # a family, not a leaf
+
 
 class TestResolve:
     def test_fixture_lookup(self, domain_taxonomy):
