@@ -37,8 +37,7 @@ results = map_corpus(
 pool = build_pool(results)
 print("pool of", len(pool), "examples")
 
-run = sample_until_saturation(pool, domain, skill, batch_size=5, delta=0.1,
-                              rng_seed=7, shuffle=True)
+run = sample_until_saturation(pool, domain, skill, batch_size=5, delta=0.1, rng_seed=7)
 print(f"stopped after batch {run.stop_batch_index} ({run.stopped_by}),"
       f" {run.stop_size} examples selected")
 print("coverage trace per batch:")

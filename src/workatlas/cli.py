@@ -32,7 +32,6 @@ from .annotate import (
     KeywordAnnotator,
     RemoteAnnotator,
     ReplayAnnotator,
-    parse_candidates,
 )
 from .autonomy import AutonomyCurve, WorkflowNode, autonomy_level, success_rates
 from .autonomy import advise as autonomy_advise
@@ -62,6 +61,7 @@ from .mapping import (
     MappingResult,
     TaskExample,
     map_corpus,
+    map_example,
     mapping_outcome_stats,
 )
 from .reporting import (
@@ -77,8 +77,8 @@ from .reporting import (
     emit_skill_econ,
     make_run_dir,
 )
-from .sampling import build_pool, permutation_sensitivity
-from .taxonomy import PathResolutionError, Taxonomy, TaxonomyKind, load_taxonomy, resolve_path
+from .sampling import PoolUnit, build_pool, permutation_sensitivity
+from .taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -441,15 +441,19 @@ def _split_by_kind(results: Sequence[MappingResult]) -> dict[TaxonomyKind, list[
 
 def _sensitivity_rows(config: RunConfig, results: Sequence[MappingResult],
                       taxonomies: dict[TaxonomyKind, Taxonomy]):
-    by_benchmark: dict[str, list[MappingResult]] = {}
-    for r in results:
-        by_benchmark.setdefault(r.benchmark, []).append(r)
+    """One sensitivity summary per benchmark, sorted, then one for the whole
+    pool when it spans several benchmarks. The pool is built once; each
+    benchmark's pool is its units in pooled order."""
+    pooled = build_pool(results)
+    by_benchmark: dict[str, list[PoolUnit]] = {}
+    for unit in pooled:
+        by_benchmark.setdefault(unit.key[0], []).append(unit)
     pools = [by_benchmark[bench] for bench in sorted(by_benchmark)]
     if len(by_benchmark) > 1:
-        pools.append(results)
+        pools.append(pooled)
     return [
         permutation_sensitivity(
-            build_pool(pool),
+            pool,
             taxonomies.get(TaxonomyKind.DOMAIN),
             taxonomies.get(TaxonomyKind.SKILL),
             batch_size=config.values["batch_size"],
@@ -591,14 +595,7 @@ def _cmd_advise(config: RunConfig) -> int:
         annotator = _build_annotator(config, inputs, TaxonomyKind.DOMAIN, [task])
 
         def matcher(t: TaskExample) -> list[str]:
-            sequences, _ = parse_candidates(annotator.annotate(t.instruction, ""))
-            families = []
-            for seq in sequences:
-                try:
-                    families.append(resolve_path(t_domain, seq).labels[0])
-                except PathResolutionError:
-                    continue
-            return sorted(set(families))
+            return sorted({p.labels[0] for p in map_example(t, t_domain, annotator).paths})
 
     try:
         advice = autonomy_advise(

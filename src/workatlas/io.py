@@ -57,6 +57,8 @@ def _iter_jsonl(path: str | Path):
                 yield line_no, json.loads(line)
             except json.JSONDecodeError as err:
                 raise InputFormatError(path, line_no, f"invalid JSON: {err}") from err
+            except RecursionError as err:
+                raise InputFormatError(path, line_no, "nesting too deep to decode") from err
 
 
 # ---------------------------------------------------------------------------

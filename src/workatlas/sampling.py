@@ -23,11 +23,10 @@ a full shuffle drawn from the same seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .mapping import MappingResult, MappingStatus
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
@@ -47,7 +46,7 @@ def build_pool(results: Iterable[MappingResult]) -> list[PoolUnit]:
     """Group per-kind mapping results into per-example units.
 
     Unit order follows each example's first appearance in ``results``; that
-    order is the sampling order unless the caller shuffles.
+    order is the sampling order unless the caller gives a seed.
     """
     order: list[tuple[str, str]] = []
     paths: dict[tuple[str, str], dict[TaxonomyKind, set[TaxonomyPath]]] = {}
@@ -112,17 +111,11 @@ class _Sampler:
         t_skill: Taxonomy | None,
         batch_size: int,
         delta: float,
-        stop_when: str,
-        delta_unit: str,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if delta <= 0:
             raise ValueError(f"delta must be > 0, got {delta}")
-        if stop_when not in ("all", "any"):
-            raise ValueError(f"stop_when must be 'all' or 'any', got {stop_when!r}")
-        if delta_unit not in ("pp", "fraction"):
-            raise ValueError(f"delta_unit must be 'pp' or 'fraction', got {delta_unit!r}")
         taxonomies = {
             kind: t
             for kind, t in ((TaxonomyKind.DOMAIN, t_domain), (TaxonomyKind.SKILL, t_skill))
@@ -135,8 +128,6 @@ class _Sampler:
             raise ValueError("pool is empty")
         self.batch_size = batch_size
         self.delta = delta
-        self.scale = 100.0 if delta_unit == "pp" else 1.0
-        self.stop_all = stop_when == "all"
 
         self.kinds = list(taxonomies)
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
@@ -189,13 +180,13 @@ class _Sampler:
                         if not seen[p]:
                             seen[p] = 1
                             distinct[k] += 1
-            below = []
+            saturated = True
             for k, leaf_count in enumerate(self.leaf_counts):
                 current = distinct[k] / leaf_count
                 trace[k].append(current)
-                below.append((current - previous[k]) * self.scale < self.delta)
+                saturated &= (current - previous[k]) * 100.0 < self.delta
                 previous[k] = current
-            if (all(below) if self.stop_all else any(below)):
+            if saturated:
                 stopped_by = "saturation"
                 break
         return _Replay(order, end, batch_index, stopped_by, trace, distinct)
@@ -208,28 +199,25 @@ def sample_until_saturation(
     batch_size: int = 5,
     delta: float = 0.1,
     rng_seed: int | None = None,
-    shuffle: bool = False,
-    stop_when: str = "all",
-    delta_unit: str = "pp",
 ) -> SamplingRun:
     """Consume the pool batch by batch until coverage gain saturates.
 
     Parameters
     ----------
     pool : sequence of MappingResult or PoolUnit
-        Sampling order is the given order (results are grouped per example
-        first). Pass ``shuffle=True`` to draw a random order from
-        ``rng_seed``, the same draw one permutation of
-        :func:`permutation_sensitivity` makes from its sub-seed.
+        Without ``rng_seed`` the sampling order is the given order (results
+        are grouped per example first).
     t_domain, t_skill : Taxonomy or None
         Coverage denominators. A kind whose taxonomy is ``None`` is ignored
         by the stopping rule; at least one must be given.
     batch_size, delta
-        Batch size (>= 1) and stopping threshold (> 0). ``delta`` is in
-        percentage points unless ``delta_unit="fraction"``.
-    stop_when : {"all", "any"}
-        Stop when the batch gain is below ``delta`` on all considered kinds
-        (default, conservative) or on any one of them.
+        Batch size (>= 1) and stopping threshold (> 0), in percentage
+        points. The run stops after the first batch whose gain is below
+        ``delta`` on every considered kind.
+    rng_seed : int or None
+        When given, the order is a random one drawn from this seed: the
+        same draw one permutation of :func:`permutation_sensitivity` makes
+        from its sub-seed.
 
     Notes
     -----
@@ -237,8 +225,8 @@ def sample_until_saturation(
     after each batch and therefore non-decreasing; they equal a from-scratch
     coverage computation on each selected prefix.
     """
-    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta, stop_when, delta_unit)
-    run = sampler.replay(random.Random(rng_seed) if shuffle else None)
+    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta)
+    run = sampler.replay(None if rng_seed is None else random.Random(rng_seed))
     return SamplingRun(
         benchmark=sampler.benchmark,
         selected=tuple(sampler.keys[i] for i in run.order[: run.stop_size]),
@@ -294,13 +282,31 @@ class SummaryStat:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "SummaryStat":
-        arr = np.asarray(values, dtype=float)
+        ordered = sorted(float(v) for v in values)
+        n = len(ordered)
+        if not n:
+            raise ValueError("no values to summarise")
+        mid = n // 2
+        median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         return cls(
-            median=float(np.median(arr)),
-            ci_low=float(np.percentile(arr, 2.5)),
-            ci_high=float(np.percentile(arr, 97.5)),
-            mean=float(arr.mean()),
+            median=median,
+            ci_low=_percentile(ordered, 2.5),
+            ci_high=_percentile(ordered, 97.5),
+            mean=math.fsum(ordered) / n,
         )
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of sorted values by linear interpolation
+    between closest ranks, rounded as numpy's default ``linear`` method
+    does so that the two agree to the last bit."""
+    h = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(h)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    t = h - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)
@@ -329,8 +335,6 @@ def permutation_sensitivity(
     delta: float = 0.1,
     permutations: int = 500,
     rng_seed: int | None = None,
-    stop_when: str = "all",
-    delta_unit: str = "pp",
 ) -> SensitivitySummary:
     """Replay the stopping rule over random permutations of the pool.
 
@@ -345,7 +349,7 @@ def permutation_sensitivity(
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
-    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta, stop_when, delta_unit)
+    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta)
     kinds = sampler.kinds
     richness = [chao1(counts) if counts else 0.0 for counts in sampler.occurrence]
 

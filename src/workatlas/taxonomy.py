@@ -232,10 +232,6 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
             raise TaxonomyStructureError(
                 node.id, f"leaf at level {node.level}, expected {LEAF_LEVEL}"
             )
-        if node.level > LEAF_LEVEL:
-            raise TaxonomyStructureError(
-                node.id, f"node at level {node.level} exceeds maximum depth {LEAF_LEVEL}"
-            )
         if "soc_code" in node.annotations:
             if kind is not TaxonomyKind.DOMAIN or node.level != 2:
                 raise TaxonomyStructureError(

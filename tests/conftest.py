@@ -131,3 +131,12 @@ def random_corpus(
         indices = rng.sample(range(n_leaves), k) if k else []
         results.append(synthetic_result(taxonomy, f"e{i}", indices))
     return results
+
+
+def deep_chain(depth: int) -> str:
+    """One workflow line whose root is a chain ``depth`` nodes deep."""
+    head = "".join(
+        f'{{"id": "n{i}", "description": "d", "status": 1, "children": [' for i in range(depth)
+    )
+    leaf = f'{{"id": "n{depth}", "description": "leaf", "status": 1}}'
+    return '{"benchmark": "b", "root": ' + head + leaf + "]}" * depth + "}"

@@ -175,12 +175,14 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     fail_times = 0
     reject_times = 0
     requests_seen = 0
+    payloads: list = []
 
     def do_POST(self):
         cls = type(self)
         cls.requests_seen += 1
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        cls.payloads.append(payload)
         if cls.reject_times > 0:
             cls.reject_times -= 1
             self.send_response(403)
@@ -209,6 +211,7 @@ def annotator_server():
     _Handler.fail_times = 0
     _Handler.reject_times = 0
     _Handler.requests_seen = 0
+    _Handler.payloads = []
     yield f"http://127.0.0.1:{server.server_port}/annotate"
     server.shutdown()
 
@@ -255,3 +258,25 @@ class TestRemoteAnnotator:
         )
         with pytest.raises(AnnotatorTransportError):
             annotator.annotate("x", "")
+
+
+def test_advise_sends_the_flattened_domain_tree(tmp_path, monkeypatch, capsys,
+                                                annotator_server, domain_taxonomy):
+    from workatlas.cli import EXIT_INPUT, EXIT_OK, main
+    from workatlas.io import fixture_path
+    from workatlas.taxonomy import flatten_for_prompt
+
+    assert main([
+        "autonomy", "--workflows", str(fixture_path("workflows.jsonl")),
+        "--out", str(tmp_path), "--run-id", "curves",
+    ]) == EXIT_OK
+    monkeypatch.setenv("ATLAS_ANNOTATOR_URL", annotator_server)
+    code = main([
+        "advise", "--curves", str(tmp_path / "curves" / "tables" / "autonomy_curves.csv"),
+        "--fixtures", "--annotator", "remote",
+        "--instruction", "debug the reported defect", "--complexity", "2",
+        "--out", str(tmp_path), "--run-id", "adv",
+    ])
+    assert code == EXIT_INPUT  # the stub's labels resolve to no curve group
+    assert [p["taxonomy"] for p in _Handler.payloads] == [flatten_for_prompt(domain_taxonomy)]
+    assert _Handler.payloads[0]["instruction"] == "debug the reported defect"

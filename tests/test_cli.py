@@ -14,6 +14,8 @@ from workatlas.cli import (
 )
 from workatlas.io import fixture_path
 
+from conftest import deep_chain
+
 
 def fixture_args():
     return ["--fixtures", "--seed", "42"]
@@ -251,6 +253,16 @@ class TestSharedValidation:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(fixture_path("importance.csv")) in err and "13-2011" in err
+        assert not out.exists()
+
+    def test_workflow_too_deep_to_decode_is_input_error(self, tmp_path, capsys):
+        workflows = tmp_path / "deep.jsonl"
+        workflows.write_text(deep_chain(600) + "\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["autonomy", "--workflows", str(workflows), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{workflows} [line 1]" in err and "nesting too deep" in err
         assert not out.exists()
 
     def test_wrong_kind_taxonomy_is_input_error(self, tmp_path, capsys, domain_results):

@@ -20,6 +20,8 @@ from workatlas.io import (
 )
 from workatlas.taxonomy import TaxonomyKind
 
+from conftest import deep_chain
+
 
 class TestExamplesFile:
     def test_read_bundled(self, examples_corpus):
@@ -175,6 +177,13 @@ class TestWorkflowsFile:
         )
         with pytest.raises(InputFormatError, match="wf.jsonl:1"):
             read_workflows(path)
+
+    def test_chain_too_deep_to_decode_names_line(self, tmp_path):
+        path = tmp_path / "wf.jsonl"
+        path.write_text(deep_chain(600) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="nesting too deep") as info:
+            read_workflows(path)
+        assert info.value.line_no == 1
 
 
 class TestCurvesFile:

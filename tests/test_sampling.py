@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from workatlas.sampling import (
 from workatlas.taxonomy import TaxonomyKind
 
 from conftest import random_corpus, synthetic_result, synthetic_taxonomy
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestChao1:
@@ -158,23 +164,12 @@ class TestSampler:
     def test_determinism(self, domain_results, skill_results, domain_taxonomy, skill_taxonomy):
         pool = build_pool(list(domain_results) + list(skill_results))
         runs = [
-            sample_until_saturation(pool, domain_taxonomy, skill_taxonomy,
-                                    rng_seed=5, shuffle=True)
+            sample_until_saturation(pool, domain_taxonomy, skill_taxonomy, rng_seed=5)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
-    def test_fraction_delta_unit(self):
-        # a 30% first-batch gain passes delta=0.2 in fraction units but the
-        # zero-gain second batch stops the run
-        t = synthetic_taxonomy(10)
-        pool = constructed_pool(t, [[0, 1, 2], [0, 1, 2]])
-        run = sample_until_saturation(pool, t, None, batch_size=5, delta=0.2,
-                                      delta_unit="fraction")
-        assert run.stop_batch_index == 2
-        assert run.stopped_by == "saturation"
-
-    def test_stop_when_any_kind(self):
+    def test_stalled_kind_alone_does_not_stop(self):
         td = synthetic_taxonomy(10, kind="domain")
         ts = synthetic_taxonomy(10, kind="skill")
         skill_paths = sorted(ts.path_index, key=str)
@@ -185,13 +180,9 @@ class TestSampler:
             })
             for i in range(10)
         ]
-        # domain coverage never moves, so the permissive rule stops at once
-        run = sample_until_saturation(units, td, ts, batch_size=5, delta=0.1,
-                                      stop_when="any")
-        assert run.stop_size == 5
-        strict = sample_until_saturation(units, td, ts, batch_size=5, delta=0.1,
-                                         stop_when="all")
-        assert strict.stop_size == 10
+        # domain coverage never moves, but skill still gains in both batches
+        run = sample_until_saturation(units, td, ts, batch_size=5, delta=0.1)
+        assert run.stop_size == 10
 
     def test_parameter_validation(self, domain_taxonomy):
         pool = [synthetic_result(synthetic_taxonomy(3), "e0", [0])]
@@ -203,10 +194,6 @@ class TestSampler:
             sample_until_saturation([], domain_taxonomy, None)
         with pytest.raises(ValueError, match="taxonomy"):
             sample_until_saturation(pool, None, None)
-        with pytest.raises(ValueError, match="stop_when"):
-            sample_until_saturation(pool, domain_taxonomy, None, stop_when="some")
-        with pytest.raises(ValueError, match="delta_unit"):
-            sample_until_saturation(pool, domain_taxonomy, None, delta_unit="percent")
 
 
 class TestSensitivity:
@@ -267,6 +254,68 @@ def test_summary_stat_from_values():
     assert stat.median == 2.5
     assert stat.mean == 2.5
     assert stat.ci_low <= stat.median <= stat.ci_high
+
+
+def stop_sizes(n):
+    return [float(5 * (1 + (i * 7919 + 13) % 23)) for i in range(n)]
+
+
+def fractions(n):
+    return [((i * 40503 + 101) % 5807) / 5806 for i in range(n)]
+
+
+# (values, n, median, 2.5th percentile, 97.5th percentile), the last three
+# computed with numpy's median and default ``linear`` percentile.
+NUMPY_SUMMARIES = [
+    (stop_sizes, 1, 70.0, 70.0, 70.0),
+    (fractions, 1, 0.01739579745091285, 0.01739579745091285, 0.01739579745091285),
+    (stop_sizes, 2, 87.5, 70.875, 104.125),
+    (fractions, 2, 0.5049087151222873, 0.04177144333448157, 0.9680459869100929),
+    (stop_sizes, 3, 70.0, 27.25, 103.25),
+    (fractions, 3, 0.9672752325180848, 0.06488976920427145, 0.9911643127798828),
+    (stop_sizes, 40, 60.0, 5.0, 110.125),
+    (fractions, 40, 0.5020668274199104, 0.03637185669996555, 0.9679038925249742),
+    (stop_sizes, 41, 60.0, 5.0, 110.0),
+    (fractions, 41, 0.4894936272821219, 0.01739579745091285, 0.9672752325180848),
+    (stop_sizes, 500, 60.0, 5.0, 115.0),
+    (fractions, 500, 0.51584567688598, 0.02503875301412332, 0.9749612469858766),
+]
+
+
+@pytest.mark.parametrize("values, n, median, ci_low, ci_high", NUMPY_SUMMARIES)
+def test_summary_stat_matches_numpy_literals(values, n, median, ci_low, ci_high):
+    data = values(n)
+    stat = SummaryStat.from_values(data)
+    assert (stat.median, stat.ci_low, stat.ci_high) == (median, ci_low, ci_high)
+    assert stat.mean == pytest.approx(sum(data) / n, rel=1e-12)
+
+
+def test_summary_stat_matches_numpy_on_random_values():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(31)
+    for _ in range(2_000):
+        n = rng.randint(1, 600)
+        if rng.random() < 0.5:
+            data = [float(rng.randint(5, 300)) for _ in range(n)]
+        else:
+            data = [rng.randint(0, 5806) / 5806 for _ in range(n)]
+        stat = SummaryStat.from_values(data)
+        arr = np.asarray(data)
+        assert (stat.median, stat.ci_low, stat.ci_high) == (
+            float(np.median(arr)), float(np.percentile(arr, 2.5)),
+            float(np.percentile(arr, 97.5)))
+
+
+def test_summary_stat_rejects_empty_values():
+    with pytest.raises(ValueError, match="no values"):
+        SummaryStat.from_values([])
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, workatlas.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 def eager_replay(units, kinds, leaf_counts, sub_seed, batch_size, delta):
@@ -340,7 +389,7 @@ class TestLazyDrawEquivalence:
                     [ref[2][kind] for ref in reference])
             for sub_seed, (keys, cov, _) in zip(sub_seeds[:10], reference):
                 run = sample_until_saturation(units, t_domain, t_skill, batch_size=5,
-                                              delta=0.1, rng_seed=sub_seed, shuffle=True)
+                                              delta=0.1, rng_seed=sub_seed)
                 assert list(run.selected) == keys
                 assert {kind: run.coverage_at_stop(kind) for kind in kinds} == cov
 
