@@ -56,6 +56,15 @@ def iter_nodes(root: WorkflowNode) -> Iterator[WorkflowNode]:
         stack.extend(reversed(n.children))
 
 
+def _where_text(where: str | tuple) -> str:
+    """``root.children[0].children[2]`` from nested (location, index) pairs."""
+    steps = []
+    while isinstance(where, tuple):
+        where, i = where
+        steps.append(f".children[{i}]")
+    return where + "".join(reversed(steps))
+
+
 def workflow_from_document(doc: Mapping) -> WorkflowNode:
     """Build a workflow tree from a trajectory document.
 
@@ -67,24 +76,42 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
         k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id") if k in doc
     }
 
-    def build(node_doc: Mapping, where: str) -> WorkflowNode:
-        for key in ("id", "description", "status"):
-            if key not in node_doc:
-                raise ValueError(f"{where}: workflow node missing {key!r}")
-        children = tuple(
-            build(c, f"{where}.children[{i}]")
-            for i, c in enumerate(node_doc.get("children", []))
-        )
-        return WorkflowNode(
-            id=str(node_doc["id"]),
-            description=node_doc["description"],
-            status=node_doc["status"],
-            children=children,
-        )
-
     if "root" not in doc:
         raise ValueError("workflow document missing 'root'")
-    root = build(doc["root"], "root")
+    # Depth-first without recursion, so tree depth is bounded by memory
+    # alone. A node's keys are checked when it is entered and the node is
+    # built after its children, so errors surface in document order. A
+    # child's location is kept as (parent location, index) and spelled out
+    # only for an error.
+    built: list[WorkflowNode] = []
+    stack: list[tuple] = [(doc["root"], "root", None)]
+    while stack:
+        node_doc, where, child_count = stack.pop()
+        if child_count is None:
+            for key in ("id", "description", "status"):
+                if key not in node_doc:
+                    raise ValueError(f"{_where_text(where)}: workflow node missing {key!r}")
+            child_docs = list(node_doc.get("children", ()))
+            if child_docs:
+                stack.append((node_doc, where, len(child_docs)))
+                stack.extend(
+                    (child_docs[i], (where, i), None) for i in range(len(child_docs) - 1, -1, -1)
+                )
+                continue
+            children: tuple[WorkflowNode, ...] = ()
+        else:
+            first_child = len(built) - child_count
+            children = tuple(built[first_child:])
+            del built[first_child:]
+        built.append(
+            WorkflowNode(
+                id=str(node_doc["id"]),
+                description=node_doc["description"],
+                status=node_doc["status"],
+                children=children,
+            )
+        )
+    root = built[0]
     root.metadata = meta
     seen: set[str] = set()
     for node in iter_nodes(root):
@@ -171,6 +198,30 @@ def _metadata_grouper(key: str) -> GroupFn:
     return group
 
 
+def _group_fn(grouping: str | GroupFn) -> GroupFn:
+    if callable(grouping):
+        return grouping
+    if grouping == "overall":
+        return lambda root: ["overall"]
+    return _metadata_grouper(grouping)
+
+
+def with_overall(grouping: str | GroupFn) -> GroupFn:
+    """``grouping`` plus the ``"overall"`` group, which every workflow joins
+    exactly once, even one whose own group is named ``overall``.
+
+    ``success_rates(w, with_overall(g))`` equals
+    ``{**success_rates(w, g), **success_rates(w, "overall")}`` in one pass.
+    """
+    group_fn = _group_fn(grouping)
+
+    def group(root: WorkflowNode) -> list[str]:
+        groups = list(group_fn(root)) or [UNATTRIBUTED]
+        return [g for g in groups if g != "overall"] + ["overall"]
+
+    return group
+
+
 def success_rates(
     workflows: Sequence[WorkflowNode],
     grouping: str | GroupFn = "overall",
@@ -185,13 +236,7 @@ def success_rates(
     resolved pool under ``"unattributed"`` rather than being dropped.
     ``node_group_fn`` switches attribution to per-node granularity.
     """
-    if callable(grouping):
-        group_fn = grouping
-    elif grouping == "overall":
-        group_fn = lambda root: ["overall"]  # noqa: E731
-    else:
-        group_fn = _metadata_grouper(grouping)
-
+    group_fn = _group_fn(grouping)
     acc: dict[str, dict[int, list[int]]] = {}
     for root in workflows:
         levels = complexity(root)

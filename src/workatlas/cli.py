@@ -20,6 +20,7 @@ mirror the flag names (flags win).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .annotate import (
     RemoteAnnotator,
     ReplayAnnotator,
 )
-from .autonomy import AutonomyCurve, WorkflowNode, autonomy_level, success_rates
+from .autonomy import AutonomyCurve, WorkflowNode, autonomy_level, success_rates, with_overall
 from .autonomy import advise as autonomy_advise
 from .economics import (
     DigitalLabel,
@@ -44,6 +45,7 @@ from .economics import (
     effective_skill_employment_capital,
 )
 from .io import (
+    InputFormatError,
     fixture_path,
     read_curves,
     read_digital_labels,
@@ -262,7 +264,8 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
             return reader(Path(values[key]), *args)
         except Exception as err:  # any parse problem is a violation, not a crash
             line = getattr(err, "line_no", None)
-            violation(key, "(file)" if line is None else f"line {line}", str(err))
+            reason = err.reason if isinstance(err, InputFormatError) else str(err)
+            violation(key, "(file)" if line is None else f"line {line}", reason)
             return None
 
     for kind in TaxonomyKind:
@@ -489,7 +492,7 @@ def _economics_suite(inputs: LoadedInputs, bundle: ReportBundle):
 def _autonomy_suite(config: RunConfig, workflows: Sequence[WorkflowNode],
                     bundle: ReportBundle) -> None:
     group_by = config.values.get("group_by", "benchmark")
-    curves = {**success_rates(workflows, group_by), **success_rates(workflows, "overall")}
+    curves = success_rates(workflows, with_overall(group_by))
     curves_path = bundle.run_dir / "tables" / "autonomy_curves.csv"
     curves_path.parent.mkdir(parents=True, exist_ok=True)
     write_curves(curves_path, curves)
@@ -754,6 +757,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The cyclic garbage collector is paused for the command and its prior
+    state restored on every exit path. Parsed inputs hold no reference
+    cycles, so reference counting frees them; left running, the collector
+    would traverse every record read so far again and again while tens of
+    thousands more are allocated.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

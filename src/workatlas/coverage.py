@@ -48,13 +48,30 @@ class CheckedResults(tuple):
     """Mapping results already checked against ``taxonomy``.
 
     :func:`coverage`, :func:`effort_by_node` and :func:`breadth` accept them
-    for that taxonomy without checking every path again.
+    for that taxonomy without checking every path again, and the last two
+    share the per-example node sets they build at a grouping level.
     """
 
     def __new__(cls, results: Iterable[MappingResult], taxonomy: Taxonomy):
         checked = super().__new__(cls, results)
         checked.taxonomy = taxonomy
+        checked._nodes_by_level = {}
         return checked
+
+    def nodes_per_example(
+        self, level: GroupLevel
+    ) -> dict[tuple[str, str], set[tuple[str, str]]]:
+        """Each example's distinct (node id, label) pairs at ``level``,
+        built on first use and shared, so callers must not mutate them;
+        empty for examples not mapped."""
+        per_example = self._nodes_by_level.get(level)
+        if per_example is None:
+            per_example = self._nodes_by_level[level] = {}
+            for r in self:
+                nodes = per_example.setdefault(r.key, set())
+                if r.status is MappingStatus.MAPPED:
+                    nodes.update(node_at_level(p, level) for p in r.paths)
+        return per_example
 
 
 def check_results(results: Iterable[MappingResult], t: Taxonomy) -> CheckedResults:
@@ -158,17 +175,6 @@ def _validate_level(t: Taxonomy, level: GroupLevel) -> None:
         raise ValueError(f"grouping level {level.value} is invalid for a {t.kind.value} taxonomy")
 
 
-def _nodes_per_example(
-    results: Sequence[MappingResult], level: GroupLevel
-) -> dict[tuple[str, str], set[tuple[str, str]]]:
-    per_example: dict[tuple[str, str], set[tuple[str, str]]] = {}
-    for r in results:
-        nodes = per_example.setdefault(r.key, set())
-        if r.status is MappingStatus.MAPPED:
-            nodes.update(node_at_level(p, level) for p in r.paths)
-    return per_example
-
-
 def effort_by_node(
     results: Sequence[MappingResult], t: Taxonomy, level: GroupLevel
 ) -> EffortDistribution:
@@ -176,8 +182,7 @@ def effort_by_node(
     it reaches at the grouping level (family for domains, leaf activity for
     skills), never once per path."""
     _validate_level(t, level)
-    checked = check_results(results, t)
-    per_example = _nodes_per_example(checked, level)
+    per_example = check_results(results, t).nodes_per_example(level)
     counts: Counter[str] = Counter()
     labels: dict[str, str] = {}
     for nodes in per_example.values():
@@ -217,8 +222,8 @@ def breadth(
     """Per-example breadth (distinct nodes at the grouping level) plus its
     histogram and summary shares."""
     _validate_level(t, level)
-    checked = check_results(results, t)
-    per_example = {k: len(v) for k, v in _nodes_per_example(checked, level).items()}
+    nodes = check_results(results, t).nodes_per_example(level)
+    per_example = {k: len(v) for k, v in nodes.items()}
     n = len(per_example)
     histogram = dict(sorted(Counter(per_example.values()).items()))
 

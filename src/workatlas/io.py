@@ -25,7 +25,7 @@ from .economics import (
     WorkMode,
 )
 from .mapping import MappingResult, MappingStatus, TaskExample
-from .taxonomy import Taxonomy, TaxonomyKind, resolve_path
+from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath, resolve_path
 
 SCALE_MAX_PREFIX = "# scale_max:"
 
@@ -36,6 +36,7 @@ class InputFormatError(ValueError):
     def __init__(self, path, line_no: int | None, reason: str):
         self.path = str(path)
         self.line_no = line_no
+        self.reason = reason
         where = f"{path}:{line_no}" if line_no is not None else str(path)
         super().__init__(f"{where}: {reason}")
 
@@ -123,8 +124,10 @@ def read_mappings(
 
     Re-resolution failing on a persisted path means the file and taxonomy
     disagree; that is surfaced as an :class:`InputFormatError` rather than
-    silently skipped.
+    silently skipped. Each distinct label sequence is resolved once per
+    kind, so an error names the line where that sequence first appears.
     """
+    resolved: dict[TaxonomyKind, dict[tuple, TaxonomyPath]] = {}
     results = []
     for line_no, record in _iter_jsonl(path):
         for key in ("benchmark", "example_id", "taxonomy_kind", "status", "paths"):
@@ -138,9 +141,10 @@ def read_mappings(
         taxonomy = taxonomies.get(kind)
         if taxonomy is None:
             raise InputFormatError(path, line_no, f"no taxonomy supplied for kind {kind.value}")
+        memo = resolved.setdefault(kind, {})
         try:
-            paths = frozenset(resolve_path(taxonomy, labels) for labels in record["paths"])
-        except ValueError as err:
+            paths = frozenset(_resolve_once(memo, taxonomy, labels) for labels in record["paths"])
+        except (TypeError, ValueError) as err:
             raise InputFormatError(
                 path,
                 line_no,
@@ -161,6 +165,16 @@ def read_mappings(
         except ValueError as err:
             raise InputFormatError(path, line_no, str(err)) from err
     return results
+
+
+def _resolve_once(memo: dict, taxonomy: Taxonomy, labels) -> TaxonomyPath:
+    """``resolve_path`` memoised on the raw label sequence; case and
+    whitespace variants miss separately and resolve to the same path."""
+    key = tuple(labels)
+    path = memo.get(key)
+    if path is None:
+        path = memo[key] = resolve_path(taxonomy, labels)
+    return path
 
 
 def read_raw_mappings(path: str | Path) -> list[dict]:
@@ -288,18 +302,44 @@ def read_workflows(path: str | Path) -> list[WorkflowNode]:
     return workflows
 
 
-def write_workflows(path: str | Path, workflows: Iterable[WorkflowNode]) -> None:
-    def node_doc(node: WorkflowNode) -> dict:
-        doc = {"id": node.id, "description": node.description, "status": node.status}
-        if node.children:
-            doc["children"] = [node_doc(c) for c in node.children]
-        return doc
+def _tree_json(root: WorkflowNode) -> str:
+    """``json.dumps(doc, sort_keys=True)`` of a node's document, written
+    without recursion so that any tree depth can be written."""
+    parts: list[str] = []
+    stack: list[WorkflowNode | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        fields = json.dumps(
+            {"description": item.description, "id": item.id, "status": item.status},
+            sort_keys=True,
+        )
+        if not item.children:
+            parts.append(fields)
+            continue
+        # "children" sorts before the other keys: '{"children": [c0, c1], ' + fields[1:]
+        parts.append('{"children": [')
+        stack.append("], " + fields[1:])
+        for i in range(len(item.children) - 1, -1, -1):
+            stack.append(item.children[i])
+            if i:
+                stack.append(", ")
+    return "".join(parts)
 
+
+def write_workflows(path: str | Path, workflows: Iterable[WorkflowNode]) -> None:
+    """One trajectory document per line, as ``json.dumps(doc, sort_keys=True)``
+    writes it; root metadata keys are strings. The inverse of
+    :func:`read_workflows`, which rejects lines nested too deep to decode."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for root in workflows:
-            record = dict(root.metadata)
-            record["root"] = node_doc(root)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            record = {key: json.dumps(value, sort_keys=True)
+                      for key, value in root.metadata.items()}
+            record["root"] = _tree_json(root)
+            fh.write("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in sorted(record.items()))
+                     + "}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,12 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
     paths_by_leaf: dict[str, TaxonomyPath] = {}
     children_by_label: dict[str, dict[str, TaxonomyNode]] = {}
 
-    def walk(node: TaxonomyNode, ids: tuple[str, ...], labels: tuple[str, ...]) -> None:
+    # Pre-order, children in document order. A loop rather than a recursive
+    # closure: the closure would form a reference cycle holding these tables,
+    # which only the cyclic garbage collector could free.
+    stack: list[tuple[TaxonomyNode, tuple[str, ...], tuple[str, ...]]] = [(root, (), ())]
+    while stack:
+        node, ids, labels = stack.pop()
         children_by_label[node.id] = {canonical_label(c.label): c for c in node.children}
         if node.is_leaf and node.level > 0:
             path = TaxonomyPath(taxonomy_kind=kind, node_ids=ids, labels=labels)
@@ -253,11 +258,11 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
                 )
             paths[key] = path
             paths_by_leaf[node.id] = path
-            return
-        for child in node.children:
-            walk(child, ids + (child.id,), labels + (child.label,))
-
-    walk(root, (), ())
+            continue
+        stack.extend(
+            (child, ids + (child.id,), labels + (child.label,))
+            for child in reversed(node.children)
+        )
 
     return Taxonomy(
         kind=kind,

@@ -13,6 +13,7 @@ from workatlas.autonomy import (
     iter_nodes,
     success_rates,
     validate_ordering,
+    with_overall,
     workflow_from_document,
 )
 from workatlas.mapping import TaskExample
@@ -134,6 +135,99 @@ class TestWorkflowDocuments:
             workflow_from_document(doc)
 
 
+def recursive_build(doc):
+    """Reference builder: each node's keys are checked on entry and the node
+    is built after its children, recursively."""
+    def build(node_doc, where):
+        for key in ("id", "description", "status"):
+            if key not in node_doc:
+                raise ValueError(f"{where}: workflow node missing {key!r}")
+        children = tuple(
+            build(c, f"{where}.children[{i}]")
+            for i, c in enumerate(node_doc.get("children", []))
+        )
+        return WorkflowNode(id=str(node_doc["id"]), description=node_doc["description"],
+                            status=node_doc["status"], children=children)
+
+    root = build(doc["root"], "root")
+    root.metadata = {k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id")
+                     if k in doc}
+    seen = set()
+    for node in iter_nodes(root):
+        if node.id in seen:
+            raise ValueError(f"workflow node id {node.id!r} is not unique")
+        seen.add(node.id)
+    return root
+
+
+def random_document(rng, defect_rate):
+    """A random trajectory document; some nodes lose a key, carry a bad
+    status or repeat an id, each with probability ``defect_rate``."""
+    counter = [0]
+
+    def node(depth):
+        counter[0] += 1
+        doc = {"id": f"n{counter[0]}" if rng.random() >= defect_rate else "dup",
+               "description": f"step {counter[0]}",
+               "status": rng.randint(0, 1) if rng.random() >= defect_rate else 2}
+        if rng.random() < defect_rate:
+            del doc[rng.choice(["id", "description", "status"])]
+        if depth < 4 and rng.random() < 0.6:
+            doc["children"] = [node(depth + 1) for _ in range(rng.randint(1, 3))]
+        return doc
+
+    return {"benchmark": "b", "trajectory_id": "t", "root": node(0)}
+
+
+def outcome(build, doc):
+    try:
+        return build(doc)
+    except ValueError as err:
+        return str(err)
+
+
+class TestIterativeBuild:
+    def test_matches_recursive_reference(self):
+        rng = random.Random(7)
+        for defect_rate in (0.0, 0.02, 0.1):
+            for _ in range(150):
+                doc = random_document(rng, defect_rate)
+                assert outcome(workflow_from_document, doc) == outcome(recursive_build, doc)
+
+    def test_error_names_location_in_document_order(self):
+        doc = {"root": {"id": "r", "description": "d", "status": 1, "children": [
+            {"id": "a", "description": "d", "status": 1},
+            {"id": "b", "description": "d", "status": 1,
+             "children": [{"id": "c", "status": 1}]},
+        ]}}
+        with pytest.raises(ValueError) as info:
+            workflow_from_document(doc)
+        assert str(info.value) == "root.children[1].children[0]: workflow node missing 'description'"
+        # A child's bad status surfaces before a later sibling's missing key.
+        doc["root"]["children"][0]["status"] = 2
+        with pytest.raises(ValueError, match="node 'a': status must be 0 or 1"):
+            workflow_from_document(doc)
+
+    def test_deep_document_builds_without_recursion(self):
+        depth = 5000
+        root_doc = {"id": "c0", "description": "d", "status": 1}
+        node_doc = root_doc
+        for i in range(1, depth):
+            child = {"id": f"c{i}", "description": "d", "status": 1}
+            node_doc["children"] = [child]
+            node_doc = child
+        root = workflow_from_document({"benchmark": "b", "root": root_doc})
+        ids = [n.id for n in iter_nodes(root)]
+        assert ids == [f"c{i}" for i in range(depth)]
+        assert root.metadata == {"benchmark": "b"}
+
+        del node_doc["id"]
+        with pytest.raises(ValueError) as info:
+            workflow_from_document({"root": root_doc})
+        assert str(info.value) == "root" + ".children[0]" * (depth - 1) + (
+            ": workflow node missing 'id'")
+
+
 class TestSuccessRates:
     def test_all_success_curve(self):
         roots = [tree("r", [leaf("a"), leaf("b")])]
@@ -176,6 +270,22 @@ class TestSuccessRates:
     def test_callable_grouping_multi_membership(self, workflows):
         curves = success_rates(workflows, lambda root: ["g1", "g2"])
         assert curves["g1"].total_nodes == curves["g2"].total_nodes == 39
+
+    def test_with_overall_equals_two_call_merge(self, workflows):
+        rng = random.Random(11)
+        roots = list(workflows)
+        for i, bench in enumerate(["a", "overall", "", None, "b", "overall"] * 4):
+            root = random_tree(rng, max_nodes=40)
+            root.metadata = {"benchmark": bench} if bench is not None else {}
+            if i % 3 == 0:
+                root.metadata["agent"] = "overall" if i % 2 else "x"
+            roots.append(root)
+        groupings = ["benchmark", "agent", "model", "overall",
+                     lambda root: [], lambda root: ["overall", "overall", "g", "g"]]
+        for grouping in groupings:
+            expected = {**success_rates(roots, grouping), **success_rates(roots, "overall")}
+            assert success_rates(roots, with_overall(grouping)) == expected
+        assert success_rates([], with_overall("benchmark")) == {}
 
     def test_per_node_grouping_option(self, workflows):
         curves = success_rates(

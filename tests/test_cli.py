@@ -1,12 +1,15 @@
 import csv
+import gc
 import json
 
 import pytest
 
+from workatlas import cli
 from workatlas.cli import (
     EXIT_ANNOTATOR,
     EXIT_CONFIG,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     RunConfig,
     main,
@@ -78,6 +81,59 @@ class TestExitCodes:
         # partial results are persisted before the abort surfaces
         run_dir = next((tmp_path).iterdir())
         assert (run_dir / "mappings.partial.jsonl").exists()
+
+
+class TestGcPause:
+    """``main`` pauses the cyclic collector for one command and restores the
+    state it found, whatever the exit code."""
+
+    @pytest.fixture
+    def gc_seen(self, monkeypatch):
+        seen = []
+        handler = cli._cmd_autonomy
+
+        def observed(config):
+            seen.append(gc.isenabled())
+            return handler(config)
+
+        monkeypatch.setattr(cli, "_cmd_autonomy", observed)
+        return seen
+
+    def commands(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{oops\n", encoding="utf-8")
+        out = ["--out", str(tmp_path / "runs")]
+        return [
+            (EXIT_OK, ["autonomy", "--fixtures", *out]),
+            (EXIT_CONFIG, ["autonomy", "--fixtures", "--threshold", "2", *out]),
+            (EXIT_CONFIG, []),
+            (EXIT_INPUT, ["autonomy", "--workflows", str(bad), *out]),
+        ]
+
+    def test_enabled_collector_is_restored_on_every_exit(self, tmp_path, capsys, gc_seen):
+        assert gc.isenabled()
+        for code, argv in self.commands(tmp_path):
+            assert main(argv) == code
+            assert gc.isenabled()
+        assert gc_seen == [False, False]  # exits 0 and 3 come from the handler
+
+    def test_internal_error_restores_collector(self, tmp_path, capsys, monkeypatch):
+        def crash(config):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_autonomy", crash)
+        assert main(["autonomy", "--fixtures", "--out", str(tmp_path)]) == EXIT_INTERNAL
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, tmp_path, capsys):
+        gc.disable()
+        try:
+            for code, argv in self.commands(tmp_path):
+                assert main(argv) == code
+                assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestMapCommand:
@@ -264,6 +320,16 @@ class TestSharedValidation:
         err = capsys.readouterr().err
         assert f"{workflows} [line 1]" in err and "nesting too deep" in err
         assert not out.exists()
+
+    def test_violation_names_location_once(self, tmp_path, capsys):
+        workflows = tmp_path / "bad.jsonl"
+        workflows.write_text('{"benchmark": "b"}\n{oops\n', encoding="utf-8")
+        code = main(["autonomy", "--workflows", str(workflows), "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count(str(workflows)) == 1
+        assert err.startswith(f"input violation: {workflows} [line 1]: workflow document "
+                              "missing 'root'\n")
 
     def test_wrong_kind_taxonomy_is_input_error(self, tmp_path, capsys, domain_results):
         from workatlas.io import write_mappings

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,12 +12,16 @@ from workatlas.coverage import (
     check_results,
     coverage,
     effort_by_node,
+    node_at_level,
 )
 from workatlas.mapping import MappingStatus
 from workatlas.reporting import ReportBundle, coverage_suite
 from workatlas.taxonomy import TaxonomyKind
 
 from conftest import random_corpus, synthetic_result, synthetic_taxonomy
+
+# The package re-exports the function ``coverage`` under the module's name.
+coverage_module = importlib.import_module("workatlas.coverage")
 
 
 class TestCoverage:
@@ -208,6 +214,44 @@ class TestCheckOncePerKind:
                             lambda self, p: calls.append(p) or original(self, p))
         coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
         assert len(calls) == paths
+
+    def test_effort_and_breadth_share_node_sets(self, domain_results, skill_results,
+                                                domain_taxonomy, skill_taxonomy):
+        t = synthetic_taxonomy(30)
+        synthetic = random_corpus(t, 60, random.Random(5)) + [synthetic_result(t, "e0", [7])]
+        cases = [(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+                 (skill_results, skill_taxonomy, GroupLevel.SKILL_LEAF),
+                 (synthetic, t, GroupLevel.DOMAIN_FAMILY)]
+        for results, taxonomy, level in cases:
+            per_example = {}
+            for r in results:
+                nodes = per_example.setdefault(r.key, set())
+                if r.status is MappingStatus.MAPPED:
+                    nodes.update(node_at_level(p, level) for p in r.paths)
+            counts = Counter(node_id for nodes in per_example.values() for node_id, _ in nodes)
+
+            checked = check_results(results, taxonomy)
+            stats = breadth(checked, taxonomy, level)
+            effort = effort_by_node(checked, taxonomy, level)
+            assert checked.nodes_per_example(level) is checked.nodes_per_example(level)
+            assert effort.counts == dict(sorted(counts.items()))
+            assert effort.total_examples == len(per_example)
+            assert stats.per_example == {k: len(v) for k, v in per_example.items()}
+            assert (effort, stats) == (effort_by_node(list(results), taxonomy, level),
+                                       breadth(list(results), taxonomy, level))
+
+    def test_suite_builds_node_sets_once_per_kind(self, tmp_path, domain_results,
+                                                  skill_results, domain_taxonomy,
+                                                  skill_taxonomy, monkeypatch):
+        taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
+        results = {TaxonomyKind.DOMAIN: domain_results, TaxonomyKind.SKILL: skill_results}
+        mapped_paths = sum(len(r.paths) for rs in results.values() for r in rs
+                           if r.status is MappingStatus.MAPPED)
+        calls = []
+        monkeypatch.setattr(coverage_module, "node_at_level",
+                            lambda p, level: calls.append(p) or node_at_level(p, level))
+        coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
+        assert len(calls) == mapped_paths
 
     def test_suite_rejects_foreign_paths(self, tmp_path, domain_results, skill_taxonomy):
         with pytest.raises(ForeignPathError):

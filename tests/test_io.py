@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from workatlas.autonomy import success_rates
+from workatlas import io as workatlas_io
+from workatlas.autonomy import WorkflowNode, iter_nodes, success_rates
 from workatlas.io import (
     InputFormatError,
     fixture_path,
@@ -18,7 +21,7 @@ from workatlas.io import (
     write_mappings,
     write_workflows,
 )
-from workatlas.taxonomy import TaxonomyKind
+from workatlas.taxonomy import TaxonomyKind, resolve_path
 
 from conftest import deep_chain
 
@@ -74,6 +77,54 @@ class TestMappingsFile:
         write_mappings(path, domain_results)
         with pytest.raises(InputFormatError, match="no taxonomy"):
             read_mappings(path, {})
+
+    @staticmethod
+    def mapping_line(example_id, *paths):
+        return json.dumps({"benchmark": "b", "example_id": example_id,
+                           "taxonomy_kind": "domain", "status": "mapped",
+                           "paths": [list(p) for p in paths]})
+
+    def test_each_distinct_sequence_resolved_once(self, tmp_path, domain_taxonomy,
+                                                  monkeypatch):
+        a, b = sorted((p.labels for p in domain_taxonomy.path_index))[:2]
+        a_case = tuple(label.upper() for label in a)
+        a_space = tuple(f"  {label.replace(' ', '   ')} " for label in a)
+        lines = [self.mapping_line("e1", a, b), self.mapping_line("e2", a),
+                 self.mapping_line("e3", a_case, b), self.mapping_line("e4", a_space),
+                 self.mapping_line("e5", a_case, a, a_space)]
+        path = tmp_path / "mappings.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy}
+        calls = []
+        monkeypatch.setattr(workatlas_io, "resolve_path",
+                            lambda t, labels: calls.append(labels) or resolve_path(t, labels))
+        loaded = read_mappings(path, taxonomies)
+        assert len(calls) == 4  # a, b, a_case, a_space
+        for result, line in zip(loaded, lines):
+            expected = frozenset(resolve_path(domain_taxonomy, labels)
+                                 for labels in json.loads(line)["paths"])
+            assert result.paths == expected
+        variants = {id(p) for r in loaded for p in r.paths if p.labels == a}
+        assert len(variants) == 1  # case and whitespace variants share one path object
+        assert len(loaded[4].paths) == 1
+
+    def test_repeated_bad_sequence_named_at_first_line(self, tmp_path, domain_taxonomy):
+        good = sorted(p.labels for p in domain_taxonomy.path_index)[0]
+        bad = ("No", "Such", "Path")
+        lines = [self.mapping_line(f"e{i}", bad if i in (3, 7) else good)
+                 for i in range(1, 9)]
+        path = tmp_path / "mappings.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="e3") as info:
+            read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+        assert info.value.line_no == 3
+
+    def test_unhashable_labels_named_with_line(self, tmp_path, domain_taxonomy):
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(self.mapping_line("e1", [["nested"]]) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="e1") as info:
+            read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+        assert info.value.line_no == 1
 
     def test_raw_reader_keeps_records_unresolved(self, tmp_path, domain_results):
         path = tmp_path / "mappings.jsonl"
@@ -168,6 +219,60 @@ class TestWorkflowsFile:
             success_rates(again, "overall")["overall"]
             == success_rates(workflows, "overall")["overall"]
         )
+
+    def test_line_equals_json_dumps_of_the_document(self, tmp_path, workflows):
+        def node_doc(node):
+            doc = {"id": node.id, "description": node.description, "status": node.status}
+            if node.children:
+                doc["children"] = [node_doc(c) for c in node.children]
+            return doc
+
+        extra = WorkflowNode(id="r\u00e9", description='say "hi"\n\u65e5', status=0,
+                             children=(WorkflowNode(id="x", description="", status=1),))
+        extra.metadata = {"benchmark": "b\u00fc", "trajectory_id": "t", "agent": "a"}
+        roots = [*workflows, extra]
+        path = tmp_path / "wf.jsonl"
+        write_workflows(path, roots)
+        expected = "".join(
+            json.dumps({**root.metadata, "root": node_doc(root)}, sort_keys=True) + "\n"
+            for root in roots
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
+    @staticmethod
+    def chain(depth):
+        node = WorkflowNode(id=f"c{depth - 1}", description="leaf", status=0)
+        for i in range(depth - 2, -1, -1):
+            node = WorkflowNode(id=f"c{i}", description="d", status=1, children=(node,))
+        node.metadata = {"benchmark": "b"}
+        return node
+
+    def test_chain_roundtrip_keeps_every_node(self, tmp_path):
+        root = self.chain(400)
+        path = tmp_path / "wf.jsonl"
+        write_workflows(path, [root])
+        (again,) = read_workflows(path)
+        assert again.metadata == root.metadata
+        assert [(n.id, n.description, n.status) for n in iter_nodes(again)] == [
+            (n.id, n.description, n.status) for n in iter_nodes(root)
+        ]
+
+    def test_chain_5000_deep_is_written(self, tmp_path):
+        path = tmp_path / "wf.jsonl"
+        write_workflows(path, [self.chain(5000)])
+        expected = (
+            '{"benchmark": "b", "root": '
+            + '{"children": [' * 4999
+            + '{"description": "leaf", "id": "c4999", "status": 0}'
+            + "".join(f'], "description": "d", "id": "c{i}", "status": 1}}'
+                      for i in range(4998, -1, -1))
+            + "}\n"
+        )
+        assert path.read_text(encoding="utf-8") == expected
+        # json.loads cannot decode it; the reader names the line instead of crashing.
+        with pytest.raises(InputFormatError, match="nesting too deep") as info:
+            read_workflows(path)
+        assert info.value.line_no == 1
 
     def test_bad_status_named_with_line(self, tmp_path):
         path = tmp_path / "wf.jsonl"

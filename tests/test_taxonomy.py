@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -132,6 +134,20 @@ class TestLoad:
         path = tmp_path / "t.json"
         path.write_text(json.dumps(minimal_doc()), encoding="utf-8")
         assert load_taxonomy(path).leaf_count == 5
+
+
+def test_loaded_taxonomy_freed_without_cyclic_collector():
+    # The CLI pauses the cyclic collector per command, so a taxonomy must
+    # hold no reference cycle that would outlive it.
+    gc.disable()
+    try:
+        t = load_taxonomy(minimal_doc())
+        path = weakref.ref(next(iter(t.path_index)))
+        node = weakref.ref(t.root.children[0])
+        del t
+        assert path() is None and node() is None
+    finally:
+        gc.enable()
 
 
 class TestPaths:
