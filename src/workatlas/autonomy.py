@@ -31,17 +31,27 @@ _Z_ONE_SIDED_95 = 1.6448536269514722
 
 @dataclass(slots=True)
 class WorkflowNode:
-    """One hierarchical workflow step; roots carry trajectory metadata."""
+    """One hierarchical workflow step; roots carry trajectory metadata.
+
+    ``leaves`` is the node's leaf-descendant count (1 for a leaf), fixed
+    when the node is built from its already-built children; a node's
+    children are not reassigned afterwards.
+    """
 
     id: str
     description: str
     status: int  # 0 failure, 1 success
     children: tuple["WorkflowNode", ...] = ()
     metadata: dict = field(default_factory=dict)
+    leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.status not in (0, 1):
             raise ValueError(f"node {self.id!r}: status must be 0 or 1, got {self.status!r}")
+        leaves = 0
+        for child in self.children:
+            leaves += child.leaves
+        self.leaves = leaves or 1
 
     @property
     def is_leaf(self) -> bool:
@@ -69,8 +79,11 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
     """Build a workflow tree from a trajectory document.
 
     The document has ``{benchmark, agent, model, trajectory_id, root}``;
-    tree metadata lands on the root node. Node ids must be unique within
-    the trajectory.
+    tree metadata lands on the root node. Every node is an object with
+    ``id``, ``description`` and ``status``, and ``children`` if given is an
+    array. Node ids must be unique within the trajectory; a repeated id is
+    reported, for the first repeat in pre-order, only once the whole tree
+    has built without any other error.
     """
     meta = {
         k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id") if k in doc
@@ -79,23 +92,36 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
     if "root" not in doc:
         raise ValueError("workflow document missing 'root'")
     # Depth-first without recursion, so tree depth is bounded by memory
-    # alone. A node's keys are checked when it is entered and the node is
-    # built after its children, so errors surface in document order. A
-    # child's location is kept as (parent location, index) and spelled out
-    # only for an error.
+    # alone. A node is checked when it is entered, in pre-order, and built
+    # after its children, so errors surface in document order. A child's
+    # location is kept as (parent location, index) and spelled out only for
+    # an error.
     built: list[WorkflowNode] = []
-    stack: list[tuple] = [(doc["root"], "root", None)]
+    seen: set[str] = set()
+    repeated = None
+    # (node document, location, id, child count); id and count are set once
+    # the node is entered and waits for its children.
+    stack: list[tuple] = [(doc["root"], "root", None, None)]
     while stack:
-        node_doc, where, child_count = stack.pop()
+        node_doc, where, node_id, child_count = stack.pop()
         if child_count is None:
+            if not isinstance(node_doc, dict):
+                raise ValueError(f"{_where_text(where)}: workflow node must be an object")
             for key in ("id", "description", "status"):
                 if key not in node_doc:
                     raise ValueError(f"{_where_text(where)}: workflow node missing {key!r}")
-            child_docs = list(node_doc.get("children", ()))
+            child_docs = node_doc.get("children", [])
+            if not isinstance(child_docs, list):
+                raise ValueError(f"{_where_text(where)}: workflow node children must be an array")
+            node_id = str(node_doc["id"])
+            if repeated is None and node_id in seen:
+                repeated = node_id
+            seen.add(node_id)
             if child_docs:
-                stack.append((node_doc, where, len(child_docs)))
+                stack.append((node_doc, where, node_id, len(child_docs)))
                 stack.extend(
-                    (child_docs[i], (where, i), None) for i in range(len(child_docs) - 1, -1, -1)
+                    (child_docs[i], (where, i), None, None)
+                    for i in range(len(child_docs) - 1, -1, -1)
                 )
                 continue
             children: tuple[WorkflowNode, ...] = ()
@@ -105,19 +131,16 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
             del built[first_child:]
         built.append(
             WorkflowNode(
-                id=str(node_doc["id"]),
+                id=node_id,
                 description=node_doc["description"],
                 status=node_doc["status"],
                 children=children,
             )
         )
+    if repeated is not None:
+        raise ValueError(f"workflow node id {repeated!r} is not unique")
     root = built[0]
     root.metadata = meta
-    seen: set[str] = set()
-    for node in iter_nodes(root):
-        if node.id in seen:
-            raise ValueError(f"workflow node id {node.id!r} is not unique")
-        seen.add(node.id)
     return root
 
 
@@ -126,22 +149,11 @@ def complexity(root: WorkflowNode) -> dict[str, int]:
 
     Leaves have complexity 1 (the node itself is the one granular step);
     an internal node's complexity is the sum over its children, which is
-    exactly its total leaf count.
+    exactly its total leaf count. Each node carries it as ``leaves``.
     """
     if root is None:
         raise ValueError("empty workflow tree")
-    out: dict[str, int] = {}
-    stack: list[tuple[WorkflowNode, bool]] = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node.is_leaf:
-            out[node.id] = 1
-        elif children_done:
-            out[node.id] = sum(out[c.id] for c in node.children)
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-    return out
+    return {node.id: node.leaves for node in iter_nodes(root)}
 
 
 @dataclass(frozen=True)
@@ -239,15 +251,16 @@ def success_rates(
     group_fn = _group_fn(grouping)
     acc: dict[str, dict[int, list[int]]] = {}
     for root in workflows:
-        levels = complexity(root)
         root_groups = list(group_fn(root)) or [UNATTRIBUTED]
-        for node in iter_nodes(root):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
             groups = root_groups
             if node_group_fn is not None:
                 groups = list(node_group_fn(node)) or [UNATTRIBUTED]
-            k = levels[node.id]
             for g in groups:
-                bucket = acc.setdefault(g, {}).setdefault(k, [0, 0])
+                bucket = acc.setdefault(g, {}).setdefault(node.leaves, [0, 0])
                 bucket[0] += node.status
                 bucket[1] += 1
     return {
@@ -337,9 +350,8 @@ def validate_ordering(
     """
     by_level: dict[int, list[str]] = {}
     for root in workflows:
-        levels = complexity(root)
         for node in iter_nodes(root):
-            by_level.setdefault(levels[node.id], []).append(node.description)
+            by_level.setdefault(node.leaves, []).append(node.description)
     adjacent = [
         (k, k + 1) for k in sorted(by_level) if k + 1 in by_level and by_level[k]
     ]

@@ -1,9 +1,15 @@
 """Readers and writers for the toolkit's file formats.
 
 Line-oriented JSON for examples, mappings, and workflows; CSV for the
-economics tables and curve exports. Mappings persist paths as label
-sequences so files stay meaningful without the taxonomy at hand; reading
-them back re-resolves every path, which doubles as a validation pass.
+economics tables and curve exports. Every JSONL line must hold an object,
+and example and mapping records are checked field by field against one
+schema table each (name, JSON type, required), so a wrong type is an
+:class:`InputFormatError` naming the file, line and field. Mappings persist
+paths as label sequences so files stay meaningful without the taxonomy at
+hand; reading them back re-resolves every path, which doubles as a
+validation pass. Resolution goes through the taxonomy's own cache, which
+mapping shares, so each distinct label sequence is resolved once per
+taxonomy. Workflow trees fix each node's leaf count while they are built.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -25,7 +31,7 @@ from .economics import (
     WorkMode,
 )
 from .mapping import MappingResult, MappingStatus, TaskExample
-from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath, resolve_path
+from .taxonomy import Taxonomy, TaxonomyKind, resolve_path
 
 SCALE_MAX_PREFIX = "# scale_max:"
 
@@ -49,17 +55,66 @@ def _finite(value: str, name: str) -> float:
 
 
 def _iter_jsonl(path: str | Path):
+    """``(line_no, record)`` for every non-blank line; a record is a dict."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield line_no, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise InputFormatError(path, line_no, f"invalid JSON: {err}") from err
             except RecursionError as err:
                 raise InputFormatError(path, line_no, "nesting too deep to decode") from err
+            if not isinstance(record, dict):
+                raise InputFormatError(
+                    path, line_no, f"record must be a JSON object, got {type(record).__name__}"
+                )
+            yield line_no, record
+
+
+#: Record schemas: (field, JSON type, required), checked in this order.
+EXAMPLE_FIELDS = (
+    ("benchmark", str, True),
+    ("example_id", str, True),
+    ("instruction", str, True),
+    ("metadata", dict, False),
+)
+MAPPING_FIELDS = (
+    ("benchmark", str, True),
+    ("example_id", str, True),
+    ("taxonomy_kind", str, True),
+    ("status", str, True),
+    ("paths", list, True),
+    ("annotator_id", str, False),
+    ("raw", str, False),
+)
+RAW_MAPPING_FIELDS = (
+    ("benchmark", str, True),
+    ("example_id", str, True),
+    ("taxonomy_kind", str, True),
+    ("raw", str, True),
+)
+
+_JSON_TYPE_NAMES = {str: "a string", list: "an array", dict: "an object"}
+_ABSENT = object()
+
+
+def _check_fields(path, line_no: int, record: dict, schema: tuple, what: str) -> None:
+    """Raise for the first schema field that is missing or of the wrong type."""
+    for key, json_type, required in schema:
+        value = record.get(key, _ABSENT)
+        if not isinstance(value, json_type):
+            if value is _ABSENT:
+                if not required:
+                    continue
+                raise InputFormatError(path, line_no, f"{what} record missing {key!r}")
+            raise InputFormatError(
+                path, line_no,
+                f"{what} record field {key!r} must be {_JSON_TYPE_NAMES[json_type]}, "
+                f"got {type(value).__name__}",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +125,7 @@ def read_examples(path: str | Path) -> list[TaskExample]:
     """Read a JSONL examples file: {benchmark, example_id, instruction, metadata?}."""
     examples = []
     for line_no, record in _iter_jsonl(path):
-        for key in ("benchmark", "example_id", "instruction"):
-            if key not in record:
-                raise InputFormatError(path, line_no, f"example record missing {key!r}")
+        _check_fields(path, line_no, record, EXAMPLE_FIELDS, "example")
         examples.append(
             TaskExample(
                 benchmark=record["benchmark"],
@@ -117,6 +170,10 @@ def write_mappings(path: str | Path, results: Iterable[MappingResult]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+_KINDS = {k.value: k for k in TaxonomyKind}
+_STATUSES = {s.value: s for s in MappingStatus}
+
+
 def read_mappings(
     path: str | Path, taxonomies: dict[TaxonomyKind, Taxonomy]
 ) -> list[MappingResult]:
@@ -124,26 +181,27 @@ def read_mappings(
 
     Re-resolution failing on a persisted path means the file and taxonomy
     disagree; that is surfaced as an :class:`InputFormatError` rather than
-    silently skipped. Each distinct label sequence is resolved once per
-    kind, so an error names the line where that sequence first appears.
+    silently skipped. Failures are never cached, so an error names the
+    first line that holds a bad sequence.
     """
-    resolved: dict[TaxonomyKind, dict[tuple, TaxonomyPath]] = {}
     results = []
     for line_no, record in _iter_jsonl(path):
-        for key in ("benchmark", "example_id", "taxonomy_kind", "status", "paths"):
-            if key not in record:
-                raise InputFormatError(path, line_no, f"mapping record missing {key!r}")
+        _check_fields(path, line_no, record, MAPPING_FIELDS, "mapping")
         try:
-            kind = TaxonomyKind(record["taxonomy_kind"])
-            status = MappingStatus(record["status"])
-        except ValueError as err:
-            raise InputFormatError(path, line_no, str(err)) from err
+            kind = _KINDS[record["taxonomy_kind"]]
+            status = _STATUSES[record["status"]]
+        except KeyError:
+            # the enums word the error for an unknown value
+            try:
+                TaxonomyKind(record["taxonomy_kind"])
+                MappingStatus(record["status"])
+            except ValueError as err:
+                raise InputFormatError(path, line_no, str(err)) from None
         taxonomy = taxonomies.get(kind)
         if taxonomy is None:
             raise InputFormatError(path, line_no, f"no taxonomy supplied for kind {kind.value}")
-        memo = resolved.setdefault(kind, {})
         try:
-            paths = frozenset(_resolve_once(memo, taxonomy, labels) for labels in record["paths"])
+            paths = frozenset([resolve_path(taxonomy, labels) for labels in record["paths"]])
         except (TypeError, ValueError) as err:
             raise InputFormatError(
                 path,
@@ -167,23 +225,11 @@ def read_mappings(
     return results
 
 
-def _resolve_once(memo: dict, taxonomy: Taxonomy, labels) -> TaxonomyPath:
-    """``resolve_path`` memoised on the raw label sequence; case and
-    whitespace variants miss separately and resolve to the same path."""
-    key = tuple(labels)
-    path = memo.get(key)
-    if path is None:
-        path = memo[key] = resolve_path(taxonomy, labels)
-    return path
-
-
 def read_raw_mappings(path: str | Path) -> list[dict]:
     """Read mapping records without resolving paths (for replay annotators)."""
     records = []
     for line_no, record in _iter_jsonl(path):
-        for key in ("benchmark", "example_id", "taxonomy_kind", "raw"):
-            if key not in record:
-                raise InputFormatError(path, line_no, f"mapping record missing {key!r}")
+        _check_fields(path, line_no, record, RAW_MAPPING_FIELDS, "mapping")
         records.append(record)
     return records
 
@@ -228,18 +274,32 @@ def read_importance(path: str | Path) -> ImportanceTable:
             scale_max = _finite(first[len(SCALE_MAX_PREFIX):].strip(), "scale_max")
         except ValueError as err:
             raise InputFormatError(path, 1, f"bad scale_max value: {err}") from err
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         expected = {"soc_code", "activity_id", "importance"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+        if header is None or not expected.issubset(header):
             raise InputFormatError(path, 2, f"header must contain {sorted(expected)}")
+        # Read as csv.DictReader would: the last column of a repeated name
+        # wins, a short row reads None for its missing cells, blank rows are
+        # skipped and do not count towards the line number.
+        column = {name: i for i, name in enumerate(header)}
+        i_soc, i_activity, i_importance = (column[name] for name in
+                                           ("soc_code", "activity_id", "importance"))
+        width = max(i_soc, i_activity, i_importance) + 1
         records = []
-        for line_no, record in enumerate(reader, start=3):
+        line_no = 2
+        for row in reader:
+            if not row:
+                continue
+            line_no += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
             try:
                 records.append(
                     ImportanceRecord(
-                        soc_code=record["soc_code"],
-                        activity_id=record["activity_id"],
-                        importance=_finite(record["importance"], "importance"),
+                        soc_code=row[i_soc],
+                        activity_id=row[i_activity],
+                        importance=_finite(row[i_importance], "importance"),
                     )
                 )
             except (TypeError, ValueError) as err:

@@ -45,7 +45,7 @@ class MappingStatus(str, Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappingResult:
     """Validated paths for one (example, taxonomy kind) pair."""
 

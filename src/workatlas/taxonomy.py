@@ -5,7 +5,11 @@ occupation, task requirement) and a ``skill`` tree (root plus three work
 activity layers of increasing granularity). Both place their leaves exactly
 three levels below the root, so every path is a triple of labels.
 
-Taxonomies are immutable once loaded and safe to share across threads.
+A loaded taxonomy's tree and path index never change. Its only mutable
+state is the resolution cache behind :func:`resolve_path`, which maps each
+label sequence seen so far to the path it names. A cache write stores the
+one shared path object for that sequence, so writes are idempotent, and a
+single dict store is atomic, so a taxonomy is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -81,12 +85,25 @@ class TaxonomyPath:
     """A root-to-leaf path, stored from root child down to the leaf.
 
     Node ids are the identity; labels are carried along because mappings
-    are persisted and exchanged as label sequences.
+    are persisted and exchanged as label sequences. A taxonomy hands out
+    one shared object per path, which lands in many sets, so the hash is
+    computed once.
     """
 
     taxonomy_kind: TaxonomyKind
     node_ids: tuple[str, ...]
     labels: tuple[str, ...] = field(compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.taxonomy_kind, self.node_ids)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between interpreters: recompute, never copy
+        return (TaxonomyPath, (self.taxonomy_kind, self.node_ids, self.labels))
 
     def __str__(self) -> str:
         return " > ".join(self.labels)
@@ -109,6 +126,10 @@ class Taxonomy:
         default_factory=dict, repr=False
     )
     _paths_by_leaf: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
+    # raw label tuple -> path, filled by resolve_path
+    _resolved: dict[tuple, TaxonomyPath] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def leaf_count(self) -> int:
@@ -284,15 +305,35 @@ def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
     """Resolve a label sequence to the unique root-to-leaf path it names.
 
     Matching is canonical (case-insensitive, whitespace-normalized) and must
-    cover the full path from a root child down to a leaf.
+    cover the full path from a root child down to a leaf. Each taxonomy
+    remembers the sequences it has resolved, verbatim, so a repeated
+    sequence costs one dict lookup; case and whitespace variants are
+    remembered separately and map to the same path object. Failures are not
+    remembered.
 
     Raises
     ------
     PartialPathError
         If the labels are a valid prefix ending at a non-leaf node.
     UnknownPathError
-        If any label is absent or mis-ordered.
+        If any label is absent or mis-ordered, or ``labels`` is a string
+        or holds a non-string.
+    TypeError
+        If ``labels`` is not iterable or holds an unhashable item.
     """
+    if isinstance(labels, str):
+        raise UnknownPathError(f"labels must be a sequence of strings, got string {labels!r}")
+    key = tuple(labels)
+    found = t._resolved.get(key)
+    if found is None:
+        found = t._resolved[key] = _resolve_labels(t, key)
+    return found
+
+
+def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
+    """The uncached resolution behind :func:`resolve_path`."""
+    if not all(isinstance(x, str) for x in labels):
+        raise UnknownPathError(f"labels must be strings, got {list(labels)!r}")
     key = tuple(canonical_label(x) for x in labels)
     found = t._paths_by_labels.get(key)
     if found is not None:

@@ -93,6 +93,14 @@ class TestComplexity:
                 if not node.is_leaf:
                     assert values[node.id] == sum(values[c.id] for c in node.children)
 
+    def test_leaves_fixed_at_build_match_oracle(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            root = random_tree(rng, max_nodes=rng.choice([1, 5, 50, 500]))
+            oracle = leaf_count_oracle(root)
+            assert {n.id: n.leaves for n in iter_nodes(root)} == oracle
+            assert complexity(root) == oracle
+
     def test_empty_tree_is_error(self):
         with pytest.raises(ValueError, match="empty"):
             complexity(None)
@@ -139,12 +147,16 @@ def recursive_build(doc):
     """Reference builder: each node's keys are checked on entry and the node
     is built after its children, recursively."""
     def build(node_doc, where):
+        if not isinstance(node_doc, dict):
+            raise ValueError(f"{where}: workflow node must be an object")
         for key in ("id", "description", "status"):
             if key not in node_doc:
                 raise ValueError(f"{where}: workflow node missing {key!r}")
+        child_docs = node_doc.get("children", [])
+        if not isinstance(child_docs, list):
+            raise ValueError(f"{where}: workflow node children must be an array")
         children = tuple(
-            build(c, f"{where}.children[{i}]")
-            for i, c in enumerate(node_doc.get("children", []))
+            build(c, f"{where}.children[{i}]") for i, c in enumerate(child_docs)
         )
         return WorkflowNode(id=str(node_doc["id"]), description=node_doc["description"],
                             status=node_doc["status"], children=children)
@@ -160,13 +172,17 @@ def recursive_build(doc):
     return root
 
 
-def random_document(rng, defect_rate):
+def random_document(rng, defect_rate, shape_defects=False):
     """A random trajectory document; some nodes lose a key, carry a bad
-    status or repeat an id, each with probability ``defect_rate``."""
+    status or repeat an id, each with probability ``defect_rate``. With
+    ``shape_defects``, a node may also be a non-object or carry non-array
+    children, each with the same probability."""
     counter = [0]
 
     def node(depth):
         counter[0] += 1
+        if shape_defects and rng.random() < defect_rate:
+            return rng.choice([1, "node", None, ["id"]])
         doc = {"id": f"n{counter[0]}" if rng.random() >= defect_rate else "dup",
                "description": f"step {counter[0]}",
                "status": rng.randint(0, 1) if rng.random() >= defect_rate else 2}
@@ -174,6 +190,8 @@ def random_document(rng, defect_rate):
             del doc[rng.choice(["id", "description", "status"])]
         if depth < 4 and rng.random() < 0.6:
             doc["children"] = [node(depth + 1) for _ in range(rng.randint(1, 3))]
+        elif shape_defects and rng.random() < defect_rate:
+            doc["children"] = rng.choice([7, "abc", {"id": "x"}, None, True])
         return doc
 
     return {"benchmark": "b", "trajectory_id": "t", "root": node(0)}
@@ -189,10 +207,33 @@ def outcome(build, doc):
 class TestIterativeBuild:
     def test_matches_recursive_reference(self):
         rng = random.Random(7)
-        for defect_rate in (0.0, 0.02, 0.1):
+        errors = set()
+        for defect_rate, shape_defects in ((0.0, False), (0.02, False), (0.1, False),
+                                           (0.02, True), (0.1, True)):
             for _ in range(150):
-                doc = random_document(rng, defect_rate)
-                assert outcome(workflow_from_document, doc) == outcome(recursive_build, doc)
+                doc = random_document(rng, defect_rate, shape_defects)
+                result = outcome(workflow_from_document, doc)
+                assert result == outcome(recursive_build, doc)
+                if isinstance(result, str):
+                    errors.add(result)
+        for reason in ("must be an object", "children must be an array", "missing 'id'",
+                       "is not unique", "status must be 0 or 1, got 2"):
+            assert any(reason in error for error in errors), reason  # every defect occurs
+
+    def test_duplicate_reported_after_later_errors(self):
+        doc = {"root": {"id": "r", "description": "d", "status": 1, "children": [
+            {"id": "a", "description": "d", "status": 1},
+            {"id": "a", "description": "d", "status": 1},
+            {"id": "b", "description": "d", "status": 1},
+            {"id": "b", "description": "d", "status": 1, "children": 5},
+        ]}}
+        with pytest.raises(ValueError) as info:
+            workflow_from_document(doc)
+        assert str(info.value) == "root.children[3]: workflow node children must be an array"
+        doc["root"]["children"][3]["children"] = []
+        with pytest.raises(ValueError) as info:
+            workflow_from_document(doc)
+        assert str(info.value) == "workflow node id 'a' is not unique"
 
     def test_error_names_location_in_document_order(self):
         doc = {"root": {"id": "r", "description": "d", "status": 1, "children": [

@@ -321,6 +321,37 @@ class TestSharedValidation:
         assert f"{workflows} [line 1]" in err and "nesting too deep" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("benchmark", 7), ("example_id", ["x"]),
+                                              ("paths", "abc")])
+    def test_mistyped_mapping_field_exits_input_without_run_dir(self, tmp_path, capsys,
+                                                                domain_results, field, value):
+        from workatlas.io import write_mappings
+
+        mappings = tmp_path / "mappings.jsonl"
+        write_mappings(mappings, domain_results)
+        lines = mappings.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        mappings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["coverage", "--fixtures", "--mappings", str(mappings), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input violation: {mappings} [line 3]: mapping record field "
+                              f"{field!r} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("map", "examples"), ("coverage", "mappings"),
+                                              ("autonomy", "workflows")])
+    def test_non_object_line_named(self, tmp_path, capsys, command, key):
+        path = tmp_path / "records.jsonl"
+        path.write_text("5\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main([command, "--fixtures", f"--{key}", str(path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input violation: {path} [line 1]: record must be a JSON object, got int\n")
+        assert not out.exists()
+
     def test_violation_names_location_once(self, tmp_path, capsys):
         workflows = tmp_path / "bad.jsonl"
         workflows.write_text('{"benchmark": "b"}\n{oops\n', encoding="utf-8")

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from workatlas import io as workatlas_io
+from workatlas import taxonomy as workatlas_taxonomy
 from workatlas.autonomy import WorkflowNode, iter_nodes, success_rates
 from workatlas.io import (
     InputFormatError,
@@ -21,7 +23,7 @@ from workatlas.io import (
     write_mappings,
     write_workflows,
 )
-from workatlas.taxonomy import TaxonomyKind, resolve_path
+from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
 
 from conftest import deep_chain
 
@@ -47,6 +49,34 @@ class TestExamplesFile:
         path.write_text("{oops\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match="invalid JSON"):
             read_examples(path)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("benchmark", 7, "field 'benchmark' must be a string, got int"),
+        ("example_id", ["x"], "field 'example_id' must be a string, got list"),
+        ("instruction", True, "field 'instruction' must be a string, got bool"),
+        ("metadata", [], "field 'metadata' must be an object, got list"),
+    ])
+    def test_wrong_field_type_names_line_and_field(self, tmp_path, field, value, reason):
+        record = {"benchmark": "b", "example_id": "e", "instruction": "do it"}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(InputFormatError) as info:
+            read_examples(path)
+        assert (info.value.line_no, info.value.reason) == (2, "example record " + reason)
+
+
+@pytest.mark.parametrize("reader", [read_examples, read_raw_mappings, read_workflows,
+                                    lambda path: read_mappings(path, {})])
+@pytest.mark.parametrize("line, type_name", [("5", "int"), ('"x"', "str"), ("[]", "list"),
+                                             ("null", "NoneType")])
+def test_non_object_line_names_its_line(tmp_path, reader, line, type_name):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as info:
+        reader(path)
+    assert info.value.line_no == 2
+    assert info.value.reason == f"record must be a JSON object, got {type_name}"
 
 
 class TestMappingsFile:
@@ -84,8 +114,9 @@ class TestMappingsFile:
                            "taxonomy_kind": "domain", "status": "mapped",
                            "paths": [list(p) for p in paths]})
 
-    def test_each_distinct_sequence_resolved_once(self, tmp_path, domain_taxonomy,
-                                                  monkeypatch):
+    def test_each_distinct_sequence_resolved_once(self, tmp_path, monkeypatch):
+        # a fresh taxonomy, so its resolution cache starts empty
+        domain_taxonomy = load_taxonomy(fixture_path("taxonomy_domain.json"))
         a, b = sorted((p.labels for p in domain_taxonomy.path_index))[:2]
         a_case = tuple(label.upper() for label in a)
         a_space = tuple(f"  {label.replace(' ', '   ')} " for label in a)
@@ -95,15 +126,17 @@ class TestMappingsFile:
         path = tmp_path / "mappings.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy}
-        calls = []
-        monkeypatch.setattr(workatlas_io, "resolve_path",
-                            lambda t, labels: calls.append(labels) or resolve_path(t, labels))
+        slow = []
+        resolve_labels = workatlas_taxonomy._resolve_labels
+        monkeypatch.setattr(workatlas_taxonomy, "_resolve_labels",
+                            lambda t, labels: slow.append(labels) or resolve_labels(t, labels))
         loaded = read_mappings(path, taxonomies)
-        assert len(calls) == 4  # a, b, a_case, a_space
+        assert slow == [a, b, a_case, a_space]  # nine label lists, four distinct
         for result, line in zip(loaded, lines):
             expected = frozenset(resolve_path(domain_taxonomy, labels)
                                  for labels in json.loads(line)["paths"])
             assert result.paths == expected
+        assert len(slow) == 4  # the checks above hit the cache
         variants = {id(p) for r in loaded for p in r.paths if p.labels == a}
         assert len(variants) == 1  # case and whitespace variants share one path object
         assert len(loaded[4].paths) == 1
@@ -125,6 +158,67 @@ class TestMappingsFile:
         with pytest.raises(InputFormatError, match="e1") as info:
             read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
         assert info.value.line_no == 1
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("benchmark", 7, "field 'benchmark' must be a string, got int"),
+        ("example_id", ["x"], "field 'example_id' must be a string, got list"),
+        ("paths", "abc", "field 'paths' must be an array, got str"),
+        ("status", None, "field 'status' must be a string, got NoneType"),
+        ("raw", {}, "field 'raw' must be a string, got dict"),
+        ("annotator_id", 1.5, "field 'annotator_id' must be a string, got float"),
+    ])
+    def test_wrong_field_type_names_line_and_field(self, tmp_path, domain_taxonomy,
+                                                   field, value, reason):
+        labels = sorted(p.labels for p in domain_taxonomy.path_index)[0]
+        record = json.loads(self.mapping_line("e1", labels))
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(InputFormatError) as info:
+            read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+        assert (info.value.line_no, info.value.reason) == (2, "mapping record " + reason)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("taxonomy_kind", "domains", "'domains' is not a valid TaxonomyKind"),
+        ("status", "done", "'done' is not a valid MappingStatus"),
+    ])
+    def test_unknown_kind_or_status_named_by_enum(self, tmp_path, domain_taxonomy,
+                                                 field, value, reason):
+        record = json.loads(self.mapping_line("e1"))
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(json.dumps({**record, field: value}) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as info:
+            read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+        assert (info.value.line_no, info.value.reason) == (1, reason)
+
+    @pytest.mark.parametrize("labels, reason", [
+        ("abc", "labels must be a sequence of strings, got string 'abc'"),
+        ([5, "x", "y"], "labels must be strings, got [5, 'x', 'y']"),
+    ])
+    def test_non_string_labels_named_with_line(self, tmp_path, domain_taxonomy, labels,
+                                               reason):
+        record = {**json.loads(self.mapping_line("e1")), "paths": [labels]}
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as info:
+            read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+        assert (info.value.line_no, info.value.reason) == (1, "example b/e1: " + reason)
+
+    def test_cache_shared_with_mapping(self, tmp_path, monkeypatch, domain_annotator):
+        from workatlas.mapping import TaskExample, map_example
+
+        domain_taxonomy = load_taxonomy(fixture_path("taxonomy_domain.json"))
+        example = TaskExample("b", "e1", "Reconcile bank statements for Q1.")
+        mapped = map_example(example, domain_taxonomy, domain_annotator)
+        assert mapped.paths
+        path = tmp_path / "mappings.jsonl"
+        write_mappings(path, [mapped])
+        slow = []
+        monkeypatch.setattr(workatlas_taxonomy, "_resolve_labels",
+                            lambda t, labels: slow.append(labels))
+        loaded = read_mappings(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+        assert slow == [] and loaded == [mapped]
+        assert {id(p) for p in loaded[0].paths} == {id(p) for p in mapped.paths}
 
     def test_raw_reader_keeps_records_unresolved(self, tmp_path, domain_results):
         path = tmp_path / "mappings.jsonl"
@@ -187,6 +281,27 @@ class TestEconomicsFiles:
         with pytest.raises(InputFormatError, match="imp.csv:1: .*scale_max must be a finite"):
             read_importance(path)
 
+    def test_importance_reads_as_dict_reader_would(self, tmp_path):
+        rng = random.Random(3)
+        cells = ["13-2011", "4.A.1", "2.5", "", "x", "1e3", "nan"]
+        for case in range(200):
+            header = ["soc_code", "activity_id", "importance"]
+            header += rng.sample(["note", "importance", "soc_code", "extra"], rng.randint(0, 2))
+            rng.shuffle(header)
+            rows = []
+            for i in range(rng.randint(0, 6)):
+                if rng.random() < 0.15:
+                    rows.append("")
+                    continue
+                row = [f"s{i}", f"a{i}", str(rng.randint(1, 5))]
+                row += [rng.choice(cells) for _ in range(len(header) - 3)]
+                rng.shuffle(row)
+                rows.append(",".join(row[:rng.randint(len(row) - 2, len(row) + 1)]))
+            path = tmp_path / f"imp{case}.csv"
+            path.write_text("# scale_max: 5.0\n" + ",".join(header) + "\n"
+                            + "\n".join(rows) + "\n", encoding="utf-8")
+            assert outcome(read_importance, path) == outcome(dict_reader_importance, path)
+
     def test_digital_labels_bundled(self, digital_labels):
         assert len(digital_labels) == 12
         assert {l.label.value for l in digital_labels} == {"DIGITAL", "PHYSICAL"}
@@ -206,6 +321,38 @@ class TestEconomicsFiles:
         )
         with pytest.raises(InputFormatError):
             read_digital_labels(path)
+
+
+def dict_reader_importance(path):
+    """Reference importance reader on ``csv.DictReader``."""
+    import csv
+
+    from workatlas.economics import ImportanceRecord, ImportanceTable
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        reader = csv.DictReader(fh)
+        if not {"soc_code", "activity_id", "importance"}.issubset(reader.fieldnames or ()):
+            raise InputFormatError(path, 2, "header")
+        records = []
+        for line_no, record in enumerate(reader, start=3):
+            try:
+                records.append(ImportanceRecord(
+                    soc_code=record["soc_code"], activity_id=record["activity_id"],
+                    importance=workatlas_io._finite(record["importance"], "importance")))
+            except (TypeError, ValueError) as err:
+                raise InputFormatError(path, line_no, str(err)) from err
+    try:
+        return ImportanceTable(records=tuple(records), scale_max=5.0)
+    except ValueError as err:
+        raise InputFormatError(path, None, str(err)) from err
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except InputFormatError as err:
+        return (err.line_no, err.reason)
 
 
 class TestWorkflowsFile:
@@ -282,6 +429,23 @@ class TestWorkflowsFile:
         )
         with pytest.raises(InputFormatError, match="wf.jsonl:1"):
             read_workflows(path)
+
+    @pytest.mark.parametrize("children, reason", [
+        ("[1]", "root.children[0]: workflow node must be an object"),
+        ("7", "root: workflow node children must be an array"),
+        ('{"a": 1}', "root: workflow node children must be an array"),
+    ])
+    def test_malformed_node_named_with_line(self, tmp_path, children, reason):
+        path = tmp_path / "wf.jsonl"
+        path.write_text(
+            '{"root": {"id": "r", "description": "d", "status": 1}}\n'
+            '{"root": {"id": "r", "description": "d", "status": 1, "children": '
+            + children + "}}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError) as info:
+            read_workflows(path)
+        assert (info.value.line_no, info.value.reason) == (2, reason)
 
     def test_chain_too_deep_to_decode_names_line(self, tmp_path):
         path = tmp_path / "wf.jsonl"

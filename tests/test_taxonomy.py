@@ -1,12 +1,17 @@
 import gc
 import json
+import pickle
+import sys
+import threading
 import weakref
 
 import pytest
 
+from workatlas.io import fixture_path
 from workatlas.taxonomy import (
     PartialPathError,
     TaxonomyKind,
+    TaxonomyPath,
     TaxonomySchemaError,
     TaxonomyStructureError,
     UnknownPathError,
@@ -198,6 +203,26 @@ class TestPaths:
             domain_taxonomy.path_for_leaf("fam-business")  # a family, not a leaf
 
 
+def test_equal_paths_hash_equal():
+    t = load_taxonomy(minimal_doc())
+    for path in t.path_index:
+        twin = TaxonomyPath(taxonomy_kind=path.taxonomy_kind, node_ids=tuple(path.node_ids),
+                            labels=tuple(label.upper() for label in path.labels))
+        assert twin == path and hash(twin) == hash(path)
+        assert twin in t.path_index
+        other = TaxonomyPath(taxonomy_kind=TaxonomyKind.SKILL, node_ids=path.node_ids,
+                             labels=path.labels)
+        assert other != path
+
+
+def test_pickled_path_recomputes_its_hash():
+    path = next(iter(load_taxonomy(minimal_doc()).path_index))
+    data = pickle.dumps(path)
+    assert b"_hash" not in data
+    copy = pickle.loads(data)
+    assert copy == path and hash(copy) == hash(path) and copy.labels == path.labels
+
+
 class TestResolve:
     def test_fixture_lookup(self, domain_taxonomy):
         path = resolve_path(
@@ -234,6 +259,51 @@ class TestResolve:
     def test_empty_labels_is_no_match(self, domain_taxonomy):
         with pytest.raises(UnknownPathError):
             resolve_path(domain_taxonomy, [])
+
+    def test_non_string_labels_are_no_match(self, domain_taxonomy):
+        with pytest.raises(UnknownPathError, match="got string"):
+            resolve_path(domain_taxonomy, "Accountants")
+        with pytest.raises(UnknownPathError, match="must be strings"):
+            resolve_path(domain_taxonomy, ["Business and Financial Operations", 5, None])
+
+    def test_variants_cached_as_one_path_object(self):
+        t = load_taxonomy(minimal_doc())
+        labels = next(iter(t.path_index)).labels
+        first = resolve_path(t, list(labels))
+        variant = resolve_path(t, [f" {label.upper()} " for label in labels])
+        assert variant is first and resolve_path(t, labels) is first
+        assert len(t._resolved) == 2  # list and tuple spellings share one key
+        with pytest.raises(UnknownPathError):
+            resolve_path(t, ["no", "such", "path"])
+        assert len(t._resolved) == 2  # failures are not cached
+
+    def test_cache_shared_by_threads(self):
+        t = load_taxonomy(fixture_path("taxonomy_domain.json"))
+        spellings = [(labels, variant) for path in t.path_index for labels in [path.labels]
+                     for variant in (labels, tuple(x.upper() for x in labels),
+                                     tuple(f" {x} " for x in labels))]
+        results: list[list] = [[] for _ in range(8)]
+
+        def work(out):
+            for _ in range(20):
+                for labels, variant in spellings:
+                    out.append((labels, resolve_path(t, variant)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        shared = {path.labels: path for path in t.path_index}
+        assert all(len(out) == 20 * len(spellings) for out in results)
+        assert all(path is shared[labels] for out in results for labels, path in out)
+        assert len(t._resolved) == len(spellings)
 
     def test_partial_and_unknown_are_distinct_types(self, domain_taxonomy):
         with pytest.raises(PartialPathError):
