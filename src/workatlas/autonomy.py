@@ -10,6 +10,10 @@ sufficiently-sampled level whose success rate clears the threshold.
 The advisor consults the curves matched to a task's domains/skills and
 recommends end-to-end delegation, decomposition into simpler subtasks, or
 reports that the data cannot support either call.
+
+Only roots carry metadata, so every non-root node built from a document
+shares one empty, read-only metadata mapping instead of holding a dict of
+its own; writing to it raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .annotate import Annotator
@@ -35,14 +40,15 @@ class WorkflowNode:
 
     ``leaves`` is the node's leaf-descendant count (1 for a leaf), fixed
     when the node is built from its already-built children; a node's
-    children are not reassigned afterwards.
+    children are not reassigned afterwards. Trees built from documents give
+    every non-root node one shared, read-only empty mapping.
     """
 
     id: str
     description: str
     status: int  # 0 failure, 1 success
     children: tuple["WorkflowNode", ...] = ()
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
     leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,6 +62,11 @@ class WorkflowNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+
+#: The metadata of every non-root node built from a document: empty and
+#: read-only, so one object serves every such node.
+_NO_METADATA: Mapping = MappingProxyType({})
 
 
 def iter_nodes(root: WorkflowNode) -> Iterator[WorkflowNode]:
@@ -83,8 +94,16 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
     ``id``, ``description`` and ``status``, and ``children`` if given is an
     array. Node ids must be unique within the trajectory; a repeated id is
     reported, for the first repeat in pre-order, only once the whole tree
-    has built without any other error.
+    has built without any other error. The root gets its own metadata dict;
+    every other node shares one read-only empty mapping.
     """
+    return _build_workflow(doc, {})
+
+
+def _build_workflow(doc: Mapping, ids: dict[str, str]) -> WorkflowNode:
+    """:func:`workflow_from_document`, taking each node id from ``ids``, the
+    first equal id seen by any tree built with the same table (ids such as
+    ``n0`` repeat across trajectories)."""
     meta = {
         k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id") if k in doc
     }
@@ -114,6 +133,7 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
             if not isinstance(child_docs, list):
                 raise ValueError(f"{_where_text(where)}: workflow node children must be an array")
             node_id = str(node_doc["id"])
+            node_id = ids.setdefault(node_id, node_id)
             if repeated is None and node_id in seen:
                 repeated = node_id
             seen.add(node_id)
@@ -135,6 +155,7 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
                 description=node_doc["description"],
                 status=node_doc["status"],
                 children=children,
+                metadata=_NO_METADATA,
             )
         )
     if repeated is not None:

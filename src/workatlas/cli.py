@@ -36,6 +36,7 @@ from .annotate import (
 )
 from .autonomy import AutonomyCurve, WorkflowNode, autonomy_level, success_rates, with_overall
 from .autonomy import advise as autonomy_advise
+from .coverage import CheckedResults
 from .economics import (
     DigitalLabel,
     ImportanceTable,
@@ -435,11 +436,15 @@ def _map_all_kinds(
     return results
 
 
-def _split_by_kind(results: Sequence[MappingResult]) -> dict[TaxonomyKind, list[MappingResult]]:
+def _split_by_kind(
+    results: Sequence[MappingResult], taxonomies: dict[TaxonomyKind, Taxonomy]
+) -> dict[TaxonomyKind, CheckedResults]:
+    """Each kind's results from :func:`read_mappings`, which resolved every
+    path in that kind's taxonomy, so they are handed on as checked."""
     out: dict[TaxonomyKind, list[MappingResult]] = {}
     for r in results:
         out.setdefault(r.taxonomy_kind, []).append(r)
-    return out
+    return {kind: CheckedResults(rs, taxonomies[kind]) for kind, rs in out.items()}
 
 
 def _sensitivity_rows(config: RunConfig, results: Sequence[MappingResult],
@@ -536,8 +541,8 @@ def _cmd_map(config: RunConfig) -> int:
 def _cmd_coverage(config: RunConfig) -> int:
     inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
     bundle = _start_bundle(config)
-    coverage_suite(bundle, _split_by_kind(inputs.mappings), inputs.taxonomies,
-                   corpus_label=str(Path(config.values["mappings"])))
+    coverage_suite(bundle, _split_by_kind(inputs.mappings, inputs.taxonomies),
+                   inputs.taxonomies, corpus_label=str(Path(config.values["mappings"])))
     bundle.finalize()
     print(f"coverage tables -> {bundle.run_dir}")
     return EXIT_OK
@@ -554,7 +559,7 @@ def _cmd_sample(config: RunConfig) -> int:
 
 def _cmd_economics(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "occupations")
-    results_by_kind = _split_by_kind(inputs.mappings or ())
+    results_by_kind = _split_by_kind(inputs.mappings or (), inputs.taxonomies)
     bundle = _start_bundle(config)
     family, skill, digital = _economics_suite(inputs, bundle)
     if results_by_kind and skill is not None:

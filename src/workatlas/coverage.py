@@ -44,6 +44,9 @@ def node_at_level(path: TaxonomyPath, level: GroupLevel) -> tuple[str, str]:
     return path.node_ids[-1], path.labels[-1]
 
 
+_NO_NODES: frozenset[tuple[str, str]] = frozenset()
+
+
 class CheckedResults(tuple):
     """Mapping results already checked against ``taxonomy``.
 
@@ -60,17 +63,25 @@ class CheckedResults(tuple):
 
     def nodes_per_example(
         self, level: GroupLevel
-    ) -> dict[tuple[str, str], set[tuple[str, str]]]:
+    ) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
         """Each example's distinct (node id, label) pairs at ``level``,
-        built on first use and shared, so callers must not mutate them;
-        empty for examples not mapped."""
+        built on first use and shared; empty for examples not mapped.
+        Equal node sets are one shared object, built once per distinct
+        path set."""
         per_example = self._nodes_by_level.get(level)
         if per_example is None:
             per_example = self._nodes_by_level[level] = {}
+            by_paths: dict[frozenset[TaxonomyPath], frozenset[tuple[str, str]]] = {}
+            shared: dict[frozenset[tuple[str, str]], frozenset[tuple[str, str]]] = {}
             for r in self:
-                nodes = per_example.setdefault(r.key, set())
+                nodes = _NO_NODES
                 if r.status is MappingStatus.MAPPED:
-                    nodes.update(node_at_level(p, level) for p in r.paths)
+                    nodes = by_paths.get(r.paths)
+                    if nodes is None:
+                        nodes = frozenset(node_at_level(p, level) for p in r.paths)
+                        nodes = by_paths[r.paths] = shared.setdefault(nodes, nodes)
+                earlier = per_example.get(r.key)
+                per_example[r.key] = nodes if earlier is None else earlier | nodes
         return per_example
 
 

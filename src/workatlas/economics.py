@@ -244,17 +244,27 @@ def effective_skill_employment_capital(
             capital.get(leaf.id, 0.0) + occ.employment * occ.median_wage * weight
         )
 
+    # Post-order without recursion: a node's (employment, capital) is summed
+    # from its children's, in child order, once they are all on ``totals``.
     rows: list[SkillEconRow] = []
-
-    def aggregate(node: TaxonomyNode) -> tuple[float, float]:
+    totals: list[tuple[float, float]] = []
+    stack: list[tuple[TaxonomyNode, bool]] = [(t_skill.root, False)]
+    while stack:
+        node, expanded = stack.pop()
         if node.is_leaf:
             e, c = employment.get(node.id, 0.0), capital.get(node.id, 0.0)
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
         else:
             e = c = 0.0
-            for child in node.children:
-                ce, cc = aggregate(child)
+            first_child = len(totals) - len(node.children)
+            for ce, cc in totals[first_child:]:
                 e += ce
                 c += cc
+            del totals[first_child:]
+        totals.append((e, c))
         if node.level > 0:
             rows.append(
                 SkillEconRow(
@@ -265,9 +275,6 @@ def effective_skill_employment_capital(
                     effective_capital=c,
                 )
             )
-        return e, c
-
-    aggregate(t_skill.root)
     rows.sort(key=lambda r: (r.level, r.node_id))
     return SkillEconTable(rows=tuple(rows))
 

@@ -10,6 +10,13 @@ hand; reading them back re-resolves every path, which doubles as a
 validation pass. Resolution goes through the taxonomy's own cache, which
 mapping shares, so each distinct label sequence is resolved once per
 taxonomy. Workflow trees fix each node's leaf count while they are built.
+
+Parsed inputs repeat values many times over, so readers store each one
+once: a mappings file's equal path sets and id, annotator and raw-output
+strings, an importance table's SOC codes and activity ids, and a workflow
+corpus's node ids are each one shared object per distinct value, and
+non-root workflow nodes share one read-only empty metadata mapping. CSV
+errors name a row's physical line, blank rows included.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -22,7 +29,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .autonomy import AutonomyCurve, LevelStats, WorkflowNode, workflow_from_document
+from .autonomy import AutonomyCurve, LevelStats, WorkflowNode, _build_workflow
 from .economics import (
     DigitalLabel,
     ImportanceRecord,
@@ -52,6 +59,17 @@ def _finite(value: str, name: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def _sharer():
+    """A function that returns, for each value, the first equal value it
+    was given, so repeated values are stored once."""
+    shared: dict = {}
+
+    def one(value):
+        return shared.setdefault(value, value)
+
+    return one
 
 
 def _iter_jsonl(path: str | Path):
@@ -183,8 +201,14 @@ def read_mappings(
     disagree; that is surfaced as an :class:`InputFormatError` rather than
     silently skipped. Failures are never cached, so an error names the
     first line that holds a bad sequence.
+
+    Records repeat values: a corpus holds far fewer distinct path sets than
+    records, and an example's domain and skill records share its ids. Equal
+    path sets and equal ``benchmark``, ``example_id``, ``annotator_id`` and
+    ``raw`` strings come back as one shared object each.
     """
     results = []
+    one = _sharer()
     for line_no, record in _iter_jsonl(path):
         _check_fields(path, line_no, record, MAPPING_FIELDS, "mapping")
         try:
@@ -211,13 +235,13 @@ def read_mappings(
         try:
             results.append(
                 MappingResult(
-                    benchmark=record["benchmark"],
-                    example_id=record["example_id"],
+                    benchmark=one(record["benchmark"]),
+                    example_id=one(record["example_id"]),
                     taxonomy_kind=kind,
-                    paths=paths,
+                    paths=one(paths),
                     status=status,
-                    raw_annotator_output=record.get("raw", ""),
-                    annotator_id=record.get("annotator_id", "unknown"),
+                    raw_annotator_output=one(record.get("raw", "")),
+                    annotator_id=one(record.get("annotator_id", "unknown")),
                 )
             )
         except ValueError as err:
@@ -246,7 +270,7 @@ def read_occupations(path: str | Path) -> list[OccupationStats]:
         expected = {"soc_code", "title", "employment", "median_wage"}
         if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
             raise InputFormatError(path, 1, f"header must contain {sorted(expected)}")
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             try:
                 rows.append(
                     OccupationStats(
@@ -257,7 +281,7 @@ def read_occupations(path: str | Path) -> list[OccupationStats]:
                     )
                 )
             except (TypeError, ValueError) as err:
-                raise InputFormatError(path, line_no, str(err)) from err
+                raise InputFormatError(path, reader.line_num, str(err)) from err
     return rows
 
 
@@ -281,29 +305,29 @@ def read_importance(path: str | Path) -> ImportanceTable:
             raise InputFormatError(path, 2, f"header must contain {sorted(expected)}")
         # Read as csv.DictReader would: the last column of a repeated name
         # wins, a short row reads None for its missing cells, blank rows are
-        # skipped and do not count towards the line number.
+        # skipped. The reader started after the scale line, so a row's
+        # physical line is one more than the reader's count.
         column = {name: i for i, name in enumerate(header)}
         i_soc, i_activity, i_importance = (column[name] for name in
                                            ("soc_code", "activity_id", "importance"))
         width = max(i_soc, i_activity, i_importance) + 1
         records = []
-        line_no = 2
+        one = _sharer()  # a table holds many rows per occupation and per activity
         for row in reader:
             if not row:
                 continue
-            line_no += 1
             if len(row) < width:
                 row += [None] * (width - len(row))
             try:
                 records.append(
                     ImportanceRecord(
-                        soc_code=row[i_soc],
-                        activity_id=row[i_activity],
+                        soc_code=one(row[i_soc]),
+                        activity_id=one(row[i_activity]),
                         importance=_finite(row[i_importance], "importance"),
                     )
                 )
             except (TypeError, ValueError) as err:
-                raise InputFormatError(path, line_no, str(err)) from err
+                raise InputFormatError(path, reader.line_num + 1, str(err)) from err
     try:
         return ImportanceTable(records=tuple(records), scale_max=scale_max)
     except ValueError as err:
@@ -322,11 +346,11 @@ def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
         expected = {"soc_code", "task_hash", "label"}
         if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
             raise InputFormatError(path, 1, f"header must contain {sorted(expected)}")
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             try:
                 label = WorkMode(record["label"])
             except ValueError as err:
-                raise InputFormatError(path, line_no, str(err)) from err
+                raise InputFormatError(path, reader.line_num, str(err)) from err
             rows.append(
                 DigitalLabel(
                     soc_code=record["soc_code"],
@@ -352,11 +376,16 @@ def write_digital_labels(path: str | Path, labels: Iterable[DigitalLabel]) -> No
 # ---------------------------------------------------------------------------
 
 def read_workflows(path: str | Path) -> list[WorkflowNode]:
-    """Read a JSONL workflow corpus, one trajectory document per line."""
+    """Read a JSONL workflow corpus, one trajectory document per line.
+
+    Trees are built as :func:`~workatlas.autonomy.workflow_from_document`
+    builds them, and node ids equal across trajectories share one string.
+    """
     workflows = []
+    ids: dict[str, str] = {}
     for line_no, record in _iter_jsonl(path):
         try:
-            workflows.append(workflow_from_document(record))
+            workflows.append(_build_workflow(record, ids))
         except ValueError as err:
             raise InputFormatError(path, line_no, str(err)) from err
     return workflows
@@ -430,7 +459,7 @@ def read_curves(path: str | Path) -> dict[str, AutonomyCurve]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(CURVE_HEADER[:4]).issubset(reader.fieldnames):
             raise InputFormatError(path, 1, f"header must contain {CURVE_HEADER[:4]}")
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
             try:
                 group = record["group"]
                 level = int(record["level"])
@@ -438,7 +467,7 @@ def read_curves(path: str | Path) -> dict[str, AutonomyCurve]:
                     successes=int(record["successes"]), totals=int(record["totals"])
                 )
             except (TypeError, ValueError) as err:
-                raise InputFormatError(path, line_no, str(err)) from err
+                raise InputFormatError(path, reader.line_num, str(err)) from err
             levels.setdefault(group, {})[level] = stats
     return {
         g: AutonomyCurve(group_key=g, levels=dict(sorted(ls.items())))

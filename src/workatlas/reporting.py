@@ -361,7 +361,7 @@ def effort_distributions(
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Each kind's effort at its reporting level."""
     return {
-        kind: effort_by_node(list(results_by_kind.get(kind, [])), t, REPORT_LEVEL[kind])
+        kind: effort_by_node(results_by_kind.get(kind, ()), t, REPORT_LEVEL[kind])
         for kind, t in taxonomies.items()
     }
 

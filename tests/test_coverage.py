@@ -245,13 +245,25 @@ class TestCheckOncePerKind:
                                                   skill_taxonomy, monkeypatch):
         taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
         results = {TaxonomyKind.DOMAIN: domain_results, TaxonomyKind.SKILL: skill_results}
-        mapped_paths = sum(len(r.paths) for rs in results.values() for r in rs
-                           if r.status is MappingStatus.MAPPED)
+        # one node set per distinct mapped path set and kind, shared by
+        # effort and breadth and by every example with that path set
+        distinct_paths = sum(len(paths) for rs in results.values()
+                             for paths in {r.paths for r in rs
+                                           if r.status is MappingStatus.MAPPED})
         calls = []
         monkeypatch.setattr(coverage_module, "node_at_level",
                             lambda p, level: calls.append(p) or node_at_level(p, level))
         coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
-        assert len(calls) == mapped_paths
+        assert len(calls) == distinct_paths
+
+    def test_equal_node_sets_are_one_object(self):
+        t = synthetic_taxonomy(30)
+        checked = check_results(random_corpus(t, 200, random.Random(8)), t)
+        node_sets = list(checked.nodes_per_example(GroupLevel.DOMAIN_FAMILY).values())
+        first = {}
+        for nodes in node_sets:
+            assert first.setdefault(nodes, nodes) is nodes
+        assert len(first) < len(node_sets)  # the corpus repeats node sets
 
     def test_suite_rejects_foreign_paths(self, tmp_path, domain_results, skill_taxonomy):
         with pytest.raises(ForeignPathError):

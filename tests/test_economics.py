@@ -1,3 +1,7 @@
+import gc
+import random
+import weakref
+
 import pytest
 
 from workatlas.coverage import GroupLevel, effort_by_node
@@ -132,6 +136,46 @@ class TestSkillEconomics:
         for level1 in skill_taxonomy.root.children:
             child_sum = sum(by_id[g.id].effective_employment for g in level1.children)
             assert by_id[level1.id].effective_employment == pytest.approx(child_sum, rel=REL)
+
+    def test_rows_match_recursive_sum_exactly(self, occupations, skill_taxonomy):
+        rng = random.Random(9)
+        activities = [leaf.annotations["activity_id"] for leaf in skill_taxonomy.leaves()]
+        table = ImportanceTable(records=tuple(
+            ImportanceRecord(o.soc_code, a, rng.uniform(0.1, 5.0))
+            for o in occupations for a in activities if rng.random() < 0.7), scale_max=5.0)
+        result = effective_skill_employment_capital(occupations, table, skill_taxonomy)
+        leaf_rows = {r.node_id: r for r in result.rows if r.node_id in
+                     {leaf.id for leaf in skill_taxonomy.leaves()}}
+
+        def reference(node):  # children summed in order, as the table promises
+            if node.is_leaf:
+                row = leaf_rows[node.id]
+                return row.effective_employment, row.effective_capital
+            e = c = 0.0
+            for child in node.children:
+                ce, cc = reference(child)
+                e += ce
+                c += cc
+            return e, c
+
+        for row in result.rows:
+            node = skill_taxonomy._nodes_by_id[row.node_id]
+            assert (row.effective_employment, row.effective_capital) == reference(node)
+
+    def test_rows_freed_without_cyclic_collector(self, occupations, importance_table,
+                                                 skill_taxonomy):
+        # The CLI pauses the cyclic collector per command, so the table must
+        # hold no reference cycle that would outlive it.
+        gc.disable()
+        try:
+            result = effective_skill_employment_capital(
+                occupations, importance_table, skill_taxonomy
+            )
+            row = weakref.ref(result.rows[0])
+            del result
+            assert row() is None
+        finally:
+            gc.enable()
 
     def test_unknown_activity_rejected(self, occupations, skill_taxonomy):
         table = ImportanceTable(

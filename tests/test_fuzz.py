@@ -1,21 +1,26 @@
-"""Seeded input fuzzing of the JSONL readers through the CLI.
+"""Seeded input fuzzing of every input reader through the CLI.
 
-Each case changes one location of one line of a bundled input: a field (at
-any depth) is deleted or replaced by a value of another JSON type, or the
-whole line becomes a non-object. Whatever the change, the command must end
-in a documented exit code: 0, 2 (configuration) or 3 (input violation),
-never 5. An input violation must name the file and leave no run directory.
+Each case changes one location of a bundled input. In a JSONL line or a
+JSON document, a field (at any depth) is deleted or replaced by a value of
+another JSON type, or the whole line or document becomes a non-object. In a
+CSV line, a cell is deleted, inserted or replaced, or the whole line
+becomes blank or malformed. Whatever the change, the command must end in a
+documented exit code: 0, 2 (configuration) or 3 (input violation), never 5.
+An input violation must name the file and leave no run directory.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 
 import pytest
 
+from workatlas.autonomy import success_rates, with_overall
 from workatlas.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
-from workatlas.io import fixture_path, write_mappings
+from workatlas.io import fixture_path, write_curves, write_mappings
 
 CASES = 200
 
@@ -50,41 +55,106 @@ def mutate_line(rng: random.Random, line: str) -> str:
     return json.dumps(record).replace(json.dumps(_HUGE), "1e309")
 
 
-def mutated_file(rng: random.Random, source: str, target) -> None:
-    lines = source.splitlines()
-    indices = [i for i, line in enumerate(lines) if line.strip()]
-    i = rng.choice(indices)
-    lines[i] = mutate_line(rng, lines[i])
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+CSV_CELLS = ("", "x", "0", "-1", "2.5", "nan", "inf", "1e309", "DIGITAL", '"')
+CSV_LINES = ("", "x", ",,,,", '"')
+
+
+def mutate_csv_line(rng: random.Random, line: str) -> str:
+    """One line with one change: a cell deleted, inserted or replaced, or
+    the whole line replaced by a blank or malformed one."""
+    if rng.random() < 0.05:
+        return rng.choice(CSV_LINES)
+    cells = next(csv.reader([line]))
+    i = rng.randrange(len(cells))
+    roll = rng.random()
+    if roll < 0.15:
+        del cells[i]
+    elif roll < 0.3:
+        cells.insert(i, rng.choice(CSV_CELLS))
+    else:
+        cells[i] = rng.choice(CSV_CELLS)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
+
+
+def mutated_lines(mutate):
+    """A file mutator that changes one non-blank line with ``mutate``."""
+    def write(rng: random.Random, source: str, target) -> None:
+        lines = source.splitlines()
+        indices = [i for i, line in enumerate(lines) if line.strip()]
+        i = rng.choice(indices)
+        lines[i] = mutate(rng, lines[i])
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write
+
+
+def mutated_document(rng: random.Random, source: str, target) -> None:
+    """The whole JSON document with one change, as :func:`mutate_line` makes it."""
+    target.write_text(mutate_line(rng, source) + "\n", encoding="utf-8")
+
+
+mutated_jsonl = mutated_lines(mutate_line)
+mutated_csv = mutated_lines(mutate_csv_line)
 
 
 @pytest.fixture(scope="module")
-def mappings_text(tmp_path_factory, domain_results, skill_results):
-    path = tmp_path_factory.mktemp("fuzz") / "mappings.jsonl"
-    write_mappings(path, list(domain_results) + list(skill_results))
-    return path.read_text(encoding="utf-8")
+def sources(tmp_path_factory, domain_results, skill_results, workflows):
+    """Input texts by file name: the bundled fixtures plus a mappings file
+    and a curve CSV built from them."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_mappings(directory / "mappings.jsonl", list(domain_results) + list(skill_results))
+    write_curves(directory / "curves.csv",
+                 success_rates(workflows, with_overall("benchmark")))
+
+    def text(name):
+        path = directory / name if name in ("mappings.jsonl", "curves.csv") else fixture_path(name)
+        return path.read_text(encoding="utf-8")
+    return text
 
 
+ECONOMICS_OCCUPATIONS_ONLY = ["economics",
+                              "--domain-taxonomy", str(fixture_path("taxonomy_domain.json")),
+                              "--skill-taxonomy", str(fixture_path("taxonomy_skill.json")),
+                              "--occupations"]
+ADVISE = ["advise", "--fixtures", "--groups", "overall", "--instruction", "Fix the failing test",
+          "--complexity", "2", "--curves"]
+
+#: case name -> (input file, command line without the file, file mutator)
 COMMANDS = {
-    "examples-map": ("examples", ["map", "--fixtures", "--examples"]),
-    "mappings-coverage": ("mappings", ["coverage", "--fixtures", "--mappings"]),
-    "mappings-economics": ("mappings", ["economics", "--fixtures", "--mappings"]),
-    "workflows-autonomy": ("workflows", ["autonomy", "--fixtures", "--workflows"]),
+    "examples-map": ("examples.jsonl", ["map", "--fixtures", "--examples"], mutated_jsonl),
+    "mappings-coverage": ("mappings.jsonl", ["coverage", "--fixtures", "--mappings"],
+                          mutated_jsonl),
+    "mappings-economics": ("mappings.jsonl", ["economics", "--fixtures", "--mappings"],
+                           mutated_jsonl),
+    "workflows-autonomy": ("workflows.jsonl", ["autonomy", "--fixtures", "--workflows"],
+                           mutated_jsonl),
+    # without importance and labels, whose cross-checks name their own file
+    # for an occupation the mutation removed
+    "occupations-economics": ("occupations.csv", ECONOMICS_OCCUPATIONS_ONLY,
+                              mutated_csv),
+    "importance-economics": ("importance.csv", ["economics", "--fixtures", "--importance"],
+                             mutated_csv),
+    "digital-labels-economics": ("digital_labels.csv",
+                                 ["economics", "--fixtures", "--digital-labels"],
+                                 mutated_csv),
+    "curves-advise": ("curves.csv", ADVISE, mutated_csv),
+    "domain-taxonomy-map": ("taxonomy_domain.json", ["map", "--fixtures", "--domain-taxonomy"],
+                            mutated_document),
+    "domain-rules-map": ("keyword_rules_domain.json", ["map", "--fixtures", "--domain-rules"],
+                         mutated_document),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_mutated_input_ends_in_documented_exit(name, tmp_path, capsys, mappings_text):
-    kind, argv = COMMANDS[name]
-    if kind == "mappings":
-        source = mappings_text
-    else:
-        source = fixture_path(f"{kind}.jsonl").read_text(encoding="utf-8")
+def test_mutated_input_ends_in_documented_exit(name, tmp_path, capsys, sources):
+    file_name, argv, mutate = COMMANDS[name]
+    source = sources(file_name)
     rng = random.Random(f"fuzz-{name}")
     codes = {}
     for case in range(CASES):
-        target = tmp_path / f"{case}-{kind}.jsonl"
-        mutated_file(rng, source, target)
+        target = tmp_path / f"{case}-{file_name}"
+        mutate(rng, source, target)
         out = tmp_path / f"runs-{case}"
         code = main([*argv, str(target), "--out", str(out), "--seed", "1"])
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from workatlas.io import (
     write_mappings,
     write_workflows,
 )
+from workatlas.mapping import MappingResult, MappingStatus
 from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
 
 from conftest import deep_chain
@@ -324,7 +326,9 @@ class TestEconomicsFiles:
 
 
 def dict_reader_importance(path):
-    """Reference importance reader on ``csv.DictReader``."""
+    """Reference importance reader on ``csv.DictReader``; a row's line is
+    its physical line, one more than the reader counts after the scale
+    line."""
     import csv
 
     from workatlas.economics import ImportanceRecord, ImportanceTable
@@ -335,13 +339,13 @@ def dict_reader_importance(path):
         if not {"soc_code", "activity_id", "importance"}.issubset(reader.fieldnames or ()):
             raise InputFormatError(path, 2, "header")
         records = []
-        for line_no, record in enumerate(reader, start=3):
+        for record in reader:
             try:
                 records.append(ImportanceRecord(
                     soc_code=record["soc_code"], activity_id=record["activity_id"],
                     importance=workatlas_io._finite(record["importance"], "importance")))
             except (TypeError, ValueError) as err:
-                raise InputFormatError(path, line_no, str(err)) from err
+                raise InputFormatError(path, reader.line_num + 1, str(err)) from err
     try:
         return ImportanceTable(records=tuple(records), scale_max=5.0)
     except ValueError as err:
@@ -353,6 +357,150 @@ def outcome(read, path):
         return read(path)
     except InputFormatError as err:
         return (err.line_no, err.reason)
+
+
+@pytest.mark.parametrize("reader, text, line_no, reason", [
+    (read_occupations, "soc_code,title,employment,median_wage\n13-2011,A,1,2\n\n"
+     "13-2031,B,oops,3\n", 4, "could not convert string to float: 'oops'"),
+    (read_importance, "# scale_max: 5.0\nsoc_code,activity_id,importance\n"
+     "13-2011,4.A.1.a.1,4.0\n\n13-2031,4.A.1.a.1,oops\n", 5,
+     "could not convert string to float: 'oops'"),
+    (read_digital_labels, "soc_code,task_hash,label,justification\n\n13-2011,abc,MAYBE,eh\n",
+     3, "'MAYBE' is not a valid WorkMode"),
+    (read_curves, "group,level,successes,totals,sr,lcb\ng,1,3,4,0.75,0.3\n\n\ng,x,0,1,0,0\n",
+     5, "invalid literal for int() with base 10: 'x'"),
+])
+def test_csv_error_names_physical_line_after_blank_rows(tmp_path, reader, text, line_no,
+                                                        reason):
+    path = tmp_path / "blank.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputFormatError) as info:
+        reader(path)
+    assert (info.value.line_no, info.value.reason) == (line_no, reason)
+
+
+class TestValueSharing:
+    """Parsed records hold one object per repeated value."""
+
+    @staticmethod
+    def taxonomies(domain_taxonomy, skill_taxonomy):
+        return {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
+
+    @staticmethod
+    def random_mappings(rng, taxonomies, count):
+        """``count`` mapping lines drawn from small pools, so values repeat."""
+        pools = {kind: sorted(p.labels for p in t.path_index) for kind, t in taxonomies.items()}
+        lines = []
+        for i in range(count):
+            kind = rng.choice(sorted(pools, key=lambda k: k.value))
+            labels = rng.sample(pools[kind], rng.randint(0, 3))
+            record = {"benchmark": f"bench-{rng.randint(1, 3)}",
+                      "example_id": f"ex-{rng.randint(1, count // 4)}",
+                      "taxonomy_kind": kind.value,
+                      "status": "mapped" if labels else rng.choice(["empty", "invalid"]),
+                      "paths": [list(ls) for ls in labels]}
+            if rng.random() < 0.8:
+                record["raw"] = json.dumps([list(ls) for ls in labels])
+            if rng.random() < 0.8:
+                record["annotator_id"] = f"keyword:rules_{kind.value}"
+            lines.append(json.dumps(record, sort_keys=True))
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def reference_read(path, taxonomies):
+        """A per-record build of every result, sharing nothing."""
+        results = []
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            kind = TaxonomyKind(record["taxonomy_kind"])
+            results.append(MappingResult(
+                benchmark=record["benchmark"], example_id=record["example_id"],
+                taxonomy_kind=kind,
+                paths=frozenset(resolve_path(taxonomies[kind], labels)
+                                for labels in record["paths"]),
+                status=MappingStatus(record["status"]),
+                raw_annotator_output=record.get("raw", ""),
+                annotator_id=record.get("annotator_id", "unknown")))
+        return results
+
+    def test_equal_values_are_one_object(self, tmp_path, domain_results, skill_results,
+                                         domain_taxonomy, skill_taxonomy):
+        path = tmp_path / "mappings.jsonl"
+        write_mappings(path, list(domain_results) + list(skill_results))
+        loaded = read_mappings(path, self.taxonomies(domain_taxonomy, skill_taxonomy))
+        by_paths: dict = {}
+        for r in loaded:
+            assert by_paths.setdefault(r.paths, r.paths) is r.paths
+        assert len(by_paths) < len(loaded)  # the fixture repeats path sets
+        first_kind: dict = {}
+        for r in loaded:
+            other = first_kind.setdefault(r.key, r)
+            assert other.benchmark is r.benchmark and other.example_id is r.example_id
+            assert other.annotator_id == r.annotator_id or r.taxonomy_kind != other.taxonomy_kind
+        assert len(first_kind) * 2 == len(loaded)  # every example has both kinds
+
+    def test_matches_per_record_reference(self, tmp_path, domain_taxonomy, skill_taxonomy):
+        taxonomies = self.taxonomies(domain_taxonomy, skill_taxonomy)
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(self.random_mappings(random.Random(11), taxonomies, 400),
+                        encoding="utf-8")
+        loaded = read_mappings(path, taxonomies)
+        assert loaded == self.reference_read(path, taxonomies)
+        assert len({id(r.example_id) for r in loaded}) == len({r.example_id for r in loaded})
+        assert len({id(r.paths) for r in loaded}) == len({r.paths for r in loaded})
+
+    def test_repeated_records_retain_less_than_reference(self, tmp_path, domain_taxonomy,
+                                                         skill_taxonomy):
+        import tracemalloc
+
+        taxonomies = self.taxonomies(domain_taxonomy, skill_taxonomy)
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(self.random_mappings(random.Random(5), taxonomies, 2000),
+                        encoding="utf-8")
+        read_mappings(path, taxonomies)  # both builds start from a warm resolution cache
+
+        def retained(read):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                results = read(path, taxonomies)
+                return tracemalloc.get_traced_memory()[0] - before, results
+            finally:
+                tracemalloc.stop()
+
+        shared, loaded = retained(read_mappings)
+        reference, expected = retained(self.reference_read)
+        assert loaded == expected
+        assert shared < 0.6 * reference, (shared, reference)
+
+    def test_importance_ids_are_one_object(self, tmp_path):
+        path = tmp_path / "imp.csv"
+        path.write_text("# scale_max: 5.0\nsoc_code,activity_id,importance\n"
+                        "13-2011,4.A.1,1\n13-2011,4.A.2,2\n13-2031,4.A.1,3\n",
+                        encoding="utf-8")
+        a, b, c = read_importance(path).records
+        assert a.soc_code is b.soc_code and a.activity_id is c.activity_id
+
+    def test_workflow_node_ids_and_metadata_shared(self, tmp_path):
+        line = ('{{"benchmark": "b", "trajectory_id": "{t}", "root": {{"id": "n0", '
+                '"description": "d", "status": 1, "children": [{{"id": "n1", '
+                '"description": "d", "status": 0}}]}}}}\n')
+        path = tmp_path / "wf.jsonl"
+        path.write_text(line.format(t="t1") + line.format(t="t2"), encoding="utf-8")
+        first, second = read_workflows(path)
+        assert first.id is second.id
+        assert first.children[0].id is second.children[0].id
+        assert first.children[0].metadata is second.children[0].metadata
+        assert first.metadata is not second.metadata  # roots keep their own dict
+        assert first.metadata == {"benchmark": "b", "trajectory_id": "t1"}
+        first.metadata["agent"] = "a"
+        assert "agent" not in second.metadata
+
+    def test_non_root_metadata_is_read_only(self, workflows):
+        child = workflows[0].children[0]
+        assert child.metadata == {}
+        with pytest.raises(TypeError):
+            child.metadata["benchmark"] = "b"
 
 
 class TestWorkflowsFile:
