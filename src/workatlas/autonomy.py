@@ -22,7 +22,6 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .annotate import Annotator
@@ -41,7 +40,8 @@ class WorkflowNode:
     ``leaves`` is the node's leaf-descendant count (1 for a leaf), fixed
     when the node is built from its already-built children; a node's
     children are not reassigned afterwards. Trees built from documents give
-    every non-root node one shared, read-only empty mapping.
+    every non-root node one shared, read-only empty mapping: a ``Mapping``
+    but not a ``dict``, which copies, deep copies and pickles as itself.
     """
 
     id: str
@@ -64,9 +64,31 @@ class WorkflowNode:
         return not self.children
 
 
+class _NoMetadata(Mapping):
+    """An empty, read-only mapping. Copies and pickles of it are the
+    module's one instance, so copied and unpickled trees share it too."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self):
+        return 0
+
+    def __repr__(self):
+        return "{}"
+
+    def __reduce__(self):  # pickle, copy and deepcopy return the instance
+        return "_NO_METADATA"
+
+
 #: The metadata of every non-root node built from a document: empty and
 #: read-only, so one object serves every such node.
-_NO_METADATA: Mapping = MappingProxyType({})
+_NO_METADATA: Mapping = _NoMetadata()
 
 
 def iter_nodes(root: WorkflowNode) -> Iterator[WorkflowNode]:
@@ -97,13 +119,6 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
     has built without any other error. The root gets its own metadata dict;
     every other node shares one read-only empty mapping.
     """
-    return _build_workflow(doc, {})
-
-
-def _build_workflow(doc: Mapping, ids: dict[str, str]) -> WorkflowNode:
-    """:func:`workflow_from_document`, taking each node id from ``ids``, the
-    first equal id seen by any tree built with the same table (ids such as
-    ``n0`` repeat across trajectories)."""
     meta = {
         k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id") if k in doc
     }
@@ -133,7 +148,6 @@ def _build_workflow(doc: Mapping, ids: dict[str, str]) -> WorkflowNode:
             if not isinstance(child_docs, list):
                 raise ValueError(f"{_where_text(where)}: workflow node children must be an array")
             node_id = str(node_doc["id"])
-            node_id = ids.setdefault(node_id, node_id)
             if repeated is None and node_id in seen:
                 repeated = node_id
             seen.add(node_id)

@@ -66,20 +66,19 @@ class CheckedResults(tuple):
     ) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
         """Each example's distinct (node id, label) pairs at ``level``,
         built on first use and shared; empty for examples not mapped.
-        Equal node sets are one shared object, built once per distinct
-        path set."""
+        A node set is built once per distinct path set, and examples with
+        equal path sets share it."""
         per_example = self._nodes_by_level.get(level)
         if per_example is None:
             per_example = self._nodes_by_level[level] = {}
             by_paths: dict[frozenset[TaxonomyPath], frozenset[tuple[str, str]]] = {}
-            shared: dict[frozenset[tuple[str, str]], frozenset[tuple[str, str]]] = {}
             for r in self:
                 nodes = _NO_NODES
                 if r.status is MappingStatus.MAPPED:
                     nodes = by_paths.get(r.paths)
                     if nodes is None:
                         nodes = frozenset(node_at_level(p, level) for p in r.paths)
-                        nodes = by_paths[r.paths] = shared.setdefault(nodes, nodes)
+                        by_paths[r.paths] = nodes
                 earlier = per_example.get(r.key)
                 per_example[r.key] = nodes if earlier is None else earlier | nodes
         return per_example

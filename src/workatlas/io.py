@@ -13,10 +13,10 @@ taxonomy. Workflow trees fix each node's leaf count while they are built.
 
 Parsed inputs repeat values many times over, so readers store each one
 once: a mappings file's equal path sets and id, annotator and raw-output
-strings, an importance table's SOC codes and activity ids, and a workflow
-corpus's node ids are each one shared object per distinct value, and
-non-root workflow nodes share one read-only empty metadata mapping. CSV
-errors name a row's physical line, blank rows included.
+strings, and an importance table's SOC codes and activity ids, are each
+one shared object per distinct value, and non-root workflow nodes share
+one read-only empty metadata mapping. CSV errors name a row's physical
+line, blank rows included.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -29,7 +29,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .autonomy import AutonomyCurve, LevelStats, WorkflowNode, _build_workflow
+from .autonomy import AutonomyCurve, LevelStats, WorkflowNode, workflow_from_document
 from .economics import (
     DigitalLabel,
     ImportanceRecord,
@@ -59,17 +59,6 @@ def _finite(value: str, name: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
-
-
-def _sharer():
-    """A function that returns, for each value, the first equal value it
-    was given, so repeated values are stored once."""
-    shared: dict = {}
-
-    def one(value):
-        return shared.setdefault(value, value)
-
-    return one
 
 
 def _iter_jsonl(path: str | Path):
@@ -208,7 +197,7 @@ def read_mappings(
     ``raw`` strings come back as one shared object each.
     """
     results = []
-    one = _sharer()
+    shared: dict = {}
     for line_no, record in _iter_jsonl(path):
         _check_fields(path, line_no, record, MAPPING_FIELDS, "mapping")
         try:
@@ -232,16 +221,19 @@ def read_mappings(
                 line_no,
                 f"example {record['benchmark']}/{record['example_id']}: {err}",
             ) from err
+        benchmark, example_id = record["benchmark"], record["example_id"]
+        raw = record.get("raw", "")
+        annotator_id = record.get("annotator_id", "unknown")
         try:
             results.append(
                 MappingResult(
-                    benchmark=one(record["benchmark"]),
-                    example_id=one(record["example_id"]),
+                    benchmark=shared.setdefault(benchmark, benchmark),
+                    example_id=shared.setdefault(example_id, example_id),
                     taxonomy_kind=kind,
-                    paths=one(paths),
+                    paths=shared.setdefault(paths, paths),
                     status=status,
-                    raw_annotator_output=one(record.get("raw", "")),
-                    annotator_id=one(record.get("annotator_id", "unknown")),
+                    raw_annotator_output=shared.setdefault(raw, raw),
+                    annotator_id=shared.setdefault(annotator_id, annotator_id),
                 )
             )
         except ValueError as err:
@@ -312,17 +304,18 @@ def read_importance(path: str | Path) -> ImportanceTable:
                                            ("soc_code", "activity_id", "importance"))
         width = max(i_soc, i_activity, i_importance) + 1
         records = []
-        one = _sharer()  # a table holds many rows per occupation and per activity
+        shared: dict = {}  # a table holds many rows per occupation and per activity
         for row in reader:
             if not row:
                 continue
             if len(row) < width:
                 row += [None] * (width - len(row))
+            soc_code, activity_id = row[i_soc], row[i_activity]
             try:
                 records.append(
                     ImportanceRecord(
-                        soc_code=one(row[i_soc]),
-                        activity_id=one(row[i_activity]),
+                        soc_code=shared.setdefault(soc_code, soc_code),
+                        activity_id=shared.setdefault(activity_id, activity_id),
                         importance=_finite(row[i_importance], "importance"),
                     )
                 )
@@ -376,16 +369,11 @@ def write_digital_labels(path: str | Path, labels: Iterable[DigitalLabel]) -> No
 # ---------------------------------------------------------------------------
 
 def read_workflows(path: str | Path) -> list[WorkflowNode]:
-    """Read a JSONL workflow corpus, one trajectory document per line.
-
-    Trees are built as :func:`~workatlas.autonomy.workflow_from_document`
-    builds them, and node ids equal across trajectories share one string.
-    """
+    """Read a JSONL workflow corpus, one trajectory document per line."""
     workflows = []
-    ids: dict[str, str] = {}
     for line_no, record in _iter_jsonl(path):
         try:
-            workflows.append(_build_workflow(record, ids))
+            workflows.append(workflow_from_document(record))
         except ValueError as err:
             raise InputFormatError(path, line_no, str(err)) from err
     return workflows

@@ -256,15 +256,6 @@ class TestCheckOncePerKind:
         coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
         assert len(calls) == distinct_paths
 
-    def test_equal_node_sets_are_one_object(self):
-        t = synthetic_taxonomy(30)
-        checked = check_results(random_corpus(t, 200, random.Random(8)), t)
-        node_sets = list(checked.nodes_per_example(GroupLevel.DOMAIN_FAMILY).values())
-        first = {}
-        for nodes in node_sets:
-            assert first.setdefault(nodes, nodes) is nodes
-        assert len(first) < len(node_sets)  # the corpus repeats node sets
-
     def test_suite_rejects_foreign_paths(self, tmp_path, domain_results, skill_taxonomy):
         with pytest.raises(ForeignPathError):
             coverage_suite(ReportBundle(run_dir=tmp_path),

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -481,15 +484,13 @@ class TestValueSharing:
         a, b, c = read_importance(path).records
         assert a.soc_code is b.soc_code and a.activity_id is c.activity_id
 
-    def test_workflow_node_ids_and_metadata_shared(self, tmp_path):
+    def test_workflow_metadata_shared(self, tmp_path):
         line = ('{{"benchmark": "b", "trajectory_id": "{t}", "root": {{"id": "n0", '
                 '"description": "d", "status": 1, "children": [{{"id": "n1", '
                 '"description": "d", "status": 0}}]}}}}\n')
         path = tmp_path / "wf.jsonl"
         path.write_text(line.format(t="t1") + line.format(t="t2"), encoding="utf-8")
         first, second = read_workflows(path)
-        assert first.id is second.id
-        assert first.children[0].id is second.children[0].id
         assert first.children[0].metadata is second.children[0].metadata
         assert first.metadata is not second.metadata  # roots keep their own dict
         assert first.metadata == {"benchmark": "b", "trajectory_id": "t1"}
@@ -501,6 +502,19 @@ class TestValueSharing:
         assert child.metadata == {}
         with pytest.raises(TypeError):
             child.metadata["benchmark"] = "b"
+
+    def test_parsed_trees_copy_and_pickle(self, tmp_path, workflows):
+        path = tmp_path / "wf.jsonl"
+        write_workflows(path, workflows)
+        trees = read_workflows(path)
+        shared = trees[0].children[0].metadata
+        for again in (pickle.loads(pickle.dumps(trees)), copy.deepcopy(trees)):
+            assert again == trees
+            assert again[0].metadata == trees[0].metadata
+            assert again[0].children[0].metadata is shared
+        as_dict = dataclasses.asdict(trees[0])
+        assert as_dict["metadata"] == trees[0].metadata
+        assert as_dict["children"][0]["metadata"] == {}
 
 
 class TestWorkflowsFile:
