@@ -13,7 +13,8 @@ reports that the data cannot support either call.
 
 Only roots carry metadata, so every non-root node built from a document
 shares one empty, read-only metadata mapping instead of holding a dict of
-its own; writing to it raises ``TypeError``.
+its own; writing to it raises ``TypeError``. Copied, deep-copied and
+unpickled trees share it too.
 """
 
 from __future__ import annotations
