@@ -20,6 +20,7 @@ mirror the flag names (flags win).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -142,7 +143,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> RunConfig:
         if key in declared or key not in _INPUT_KEYS:
             values[key] = value
     for key, value in declared.items():
-        if key in ("command", "config", "handler"):
+        if key in ("command", "config"):
             continue
         if value is not None:
             values[key] = value
@@ -595,22 +596,24 @@ def _cmd_advise(config: RunConfig) -> int:
     groups_value = config.values.get("groups")
     if groups_value:
         groups = [g.strip() for g in str(groups_value).split(",") if g.strip()]
-        matcher = lambda _task: groups  # noqa: E731
     else:
         t_domain = inputs.taxonomies.get(TaxonomyKind.DOMAIN)
         if t_domain is None:
             raise ConfigError("either --groups or a domain taxonomy with rules is required")
         annotator = _build_annotator(config, inputs, TaxonomyKind.DOMAIN, [task])
-
-        def matcher(t: TaskExample) -> list[str]:
-            return sorted({p.labels[0] for p in map_example(t, t_domain, annotator).paths})
-
+        groups = sorted({p.labels[0] for p in map_example(task, t_domain, annotator).paths})
+    if not any(g in inputs.curves for g in groups):
+        raise InvalidInputs([Violation(
+            str(config.values["curves"]), f"{task.benchmark}/{task.example_id}",
+            f"no curve group matches the task: tried {', '.join(groups) or '(none)'}; "
+            f"the file holds {', '.join(sorted(inputs.curves)) or '(none)'}",
+        )])
     try:
         advice = autonomy_advise(
             task,
             config.values["threshold"],
             inputs.curves,
-            matcher,
+            lambda _task: groups,
             int(complexity_estimate),
             min_samples=config.values["min_samples"],
             confidence_mode=config.values.get("confidence_mode", "raw"),
@@ -668,6 +671,7 @@ def _cmd_report(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; subcommand ``<name>`` runs ``_cmd_<name>``."""
     parser = argparse.ArgumentParser(
         prog="workatlas",
         description="Benchmark-to-work-taxonomy measurement toolkit",
@@ -712,23 +716,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="map examples onto the taxonomies")
     common(p_map); taxonomy_flags(p_map); annotator_flags(p_map)
     p_map.add_argument("--examples")
-    p_map.set_defaults(handler=_cmd_map)
 
     p_cov = sub.add_parser("coverage", help="coverage/effort/breadth from mappings")
     common(p_cov); taxonomy_flags(p_cov)
     p_cov.add_argument("--mappings")
-    p_cov.set_defaults(handler=_cmd_coverage)
 
     p_sample = sub.add_parser("sample", help="saturation-sampling sensitivity analysis")
     common(p_sample); taxonomy_flags(p_sample)
     p_sample.add_argument("--mappings")
     sampling_flags(p_sample)
-    p_sample.set_defaults(handler=_cmd_sample)
 
     p_econ = sub.add_parser("economics", help="employment/capital/digital tables")
     common(p_econ); taxonomy_flags(p_econ); labour_flags(p_econ)
     p_econ.add_argument("--mappings", help="optional; enables the alignment tables")
-    p_econ.set_defaults(handler=_cmd_economics)
 
     p_auto = sub.add_parser("autonomy", help="success-rate curves and autonomy levels")
     common(p_auto)
@@ -736,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_auto.add_argument("--group-by",
                         help="overall | benchmark | agent | model (default: benchmark)")
     level_flags(p_auto)
-    p_auto.set_defaults(handler=_cmd_autonomy)
 
     p_advise = sub.add_parser("advise", help="delegate-or-decompose advice for one task")
     common(p_advise); taxonomy_flags(p_advise); annotator_flags(p_advise)
@@ -747,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.add_argument("--complexity", type=int)
     p_advise.add_argument("--groups", help="comma-separated curve groups (skips mapping)")
     level_flags(p_advise)
-    p_advise.set_defaults(handler=_cmd_advise)
 
     p_report = sub.add_parser("report", help="full pipeline over one input set")
     common(p_report); taxonomy_flags(p_report); annotator_flags(p_report)
@@ -756,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--workflows")
     sampling_flags(p_report); level_flags(p_report)
     p_report.add_argument("--group-by")
-    p_report.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -779,18 +776,27 @@ def main(argv: Sequence[str] | None = None) -> int:
             gc.enable()
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs about as much as a small
+    command, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "command", None) is None or not hasattr(args, "handler"):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
+    # Looked up at call time, so a handler rebound on the module is the one run.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
         config = _merge_config(args, _PARAM_DEFAULTS)
-        return args.handler(config)
+        return handler(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -144,6 +144,10 @@ def read_examples(path: str | Path) -> list[TaskExample]:
     return examples
 
 
+#: ``json.dumps(record, sort_keys=True)`` builds a new encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_examples(path: str | Path, examples: Iterable[TaskExample]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for e in examples:
@@ -154,7 +158,7 @@ def write_examples(path: str | Path, examples: Iterable[TaskExample]) -> None:
             }
             if e.metadata:
                 record["metadata"] = e.metadata
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def write_mappings(path: str | Path, results: Iterable[MappingResult]) -> None:
                 "annotator_id": r.annotator_id,
                 "raw": r.raw_annotator_output,
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 _KINDS = {k.value: k for k in TaxonomyKind}

@@ -9,6 +9,7 @@ verbatim so any corpus can be re-audited or replayed later.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,12 +108,30 @@ def map_example(example: TaskExample, t: Taxonomy, annotator: Annotator) -> Mapp
     ``invalid`` if candidates were present but none resolved.
     """
     raw = annotator.annotate(example.instruction, flatten_for_prompt(t))
-    return _result_from_raw(example, t, annotator.annotator_id, raw)
+    return _result_from_raw(example, t, annotator.annotator_id, raw, _outcome(t, raw))
 
 
 def _result_from_raw(
-    example: TaskExample, t: Taxonomy, annotator_id: str, raw: str
+    example: TaskExample,
+    t: Taxonomy,
+    annotator_id: str,
+    raw: str,
+    outcome: tuple[frozenset[TaxonomyPath], MappingStatus],
 ) -> MappingResult:
+    paths, status = outcome
+    return MappingResult(
+        benchmark=example.benchmark,
+        example_id=example.example_id,
+        taxonomy_kind=t.kind,
+        paths=paths,
+        status=status,
+        raw_annotator_output=raw,
+        annotator_id=annotator_id,
+    )
+
+
+def _outcome(t: Taxonomy, raw: str) -> tuple[frozenset[TaxonomyPath], MappingStatus]:
+    """The resolvable paths of one annotator output and the status they give."""
     sequences, parse_failures = parse_candidates(raw)
     resolved: set[TaxonomyPath] = set()
     unresolved = 0
@@ -127,15 +146,7 @@ def _result_from_raw(
         status = MappingStatus.INVALID
     else:
         status = MappingStatus.EMPTY
-    return MappingResult(
-        benchmark=example.benchmark,
-        example_id=example.example_id,
-        taxonomy_kind=t.kind,
-        paths=frozenset(resolved),
-        status=status,
-        raw_annotator_output=raw,
-        annotator_id=annotator_id,
-    )
+    return frozenset(resolved), status
 
 
 def map_corpus(
@@ -153,6 +164,10 @@ def map_corpus(
     survives the annotator's retry budget aborts the run with the completed
     results attached (:class:`CorpusMappingAborted`); with ``parallelism >
     1``, examples not yet started when it surfaces are cancelled.
+
+    Annotators often return the same output for different examples. Each
+    distinct output is parsed and resolved once per call, and the results
+    that share it share one path set.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -164,10 +179,15 @@ def map_corpus(
         seen.add(e.key)
 
     taxonomy_text = flatten_for_prompt(t)
+    outcomes: dict[str, tuple[frozenset[TaxonomyPath], MappingStatus]] = {}
 
     def run_one(example: TaskExample) -> MappingResult:
         raw = annotator.annotate(example.instruction, taxonomy_text)
-        return _result_from_raw(example, t, annotator.annotator_id, raw)
+        outcome = outcomes.get(raw)
+        if outcome is None:
+            # setdefault is atomic, so racing workers keep the first outcome
+            outcome = outcomes.setdefault(raw, _outcome(t, raw))
+        return _result_from_raw(example, t, annotator.annotator_id, raw, outcome)
 
     if parallelism == 1:
         results: list[MappingResult] = []
@@ -222,12 +242,12 @@ def mapping_outcome_stats(results: Iterable[MappingResult]) -> list[OutcomeStats
     one status). Empty input yields an empty table.
     """
     counters: dict[tuple[TaxonomyKind, str], dict[MappingStatus, int]] = {}
-    for r in results:
-        for bench in (r.benchmark, POOLED):
-            group = counters.setdefault(
-                (r.taxonomy_kind, bench), {s: 0 for s in MappingStatus}
-            )
-            group[r.status] += 1
+    for (kind, benchmark, status), n in Counter(
+        (r.taxonomy_kind, r.benchmark, r.status) for r in results
+    ).items():
+        for bench in (benchmark, POOLED):
+            group = counters.setdefault((kind, bench), dict.fromkeys(MappingStatus, 0))
+            group[status] += n
     rows = []
     for (kind, bench), counts in sorted(
         counters.items(), key=lambda kv: (kv[0][0].value, kv[0][1])

@@ -14,11 +14,13 @@ beyond the ones observed.
 
 The rule runs on an interned copy of the pool: each distinct path becomes a
 dense int per kind, so coverage is a ``bytearray`` and a counter. A random
-order is drawn lazily, by a forward Fisher-Yates (Durstenfeld) shuffle that
-fixes only the positions the rule consumes. On pools of thousands of units
-the rule typically stops after a few dozen, so a permutation costs its stop
-size rather than the pool size; its consumed prefix is the same as that of
-a full shuffle drawn from the same seed.
+order is drawn lazily and sparsely, by a forward Fisher-Yates (Durstenfeld)
+shuffle that fixes only the positions the rule consumes and keeps only the
+positions a swap displaced, in a dict, instead of the whole order. On pools
+of thousands of units the rule typically stops after a few dozen, so a
+permutation costs its stop size rather than the pool size, in time and in
+memory; its consumed prefix is the same as that of a full shuffle drawn
+from the same seed.
 """
 
 from __future__ import annotations
@@ -84,15 +86,18 @@ class SamplingRun:
 
 @dataclass
 class _Replay:
-    """One run of the stopping rule: ``order[:stop_size]`` are the unit
-    indices consumed, ``distinct`` the number of paths covered per kind."""
+    """One run of the stopping rule: ``order`` holds the unit indices
+    consumed, ``distinct`` the number of paths covered per kind."""
 
     order: list[int]
-    stop_size: int
     stop_batch_index: int
     stopped_by: str
     trace: list[list[float]]
     distinct: list[int]
+
+    @property
+    def stop_size(self) -> int:
+        return len(self.order)
 
 
 class _Sampler:
@@ -155,26 +160,43 @@ class _Sampler:
         """Consume the pool batch by batch until the gain falls below delta.
 
         With an ``rng``, position ``i`` is filled just before it is consumed
-        by swapping in ``rng.randrange(i, n)``: a forward Fisher-Yates
-        (Durstenfeld) shuffle stopped where the rule stops, so the consumed
-        prefix equals that of the full shuffle drawn from the same state.
+        by swapping in position ``j``, uniform in ``[i, n)``: a forward
+        Fisher-Yates (Durstenfeld) shuffle stopped where the rule stops, so
+        the consumed prefix equals that of the full shuffle drawn from the
+        same state. The shuffle is sparse: ``moved`` maps each position a
+        swap displaced to the unit now there, and every other position still
+        holds its own index, so no pool-sized list is built. ``j`` is drawn
+        inline by the ``getrandbits`` rejection loop that
+        ``rng.randrange(i, n)`` runs, which consumes the same random stream.
         """
         n = len(self.units)
-        order = list(range(n))
+        units = self.units
+        getrandbits = rng.getrandbits if rng is not None else None
+        order: list[int] = []
+        moved: dict[int, int] = {}
         covered = [bytearray(len(counts)) for counts in self.occurrence]
         distinct = [0] * len(self.kinds)
         previous = [0.0] * len(self.kinds)
         trace: list[list[float]] = [[] for _ in self.kinds]
         stopped_by = "exhausted"
-        batch_index = end = 0
+        batch_index = 0
         for start in range(0, n, self.batch_size):
             end = min(start + self.batch_size, n)
             batch_index += 1
             for i in range(start, end):
-                if rng is not None:
-                    j = rng.randrange(i, n)
-                    order[i], order[j] = order[j], order[i]
-                for k, paths in enumerate(self.units[order[i]]):
+                if getrandbits is None:
+                    u = i
+                else:
+                    width = n - i
+                    bits = width.bit_length()
+                    r = getrandbits(bits)
+                    while r >= width:
+                        r = getrandbits(bits)
+                    j = i + r
+                    u = moved.get(j, j)
+                    moved[j] = moved.get(i, i)
+                order.append(u)
+                for k, paths in enumerate(units[u]):
                     seen = covered[k]
                     for p in paths:
                         if not seen[p]:
@@ -189,7 +211,7 @@ class _Sampler:
             if saturated:
                 stopped_by = "saturation"
                 break
-        return _Replay(order, end, batch_index, stopped_by, trace, distinct)
+        return _Replay(order, batch_index, stopped_by, trace, distinct)
 
 
 def sample_until_saturation(
@@ -229,7 +251,7 @@ def sample_until_saturation(
     run = sampler.replay(None if rng_seed is None else random.Random(rng_seed))
     return SamplingRun(
         benchmark=sampler.benchmark,
-        selected=tuple(sampler.keys[i] for i in run.order[: run.stop_size]),
+        selected=tuple(sampler.keys[i] for i in run.order),
         batch_size=batch_size,
         delta=delta,
         stop_batch_index=run.stop_batch_index,
@@ -340,9 +362,10 @@ def permutation_sensitivity(
 
     Each permutation draws its order from an independent 64-bit sub-seed
     taken from ``rng_seed``, so the whole analysis is reproducible from a
-    single seed. The order is drawn lazily: a forward Fisher-Yates shuffle
-    fixes only the positions the rule consumes before it stops, which gives
-    the same prefix as shuffling the whole pool with that sub-seed first.
+    single seed. The order is drawn lazily and sparsely: a forward
+    Fisher-Yates shuffle fixes only the positions the rule consumes before
+    it stops and records only the positions it displaced, which gives the
+    same prefix as shuffling the whole pool with that sub-seed first.
     Reported coverage comes in two forms: raw taxonomy coverage at the stop
     point, and the number of distinct paths at stop relative to the pool's
     Chao1-estimated path richness.

@@ -136,6 +136,37 @@ class TestGcPause:
             gc.enable()
 
 
+class TestParserOnce:
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for code, argv in ((EXIT_OK, ["autonomy", "--fixtures", "--out", str(tmp_path)]),
+                               (EXIT_OK, ["--help"]),
+                               (EXIT_CONFIG, ["coverage", "--bogus-flag", "x"]),
+                               (EXIT_CONFIG, []),
+                               (EXIT_OK, ["autonomy", "--fixtures", "--out", str(tmp_path)])):
+                assert main(argv) == code
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_repeated_calls_leave_no_parser_cycles(self, tmp_path, capsys):
+        argv = ["autonomy", "--fixtures", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        assert main(argv) == EXIT_OK
+        # building the parser left about 760 objects in cycles per call
+        assert gc.collect() < 300
+
+
 class TestMapCommand:
     def test_map_writes_mappings_and_outcomes(self, tmp_path, capsys):
         code = main(["map", *fixture_args(), "--out", str(tmp_path), "--run-id", "m1"])
@@ -230,6 +261,29 @@ class TestAdviseCommand:
             "--out", str(tmp_path), "--run-id", "adv2",
         ])
         assert code == EXIT_INPUT  # no curve groups match the mapped families
+
+    @pytest.mark.parametrize("how", [
+        ["--instruction", "a task", "--groups", "nosuchgroup,otherbench"],
+        ["--instruction", "Reconcile bank statements", "--fixtures"],
+    ])
+    def test_unmatched_task_names_curves_file_and_groups(self, tmp_path, capsys, how):
+        main([
+            "autonomy", "--workflows", str(fixture_path("workflows.jsonl")),
+            "--group-by", "benchmark", "--out", str(tmp_path), "--run-id", "curves",
+        ])
+        curves_csv = tmp_path / "curves" / "tables" / "autonomy_curves.csv"
+        capsys.readouterr()
+        code = main([
+            "advise", "--curves", str(curves_csv), "--complexity", "2", "--out", str(tmp_path), "--run-id", "adv", *how,
+        ])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input violation: {curves_csv} [adhoc/query]: ")
+        tried = "nosuchgroup, otherbench" if "--groups" in how else \
+            "Business and Financial Operations"
+        assert f"tried {tried};" in err
+        assert "the file holds codebench, deskbench, overall" in err
+        assert not (tmp_path / "adv").exists()
 
 
 class TestSampleCommand:

@@ -183,6 +183,86 @@ class TestMapCorpus:
                 assert resolve_path(domain_taxonomy, path.labels) == path
 
 
+_ACCOUNTANTS = '["Business and Financial Operations", "Accountants", ' \
+               '"prepare adjusting journal entries"]'
+
+
+class _InstructionAnnotator:
+    """Returns the output recorded for each instruction."""
+
+    annotator_id = "by-instruction"
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def annotate(self, instruction, taxonomy_text):
+        return self.outputs[instruction]
+
+
+class TestMapCorpusSharedOutcomes:
+    """``map_corpus`` parses and resolves each distinct output once; its
+    results must be those ``map_example`` gives one example at a time."""
+
+    OUTPUTS = [
+        f"[{_ACCOUNTANTS}]",  # mapped
+        f'[{_ACCOUNTANTS}, ["No Such Family", "X", "Y"]]',  # mapped, one unresolvable
+        "",  # empty
+        "[]",  # empty
+        '[["Nope", "Nope", "Nope"]]',  # invalid: resolves nowhere
+        "[[1, 2], {}]",  # invalid: unparseable candidates
+        "free-form prose the model produced",  # no candidates at all
+    ]
+
+    def corpus(self):
+        rng = random.Random(11)
+        outputs = {}
+        corpus = []
+        for i in range(60):
+            instruction = f"task {i}"
+            outputs[instruction] = rng.choice(self.OUTPUTS)
+            corpus.append(example(instruction, eid=f"e{i}", benchmark=f"b{i % 3}"))
+        return corpus, _InstructionAnnotator(outputs)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_equals_map_example_field_by_field(self, domain_taxonomy, parallelism):
+        corpus, annotator = self.corpus()
+        results = map_corpus(corpus, domain_taxonomy, annotator, parallelism=parallelism)
+        expected = [map_example(e, domain_taxonomy, annotator) for e in corpus]
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            for name in MappingResult.__slots__:
+                assert getattr(got, name) == getattr(want, name), name
+        assert {r.status for r in results} == set(MappingStatus)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_equal_outputs_share_one_path_set(self, domain_taxonomy, parallelism):
+        corpus, annotator = self.corpus()
+        results = map_corpus(corpus, domain_taxonomy, annotator, parallelism=parallelism)
+        by_raw = {}
+        for r in results:
+            by_raw.setdefault(r.raw_annotator_output, []).append(r)
+        assert len(by_raw) == len(self.OUTPUTS)
+        for same in by_raw.values():
+            assert len(same) > 1
+            assert all(r.paths is same[0].paths for r in same)
+
+    def test_each_distinct_output_parsed_once(self, domain_taxonomy, monkeypatch):
+        from workatlas import mapping
+
+        parsed = Counter()
+        parse = mapping.parse_candidates
+
+        def counting(raw):
+            parsed[raw] += 1
+            return parse(raw)
+
+        # rebound on the module, as a tracer does
+        monkeypatch.setattr(mapping, "parse_candidates", counting)
+        corpus, annotator = self.corpus()
+        map_corpus(corpus, domain_taxonomy, annotator)
+        assert parsed == Counter(self.OUTPUTS)
+
+
 class TestOutcomeStats:
     def test_all_mapped(self, domain_taxonomy):
         results = [

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from workatlas.coverage import coverage
 from workatlas.sampling import (
     PoolUnit,
     SummaryStat,
+    _Sampler,
     build_pool,
     chao1,
     permutation_sensitivity,
@@ -400,3 +402,53 @@ class TestLazyDrawEquivalence:
             second = permutation_sensitivity(*args, permutations=100, rng_seed=8)
             assert first == second
             assert repr(first) == repr(second)
+
+
+class TestSparseDraw:
+    """A permutation costs its stop size: the replay keeps the consumed
+    prefix and the displaced positions, never a pool-sized order."""
+
+    def test_large_pool_replay_allocates_no_pool_sized_order(self):
+        t = synthetic_taxonomy(8, kind="skill")
+        singletons = [frozenset([p]) for p in sorted(t.path_index, key=str)]
+        n = 200_000
+        units = [PoolUnit(key=("big", f"u{i}"), paths={TaxonomyKind.SKILL: singletons[i % 8]})
+                 for i in range(n)]
+        sampler = _Sampler(units, None, t, batch_size=5, delta=0.1)
+        full_order = sys.getsizeof(list(range(n)))  # the list alone, not its ints
+        for seed in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                run = sampler.replay(random.Random(seed))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert run.stopped_by == "saturation"
+            assert len(run.order) == run.stop_size < 100
+            assert len(set(run.order)) == run.stop_size
+            assert peak < full_order / 100, (peak, full_order)
+
+    def test_identity_order_without_rng(self):
+        t = synthetic_taxonomy(4, kind="skill")
+        units = [PoolUnit(key=("b", f"u{i}"), paths={}) for i in range(12)]
+        run = _Sampler(units, None, t, batch_size=5, delta=0.1).replay(None)
+        assert run.order == [0, 1, 2, 3, 4] == list(range(run.stop_size))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 255, 256, 257, 4_097])
+    def test_inline_draw_equals_randrange(self, n):
+        # With no paths the rule stops after one batch, so a batch as large
+        # as the pool draws a whole permutation.
+        t = synthetic_taxonomy(4, kind="skill")
+        units = [PoolUnit(key=("b", f"u{i}"), paths={}) for i in range(n)]
+        sampler = _Sampler(units, None, t, batch_size=n, delta=0.1)
+        for seed in (0, 7, 2**63 + 5):
+            rng = random.Random(seed)
+            run = sampler.replay(rng)
+            reference = random.Random(seed)
+            order = list(range(n))
+            for i in range(n):
+                j = reference.randrange(i, n)
+                order[i], order[j] = order[j], order[i]
+            assert run.order == order
+            # the same random stream was consumed, draw for draw
+            assert rng.getstate() == reference.getstate()
