@@ -6,7 +6,8 @@ before writing anything: :func:`validate_inputs` parses each input file its
 own flags name exactly once and runs the cross-file checks, and the
 subcommand then computes on those parsed objects. A missing required flag
 exits 2 and any input violation exits 3, both before a run directory
-exists. Every run writes into a fresh directory under ``--out`` and seals a
+exists. Every run writes into a fresh directory under ``--out`` (a
+``--run-id`` that names an existing one is a configuration error) and seals a
 manifest with content digests, so re-running with the same inputs and
 ``--seed`` reproduces byte-identical tables.
 
@@ -23,6 +24,7 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,7 +156,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> RunConfig:
                 if candidate.exists():
                     values[key] = str(candidate)
     for key, (convert, ok, requirement) in _PARAM_RANGES.items():
-        if key in declared:
+        # a parameter without a default may stay unset
+        if key in declared and (key in defaults or values.get(key) is not None):
             values[key] = _checked_param(key, values[key], convert, ok, requirement)
     return RunConfig(command=args.command, values=values)
 
@@ -163,11 +166,42 @@ def _checked_param(key: str, value, convert, ok, requirement: str):
     flag = "--" + key.replace("_", "-")
     try:
         converted = convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{flag} must be a number, got {value!r}") from None
+    except ValueError as err:
+        raise ConfigError(f"{flag} {err}, got {value!r}") from None
     if not ok(converted):
         raise ConfigError(f"{flag} must be {requirement}, got {value!r}")
     return converted
+
+
+def _integer(value) -> int:
+    """What ``int`` makes of ``value``, except that a boolean or a fraction
+    is refused rather than truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("must be a number") from None
+
+
+def _real(value) -> float:
+    """What ``float`` makes of ``value``, except that a boolean, an infinity
+    or a NaN is refused."""
+    if isinstance(value, bool):
+        raise ValueError("must be a number")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError("must be a number") from None
+    if not math.isfinite(number):
+        raise ValueError("must be a finite number")
+    return number
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
+    return value
 
 
 _PARAM_DEFAULTS = {
@@ -185,17 +219,21 @@ _PARAM_DEFAULTS = {
     "fixtures": False,
 }
 
-#: Numeric parameters and the ranges the library enforces, checked when the
-#: configuration is merged so that a bad value exits 2 before any run
-#: directory exists.
+#: Parameters and the values the library accepts, checked when the
+#: configuration is merged so that a bad value, from a flag or from the
+#: config file, exits 2 before any run directory exists.
 _PARAM_RANGES = {
-    "batch_size": (int, lambda v: v >= 1, ">= 1"),
-    "delta": (float, lambda v: v > 0, "> 0"),
-    "permutations": (int, lambda v: v >= 1, ">= 1"),
-    "threshold": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "min_samples": (int, lambda v: v >= 1, ">= 1"),
-    "parallelism": (int, lambda v: v >= 1, ">= 1"),
-    "seed": (int, lambda v: True, "an integer"),
+    "batch_size": (_integer, lambda v: v >= 1, ">= 1"),
+    "delta": (_real, lambda v: v > 0, "> 0"),
+    "permutations": (_integer, lambda v: v >= 1, ">= 1"),
+    "threshold": (_real, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "min_samples": (_integer, lambda v: v >= 1, ">= 1"),
+    "parallelism": (_integer, lambda v: v >= 1, ">= 1"),
+    "seed": (_integer, lambda v: True, "an integer"),
+    "complexity": (_integer, lambda v: v >= 1, ">= 1"),
+    "confidence_mode": (_text, lambda v: v in ("raw", "lcb"), "raw or lcb"),
+    "out": (_text, lambda v: True, "a path"),
+    "run_id": (_text, lambda v: True, "a name"),
 }
 
 
@@ -383,7 +421,10 @@ def _build_annotator(config: RunConfig, inputs: LoadedInputs, kind: TaxonomyKind
 
 
 def _start_bundle(config: RunConfig) -> ReportBundle:
-    run_dir = make_run_dir(config.values.get("out", "runs"), config.values.get("run_id"))
+    try:
+        run_dir = make_run_dir(config.values.get("out", "runs"), config.values.get("run_id"))
+    except FileExistsError as err:
+        raise ConfigError(f"run directory already exists: {err.filename}") from None
     bundle = ReportBundle(run_dir=run_dir)
     bundle.config = {
         k: v for k, v in sorted(config.values.items())
@@ -542,8 +583,7 @@ def _cmd_map(config: RunConfig) -> int:
 def _cmd_coverage(config: RunConfig) -> int:
     inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
     bundle = _start_bundle(config)
-    coverage_suite(bundle, _split_by_kind(inputs.mappings, inputs.taxonomies),
-                   inputs.taxonomies, corpus_label=str(Path(config.values["mappings"])))
+    coverage_suite(bundle, _split_by_kind(inputs.mappings, inputs.taxonomies), inputs.taxonomies)
     bundle.finalize()
     print(f"coverage tables -> {bundle.run_dir}")
     return EXIT_OK
@@ -608,19 +648,15 @@ def _cmd_advise(config: RunConfig) -> int:
             f"no curve group matches the task: tried {', '.join(groups) or '(none)'}; "
             f"the file holds {', '.join(sorted(inputs.curves)) or '(none)'}",
         )])
-    try:
-        advice = autonomy_advise(
-            task,
-            config.values["threshold"],
-            inputs.curves,
-            lambda _task: groups,
-            int(complexity_estimate),
-            min_samples=config.values["min_samples"],
-            confidence_mode=config.values.get("confidence_mode", "raw"),
-        )
-    except ValueError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    advice = autonomy_advise(
+        task,
+        config.values["threshold"],
+        inputs.curves,
+        lambda _task: groups,
+        complexity_estimate,
+        min_samples=config.values["min_samples"],
+        confidence_mode=config.values.get("confidence_mode", "raw"),
+    )
     record = {
         "benchmark": advice.benchmark,
         "example_id": advice.example_id,
@@ -635,10 +671,10 @@ def _cmd_advise(config: RunConfig) -> int:
         ],
     }
     text = json.dumps(record, sort_keys=True, indent=2)
-    print(text)
     bundle = _start_bundle(config)
     bundle.add_text("advice.json", text + "\n")
     bundle.finalize()
+    print(text)
     return EXIT_OK
 
 
@@ -656,8 +692,7 @@ def _cmd_report(config: RunConfig) -> int:
 
     results_by_kind = _map_all_kinds(config, inputs, annotators, bundle)
     flat = [r for rs in results_by_kind.values() for r in rs]
-    efforts = coverage_suite(bundle, results_by_kind, inputs.taxonomies,
-                             corpus_label=str(config.values["examples"]))
+    efforts = coverage_suite(bundle, results_by_kind, inputs.taxonomies)
     emit_sensitivity(bundle, _sensitivity_rows(config, flat, inputs.taxonomies))
     if econ is not None and econ[1] is not None:
         alignment_suite(bundle, efforts, *econ)

@@ -138,15 +138,13 @@ def emit_outcome_stats(bundle: ReportBundle, rows: Sequence[OutcomeStats]) -> No
     )
 
 
-def emit_coverage(bundle: ReportBundle, report: CoverageReport, corpus_label: str) -> None:
-    rows = [("(pooled)", corpus_label, len(report.covered_paths), report.total_paths,
-             report.coverage)]
+def emit_coverage(bundle: ReportBundle, report: CoverageReport) -> None:
+    rows = [("(pooled)", len(report.covered_paths), report.total_paths, report.coverage)]
     for bench, frac in report.per_benchmark.items():
-        rows.append((bench, corpus_label, report.per_benchmark_covered[bench],
-                     report.total_paths, frac))
+        rows.append((bench, report.per_benchmark_covered[bench], report.total_paths, frac))
     bundle.add_table(
         f"coverage_{report.taxonomy_kind.value}",
-        ["benchmark", "corpus", "covered_paths", "total_paths", "coverage"],
+        ["benchmark", "covered_paths", "total_paths", "coverage"],
         rows,
     )
 
@@ -370,17 +368,16 @@ def coverage_suite(
     bundle: ReportBundle,
     results_by_kind: Mapping[TaxonomyKind, Sequence[MappingResult]],
     taxonomies: Mapping[TaxonomyKind, Taxonomy],
-    corpus_label: str,
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Coverage, effort and breadth tables per kind; returns the efforts so
     the alignment tables reuse them. Each kind's results are checked against
     its taxonomy once, then shared by the three computations."""
     efforts: dict[TaxonomyKind, EffortDistribution] = {}
-    summary: dict = {"corpus": corpus_label, "kinds": {}}
+    summary: dict = {"kinds": {}}
     for kind, taxonomy in taxonomies.items():
         results = check_results(results_by_kind.get(kind, ()), taxonomy)
         report = coverage(results, taxonomy)
-        emit_coverage(bundle, report, corpus_label)
+        emit_coverage(bundle, report)
         efforts[kind] = effort_by_node(results, taxonomy, REPORT_LEVEL[kind])
         breadth_stats = breadth(results, taxonomy, REPORT_LEVEL[kind])
         emit_effort(bundle, efforts[kind])

@@ -5,6 +5,14 @@ occupation, task requirement) and a ``skill`` tree (root plus three work
 activity layers of increasing granularity). Both place their leaves exactly
 three levels below the root, so every path is a triple of labels.
 
+:func:`load_taxonomy` walks a document once, in pre-order with children in
+document order. It checks each node as it enters it, so a document with
+several defects reports the first one in that order, and it records the
+node in the taxonomy's node table and, at a leaf, the path that ends there.
+The node table therefore holds the nodes in document pre-order;
+:meth:`Taxonomy.nodes_at_level` and :func:`flatten_for_prompt` read it in
+that order instead of walking the tree again.
+
 A loaded taxonomy's tree and path index never change. Its only mutable
 state is the resolution cache behind :func:`resolve_path`, which maps each
 label sequence seen so far to the path it names. A cache write stores the
@@ -18,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class TaxonomyKind(str, Enum):
@@ -117,12 +125,9 @@ class Taxonomy:
     root: TaxonomyNode
     path_index: frozenset[TaxonomyPath]
 
-    # internal lookup tables built by load_taxonomy
+    # internal lookup tables built by load_taxonomy; nodes in pre-order
     _nodes_by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
     _paths_by_labels: dict[tuple[str, ...], TaxonomyPath] = field(
-        default_factory=dict, repr=False
-    )
-    _children_by_label: dict[str, dict[str, TaxonomyNode]] = field(
         default_factory=dict, repr=False
     )
     _paths_by_leaf: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
@@ -139,16 +144,12 @@ class Taxonomy:
         return self._nodes_by_id[node_id]
 
     def nodes_at_level(self, level: int) -> list[TaxonomyNode]:
-        """Nodes at a given depth, in document order."""
-        out: list[TaxonomyNode] = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n.level == level:
-                out.append(n)
-            else:
-                stack.extend(reversed(n.children))
-        return out
+        """Nodes at a given depth, in document order.
+
+        Read from the node table, which :func:`load_taxonomy` fills in
+        document pre-order; keeping that order is what keeps this list's.
+        """
+        return [n for n in self._nodes_by_id.values() if n.level == level]
 
     def contains_path(self, path: TaxonomyPath) -> bool:
         return path in self.path_index
@@ -163,44 +164,6 @@ class Taxonomy:
     def leaves(self) -> list[TaxonomyNode]:
         """Leaf nodes, in document order."""
         return [self._nodes_by_id[leaf_id] for leaf_id in self._paths_by_leaf]
-
-
-def _parse_node(doc: object, level: int, where: str) -> TaxonomyNode:
-    if not isinstance(doc, dict):
-        raise TaxonomySchemaError(f"{where}: node must be an object, got {type(doc).__name__}")
-    for key in ("id", "label"):
-        if key not in doc or not isinstance(doc[key], str) or not doc[key]:
-            raise TaxonomySchemaError(f"{where}: missing or empty {key!r}")
-    if level > LEAF_LEVEL:
-        # fail fast instead of recursing into an over-deep document
-        raise TaxonomyStructureError(
-            doc["id"], f"node at level {level} exceeds maximum depth {LEAF_LEVEL}"
-        )
-    annotations = doc.get("annotations", {})
-    if not isinstance(annotations, dict):
-        raise TaxonomySchemaError(f"{where}: annotations must be an object")
-    raw_children = doc.get("children", [])
-    if not isinstance(raw_children, list):
-        raise TaxonomySchemaError(f"{where}: children must be an array")
-    children = tuple(
-        _parse_node(c, level + 1, f"{where}.children[{i}]")
-        for i, c in enumerate(raw_children)
-    )
-    return TaxonomyNode(
-        id=doc["id"],
-        label=doc["label"],
-        level=level,
-        children=children,
-        annotations=dict(annotations),
-    )
-
-
-def _iter_nodes(root: TaxonomyNode) -> Iterator[TaxonomyNode]:
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(n.children))
 
 
 def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
@@ -223,6 +186,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
         If the document is malformed.
     TaxonomyStructureError
         If the tree breaks an invariant; carries the offending node id.
+        A document with several defects reports the first in pre-order.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
@@ -240,58 +204,84 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
     if "root" not in doc:
         raise TaxonomySchemaError("document missing 'root'")
 
-    root = _parse_node(doc["root"], 0, "root")
-    if root.is_leaf:
-        raise TaxonomyStructureError(root.id, "taxonomy must have at least one leaf below root")
-
     nodes_by_id: dict[str, TaxonomyNode] = {}
-    for node in _iter_nodes(root):
-        if node.id in nodes_by_id:
-            raise TaxonomyStructureError(node.id, "duplicate node id")
-        nodes_by_id[node.id] = node
-        if node.is_leaf and node.level != LEAF_LEVEL:
-            raise TaxonomyStructureError(
-                node.id, f"leaf at level {node.level}, expected {LEAF_LEVEL}"
-            )
-        if "soc_code" in node.annotations:
-            if kind is not TaxonomyKind.DOMAIN or node.level != 2:
-                raise TaxonomyStructureError(
-                    node.id, "soc_code annotation is only valid on level-2 domain nodes"
-                )
-
     paths: dict[tuple[str, ...], TaxonomyPath] = {}
     paths_by_leaf: dict[str, TaxonomyPath] = {}
-    children_by_label: dict[str, dict[str, TaxonomyNode]] = {}
+    # (node, the list its children are appended to as the walk enters them)
+    parents: list[tuple[TaxonomyNode, list[TaxonomyNode]]] = []
 
-    # Pre-order, children in document order. A loop rather than a recursive
-    # closure: the closure would form a reference cycle holding these tables,
-    # which only the cyclic garbage collector could free.
-    stack: list[tuple[TaxonomyNode, tuple[str, ...], tuple[str, ...]]] = [(root, (), ())]
+    # Pre-order, children in document order. Each entry carries what the
+    # node's path inherits: ids, labels and canonical labels from the root
+    # child down to its parent. A loop rather than recursion: a deep
+    # document cannot exhaust the stack, and no closure forms a reference
+    # cycle that only the cyclic garbage collector could free.
+    stack: list[tuple] = [(doc["root"], "root", 0, (), (), (), None)]
     while stack:
-        node, ids, labels = stack.pop()
-        children_by_label[node.id] = {canonical_label(c.label): c for c in node.children}
-        if node.is_leaf and node.level > 0:
-            path = TaxonomyPath(taxonomy_kind=kind, node_ids=ids, labels=labels)
-            key = tuple(canonical_label(x) for x in labels)
-            if key in paths:
-                raise TaxonomyStructureError(
-                    node.id, f"path label sequence {labels!r} is not unique"
-                )
-            paths[key] = path
-            paths_by_leaf[node.id] = path
-            continue
-        stack.extend(
-            (child, ids + (child.id,), labels + (child.label,))
-            for child in reversed(node.children)
-        )
+        raw, where, level, ids, labels, keys, siblings = stack.pop()
+        if not isinstance(raw, dict):
+            raise TaxonomySchemaError(
+                f"{where}: node must be an object, got {type(raw).__name__}"
+            )
+        for key in ("id", "label"):
+            if key not in raw or not isinstance(raw[key], str) or not raw[key]:
+                raise TaxonomySchemaError(f"{where}: missing or empty {key!r}")
+        node_id, label = raw["id"], raw["label"]
+        if level > LEAF_LEVEL:
+            raise TaxonomyStructureError(
+                node_id, f"node at level {level} exceeds maximum depth {LEAF_LEVEL}"
+            )
+        annotations = raw.get("annotations", {})
+        if not isinstance(annotations, dict):
+            raise TaxonomySchemaError(f"{where}: annotations must be an object")
+        raw_children = raw.get("children", [])
+        if not isinstance(raw_children, list):
+            raise TaxonomySchemaError(f"{where}: children must be an array")
+        if node_id in nodes_by_id:
+            raise TaxonomyStructureError(node_id, "duplicate node id")
+        if not raw_children and level == 0:
+            raise TaxonomyStructureError(
+                node_id, "taxonomy must have at least one leaf below root"
+            )
+        if not raw_children and level != LEAF_LEVEL:
+            raise TaxonomyStructureError(
+                node_id, f"leaf at level {level}, expected {LEAF_LEVEL}"
+            )
+        if "soc_code" in annotations and (kind is not TaxonomyKind.DOMAIN or level != 2):
+            raise TaxonomyStructureError(
+                node_id, "soc_code annotation is only valid on level-2 domain nodes"
+            )
 
+        node = TaxonomyNode(id=node_id, label=label, level=level, annotations=dict(annotations))
+        nodes_by_id[node_id] = node
+        if siblings is not None:
+            siblings.append(node)
+        if level:
+            ids += (node_id,)
+            labels += (label,)
+            keys += (canonical_label(label),)
+        if not raw_children:
+            if keys in paths:
+                raise TaxonomyStructureError(
+                    node_id, f"path label sequence {labels!r} is not unique"
+                )
+            paths[keys] = paths_by_leaf[node_id] = TaxonomyPath(
+                taxonomy_kind=kind, node_ids=ids, labels=labels
+            )
+            continue
+        children: list[TaxonomyNode] = []
+        parents.append((node, children))
+        for i in range(len(raw_children) - 1, -1, -1):
+            stack.append((raw_children[i], f"{where}.children[{i}]", level + 1,
+                          ids, labels, keys, children))
+
+    for node, children in parents:
+        node.children = tuple(children)
     return Taxonomy(
         kind=kind,
-        root=root,
+        root=next(iter(nodes_by_id.values())),
         path_index=frozenset(paths.values()),
         _nodes_by_id=nodes_by_id,
         _paths_by_labels=paths,
-        _children_by_label=children_by_label,
         _paths_by_leaf=paths_by_leaf,
     )
 
@@ -343,10 +333,9 @@ def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
     # Distinguish a valid non-leaf prefix from a genuine mismatch.
     node = t.root
     for label in key:
-        child = t._children_by_label[node.id].get(label)
-        if child is None:
+        node = next((c for c in node.children if canonical_label(c.label) == label), None)
+        if node is None:
             raise UnknownPathError(f"no path matches labels {list(labels)!r}")
-        node = child
     if not node.is_leaf:
         raise PartialPathError(
             f"labels {list(labels)!r} stop at non-leaf {node.label!r} (level {node.level})"
@@ -357,16 +346,11 @@ def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
 def flatten_for_prompt(t: Taxonomy) -> str:
     """Deterministic indented rendering suitable for annotator prompts.
 
-    One line per node in document order; every leaf appears exactly once.
-    Identical taxonomies flatten to byte-identical text.
+    One line per node below the root in document order; every leaf appears
+    exactly once. Identical taxonomies flatten to byte-identical text. The
+    lines come from the node table, which :func:`load_taxonomy` fills in
+    document pre-order, so the text depends on that order.
     """
     lines = [f"{t.kind.value} taxonomy:"]
-
-    def emit(node: TaxonomyNode) -> None:
-        lines.append("  " * node.level + "- " + node.label)
-        for child in node.children:
-            emit(child)
-
-    for child in t.root.children:
-        emit(child)
+    lines.extend("  " * n.level + "- " + n.label for n in t._nodes_by_id.values() if n.level)
     return "\n".join(lines) + "\n"

@@ -82,6 +82,16 @@ class TestExitCodes:
         run_dir = next((tmp_path).iterdir())
         assert (run_dir / "mappings.partial.jsonl").exists()
 
+    def test_existing_run_directory_is_config_error(self, tmp_path, capsys):
+        existing = tmp_path / "r"
+        existing.mkdir()
+        (existing / "kept.txt").write_text("earlier run", encoding="utf-8")
+        code = main(["autonomy", "--fixtures", "--out", str(tmp_path), "--run-id", "r"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: run directory already exists: {existing}\n"
+        assert [p.name for p in existing.iterdir()] == ["kept.txt"]
+        assert (existing / "kept.txt").read_text(encoding="utf-8") == "earlier run"
+
 
 class TestGcPause:
     """``main`` pauses the cyclic collector for one command and restores the
@@ -490,6 +500,7 @@ class TestParameterRanges:
         ("--threshold", "2", "autonomy"),
         ("--min-samples", "0", "autonomy"),
         ("--parallelism", "0", "map"),
+        ("--complexity", "0", "advise"),
     ])
     def test_out_of_range_exits_config_without_run_dir(self, tmp_path, capsys, mappings,
                                                        flag, value, command):
@@ -509,6 +520,25 @@ class TestParameterRanges:
         assert code == EXIT_CONFIG
         assert f"--{key} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("sample", "permutations", 2.7, "--permutations must be an integer, got 2.7"),
+        ("sample", "delta", float("inf"), "--delta must be a finite number, got inf"),
+        ("autonomy", "seed", True, "--seed must be an integer, got True"),
+        ("autonomy", "confidence_mode", "bogus",
+         "--confidence-mode must be raw or lcb, got 'bogus'"),
+        ("autonomy", "out", 5, "--out must be a string, got 5"),
+        ("advise", "complexity", "two", "--complexity must be a number, got 'two'"),
+    ])
+    def test_config_file_value_checked_as_its_flag(self, tmp_path, monkeypatch, capsys,
+                                                   command, key, value, message):
+        # run from tmp_path so that a run directory under any --out would show
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert main([command, "--fixtures", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_undeclared_parameter_not_checked(self, tmp_path, capsys):
         # map takes no --threshold, so a shared config's value is not its concern
@@ -620,6 +650,26 @@ class TestReportDeterminism:
         for key in ("tool", "config", "inputs", "outputs"):
             assert manifest1[key] == manifest2[key]
 
+    def test_outputs_do_not_depend_on_input_directory(self, tmp_path, capsys):
+        import shutil
+
+        produced = []
+        for where in ("one", "two/deeper"):
+            examples = tmp_path / where / "examples.jsonl"
+            examples.parent.mkdir(parents=True)
+            shutil.copy(fixture_path("examples.jsonl"), examples)
+            code = main(["report", *fixture_args(), "--permutations", "20",
+                         "--examples", str(examples), "--out", str(tmp_path / where),
+                         "--run-id", "r"])
+            assert code == EXIT_OK
+            run_dir = tmp_path / where / "r"
+            produced.append({
+                p.relative_to(run_dir).as_posix(): p.read_bytes()
+                for p in run_dir.rglob("*") if p.is_file() and p.name != "manifest.json"
+            })
+        assert "coverage_summary.json" in produced[0] and "mappings.jsonl" in produced[0]
+        assert produced[0] == produced[1]
+
     def test_manifest_lists_every_output_with_digest(self, tmp_path, capsys):
         main(["report", *fixture_args(), "--permutations", "50",
               "--out", str(tmp_path), "--run-id", "r"])
@@ -670,8 +720,8 @@ class TestPinnedFixtureOutputs:
         "tables/breadth_domain_family_summary.csv": "4c172f8e4a628ec24cfd675766737aded6fcd835ecd3b1f2710d55f8e3b6a36b",
         "tables/breadth_skill_leaf.csv": "3a08eaee8e8dfa07ae1f26831402cc5a46743a3c9e6c36f5921df4b5aaabd500",
         "tables/breadth_skill_leaf_summary.csv": "349ca71710c543327fe70a61c9f5a993eca611706a7a783e6b9c593a6152949b",
-        "tables/coverage_domain.csv": "d814ee2e8795d82b8b6df8c160b2f33664765bfdc660dc6856835ccd56b49bd3",
-        "tables/coverage_skill.csv": "9efc3970b30898a464fab2ec1a536db45b8dd9e1a9a9e7591165d9b178eca8f9",
+        "tables/coverage_domain.csv": "60b8a5e27767bfe3861901e420329c9f16e896cbf51f6fad9354562a7bef4052",
+        "tables/coverage_skill.csv": "bb980175ccea8c14c46e56055fabfaf1818cc1c01a2f0f05eb64a0325d70532c",
         "tables/digital_families.csv": "a6e0aedc968375ae706be803c0ee877d99b217cf4903056fc8eddbfa39306420",
         "tables/digital_occupations.csv": "b7ce3791a071d6d9df96d8e801576f5bc8777611f435e828b681c0b1b8e97afb",
         "tables/effort_domain_family.csv": "ca436995670065a64960e4f44f4560f35fe789a6a1ebe851dbaa84dc32cd18b1",
@@ -691,11 +741,8 @@ class TestPinnedFixtureOutputs:
         ])
         assert code == EXIT_OK
         run_dir = tmp_path / "pin"
-        # the coverage tables name the corpus by path; pin them install-independently
-        corpus = str(fixture_path("examples.jsonl")).encode()
         produced = {
-            p.relative_to(run_dir).as_posix():
-                hashlib.sha256(p.read_bytes().replace(corpus, b"<examples>")).hexdigest()
+            p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in run_dir.rglob("*")
             if p.is_file() and (p.parent.name in ("tables", "plots") or p.name == "mappings.jsonl")
         }

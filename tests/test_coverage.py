@@ -212,7 +212,7 @@ class TestCheckOncePerKind:
         original = type(domain_taxonomy).contains_path
         monkeypatch.setattr(type(domain_taxonomy), "contains_path",
                             lambda self, p: calls.append(p) or original(self, p))
-        coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
+        coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies)
         assert len(calls) == paths
 
     def test_effort_and_breadth_share_node_sets(self, domain_results, skill_results,
@@ -253,11 +253,11 @@ class TestCheckOncePerKind:
         calls = []
         monkeypatch.setattr(coverage_module, "node_at_level",
                             lambda p, level: calls.append(p) or node_at_level(p, level))
-        coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies, corpus_label="c")
+        coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies)
         assert len(calls) == distinct_paths
 
     def test_suite_rejects_foreign_paths(self, tmp_path, domain_results, skill_taxonomy):
         with pytest.raises(ForeignPathError):
             coverage_suite(ReportBundle(run_dir=tmp_path),
                            {TaxonomyKind.SKILL: domain_results},
-                           {TaxonomyKind.SKILL: skill_taxonomy}, corpus_label="c")
+                           {TaxonomyKind.SKILL: skill_taxonomy})

@@ -1,6 +1,7 @@
 import gc
 import json
 import pickle
+import random
 import sys
 import threading
 import weakref
@@ -332,6 +333,185 @@ class TestFlatten:
         text = flatten_for_prompt(skill_taxonomy)
         for path in all_paths(skill_taxonomy):
             assert text.count(f"- {path.labels[-1]}") == 1
+
+
+_DELETE = object()
+F1 = ("root", "children", 0)
+F2 = ("root", "children", 1)
+O1 = F1 + ("children", 0)
+O2 = F1 + ("children", 1)
+O3 = F2 + ("children", 0)
+T1 = O1 + ("children", 0)
+
+
+def edited(path, value, kind="domain"):
+    """``minimal_doc(kind)`` with the value at ``path`` replaced or deleted."""
+    doc = minimal_doc(kind)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+#: One defect per document: (path, new value, kind, exception, exact message).
+LOAD_ERRORS = [
+    (("root",), [], "domain", TaxonomySchemaError, "root: node must be an object, got list"),
+    (F1 + ("id",), _DELETE, "domain", TaxonomySchemaError,
+     "root.children[0]: missing or empty 'id'"),
+    (F1 + ("id",), "", "domain", TaxonomySchemaError, "root.children[0]: missing or empty 'id'"),
+    (F2 + ("id",), 5, "domain", TaxonomySchemaError, "root.children[1]: missing or empty 'id'"),
+    (O1 + ("label",), _DELETE, "domain", TaxonomySchemaError,
+     "root.children[0].children[0]: missing or empty 'label'"),
+    (O2 + ("label",), "", "domain", TaxonomySchemaError,
+     "root.children[0].children[1]: missing or empty 'label'"),
+    (O3 + ("label",), None, "domain", TaxonomySchemaError,
+     "root.children[1].children[0]: missing or empty 'label'"),
+    (T1 + ("id",), "t3", "domain", TaxonomyStructureError, "node 't3': duplicate node id"),
+    (O3 + ("id",), "f1", "domain", TaxonomyStructureError, "node 'f1': duplicate node id"),
+    (O1 + ("children", 1, "label"), " TASK  one", "domain", TaxonomyStructureError,
+     "node 't2': path label sequence ('Family One', 'Occ One', ' TASK  one') is not unique"),
+    (O1 + ("children", 1), "x", "domain", TaxonomySchemaError,
+     "root.children[0].children[0].children[1]: node must be an object, got str"),
+    (O2 + ("children",), {}, "domain", TaxonomySchemaError,
+     "root.children[0].children[1]: children must be an array"),
+    (F2 + ("annotations",), [], "domain", TaxonomySchemaError,
+     "root.children[1]: annotations must be an object"),
+    (F1 + ("annotations",), {"soc_code": "11-0000"}, "domain", TaxonomyStructureError,
+     "node 'f1': soc_code annotation is only valid on level-2 domain nodes"),
+    (O2 + ("annotations",), {"soc_code": "11-0000"}, "skill", TaxonomyStructureError,
+     "node 'o2': soc_code annotation is only valid on level-2 domain nodes"),
+    (O3 + ("children",), [], "domain", TaxonomyStructureError,
+     "node 'o3': leaf at level 2, expected 3"),
+    (F2 + ("children",), _DELETE, "skill", TaxonomyStructureError,
+     "node 'f2': leaf at level 1, expected 3"),
+    (T1 + ("children",), [{"id": "deep", "label": "too deep"}], "domain",
+     TaxonomyStructureError, "node 'deep': node at level 4 exceeds maximum depth 3"),
+    (("root", "children"), [], "domain", TaxonomyStructureError,
+     "node 'r': taxonomy must have at least one leaf below root"),
+]
+
+
+@pytest.mark.parametrize("path, value, kind, error, message", LOAD_ERRORS)
+def test_single_defect_reported_exactly(path, value, kind, error, message):
+    with pytest.raises(error) as info:
+        load_taxonomy(edited(path, value, kind))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+#: Values a mutation may put at one location, as in ``test_fuzz``.
+MUTATION_VALUES = (None, 0, 7, -1.5, True, False, "", "x", [], ["x"], [1], [["x"]],
+                   {}, {"k": "v"}, [{"k": "v"}], "skill")
+
+
+def _locations(value, out):
+    """Every (container, key) pair below ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        out.append((value, key))
+        if isinstance(child, (dict, list)):
+            _locations(child, out)
+    return out
+
+
+def _mutation_outcome(rng: random.Random, text: str) -> str:
+    """Load ``text`` with one location changed; the exception type and
+    message, or the leaf count when the document still loads.
+
+    Half the changes delete a location or give it a value of another type;
+    the other half give one node a value that breaks the tree's structure:
+    another node's id, its previous sibling's label in upper case, a SOC
+    code, no children, or a child below the leaf level.
+    """
+    doc = json.loads(text)
+    locations = _locations(doc, [])
+    if rng.random() < 0.5:
+        container, key = rng.choice(locations)
+        if rng.random() < 0.3:
+            del container[key]
+        else:
+            container[key] = rng.choice(MUTATION_VALUES)
+    else:
+        nodes = [doc["root"]] + [c[k] for c, k in locations
+                                 if isinstance(c[k], dict) and "id" in c[k]]
+        node = rng.choice(nodes)
+        siblings = next((n["children"] for n in nodes if node in n["children"]), [node])
+        previous = siblings[max(siblings.index(node) - 1, 0)]
+        field, value = rng.choice([
+            ("id", rng.choice(nodes)["id"]),
+            ("label", previous["label"].upper()),
+            ("annotations", {"soc_code": "11-0000"}),
+            ("children", []),
+            ("children", [{"id": "deep", "label": "deep"}]),
+        ])
+        node[field] = value
+    try:
+        return f"ok {load_taxonomy(doc).leaf_count}"
+    except (TaxonomySchemaError, TaxonomyStructureError) as err:
+        return f"{type(err).__name__} {err}"
+
+
+def test_seeded_mutations_report_pinned_errors():
+    # 500 single-location mutations of the two fixture trees; the digest
+    # pins every outcome, so a loader change that alters any exception type
+    # or message fails here.
+    import hashlib
+
+    texts = [fixture_path(name).read_text(encoding="utf-8")
+             for name in ("taxonomy_domain.json", "taxonomy_skill.json")]
+    rng = random.Random(20260918)
+    outcomes = [_mutation_outcome(rng, texts[i % 2]) for i in range(500)]
+    kinds = {outcome.split(" ", 1)[0] for outcome in outcomes}
+    assert kinds == {"ok", "TaxonomySchemaError", "TaxonomyStructureError"}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "75c56ce7380ba292f6194f9d943c846d7cfbd5db9dd0b9ae5fd68e8b8743873d"
+
+
+def uneven_doc(seed: int) -> dict:
+    """A seeded domain document whose nodes have one to five children."""
+    rng = random.Random(seed)
+
+    def node(prefix, level):
+        children = [] if level == 3 else [
+            node(f"{prefix}.{i}", level + 1) for i in range(rng.randint(1, 5))
+        ]
+        return {"id": prefix, "label": f"label {prefix} {rng.random():.3f}",
+                "children": children}
+
+    return {"kind": "domain", "root": node("n", 0)}
+
+
+def reference_render(doc: dict) -> tuple[str, dict[int, list[str]]]:
+    """The prompt text and each level's node ids in document order, by a
+    recursive walk over the document itself."""
+    lines = [f"{doc['kind']} taxonomy:"]
+    by_level: dict[int, list[str]] = {}
+
+    def walk(raw, level):
+        by_level.setdefault(level, []).append(raw["id"])
+        if level:
+            lines.append("  " * level + "- " + raw["label"])
+        for child in raw["children"]:
+            walk(child, level + 1)
+
+    walk(doc["root"], 0)
+    return "\n".join(lines) + "\n", by_level
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_prompt_and_levels_match_recursive_reference(seed):
+    doc = uneven_doc(seed)
+    text, by_level = reference_render(doc)
+    t = load_taxonomy(doc)
+    assert flatten_for_prompt(t) == text
+    for level in range(5):
+        assert [n.id for n in t.nodes_at_level(level)] == by_level.get(level, [])
+    assert [n.id for n in t.leaves()] == by_level[3]
 
 
 def test_canonical_label():
