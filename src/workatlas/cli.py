@@ -15,7 +15,10 @@ Exit codes: 0 success, 2 configuration error, 3 input error, 4 annotator
 failure, 5 internal error. The remote annotator reads its endpoint and
 credential from ``ATLAS_ANNOTATOR_URL`` / ``ATLAS_ANNOTATOR_KEY``; all
 other configuration arrives as flags or a ``--config`` JSON file whose keys
-mirror the flag names (flags win).
+mirror the flag names (flags win). :data:`_PARAMS` declares each parameter
+once (default, check, help, fixture) and :data:`_COMMANDS` the parameters
+of each subcommand; the parser, the merge and every value check derive
+from the two.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ from .reporting import (
     emit_outcome_stats,
     emit_sensitivity,
     emit_skill_econ,
-    make_run_dir,
 )
 from .sampling import PoolUnit, build_pool, permutation_sensitivity
 from .taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
@@ -91,22 +93,6 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_ANNOTATOR = 4
 EXIT_INTERNAL = 5
-
-FIXTURE_DEFAULTS = {
-    "examples": "examples.jsonl",
-    "domain_taxonomy": "taxonomy_domain.json",
-    "skill_taxonomy": "taxonomy_skill.json",
-    "domain_rules": "keyword_rules_domain.json",
-    "skill_rules": "keyword_rules_skill.json",
-    "occupations": "occupations.csv",
-    "importance": "importance.csv",
-    "digital_labels": "digital_labels.csv",
-    "workflows": "workflows.jsonl",
-}
-
-#: Config keys that name input files; a subcommand reads only those its
-#: own flags declare.
-_INPUT_KEYS = (*FIXTURE_DEFAULTS, "mappings", "curves", "replay_mappings")
 
 
 class ConfigError(ValueError):
@@ -121,57 +107,9 @@ class RunConfig:
     values: dict
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    """Precedence: explicit flag > config-file entry > default.
-
-    Input files the subcommand does not declare are dropped, whether they
-    come from the config file or from ``--fixtures``, so they are never read.
-    """
-    declared = vars(args)
-    file_values = {}
-    if getattr(args, "config", None):
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise ConfigError(f"config file does not exist: {config_path}")
-        try:
-            file_values = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
-    values = dict(defaults)
-    for key, value in file_values.items():
-        key = key.replace("-", "_")
-        if key in declared or key not in _INPUT_KEYS:
-            values[key] = value
-    for key, value in declared.items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            values[key] = value
-    if values.get("fixtures"):
-        for key, name in FIXTURE_DEFAULTS.items():
-            if key in declared and values.get(key) is None:
-                candidate = fixture_path(name)
-                if candidate.exists():
-                    values[key] = str(candidate)
-    for key, (convert, ok, requirement) in _PARAM_RANGES.items():
-        # a parameter without a default may stay unset
-        if key in declared and (key in defaults or values.get(key) is not None):
-            values[key] = _checked_param(key, values[key], convert, ok, requirement)
-    return RunConfig(command=args.command, values=values)
-
-
-def _checked_param(key: str, value, convert, ok, requirement: str):
-    flag = "--" + key.replace("_", "-")
-    try:
-        converted = convert(value)
-    except ValueError as err:
-        raise ConfigError(f"{flag} {err}, got {value!r}") from None
-    if not ok(converted):
-        raise ConfigError(f"{flag} must be {requirement}, got {value!r}")
-    return converted
-
+# ---------------------------------------------------------------------------
+# Parameters
+# ---------------------------------------------------------------------------
 
 def _integer(value) -> int:
     """What ``int`` makes of ``value``, except that a boolean or a fraction
@@ -181,7 +119,8 @@ def _integer(value) -> int:
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError("must be a number") from None
+        _real(value)  # says why when ``value`` is no finite number at all
+        raise ValueError("must be an integer") from None
 
 
 def _real(value) -> float:
@@ -204,37 +143,156 @@ def _text(value) -> str:
     return value
 
 
-_PARAM_DEFAULTS = {
-    "batch_size": 5,
-    "delta": 0.1,
-    "permutations": 500,
-    "threshold": 0.8,
-    "min_samples": 10,
-    "confidence_mode": "raw",
-    "seed": 0,
-    "parallelism": 1,
-    "annotator": "keyword",
-    "group_by": "benchmark",
-    "out": "runs",
-    "fixtures": False,
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be a boolean")
+    return value
+
+
+def _one_of(*options: str) -> tuple:
+    return _text, options.__contains__, ", ".join(options[:-1]) + " or " + options[-1]
+
+
+_STRING = (_text, None, None)
+_AT_LEAST_ONE = (_integer, lambda v: v >= 1, ">= 1")
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One parameter. ``check`` is (convert, test, requirement): ``convert``
+    raises ``ValueError`` naming what it needs, and a converted value that
+    fails ``test`` (if any) must be ``requirement``. A parameter whose
+    ``default`` is ``None`` stays unset until given. An ``input`` names a
+    file, which ``--fixtures`` fills with the bundled ``fixture`` if it has
+    one."""
+
+    help: str
+    check: tuple = _STRING
+    default: object = None
+    input: bool = False
+    fixture: str | None = None
+
+
+def _input(help: str, fixture: str | None = None) -> _Param:
+    return _Param(help, input=True, fixture=fixture)
+
+
+_PARAMS = {
+    "out": _Param("output root", default="runs"),
+    "run_id": _Param("run directory name (default: timestamp)"),
+    "seed": _Param("master random seed", (_integer, None, None), 0),
+    "fixtures": _Param("fill unset inputs from the bundled fixture data",
+                       (_boolean, None, None), False),
+    "domain_taxonomy": _input("domain taxonomy JSON", "taxonomy_domain.json"),
+    "skill_taxonomy": _input("skill taxonomy JSON", "taxonomy_skill.json"),
+    "examples": _input("task examples JSONL", "examples.jsonl"),
+    "mappings": _input("mappings JSONL written by map (economics: optional; enables the "
+                       "alignment tables)"),
+    "annotator": _Param("how examples are mapped", _one_of("keyword", "replay", "remote"),
+                        "keyword"),
+    "domain_rules": _input("keyword rules file for the domain taxonomy",
+                           "keyword_rules_domain.json"),
+    "skill_rules": _input("keyword rules file for the skill taxonomy",
+                          "keyword_rules_skill.json"),
+    "replay_mappings": _input("recorded mappings file for the replay annotator"),
+    "parallelism": _Param("annotator calls in flight", _AT_LEAST_ONE, 1),
+    "occupations": _input("occupations CSV", "occupations.csv"),
+    "importance": _input("activity importance CSV", "importance.csv"),
+    "digital_labels": _input("digital task labels CSV", "digital_labels.csv"),
+    "workflows": _input("agent workflows JSONL", "workflows.jsonl"),
+    "curves": _input("curve CSV exported by the autonomy subcommand"),
+    "batch_size": _Param("examples per sampling batch", _AT_LEAST_ONE, 5),
+    "delta": _Param("saturation tolerance, percentage points per batch",
+                    (_real, lambda v: v > 0, "> 0"), 0.1),
+    "permutations": _Param("random orders of the pool", _AT_LEAST_ONE, 500),
+    "threshold": _Param("success rate a level must reach",
+                        (_real, lambda v: 0 < v <= 1, "in (0, 1]"), 0.8),
+    "min_samples": _Param("nodes a level needs to count", _AT_LEAST_ONE, 10),
+    "confidence_mode": _Param("success rate compared with the threshold",
+                              _one_of("raw", "lcb"), "raw"),
+    "group_by": _Param("workflow grouping",
+                       _one_of("overall", "benchmark", "agent", "model"), "benchmark"),
+    "instruction": _Param("the task to advise on"),
+    "benchmark": _Param("the task's benchmark", default="adhoc"),
+    "example_id": _Param("the task's example id", default="query"),
+    "complexity": _Param("estimated complexity of the task", _AT_LEAST_ONE),
+    "groups": _Param("comma-separated curve groups (skips mapping)"),
 }
 
-#: Parameters and the values the library accepts, checked when the
-#: configuration is merged so that a bad value, from a flag or from the
-#: config file, exits 2 before any run directory exists.
-_PARAM_RANGES = {
-    "batch_size": (_integer, lambda v: v >= 1, ">= 1"),
-    "delta": (_real, lambda v: v > 0, "> 0"),
-    "permutations": (_integer, lambda v: v >= 1, ">= 1"),
-    "threshold": (_real, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "min_samples": (_integer, lambda v: v >= 1, ">= 1"),
-    "parallelism": (_integer, lambda v: v >= 1, ">= 1"),
-    "seed": (_integer, lambda v: True, "an integer"),
-    "complexity": (_integer, lambda v: v >= 1, ">= 1"),
-    "confidence_mode": (_text, lambda v: v in ("raw", "lcb"), "raw or lcb"),
-    "out": (_text, lambda v: True, "a path"),
-    "run_id": (_text, lambda v: True, "a name"),
+_RUN = ("out", "run_id", "seed", "fixtures")
+_TAXONOMIES = ("domain_taxonomy", "skill_taxonomy")
+_ANNOTATION = ("annotator", "domain_rules", "skill_rules", "replay_mappings", "parallelism")
+_LABOUR = ("occupations", "importance", "digital_labels")
+_SAMPLING = ("batch_size", "delta", "permutations")
+_LEVELS = ("threshold", "min_samples", "confidence_mode")
+
+#: Each subcommand's help and the parameters it takes; ``<name>`` runs
+#: ``_cmd_<name>``.
+_COMMANDS = {
+    "map": ("map examples onto the taxonomies", (*_RUN, *_TAXONOMIES, *_ANNOTATION, "examples")),
+    "coverage": ("coverage/effort/breadth from mappings", (*_RUN, *_TAXONOMIES, "mappings")),
+    "sample": ("saturation-sampling sensitivity analysis",
+               (*_RUN, *_TAXONOMIES, "mappings", *_SAMPLING)),
+    "economics": ("employment/capital/digital tables",
+                  (*_RUN, *_TAXONOMIES, *_LABOUR, "mappings")),
+    "autonomy": ("success-rate curves and autonomy levels",
+                 (*_RUN, "workflows", "group_by", *_LEVELS)),
+    "advise": ("delegate-or-decompose advice for one task",
+               (*_RUN, *_TAXONOMIES, *_ANNOTATION, "curves", "instruction", "benchmark",
+                "example_id", "complexity", "groups", *_LEVELS)),
+    "report": ("full pipeline over one input set",
+               (*_RUN, *_TAXONOMIES, *_ANNOTATION, "examples", *_LABOUR, "workflows",
+                *_SAMPLING, *_LEVELS, "group_by")),
 }
+
+
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """The subcommand's parameters: the flag, else the config-file entry,
+    else the default. Every value set is then checked, on one path for
+    flags and config entries alike, and under ``--fixtures`` each input file
+    still unset gets its bundled fixture.
+
+    Config entries the subcommand does not declare are dropped: a shared
+    config file may hold other subcommands' parameters, and their input
+    files are never read.
+    """
+    file_values = {}
+    if args.config:
+        config_path = Path(args.config)
+        if not config_path.exists():
+            raise ConfigError(f"config file does not exist: {config_path}")
+        try:
+            file_values = json.loads(config_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config file is not valid JSON: {err}") from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"config file cannot be read: {err}") from err
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object")
+        file_values = {key.replace("-", "_"): value for key, value in file_values.items()}
+    values = {}
+    for key in _COMMANDS[args.command][1]:
+        param = _PARAMS[key]
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key, param.default)
+        # a parameter without a default may stay unset
+        if value is not None or param.default is not None:
+            flag = "--" + key.replace("_", "-")
+            convert, test, requirement = param.check
+            try:
+                value = convert(value)
+            except ValueError as err:
+                raise ConfigError(f"{flag} {err}, got {value!r}") from None
+            if test is not None and not test(value):
+                raise ConfigError(f"{flag} must be {requirement}, got {value!r}")
+        values[key] = value
+    if values["fixtures"]:
+        for key, value in values.items():
+            name = _PARAMS[key].fixture
+            if name is not None and value is None and fixture_path(name).exists():
+                values[key] = str(fixture_path(name))
+    return RunConfig(command=args.command, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +458,7 @@ def _load(config: RunConfig, *required: str | tuple[str, ...]) -> LoadedInputs:
 
 def _build_annotator(config: RunConfig, inputs: LoadedInputs, kind: TaxonomyKind,
                      examples: Sequence[TaskExample]) -> Annotator:
-    mode = config.values.get("annotator", "keyword")
+    mode = config.values["annotator"]
     if mode == "keyword":
         if kind not in inputs.rules:
             raise ConfigError(f"missing required input --{kind.value}-rules")
@@ -412,28 +470,24 @@ def _build_annotator(config: RunConfig, inputs: LoadedInputs, kind: TaxonomyKind
         return ReplayAnnotator.from_raw_records(
             examples, records, annotator_id=f"replay:{kind.value}"
         )
-    if mode == "remote":
-        try:
-            return RemoteAnnotator()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-    raise ConfigError(f"unknown annotator {mode!r}")
+    try:
+        return RemoteAnnotator()
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _start_bundle(config: RunConfig) -> ReportBundle:
     try:
-        run_dir = make_run_dir(config.values.get("out", "runs"), config.values.get("run_id"))
+        bundle = ReportBundle.create(config.values["out"], config.values["run_id"])
     except FileExistsError as err:
         raise ConfigError(f"run directory already exists: {err.filename}") from None
-    bundle = ReportBundle(run_dir=run_dir)
     bundle.config = {
         k: v for k, v in sorted(config.values.items())
         if k not in ("out", "run_id") and v is not None
     }
     bundle.config["command"] = config.command
-    for key in _INPUT_KEYS:
-        value = config.values.get(key)
-        if value is not None and Path(value).exists():
+    for key, value in config.values.items():
+        if _PARAMS[key].input and value is not None and Path(value).exists():
             bundle.record_input(key, value)
     return bundle
 
@@ -538,8 +592,7 @@ def _economics_suite(inputs: LoadedInputs, bundle: ReportBundle):
 
 def _autonomy_suite(config: RunConfig, workflows: Sequence[WorkflowNode],
                     bundle: ReportBundle) -> None:
-    group_by = config.values.get("group_by", "benchmark")
-    curves = success_rates(workflows, with_overall(group_by))
+    curves = success_rates(workflows, with_overall(config.values["group_by"]))
     curves_path = bundle.run_dir / "tables" / "autonomy_curves.csv"
     curves_path.parent.mkdir(parents=True, exist_ok=True)
     write_curves(curves_path, curves)
@@ -547,7 +600,7 @@ def _autonomy_suite(config: RunConfig, workflows: Sequence[WorkflowNode],
 
     threshold = config.values["threshold"]
     min_samples = config.values["min_samples"]
-    mode = config.values.get("confidence_mode", "raw")
+    mode = config.values["confidence_mode"]
     assessed = {g: autonomy_level(c, threshold, min_samples, mode) for g, c in curves.items()}
     bundle.add_table(
         "autonomy_levels",
@@ -621,21 +674,21 @@ def _cmd_autonomy(config: RunConfig) -> int:
 
 
 def _cmd_advise(config: RunConfig) -> int:
-    instruction = config.values.get("instruction")
+    instruction = config.values["instruction"]
     if not instruction:
         raise ConfigError("--instruction is required")
-    complexity_estimate = config.values.get("complexity")
+    complexity_estimate = config.values["complexity"]
     if complexity_estimate is None:
         raise ConfigError("--complexity is required (the advisor never invents one)")
     inputs = _load(config, "curves")
     task = TaskExample(
-        benchmark=config.values.get("benchmark", "adhoc"),
-        example_id=config.values.get("example_id", "query"),
+        benchmark=config.values["benchmark"],
+        example_id=config.values["example_id"],
         instruction=instruction,
     )
-    groups_value = config.values.get("groups")
+    groups_value = config.values["groups"]
     if groups_value:
-        groups = [g.strip() for g in str(groups_value).split(",") if g.strip()]
+        groups = [g.strip() for g in groups_value.split(",") if g.strip()]
     else:
         t_domain = inputs.taxonomies.get(TaxonomyKind.DOMAIN)
         if t_domain is None:
@@ -655,7 +708,7 @@ def _cmd_advise(config: RunConfig) -> int:
         lambda _task: groups,
         complexity_estimate,
         min_samples=config.values["min_samples"],
-        confidence_mode=config.values.get("confidence_mode", "raw"),
+        confidence_mode=config.values["confidence_mode"],
     )
     record = {
         "benchmark": advice.benchmark,
@@ -706,90 +759,29 @@ def _cmd_report(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; subcommand ``<name>`` runs ``_cmd_<name>``."""
+    """The command-line parser, built from :data:`_COMMANDS` and
+    :data:`_PARAMS`. Every flag takes its value as a string, checked with
+    the config file's values in :func:`_merge_config`; ``--fixtures`` takes
+    none."""
     parser = argparse.ArgumentParser(
         prog="workatlas",
         description="Benchmark-to-work-taxonomy measurement toolkit",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (command_help, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="JSON config file; keys mirror flag names")
-        p.add_argument("--out", help="output root (default: runs)")
-        p.add_argument("--run-id", help="run directory name (default: timestamp)")
-        p.add_argument("--seed", type=int, help="master random seed (default: 0)")
-        p.add_argument("--fixtures", action="store_true", default=None,
-                       help="fill unset inputs from the bundled fixture data")
-
-    def taxonomy_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--domain-taxonomy")
-        p.add_argument("--skill-taxonomy")
-
-    def annotator_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--annotator", choices=["keyword", "replay", "remote"])
-        p.add_argument("--domain-rules", help="keyword rules file for the domain taxonomy")
-        p.add_argument("--skill-rules", help="keyword rules file for the skill taxonomy")
-        p.add_argument("--replay-mappings",
-                       help="recorded mappings file for the replay annotator")
-        p.add_argument("--parallelism", type=int)
-
-    def labour_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--occupations")
-        p.add_argument("--importance")
-        p.add_argument("--digital-labels")
-
-    def sampling_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--permutations", type=int)
-
-    def level_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--min-samples", type=int)
-        p.add_argument("--confidence-mode", choices=["raw", "lcb"])
-
-    p_map = sub.add_parser("map", help="map examples onto the taxonomies")
-    common(p_map); taxonomy_flags(p_map); annotator_flags(p_map)
-    p_map.add_argument("--examples")
-
-    p_cov = sub.add_parser("coverage", help="coverage/effort/breadth from mappings")
-    common(p_cov); taxonomy_flags(p_cov)
-    p_cov.add_argument("--mappings")
-
-    p_sample = sub.add_parser("sample", help="saturation-sampling sensitivity analysis")
-    common(p_sample); taxonomy_flags(p_sample)
-    p_sample.add_argument("--mappings")
-    sampling_flags(p_sample)
-
-    p_econ = sub.add_parser("economics", help="employment/capital/digital tables")
-    common(p_econ); taxonomy_flags(p_econ); labour_flags(p_econ)
-    p_econ.add_argument("--mappings", help="optional; enables the alignment tables")
-
-    p_auto = sub.add_parser("autonomy", help="success-rate curves and autonomy levels")
-    common(p_auto)
-    p_auto.add_argument("--workflows")
-    p_auto.add_argument("--group-by",
-                        help="overall | benchmark | agent | model (default: benchmark)")
-    level_flags(p_auto)
-
-    p_advise = sub.add_parser("advise", help="delegate-or-decompose advice for one task")
-    common(p_advise); taxonomy_flags(p_advise); annotator_flags(p_advise)
-    p_advise.add_argument("--curves", help="curve CSV exported by the autonomy subcommand")
-    p_advise.add_argument("--instruction")
-    p_advise.add_argument("--benchmark")
-    p_advise.add_argument("--example-id")
-    p_advise.add_argument("--complexity", type=int)
-    p_advise.add_argument("--groups", help="comma-separated curve groups (skips mapping)")
-    level_flags(p_advise)
-
-    p_report = sub.add_parser("report", help="full pipeline over one input set")
-    common(p_report); taxonomy_flags(p_report); annotator_flags(p_report)
-    p_report.add_argument("--examples")
-    labour_flags(p_report)
-    p_report.add_argument("--workflows")
-    sampling_flags(p_report); level_flags(p_report)
-    p_report.add_argument("--group-by")
-
+        for key in keys:
+            param = _PARAMS[key]
+            flag = "--" + key.replace("_", "-")
+            if key == "fixtures":
+                p.add_argument(flag, action="store_true", default=None, help=param.help)
+                continue
+            _, test, requirement = param.check
+            text = param.help if test is None else f"{param.help}; must be {requirement}"
+            if param.default is not None:
+                text += f" (default: {param.default})"
+            p.add_argument(flag, help=text)
     return parser
 
 
@@ -830,7 +822,7 @@ def _run(argv: Sequence[str] | None) -> int:
     # Looked up at call time, so a handler rebound on the module is the one run.
     handler = globals()[f"_cmd_{args.command}"]
     try:
-        config = _merge_config(args, _PARAM_DEFAULTS)
+        config = _merge_config(args)
         return handler(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Report bundles: CSV tables, plot-ready series, and a digest manifest.
 
 A run writes into a fresh directory (timestamped under the output root, or
-a caller-chosen id) and never mutates existing outputs. The manifest echoes
+a caller-chosen id) and never mutates existing outputs; until its manifest
+is written the directory carries a ``.partial`` suffix. The manifest echoes
 the full configuration, records a digest for every input and output file,
 and is written last; identical inputs and seed reproduce byte-identical
 tables.
@@ -13,8 +14,10 @@ autonomy heatmap. Rendering is left to the consumer.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,31 +55,51 @@ def sha256_file(path: str | Path) -> str:
     return sha256_bytes(Path(path).read_bytes())
 
 
-def make_run_dir(output_root: str | Path, run_id: str | None = None) -> Path:
-    """Create a fresh run directory; timestamped unless an id is given."""
-    root = Path(output_root)
-    root.mkdir(parents=True, exist_ok=True)
-    if run_id is None:
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        candidate = root / stamp
-        counter = 1
-        while candidate.exists():
-            counter += 1
-            candidate = root / f"{stamp}-{counter}"
-        run_id = candidate.name
-    run_dir = root / run_id
-    run_dir.mkdir(parents=True, exist_ok=False)
-    return run_dir
+#: Suffix of a run directory that is still being written.
+PARTIAL_SUFFIX = ".partial"
 
 
 @dataclass
 class ReportBundle:
-    """Accumulates named outputs under a run directory and seals a manifest."""
+    """Accumulates named outputs under a run directory and seals a manifest.
+
+    A bundle from :meth:`create` writes into ``<run_id>.partial`` and
+    :meth:`finalize` renames that to ``final_dir`` once the manifest is
+    written, so a run directory without the suffix always holds a complete
+    bundle. A bundle built with ``final_dir=None`` stays where it is.
+    """
 
     run_dir: Path
     config: dict = field(default_factory=dict)
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
+    final_dir: Path | None = None
+
+    @classmethod
+    def create(cls, output_root: str | Path, run_id: str | None = None) -> ReportBundle:
+        """A bundle in a fresh directory under ``output_root``; timestamped
+        unless an id is given. Raises :class:`FileExistsError` naming the
+        run directory or its partial one, whichever exists."""
+        root = Path(output_root)
+        root.mkdir(parents=True, exist_ok=True)
+
+        def partial(final: Path) -> Path:
+            return final.with_name(final.name + PARTIAL_SUFFIX)
+
+        if run_id is None:
+            stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+            final = root / stamp
+            counter = 1
+            while final.exists() or partial(final).exists():
+                counter += 1
+                final = root / f"{stamp}-{counter}"
+        else:
+            final = root / run_id
+            if final.exists():
+                raise FileExistsError(errno.EEXIST, "run directory exists", str(final))
+        # raises FileExistsError if a partial directory of that name exists
+        partial(final).mkdir(parents=True, exist_ok=False)
+        return cls(run_dir=partial(final), final_dir=final)
 
     def record_input(self, name: str, path: str | Path) -> None:
         self.inputs[name] = sha256_file(path)
@@ -105,7 +128,8 @@ class ReportBundle:
         )
 
     def finalize(self) -> dict:
-        """Write the manifest last so it covers every emitted file."""
+        """Write the manifest last so it covers every emitted file, then move
+        the bundle to its final directory."""
         manifest = {
             "tool": {"name": "workatlas", "version": __version__},
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -116,6 +140,9 @@ class ReportBundle:
         (self.run_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
+        if self.final_dir is not None:
+            self.run_dir = self.run_dir.rename(self.final_dir)
+            self.final_dir = None
         return manifest
 
 
@@ -270,13 +297,18 @@ def emit_digital(bundle: ReportBundle, table: DigitalShareTable) -> None:
 
 
 def emit_alignment(bundle: ReportBundle, report: AlignmentReport) -> None:
+    """The ratio cell is empty where the row's ratio is infinite (effort on a
+    node without employment), as the digital cells are where no share
+    exists; no table holds a non-finite number."""
     bundle.add_table(
         f"alignment_{report.group_level.value}",
         ["node_id", "label", "effort_share", "employment_share", "capital_share",
          "digital_fraction", "digital_employment_share", "effort_to_employment_ratio"],
         [
             (r.node_id, r.label, r.effort_share, r.employment_share, r.capital_share,
-             r.digital_fraction, r.digital_employment_share, r.effort_to_employment_ratio)
+             r.digital_fraction, r.digital_employment_share,
+             r.effort_to_employment_ratio if math.isfinite(r.effort_to_employment_ratio)
+             else None)
             for r in report.rows
         ],
     )

@@ -233,6 +233,11 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
         annotations = raw.get("annotations", {})
         if not isinstance(annotations, dict):
             raise TaxonomySchemaError(f"{where}: annotations must be an object")
+        for key, value in annotations.items():
+            if not isinstance(value, str):
+                raise TaxonomySchemaError(
+                    f"{where}: annotation {key!r} must be a string, got {type(value).__name__}"
+                )
         raw_children = raw.get("children", [])
         if not isinstance(raw_children, list):
             raise TaxonomySchemaError(f"{where}: children must be an array")
@@ -330,13 +335,13 @@ def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
         return found
     if not labels:
         raise UnknownPathError("empty label sequence")
-    # Distinguish a valid non-leaf prefix from a genuine mismatch.
-    node = t.root
+    # Distinguish a valid non-leaf prefix from a genuine mismatch. Siblings
+    # whose labels are equal under canonical_label are all followed.
+    frontier = [t.root]
     for label in key:
-        node = next((c for c in node.children if canonical_label(c.label) == label), None)
-        if node is None:
-            raise UnknownPathError(f"no path matches labels {list(labels)!r}")
-    if not node.is_leaf:
+        frontier = [c for n in frontier for c in n.children if canonical_label(c.label) == label]
+    node = next((n for n in frontier if not n.is_leaf), None)
+    if node is not None:
         raise PartialPathError(
             f"labels {list(labels)!r} stop at non-leaf {node.label!r} (level {node.level})"
         )

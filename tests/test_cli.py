@@ -93,6 +93,20 @@ class TestExitCodes:
         assert (existing / "kept.txt").read_text(encoding="utf-8") == "earlier run"
 
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
+        config = tmp_path / "config"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        code = main(["autonomy", "--fixtures", "--config", str(config),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: config file cannot be read: ")
+        assert not (tmp_path / "runs").exists()
+
+
 class TestGcPause:
     """``main`` pauses the cyclic collector for one command and restores the
     state it found, whatever the exit code."""
@@ -452,6 +466,21 @@ class TestSharedValidation:
         assert code == EXIT_INPUT
         assert "employment must be a finite number" in capsys.readouterr().err
 
+    def test_non_string_annotation_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("taxonomy_skill.json").read_text(encoding="utf-8"))
+        doc["root"]["children"][0]["children"][0]["children"][0]["annotations"] = {
+            "activity_id": [1]}
+        taxonomy = tmp_path / "skill.json"
+        taxonomy.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["economics", "--fixtures", "--skill-taxonomy", str(taxonomy),
+                     "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input violation: {taxonomy} [(file)]: root.children[0].children[0].children[0]: "
+            "annotation 'activity_id' must be a string, got list\n")
+        assert not out.exists()
+
     def test_report_lists_unmatched_soc_codes(self, tmp_path, capsys):
         occupations = tmp_path / "occupations.csv"
         occupations.write_text(
@@ -547,6 +576,146 @@ class TestParameterRanges:
         code = main(["map", "--fixtures", "--config", str(config),
                      "--out", str(tmp_path), "--run-id", "m"])
         assert code == EXIT_OK
+
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["autonomy", "--fixtures", "--group-by", "bogus"], None,
+         "--group-by must be overall, benchmark, agent or model, got 'bogus'"),
+        (["autonomy", "--fixtures"], {"group_by": 5}, "--group-by must be a string, got 5"),
+        (["advise", "--fixtures", "--complexity", "2"], {"instruction": 5},
+         "--instruction must be a string, got 5"),
+        (["map", "--fixtures"], {"annotator": "bogus"},
+         "--annotator must be keyword, replay or remote, got 'bogus'"),
+        (["map", "--fixtures", "--annotator", "bogus"], None,
+         "--annotator must be keyword, replay or remote, got 'bogus'"),
+        (["sample", "--fixtures", "--seed", "abc"], None, "--seed must be a number, got 'abc'"),
+        (["autonomy"], {"fixtures": "yes"}, "--fixtures must be a boolean, got 'yes'"),
+    ])
+    def test_bad_value_exits_config_before_reading_inputs(self, tmp_path, monkeypatch, capsys,
+                                                          argv, config, message):
+        # run from tmp_path so that a run directory under the default --out would show
+        monkeypatch.chdir(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "validate_inputs", read.append)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", "config.json"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert read == []
+        assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if config else [])
+
+
+#: A valid value of each parameter that names no file, as a flag's text and
+#: as a config-file value (``None``: a flag that takes no value).
+VALID_VALUES = {
+    "out": ("elsewhere", "elsewhere"),
+    "run_id": ("r7", "r7"),
+    "seed": ("7", 7),
+    "fixtures": (None, True),
+    "annotator": ("replay", "replay"),
+    "parallelism": ("3", 3),
+    "batch_size": ("4", 4),
+    "delta": ("0.25", 0.25),
+    "permutations": ("9", 9),
+    "threshold": ("0.5", 0.5),
+    "min_samples": ("2", 2),
+    "confidence_mode": ("lcb", "lcb"),
+    "group_by": ("agent", "agent"),
+    "instruction": ("write a parser", "write a parser"),
+    "benchmark": ("codebench", "codebench"),
+    "example_id": ("e9", "e9"),
+    "complexity": ("3", 3),
+    "groups": ("codebench,deskbench", "codebench,deskbench"),
+}
+
+
+class TestOneCheckPath:
+    """A flag and a config-file entry reach the merged configuration alike."""
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_flag_and_config_entry_merge_alike(self, tmp_path, command):
+        keys = [key for key in cli._COMMANDS[command][1] if not cli._PARAMS[key].input]
+        assert keys
+        for key in keys:
+            text, value = VALID_VALUES[key]
+            flag = "--" + key.replace("_", "-")
+            by_flag = cli._merge_config(cli._parser().parse_args(
+                [command, flag] if text is None else [command, flag, text]))
+            config = tmp_path / f"{key}.json"
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            by_file = cli._merge_config(cli._parser().parse_args(
+                [command, "--config", str(config)]))
+            assert by_flag.values == by_file.values, key
+            assert by_flag.values[key] == value, key
+
+
+class TestAtomicBundles:
+    """A run writes into ``<run_id>.partial`` and renames it once sealed."""
+
+    def test_annotator_abort_leaves_only_partial(self, tmp_path, monkeypatch, capsys):
+        from workatlas.annotate import AnnotatorTransportError, KeywordAnnotator
+
+        annotate = KeywordAnnotator.annotate
+        calls = []
+
+        def failing(self, instruction, taxonomy_text):
+            calls.append(instruction)
+            if len(calls) > 5:
+                raise AnnotatorTransportError("endpoint gone", 3)
+            return annotate(self, instruction, taxonomy_text)
+
+        monkeypatch.setattr(KeywordAnnotator, "annotate", failing)
+        code = main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"])
+        assert code == EXIT_ANNOTATOR
+        assert [p.name for p in tmp_path.iterdir()] == ["m.partial"]
+        partial = tmp_path / "m.partial"
+        assert [p.name for p in partial.iterdir()] == ["mappings.partial.jsonl"]
+        assert len((partial / "mappings.partial.jsonl").read_text().splitlines()) == 5
+
+    def test_failing_emitter_leaves_partial_without_manifest(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def broken(bundle, summaries):
+            raise RuntimeError("emitter broke")
+
+        monkeypatch.setattr(cli, "emit_sensitivity", broken)
+        code = main(["report", *fixture_args(), "--permutations", "20",
+                     "--out", str(tmp_path), "--run-id", "r"])
+        assert code == EXIT_INTERNAL
+        assert [p.name for p in tmp_path.iterdir()] == ["r.partial"]
+        partial = tmp_path / "r.partial"
+        assert (partial / "mappings.jsonl").exists()
+        assert (partial / "tables" / "coverage_domain.csv").exists()
+        assert not (partial / "manifest.json").exists()
+
+    def test_successful_run_leaves_no_partial(self, tmp_path, capsys):
+        assert main(["autonomy", "--fixtures", "--out", str(tmp_path)]) == EXIT_OK
+        (run_dir,) = tmp_path.iterdir()
+        assert not run_dir.name.endswith(".partial")
+        assert (run_dir / "manifest.json").exists()
+        assert capsys.readouterr().out == f"autonomy tables -> {run_dir}\n"
+
+    def test_existing_partial_directory_is_config_error(self, tmp_path, capsys):
+        partial = tmp_path / "r.partial"
+        partial.mkdir()
+        code = main(["autonomy", "--fixtures", "--out", str(tmp_path), "--run-id", "r"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: run directory already exists: {partial}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.partial"]
+
+    def test_timestamped_run_skips_taken_names(self, tmp_path, monkeypatch):
+        from workatlas import reporting
+
+        monkeypatch.setattr(reporting.time, "strftime", lambda fmt, t: "stamp")
+        (tmp_path / "stamp.partial").mkdir()
+        (tmp_path / "stamp-2").mkdir()
+        bundle = reporting.ReportBundle.create(tmp_path)
+        assert bundle.run_dir == tmp_path / "stamp-3.partial"
+        bundle.finalize()
+        assert bundle.run_dir == tmp_path / "stamp-3"
+        assert (bundle.run_dir / "manifest.json").exists()
+        assert not (tmp_path / "stamp-3.partial").exists()
 
 
 class TestReplayCoverage:

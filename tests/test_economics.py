@@ -380,6 +380,49 @@ class TestAlignment:
         assert ratios["f0"] == pytest.approx(2.0, rel=REL)
         assert ratios["f1"] == 0.0
 
+    def test_zero_employment_ratio_is_infinite_and_its_cell_empty(self, tmp_path):
+        import csv
+        import math
+
+        from workatlas.reporting import ReportBundle, emit_alignment
+
+        doc = {
+            "kind": "domain",
+            "root": {"id": "r", "label": "root", "children": [
+                {"id": f"f{i}", "label": f"family {i}", "children": [
+                    {"id": f"o{i}", "label": f"occ {i}",
+                     "annotations": {"soc_code": f"11-000{i}"},
+                     "children": [{"id": f"t{i}", "label": f"task {i}", "children": []}]}
+                ]} for i in range(2)
+            ]},
+        }
+        taxonomy = load_taxonomy(doc)
+        # f0 has effort but no employment
+        econ = domain_employment_capital([occ("11-0001", 100, 10)], taxonomy)
+
+        from workatlas.mapping import MappingResult, MappingStatus
+
+        paths = {p.node_ids[0]: p for p in taxonomy.path_index}
+        results = [
+            MappingResult(benchmark="b", example_id=f"e{i}", taxonomy_kind=taxonomy.kind,
+                          paths=frozenset([paths["f0"]]), status=MappingStatus.MAPPED,
+                          raw_annotator_output="", annotator_id="t")
+            for i in range(5)
+        ]
+        report = alignment_report(effort_by_node(results, taxonomy, GroupLevel.DOMAIN_FAMILY),
+                                  econ)
+        ratios = {r.node_id: r.effort_to_employment_ratio for r in report.rows}
+        assert ratios == {"f0": math.inf, "f1": 0.0}
+
+        emit_alignment(ReportBundle(run_dir=tmp_path), report)
+        text = (tmp_path / "tables" / "alignment_domain_family.csv").read_text(encoding="utf-8")
+        assert "inf" not in text
+        with open(tmp_path / "tables" / "alignment_domain_family.csv", newline="",
+                  encoding="utf-8") as fh:
+            cells = {row["node_id"]: row["effort_to_employment_ratio"]
+                     for row in csv.DictReader(fh)}
+        assert cells == {"f0": "", "f1": "0.0"}
+
     def test_share_columns_sum_to_one(self, domain_results, domain_taxonomy,
                                       occupations, digital_labels):
         econ = domain_employment_capital(occupations, domain_taxonomy)

@@ -317,6 +317,23 @@ class TestResolve:
                  "prepare adjusting journal entries", "extra step"],
             )
 
+    def test_prefix_under_any_equal_sibling_is_partial(self):
+        # sibling families whose labels differ only in case; each prefix is
+        # valid under one of them
+        def family(fid, label, child):
+            return {"id": fid, "label": label, "children": [
+                {"id": f"{fid}-o", "label": child, "children": [
+                    {"id": f"{fid}-t", "label": f"task {child}", "children": []}]}]}
+
+        t = load_taxonomy({"kind": "domain", "root": {"id": "r", "label": "root", "children": [
+            family("f1", "Fam", "A"), family("f2", "fam", "B")]}})
+        for labels in (["Fam", "A"], ["Fam", "B"], ["fam", "A"], ["FAM"]):
+            with pytest.raises(PartialPathError):
+                resolve_path(t, labels)
+        assert resolve_path(t, ["Fam", "B", "task B"]).node_ids == ("f2", "f2-o", "f2-t")
+        with pytest.raises(UnknownPathError):
+            resolve_path(t, ["Fam", "C"])
+
 
 class TestFlatten:
     def test_leaf_lines_count(self):
@@ -393,6 +410,11 @@ LOAD_ERRORS = [
      TaxonomyStructureError, "node 'deep': node at level 4 exceeds maximum depth 3"),
     (("root", "children"), [], "domain", TaxonomyStructureError,
      "node 'r': taxonomy must have at least one leaf below root"),
+    (T1 + ("annotations",), {"activity_id": [1]}, "skill", TaxonomySchemaError,
+     "root.children[0].children[0].children[0]: annotation 'activity_id' must be a string, "
+     "got list"),
+    (O3 + ("annotations",), {"soc_code": 7}, "domain", TaxonomySchemaError,
+     "root.children[1].children[0]: annotation 'soc_code' must be a string, got int"),
 ]
 
 
@@ -469,7 +491,7 @@ def test_seeded_mutations_report_pinned_errors():
     kinds = {outcome.split(" ", 1)[0] for outcome in outcomes}
     assert kinds == {"ok", "TaxonomySchemaError", "TaxonomyStructureError"}
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "75c56ce7380ba292f6194f9d943c846d7cfbd5db9dd0b9ae5fd68e8b8743873d"
+    assert digest == "d67d6e69b1698cb5f53f50536c5820bd1249715ca12e80388e023b23d9deac5e"
 
 
 def uneven_doc(seed: int) -> dict:
