@@ -7,6 +7,15 @@ of complexity 1). Pooling all nodes of a group by complexity level gives
 the group's success-rate curve, and the autonomy level is the highest
 sufficiently-sampled level whose success rate clears the threshold.
 
+A curve needs only each node's complexity and status. :func:`walk_workflow`
+checks a trajectory document and yields every node with its leaf count, and
+one walk serves two readers: :func:`count_levels` folds it into per-level
+``[successes, totals]`` counts, which is all the CLI keeps of a workflow,
+and :func:`workflow_from_document` builds the :class:`WorkflowNode` tree
+that library callers walk (per-node grouping, ordering validation).
+:func:`success_rates` and :func:`rates_from_counts` pool either into curves
+the same way.
+
 The advisor consults the curves matched to a task's domains/skills and
 recommends end-to-end delegation, decomposition into simpler subtasks, or
 reports that the data cannot support either call.
@@ -23,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .annotate import Annotator
 from .mapping import TaskExample
@@ -47,14 +56,15 @@ class WorkflowNode:
 
     id: str
     description: str
-    status: int  # 0 failure, 1 success
+    status: int  # 0 failure, 1 success; a true or false value is stored as 1 or 0
     children: tuple["WorkflowNode", ...] = ()
     metadata: Mapping = field(default_factory=dict)
     leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.status not in (0, 1):
-            raise ValueError(f"node {self.id!r}: status must be 0 or 1, got {self.status!r}")
+            raise ValueError(_status_error(self.id, self.status))
+        self.status = 1 if self.status else 0
         leaves = 0
         for child in self.children:
             leaves += child.leaves
@@ -109,36 +119,36 @@ def _where_text(where: str | tuple) -> str:
     return where + "".join(reversed(steps))
 
 
-def workflow_from_document(doc: Mapping) -> WorkflowNode:
-    """Build a workflow tree from a trajectory document.
+def _status_error(node_id: str, status) -> str:
+    return f"node {node_id!r}: status must be 0 or 1, got {status!r}"
 
-    The document has ``{benchmark, agent, model, trajectory_id, root}``;
-    tree metadata lands on the root node. Every node is an object with
-    ``id``, ``description`` and ``status``, and ``children`` if given is an
-    array. Node ids must be unique within the trajectory; a repeated id is
-    reported, for the first repeat in pre-order, only once the whole tree
-    has built without any other error. The root gets its own metadata dict;
-    every other node shares one read-only empty mapping.
+
+def walk_workflow(doc: Mapping) -> Iterator[tuple[dict, str, int, int]]:
+    """``(node document, id, status, leaves)`` for every node of a trajectory
+    document's tree, in post-order, checking the tree as it goes.
+
+    A node is checked when it is entered, in pre-order: it is an object with
+    ``id``, ``description`` and ``status``, and ``children``, if given, is an
+    array. Its status is checked when it is left, after its children, and is
+    yielded as the integer 0 or 1 (``true``/``false`` and ``0.0``/``1.0``
+    are accepted). Node ids must be unique within the trajectory; a
+    repeated id is reported, for the first repeat in pre-order, only once
+    the whole tree has been walked without any other error. The walk is
+    iterative, so tree depth is bounded by memory alone.
     """
-    meta = {
-        k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id") if k in doc
-    }
-
     if "root" not in doc:
         raise ValueError("workflow document missing 'root'")
-    # Depth-first without recursion, so tree depth is bounded by memory
-    # alone. A node is checked when it is entered, in pre-order, and built
-    # after its children, so errors surface in document order. A child's
-    # location is kept as (parent location, index) and spelled out only for
-    # an error.
-    built: list[WorkflowNode] = []
     seen: set[str] = set()
     repeated = None
-    # (node document, location, id, child count); id and count are set once
-    # the node is entered and waits for its children.
-    stack: list[tuple] = [(doc["root"], "root", None, None)]
+    # Leaf counts of the nodes left whose parent is not: the last n belong
+    # to the children of the next node left with n children.
+    leaf_counts: list[int] = []
+    # (node document, location, None) enters a node; (node document, id,
+    # child count) leaves it. A child's location is kept as (parent
+    # location, index) and spelled out only for an error.
+    stack: list[tuple] = [(doc["root"], "root", None)]
     while stack:
-        node_doc, where, node_id, child_count = stack.pop()
+        node_doc, where, child_count = stack.pop()
         if child_count is None:
             if not isinstance(node_doc, dict):
                 raise ValueError(f"{_where_text(where)}: workflow node must be an object")
@@ -153,31 +163,69 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
                 repeated = node_id
             seen.add(node_id)
             if child_docs:
-                stack.append((node_doc, where, node_id, len(child_docs)))
-                stack.extend(
-                    (child_docs[i], (where, i), None, None)
-                    for i in range(len(child_docs) - 1, -1, -1)
-                )
+                stack.append((node_doc, node_id, len(child_docs)))
+                for i in range(len(child_docs) - 1, -1, -1):
+                    stack.append((child_docs[i], (where, i), None))
                 continue
-            children: tuple[WorkflowNode, ...] = ()
+            leaves = 1
         else:
-            first_child = len(built) - child_count
-            children = tuple(built[first_child:])
-            del built[first_child:]
+            node_id = where
+            leaves = sum(leaf_counts[-child_count:])
+            del leaf_counts[-child_count:]
+        status = node_doc["status"]
+        if status not in (0, 1):
+            raise ValueError(_status_error(node_id, status))
+        leaf_counts.append(leaves)
+        yield node_doc, node_id, 1 if status else 0, leaves
+    if repeated is not None:
+        raise ValueError(f"workflow node id {repeated!r} is not unique")
+
+
+def workflow_from_document(doc: Mapping) -> WorkflowNode:
+    """Build a workflow tree from a trajectory document.
+
+    The document has ``{benchmark, agent, model, trajectory_id, root}``;
+    tree metadata lands on the root node. The tree is checked as
+    :func:`walk_workflow` checks it, and each node is built once its
+    children are. The root gets its own metadata dict; every other node
+    shares one read-only empty mapping.
+    """
+    built: list[WorkflowNode] = []
+    for node_doc, node_id, status, _ in walk_workflow(doc):
+        first_child = len(built) - len(node_doc.get("children", ()))
+        children = tuple(built[first_child:])
+        del built[first_child:]
         built.append(
             WorkflowNode(
                 id=node_id,
                 description=node_doc["description"],
-                status=node_doc["status"],
+                status=status,
                 children=children,
                 metadata=_NO_METADATA,
             )
         )
-    if repeated is not None:
-        raise ValueError(f"workflow node id {repeated!r} is not unique")
     root = built[0]
-    root.metadata = meta
+    root.metadata = {
+        k: doc[k] for k in ("benchmark", "agent", "model", "trajectory_id") if k in doc
+    }
     return root
+
+
+def count_levels(doc: Mapping, levels: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Add every node of a trajectory document to ``levels``, which maps a
+    complexity level to ``[successes, totals]``, and return it.
+
+    The document is checked as :func:`workflow_from_document` checks it,
+    with the same errors in the same order, but no node is built. On an
+    error, ``levels`` holds the nodes counted before it.
+    """
+    for _, _, status, leaves in walk_workflow(doc):
+        bucket = levels.get(leaves)
+        if bucket is None:
+            bucket = levels[leaves] = [0, 0]
+        bucket[0] += status
+        bucket[1] += 1
+    return levels
 
 
 def complexity(root: WorkflowNode) -> dict[str, int]:
@@ -235,13 +283,35 @@ class AutonomyCurve:
         return sum(s.totals for s in self.levels.values())
 
 
+@dataclass(frozen=True, slots=True)
+class LevelCounts:
+    """The nodes of the workflows whose roots share ``metadata``, counted per
+    complexity level as ``{leaves: [successes, totals]}``.
+
+    A grouping reads ``metadata`` as it reads a root's, so
+    :func:`rates_from_counts` groups these as :func:`success_rates` groups
+    the trees they were counted from.
+    """
+
+    metadata: Mapping
+    levels: dict[int, list[int]] = field(default_factory=dict)
+
+
 GroupFn = Callable[[WorkflowNode], Sequence[str]]
+
+#: The root metadata fields a workflow can be grouped by.
+GROUP_FIELDS = ("benchmark", "agent", "model")
+
+
+def group_name(value) -> str:
+    """The group a root metadata value names; a missing or empty value
+    names ``"unattributed"``."""
+    return str(value) if value not in (None, "") else UNATTRIBUTED
 
 
 def _metadata_grouper(key: str) -> GroupFn:
     def group(root: WorkflowNode) -> Sequence[str]:
-        value = root.metadata.get(key)
-        return [str(value)] if value not in (None, "") else [UNATTRIBUTED]
+        return [group_name(root.metadata.get(key))]
 
     return group
 
@@ -270,6 +340,40 @@ def with_overall(grouping: str | GroupFn) -> GroupFn:
     return group
 
 
+def _pool(counted: Iterable[tuple[Sequence[str], Mapping[int, Sequence[int]]]]
+          ) -> dict[str, AutonomyCurve]:
+    """Curves from ``(groups, {leaves: [successes, totals]})`` pairs: each
+    pair's counts join every group it names, or ``"unattributed"`` if it
+    names none."""
+    acc: dict[str, dict[int, list[int]]] = {}
+    for groups, levels in counted:
+        for g in list(groups) or [UNATTRIBUTED]:
+            by_level = acc.setdefault(g, {})
+            for leaves, (successes, totals) in levels.items():
+                bucket = by_level.setdefault(leaves, [0, 0])
+                bucket[0] += successes
+                bucket[1] += totals
+    return {
+        g: AutonomyCurve(
+            group_key=g,
+            levels={
+                k: LevelStats(successes=v[0], totals=v[1])
+                for k, v in sorted(by_level.items())
+            },
+        )
+        for g, by_level in sorted(acc.items())
+    }
+
+
+def _tree_levels(root: WorkflowNode) -> dict[int, list[int]]:
+    levels: dict[int, list[int]] = {}
+    for node in iter_nodes(root):
+        bucket = levels.setdefault(node.leaves, [0, 0])
+        bucket[0] += node.status
+        bucket[1] += 1
+    return levels
+
+
 def success_rates(
     workflows: Sequence[WorkflowNode],
     grouping: str | GroupFn = "overall",
@@ -284,31 +388,21 @@ def success_rates(
     resolved pool under ``"unattributed"`` rather than being dropped.
     ``node_group_fn`` switches attribution to per-node granularity.
     """
+    if node_group_fn is not None:
+        return _pool((node_group_fn(node), {node.leaves: (node.status, 1)})
+                     for root in workflows for node in iter_nodes(root))
     group_fn = _group_fn(grouping)
-    acc: dict[str, dict[int, list[int]]] = {}
-    for root in workflows:
-        root_groups = list(group_fn(root)) or [UNATTRIBUTED]
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            groups = root_groups
-            if node_group_fn is not None:
-                groups = list(node_group_fn(node)) or [UNATTRIBUTED]
-            for g in groups:
-                bucket = acc.setdefault(g, {}).setdefault(node.leaves, [0, 0])
-                bucket[0] += node.status
-                bucket[1] += 1
-    return {
-        g: AutonomyCurve(
-            group_key=g,
-            levels={
-                k: LevelStats(successes=v[0], totals=v[1])
-                for k, v in sorted(by_level.items())
-            },
-        )
-        for g, by_level in sorted(acc.items())
-    }
+    return _pool((group_fn(root), _tree_levels(root)) for root in workflows)
+
+
+def rates_from_counts(
+    counts: Iterable[LevelCounts], grouping: str | GroupFn = "overall"
+) -> dict[str, AutonomyCurve]:
+    """:func:`success_rates` of level counts: the same curves as from the
+    trees the counts were taken from, for any grouping that reads only the
+    counts' ``metadata``."""
+    group_fn = _group_fn(grouping)
+    return _pool((group_fn(c), c.levels) for c in counts)
 
 
 def autonomy_level(

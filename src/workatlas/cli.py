@@ -40,7 +40,14 @@ from .annotate import (
     RemoteAnnotator,
     ReplayAnnotator,
 )
-from .autonomy import AutonomyCurve, WorkflowNode, autonomy_level, success_rates, with_overall
+from .autonomy import (
+    AutonomyCurve,
+    LevelCounts,
+    autonomy_level,
+    rates_from_counts,
+    success_rates,  # noqa: F401 - perfbench's tracer rebinds it on this module
+    with_overall,
+)
 from .autonomy import advise as autonomy_advise
 from .coverage import CheckedResults
 from .economics import (
@@ -61,7 +68,8 @@ from .io import (
     read_mappings,
     read_occupations,
     read_raw_mappings,
-    read_workflows,
+    read_workflow_levels,
+    read_workflows,  # noqa: F401 - perfbench's tracer rebinds it on this module
     write_curves,
     write_mappings,
 )
@@ -254,7 +262,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
     Config entries the subcommand does not declare are dropped: a shared
     config file may hold other subcommands' parameters, and their input
-    files are never read.
+    files are never read. A key that no subcommand declares is refused, so
+    that a misspelt parameter does not silently keep its default.
     """
     file_values = {}
     if args.config:
@@ -269,6 +278,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file cannot be read: {err}") from err
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = [key for key in file_values if key.replace("-", "_") not in _PARAMS]
+        if unknown:
+            raise ConfigError("config file keys that no subcommand takes: "
+                              + ", ".join(map(repr, unknown)))
         file_values = {key.replace("-", "_"): value for key, value in file_values.items()}
     values = {}
     for key in _COMMANDS[args.command][1]:
@@ -311,7 +324,8 @@ class LoadedInputs:
     """Every input file of one invocation, parsed once and cross-checked.
 
     A field stays ``None`` (or empty) when its file was not given or did not
-    parse; ``violations`` says why for the latter.
+    parse; ``violations`` says why for the latter. ``workflows`` holds the
+    corpus folded into level counts: no command needs the trees.
     """
 
     violations: list[Violation] = field(default_factory=list)
@@ -321,7 +335,7 @@ class LoadedInputs:
     occupations: list[OccupationStats] | None = None
     importance: ImportanceTable | None = None
     labels: list[DigitalLabel] | None = None
-    workflows: list[WorkflowNode] | None = None
+    workflows: list[LevelCounts] | None = None
     curves: dict[str, AutonomyCurve] | None = None
     rules: dict[TaxonomyKind, KeywordAnnotator] = field(default_factory=dict)
     replay_records: list[dict] | None = None
@@ -433,7 +447,7 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
             if lab.soc_code not in soc_codes:
                 violation("digital_labels", lab.soc_code, "label references unknown SOC code")
 
-    inputs.workflows = parse("workflows", read_workflows)
+    inputs.workflows = parse("workflows", read_workflow_levels)
     inputs.curves = parse("curves", read_curves)
     return inputs
 
@@ -590,9 +604,9 @@ def _economics_suite(inputs: LoadedInputs, bundle: ReportBundle):
     return family_econ, skill_econ, digital
 
 
-def _autonomy_suite(config: RunConfig, workflows: Sequence[WorkflowNode],
+def _autonomy_suite(config: RunConfig, workflows: Sequence[LevelCounts],
                     bundle: ReportBundle) -> None:
-    curves = success_rates(workflows, with_overall(config.values["group_by"]))
+    curves = rates_from_counts(workflows, with_overall(config.values["group_by"]))
     curves_path = bundle.run_dir / "tables" / "autonomy_curves.csv"
     curves_path.parent.mkdir(parents=True, exist_ok=True)
     write_curves(curves_path, curves)

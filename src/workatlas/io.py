@@ -9,7 +9,11 @@ paths as label sequences so files stay meaningful without the taxonomy at
 hand; reading them back re-resolves every path, which doubles as a
 validation pass. Resolution goes through the taxonomy's own cache, which
 mapping shares, so each distinct label sequence is resolved once per
-taxonomy. Workflow trees fix each node's leaf count while they are built.
+taxonomy. A workflow corpus is read one of two ways, with the same checks
+and errors: :func:`read_workflow_levels` folds each trajectory into
+per-level node counts and builds no tree, which is all the CLI needs, and
+:func:`read_workflows` builds :class:`WorkflowNode` trees for library
+callers.
 
 Parsed inputs repeat values many times over, so readers store each one
 once: a mappings file's equal path sets and id, annotator and raw-output
@@ -29,7 +33,16 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .autonomy import AutonomyCurve, LevelStats, WorkflowNode, workflow_from_document
+from .autonomy import (
+    GROUP_FIELDS,
+    AutonomyCurve,
+    LevelCounts,
+    LevelStats,
+    WorkflowNode,
+    count_levels,
+    group_name,
+    workflow_from_document,
+)
 from .economics import (
     DigitalLabel,
     ImportanceRecord,
@@ -373,7 +386,8 @@ def write_digital_labels(path: str | Path, labels: Iterable[DigitalLabel]) -> No
 # ---------------------------------------------------------------------------
 
 def read_workflows(path: str | Path) -> list[WorkflowNode]:
-    """Read a JSONL workflow corpus, one trajectory document per line."""
+    """Read a JSONL workflow corpus, one trajectory document per line, as
+    one tree per trajectory."""
     workflows = []
     for line_no, record in _iter_jsonl(path):
         try:
@@ -381,6 +395,28 @@ def read_workflows(path: str | Path) -> list[WorkflowNode]:
         except ValueError as err:
             raise InputFormatError(path, line_no, str(err)) from err
     return workflows
+
+
+def read_workflow_levels(path: str | Path) -> list[LevelCounts]:
+    """Read a JSONL workflow corpus as level counts, checking every document
+    as :func:`read_workflows` does, with the same errors, but building no
+    tree.
+
+    Trajectories whose ``benchmark``, ``agent`` and ``model`` name the same
+    groups share one :class:`LevelCounts`, whose metadata holds those group
+    names, so grouping by any of the three gives the curves the trees would.
+    """
+    merged: dict[tuple[str, ...], LevelCounts] = {}
+    for line_no, record in _iter_jsonl(path):
+        key = tuple(group_name(record.get(f)) for f in GROUP_FIELDS)
+        counts = merged.get(key)
+        if counts is None:
+            counts = merged[key] = LevelCounts(dict(zip(GROUP_FIELDS, key)))
+        try:
+            count_levels(record, counts.levels)
+        except ValueError as err:
+            raise InputFormatError(path, line_no, str(err)) from err
+    return list(merged.values())
 
 
 def _tree_json(root: WorkflowNode) -> str:
@@ -492,7 +528,3 @@ def render_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     for row in rows:
         writer.writerow([format_cell(v) for v in row])
     return buf.getvalue()
-
-
-def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    Path(path).write_text(render_table(header, rows), encoding="utf-8")

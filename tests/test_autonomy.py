@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,12 +11,15 @@ from workatlas.autonomy import (
     advise,
     autonomy_level,
     complexity,
+    count_levels,
     iter_nodes,
+    rates_from_counts,
     success_rates,
     validate_ordering,
     with_overall,
     workflow_from_document,
 )
+from workatlas.io import fixture_path, read_workflow_levels
 from workatlas.mapping import TaskExample
 
 
@@ -116,6 +120,11 @@ class TestComplexity:
     def test_status_must_be_binary(self):
         with pytest.raises(ValueError, match="status"):
             WorkflowNode(id="x", description="d", status=2)
+
+    @pytest.mark.parametrize("status, stored", [(True, 1), (False, 0), (1.0, 1), (0.0, 0)])
+    def test_status_is_stored_as_integer(self, status, stored):
+        node = WorkflowNode(id="x", description="d", status=status)
+        assert node.status == stored and type(node.status) is int
 
 
 class TestWorkflowDocuments:
@@ -267,6 +276,88 @@ class TestIterativeBuild:
             workflow_from_document({"root": root_doc})
         assert str(info.value) == "root" + ".children[0]" * (depth - 1) + (
             ": workflow node missing 'id'")
+
+
+#: (defect rate, shape defects) mixes of :func:`random_document`.
+DEFECT_MIXES = ((0.0, False), (0.02, False), (0.1, False), (0.02, True), (0.1, True))
+
+
+def tree_levels(root):
+    levels = {}
+    for node in iter_nodes(root):
+        bucket = levels.setdefault(node.leaves, [0, 0])
+        bucket[0] += node.status
+        bucket[1] += 1
+    return levels
+
+
+class TestLevelFold:
+    """:func:`count_levels` checks a document as the tree build does, and
+    counts what the tree holds."""
+
+    def test_fold_matches_tree_build(self, tmp_path):
+        rng = random.Random(17)
+        valid_docs, trees, errors = [], [], set()
+        for defect_rate, shape_defects in DEFECT_MIXES:
+            for _ in range(400):
+                doc = random_document(rng, defect_rate, shape_defects)
+                for key in ("benchmark", "agent", "model"):
+                    value = rng.choice([None, "", "a", "b", "overall", 3, 3.0, True, ["x"]])
+                    if value is None and rng.random() < 0.5:
+                        doc.pop(key, None)
+                    else:
+                        doc[key] = value
+                built = outcome(workflow_from_document, doc)
+                folded = outcome(lambda d: count_levels(d, {}), doc)
+                if isinstance(built, str):
+                    assert folded == built
+                    errors.add(built)
+                else:
+                    assert folded == tree_levels(built)
+                    valid_docs.append(doc)
+                    trees.append(built)
+        for reason in ("must be an object", "children must be an array", "missing 'id'",
+                       "is not unique", "status must be 0 or 1, got 2"):
+            assert any(reason in error for error in errors), reason  # every defect occurs
+        # The root metadata: the counts read back group as the trees do.
+        path = tmp_path / "workflows.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in valid_docs), encoding="utf-8")
+        counts = read_workflow_levels(path)
+        for grouping in ("overall", "benchmark", "agent", "model"):
+            assert (rates_from_counts(counts, with_overall(grouping))
+                    == success_rates(trees, with_overall(grouping))), grouping
+
+    def test_fixture_counts_pool_like_trees(self, workflows):
+        counts = read_workflow_levels(fixture_path("workflows.jsonl"))
+        for grouping in ("overall", "benchmark", "agent", "model"):
+            assert rates_from_counts(counts, grouping) == success_rates(workflows, grouping)
+
+    def test_deep_document_folds_without_recursion(self):
+        depth = 5000
+        root_doc = {"id": "c0", "description": "d", "status": 0}
+        node_doc = root_doc
+        for i in range(1, depth):
+            child = {"id": f"c{i}", "description": "d", "status": i % 2}
+            node_doc["children"] = [child]
+            node_doc = child
+        assert count_levels({"root": root_doc}, {}) == {1: [depth // 2, depth]}
+
+        node_doc["status"] = 2
+        with pytest.raises(ValueError) as info:
+            count_levels({"root": root_doc}, {})
+        assert str(info.value) == f"node 'c{depth - 1}': status must be 0 or 1, got 2"
+
+    def test_float_and_boolean_statuses_count_as_integers(self):
+        doc = {"root": {"id": "r", "description": "d", "status": 1.0, "children": [
+            {"id": "a", "description": "d", "status": 0.0},
+            {"id": "b", "description": "d", "status": True},
+            {"id": "c", "description": "d", "status": False},
+        ]}}
+        levels = count_levels(doc, {})
+        assert levels == {1: [1, 3], 3: [1, 1]}
+        assert all(type(n) is int for counts in levels.values() for n in counts)
+        root = workflow_from_document(doc)
+        assert [type(n.status) for n in iter_nodes(root)] == [int] * 4
 
 
 class TestSuccessRates:

@@ -1,6 +1,10 @@
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,8 +254,50 @@ class TestPipelineEquivalence:
         )
         assert overall["autonomy_level"] == str(expected.autonomy)
 
+    @pytest.mark.parametrize("argv", [["autonomy", "--fixtures"],
+                                      ["report", "--fixtures", "--permutations", "2"]],
+                             ids=["autonomy", "report"])
+    def test_commands_build_no_workflow_tree(self, tmp_path, monkeypatch, capsys, argv):
+        from workatlas.autonomy import WorkflowNode
+
+        def refuse(node):
+            raise AssertionError("a workflow node was built")
+
+        monkeypatch.setattr(WorkflowNode, "__post_init__", refuse)
+        assert main([*argv, "--out", str(tmp_path), "--run-id", "r"]) == EXIT_OK
+        assert (tmp_path / "r" / "tables" / "autonomy_curves.csv").exists()
+
+    @pytest.mark.parametrize("group_by", ["overall", "benchmark", "agent", "model"])
+    def test_autonomy_curves_equal_library_curves_of_trees(self, tmp_path, capsys, group_by):
+        from workatlas.autonomy import success_rates, with_overall
+        from workatlas.io import read_workflows, write_curves
+
+        code = main(["autonomy", "--fixtures", "--group-by", group_by,
+                     "--out", str(tmp_path), "--run-id", "a"])
+        assert code == EXIT_OK
+        expected = tmp_path / "expected.csv"
+        trees = read_workflows(fixture_path("workflows.jsonl"))
+        write_curves(expected, success_rates(trees, with_overall(group_by)))
+        produced = tmp_path / "a" / "tables" / "autonomy_curves.csv"
+        assert produced.read_bytes() == expected.read_bytes()
+
 
 class TestAdviseCommand:
+    def test_float_statuses_give_curves_advise_reads(self, tmp_path, capsys):
+        workflows = tmp_path / "workflows.jsonl"
+        workflows.write_text(
+            '{"benchmark": "b", "root": {"id": "r", "description": "d", "status": 1.0, '
+            '"children": [{"id": "a", "description": "d", "status": 0.0}, '
+            '{"id": "c", "description": "d", "status": true}]}}\n', encoding="utf-8")
+        assert main(["autonomy", "--workflows", str(workflows),
+                     "--out", str(tmp_path), "--run-id", "curves"]) == EXIT_OK
+        curves = tmp_path / "curves" / "tables" / "autonomy_curves.csv"
+        assert [row["successes"] for row in read_table(curves)] == ["1", "1", "1", "1"]
+        code = main(["advise", "--curves", str(curves), "--groups", "overall",
+                     "--instruction", "Fix the failing test", "--complexity", "1",
+                     "--min-samples", "1", "--out", str(tmp_path), "--run-id", "advice"])
+        assert code == EXIT_OK, capsys.readouterr().err
+
     def test_advise_with_explicit_groups(self, tmp_path, capsys):
         code = main([
             "autonomy", "--workflows", str(fixture_path("workflows.jsonl")),
@@ -568,6 +614,32 @@ class TestParameterRanges:
         assert main([command, "--fixtures", "--config", str(config)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("config", [{"permutaions": 3}, {"group-bye": "agent", "seed": 1}])
+    def test_unknown_config_key_exits_before_reading_inputs(self, tmp_path, monkeypatch,
+                                                            capsys, config):
+        monkeypatch.chdir(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "validate_inputs", read.append)
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["sample", "--fixtures", "--config", "config.json"]) == EXIT_CONFIG
+        unknown = next(iter(config))
+        assert capsys.readouterr().err == (
+            f"config error: config file keys that no subcommand takes: {unknown!r}\n")
+        assert read == []
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
+        # autonomy takes no --permutations; sample does, so a shared file may hold it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"permutations": 3, "group-by": "agent"}),
+                          encoding="utf-8")
+        code = main(["autonomy", "--fixtures", "--config", str(config),
+                     "--out", str(tmp_path), "--run-id", "a"])
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["config"]["group_by"] == "agent"
+        assert "permutations" not in manifest["config"]
 
     def test_undeclared_parameter_not_checked(self, tmp_path, capsys):
         # map takes no --threshold, so a shared config's value is not its concern
@@ -916,3 +988,14 @@ class TestPinnedFixtureOutputs:
             if p.is_file() and (p.parent.name in ("tables", "plots") or p.name == "mappings.jsonl")
         }
         assert produced == self.PINNED
+
+
+def test_perfbench_tracer_finds_every_name():
+    """The benchmark's tracer rebinds package functions by name; a rename it
+    does not follow fails here rather than only in a traced benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    code = "import spans; spans.install(spans.SpanRecorder('t'))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=root / "perfbench",
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert out.returncode == 0, out.stderr
