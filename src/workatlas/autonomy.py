@@ -297,6 +297,8 @@ class LevelCounts:
     levels: dict[int, list[int]] = field(default_factory=dict)
 
 
+#: The group keys of a workflow root. The named groupings read only its
+#: ``metadata``, which :class:`LevelCounts` carry too.
 GroupFn = Callable[[WorkflowNode], Sequence[str]]
 
 #: The root metadata fields a workflow can be grouped by.
