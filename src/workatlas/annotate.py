@@ -10,7 +10,10 @@ candidate.
 Three implementations cover the production and test paths: a remote HTTP
 annotator (endpoint and credential from ``ATLAS_ANNOTATOR_URL`` /
 ``ATLAS_ANNOTATOR_KEY``), a deterministic keyword annotator, and a replay
-annotator that serves recorded outputs.
+annotator that serves recorded outputs. Only the remote annotator needs
+the HTTP stack (``urllib.request`` with ``http.client``, ``ssl`` and
+``email``), so it imports that on first use: a keyword or replay run never
+loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
@@ -233,6 +234,11 @@ class RemoteAnnotator:
         self._sleep = sleep
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:
+        # Imported here so runs without a remote annotator never load the
+        # HTTP stack; ``urlopen`` is looked up on the module at each attempt.
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps(
             {"instruction": instruction, "taxonomy": taxonomy_text}
         ).encode("utf-8")
@@ -246,6 +252,7 @@ class RemoteAnnotator:
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     return resp.read().decode("utf-8")
             except urllib.error.HTTPError as err:
+                err.close()  # the error holds the response and its socket
                 if 400 <= err.code < 500:
                     raise AnnotatorTransportError(
                         f"annotator rejected request with HTTP {err.code}", attempt

@@ -7,9 +7,10 @@ own flags name exactly once and runs the cross-file checks, and the
 subcommand then computes on those parsed objects. A missing required flag
 exits 2 and any input violation exits 3, both before a run directory
 exists. Every run writes into a fresh directory under ``--out`` (a
-``--run-id`` that names an existing one is a configuration error) and seals a
-manifest with content digests, so re-running with the same inputs and
-``--seed`` reproduces byte-identical tables.
+``--run-id`` that is not one path component, or that names an existing
+directory, is a configuration error) and seals a manifest with content
+digests, so re-running with the same inputs and ``--seed`` reproduces
+byte-identical tables.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 annotator
 failure, 5 internal error. The remote annotator reads its endpoint and
@@ -28,6 +29,8 @@ import functools
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,6 +160,12 @@ def _boolean(value) -> bool:
     return value
 
 
+def _path_component(value: str) -> bool:
+    return value not in ("", ".", "..") and not any(
+        sep in value for sep in (os.sep, os.altsep, "\0") if sep
+    )
+
+
 def _one_of(*options: str) -> tuple:
     return _text, options.__contains__, ", ".join(options[:-1]) + " or " + options[-1]
 
@@ -187,7 +196,9 @@ def _input(help: str, fixture: str | None = None) -> _Param:
 
 _PARAMS = {
     "out": _Param("output root", default="runs"),
-    "run_id": _Param("run directory name (default: timestamp)"),
+    "run_id": _Param("run directory name under --out (default: timestamp)",
+                     (_text, _path_component,
+                      "one path component: not empty, '.' or '..', and without '/' or NUL")),
     "seed": _Param("master random seed", (_integer, None, None), 0),
     "fixtures": _Param("fill unset inputs from the bundled fixture data",
                        (_boolean, None, None), False),
@@ -354,7 +365,9 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     """Parse every input file named in ``config`` once and cross-check them.
 
     This is the only place the CLI reads input files; violations are the
-    result's content, and bad data never raises. Checks: files parse;
+    result's content, and bad data never raises. Checks: every input named
+    that exists is a regular file (checked by ``os.stat`` before any reader
+    runs, so a pipe is never opened); files parse;
     taxonomies are of the kind their flag names; example keys are unique
     with non-empty instructions; mapping paths resolve in the supplied
     taxonomies; occupation SOC codes are unique; importance rows reference
@@ -369,8 +382,21 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     def violation(key: str, where: str, reason: str) -> None:
         inputs.violations.append(Violation(str(values[key]), where, reason))
 
+    # An input must be a regular file: a pipe or a device would be read
+    # again, to a different end or never, when the manifest digests it.
+    not_regular = set()
+    for key, value in values.items():
+        if _PARAMS[key].input and value is not None:
+            try:
+                mode = os.stat(value).st_mode
+            except (OSError, ValueError):
+                continue  # its reader reports why it cannot be read
+            if not stat.S_ISREG(mode):
+                violation(key, "(file)", "not a regular file")
+                not_regular.add(key)
+
     def parse(key: str, reader, *args):
-        if values.get(key) is None:
+        if values.get(key) is None or key in not_regular:
             return None
         try:
             return reader(Path(values[key]), *args)

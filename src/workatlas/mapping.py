@@ -4,13 +4,14 @@ Every candidate label sequence an annotator proposes is validated against
 the taxonomy before it is kept; a mapping's status records whether the
 annotator produced usable paths (``mapped``), nothing (``empty``), or only
 unresolvable candidates (``invalid``). The raw annotator output is retained
-verbatim so any corpus can be re-audited or replayed later.
+verbatim so any corpus can be re-audited or replayed later. A corpus is
+mapped in order on the calling thread, or with ``parallelism > 1`` through a
+thread pool, which only such a run imports.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -197,6 +198,9 @@ def map_corpus(
             except AnnotatorTransportError as err:
                 raise CorpusMappingAborted(err, results) from err
         return results
+
+    # Imported here so a sequential run never loads the thread pool.
+    from concurrent.futures import ThreadPoolExecutor, as_completed
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [pool.submit(run_one, e) for e in valid]

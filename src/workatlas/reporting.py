@@ -3,9 +3,12 @@
 A run writes into a fresh directory (timestamped under the output root, or
 a caller-chosen id) and never mutates existing outputs; until its manifest
 is written the directory carries a ``.partial`` suffix. The manifest echoes
-the full configuration, records a digest for every input and output file,
-and is written last; identical inputs and seed reproduce byte-identical
-tables.
+the full configuration, records a SHA-256 digest for every input and output
+file, and is written last; identical inputs and seed reproduce
+byte-identical tables. Input files are digested by streaming them through
+one small buffer, so a large input adds nothing to the run's peak memory.
+Each input is read twice, once by its parser and once for its digest,
+which is why the CLI accepts only regular files as inputs.
 
 Plot series are numeric JSON documents with axis metadata, one per figure
 family: effort-versus-employment scatter, skill distribution bars, and the
@@ -51,8 +54,22 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: Bytes per read when digesting a file. Below glibc's default 128 KiB mmap
+#: threshold, so the one buffer comes from the heap rather than a mapping.
+DIGEST_CHUNK = 64 * 1024
+
+
 def sha256_file(path: str | Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    """SHA-256 of a file, streamed through one reused buffer (as
+    ``hashlib.file_digest`` does from Python 3.11), so digesting holds
+    ``DIGEST_CHUNK`` bytes whatever the file's size."""
+    digest = hashlib.sha256()
+    buffer = bytearray(DIGEST_CHUNK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            digest.update(view[:n])
+    return digest.hexdigest()
 
 
 #: Suffix of a run directory that is still being written.

@@ -1,7 +1,13 @@
+import gc
 import http.server
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +220,8 @@ def annotator_server():
     _Handler.payloads = []
     yield f"http://127.0.0.1:{server.server_port}/annotate"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
 
 
 class TestRemoteAnnotator:
@@ -252,6 +260,18 @@ class TestRemoteAnnotator:
             annotator.annotate("x", "")
         assert _Handler.requests_seen == 1
 
+    def test_error_responses_are_closed(self, annotator_server):
+        _Handler.fail_times = 1
+        _Handler.reject_times = 1
+        annotator = RemoteAnnotator(url=annotator_server, sleep=lambda s: None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(AnnotatorTransportError, match="403"):
+                annotator.annotate("x", "")
+            assert "Family One" in annotator.annotate("x", "")  # after one 500
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_unreachable_endpoint(self):
         annotator = RemoteAnnotator(
             url="http://127.0.0.1:1/nothing", sleep=lambda s: None, timeout=0.2
@@ -280,3 +300,19 @@ def test_advise_sends_the_flattened_domain_tree(tmp_path, monkeypatch, capsys,
     assert code == EXIT_INPUT  # the stub's labels resolve to no curve group
     assert [p["taxonomy"] for p in _Handler.payloads] == [flatten_for_prompt(domain_taxonomy)]
     assert _Handler.payloads[0]["instruction"] == "debug the reported defect"
+
+
+def test_remote_map_in_parallel_in_a_fresh_interpreter(tmp_path, annotator_server):
+    """The HTTP stack and the thread pool are imported on first use; a
+    fresh interpreter that needs both maps every example through them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "workatlas.cli", "map", "--fixtures", "--annotator", "remote",
+         "--parallelism", "2", "--out", str(tmp_path), "--run-id", "m"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), "ATLAS_ANNOTATOR_URL": annotator_server},
+    )
+    assert out.returncode == 0, out.stderr
+    lines = (tmp_path / "m" / "mappings.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 40  # 20 fixture examples, each against both taxonomies
+    assert _Handler.requests_seen == 40

@@ -556,6 +556,52 @@ class TestSharedValidation:
         assert set(manifest["inputs"]) == {"workflows"}
 
 
+class TestNonRegularInputs:
+    """An input that is not a regular file is an input violation found with
+    ``os.stat``, before any reader opens it, and leaves no run directory."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flag, extra", [
+        ("--examples", []),
+        # never parsed under replay, but the manifest would digest it
+        ("--domain-rules", ["--annotator", "replay", "--replay-mappings", "none.jsonl"]),
+    ])
+    def test_fifo_without_writer_exits_input(self, tmp_path, flag, extra):
+        fifo = tmp_path / "inputs.fifo"
+        os.mkfifo(fifo)
+        src = Path(__file__).resolve().parents[1] / "src"
+        # a subprocess with a timeout, so that opening the pipe fails the test
+        # instead of hanging it
+        out = subprocess.run(
+            [sys.executable, "-m", "workatlas.cli", "map", "--fixtures", flag, str(fifo),
+             *extra, "--out", "runs", "--run-id", "r"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == EXIT_INPUT, out.stderr
+        assert f"input violation: {fifo} [(file)]: not a regular file" in out.stderr
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    @pytest.mark.parametrize("argv", [
+        ["map", "--fixtures", "--examples", os.devnull],
+        ["autonomy", "--workflows", os.devnull],
+        ["report", "--fixtures", "--occupations", os.devnull],
+    ])
+    def test_device_exits_input(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "runs")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input violation: {os.devnull} [(file)]: not a regular file\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_directory_exits_input(self, tmp_path, capsys):
+        code = main(["autonomy", "--workflows", str(tmp_path), "--out", str(tmp_path / "runs")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input violation: {tmp_path} [(file)]: not a regular file\n")
+        assert not (tmp_path / "runs").exists()
+
+
 class TestParameterRanges:
     """Out-of-range parameters are configuration errors caught before any
     run directory exists."""
@@ -676,6 +722,37 @@ class TestParameterRanges:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert read == []
         assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if config else [])
+
+    @pytest.mark.parametrize("run_id", ["../escape", "a/b", "..", ".", "", "/abs"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_run_id_must_be_one_path_component(self, tmp_path, monkeypatch, capsys,
+                                               run_id, via_config):
+        # run from tmp_path so that a run directory outside --out would show
+        monkeypatch.chdir(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "validate_inputs", read.append)
+        argv = ["autonomy", "--fixtures", "--out", "ro"]
+        if via_config:
+            (tmp_path / "config.json").write_text(json.dumps({"run-id": run_id}),
+                                                  encoding="utf-8")
+            argv += ["--config", "config.json"]
+        else:
+            argv += ["--run-id", run_id]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --run-id must be one path component: not empty, '.' or '..', "
+            f"and without '/' or NUL, got {run_id!r}\n")
+        assert read == []
+        assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if via_config else [])
+
+    def test_run_id_with_nul_exits_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"run_id": "a\u0000b"}), encoding="utf-8")
+        code = main(["autonomy", "--fixtures", "--config", str(config),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --run-id must be ")
+        assert not (tmp_path / "runs").exists()
 
 
 #: A valid value of each parameter that names no file, as a flag's text and
@@ -999,3 +1076,21 @@ def test_perfbench_tracer_finds_every_name():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert out.returncode == 0, out.stderr
+
+
+def test_import_loads_no_http_stack_or_thread_pool():
+    """Only ``--annotator remote`` needs the HTTP stack and only
+    ``--parallelism > 1`` the thread pool; importing the CLI loads neither.
+    Compared with a bare interpreter, since ``site`` may load some of them."""
+    root = Path(__file__).resolve().parents[1]
+    deferred = ("urllib.request", "http.client", "ssl", "email", "concurrent.futures")
+    code = ("import sys; {}; "
+            "print(','.join(m for m in {!r} if m in sys.modules))")
+
+    def loaded(statement: str) -> set[str]:
+        out = subprocess.run([sys.executable, "-c", code.format(statement, deferred)],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(root / "src")})
+        return set(filter(None, out.stdout.strip().split(",")))
+
+    assert loaded("import workatlas.cli") - loaded("pass") == set()
