@@ -52,7 +52,6 @@ from .autonomy import (
     with_overall,
 )
 from .autonomy import advise as autonomy_advise
-from .coverage import CheckedResults
 from .economics import (
     DigitalLabel,
     ImportanceTable,
@@ -62,13 +61,15 @@ from .economics import (
     effective_skill_employment_capital,
 )
 from .io import (
+    FoldedMappings,
     InputFormatError,
     fixture_path,
     read_curves,
     read_digital_labels,
     read_examples,
     read_importance,
-    read_mappings,
+    read_mapping_folds,
+    read_mappings,  # noqa: F401 - perfbench's tracer rebinds it on this module
     read_occupations,
     read_raw_mappings,
     read_workflow_levels,
@@ -96,7 +97,7 @@ from .reporting import (
     emit_sensitivity,
     emit_skill_econ,
 )
-from .sampling import PoolUnit, build_pool, permutation_sensitivity
+from .sampling import PoolUnit, build_pool, permutation_sensitivity, pool_from_folds
 from .taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
 
 EXIT_OK = 0
@@ -335,14 +336,18 @@ class LoadedInputs:
     """Every input file of one invocation, parsed once and cross-checked.
 
     A field stays ``None`` (or empty) when its file was not given or did not
-    parse; ``violations`` says why for the latter. ``workflows`` holds the
-    corpus folded into level counts: no command needs the trees.
+    parse; ``violations`` says why for the latter, and ``parsed`` names the
+    input parameters whose files were read. ``mappings`` holds the mappings
+    file folded per example and kind as it was read, with no record objects
+    and no raw annotator output; ``workflows`` holds the corpus folded into
+    level counts. No command needs the records or the trees.
     """
 
     violations: list[Violation] = field(default_factory=list)
+    parsed: set[str] = field(default_factory=set)
     taxonomies: dict[TaxonomyKind, Taxonomy] = field(default_factory=dict)
     examples: list[TaskExample] | None = None
-    mappings: list[MappingResult] | None = None
+    mappings: FoldedMappings | None = None
     occupations: list[OccupationStats] | None = None
     importance: ImportanceTable | None = None
     labels: list[DigitalLabel] | None = None
@@ -375,6 +380,10 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     codes; a replay recording holds an output for every example and
     taxonomy kind. An occupation whose SOC code is absent from the domain
     taxonomy is not a violation: the economics tables list it as unmatched.
+
+    An input the run has no use for, such as keyword rules under another
+    annotator, is not read. The result's ``parsed`` names every input that
+    was, and the run's manifest digests exactly those.
     """
     values = config.values
     inputs = LoadedInputs()
@@ -398,6 +407,7 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     def parse(key: str, reader, *args):
         if values.get(key) is None or key in not_regular:
             return None
+        inputs.parsed.add(key)
         try:
             return reader(Path(values[key]), *args)
         except Exception as err:  # any parse problem is a violation, not a crash
@@ -445,7 +455,7 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
                                   f"no recorded {kind.value} output for this example")
 
     if inputs.taxonomies and taxonomies_ok:
-        inputs.mappings = parse("mappings", read_mappings, inputs.taxonomies)
+        inputs.mappings = parse("mappings", read_mapping_folds, inputs.taxonomies)
 
     inputs.occupations = parse("occupations", read_occupations)
     soc_codes: set[str] = set()
@@ -516,7 +526,9 @@ def _build_annotator(config: RunConfig, inputs: LoadedInputs, kind: TaxonomyKind
         raise ConfigError(str(err)) from err
 
 
-def _start_bundle(config: RunConfig) -> ReportBundle:
+def _start_bundle(config: RunConfig, inputs: LoadedInputs) -> ReportBundle:
+    """The run directory, with the merged configuration and a digest of
+    every input file :func:`validate_inputs` read."""
     try:
         bundle = ReportBundle.create(config.values["out"], config.values["run_id"])
     except FileExistsError as err:
@@ -527,7 +539,7 @@ def _start_bundle(config: RunConfig) -> ReportBundle:
     }
     bundle.config["command"] = config.command
     for key, value in config.values.items():
-        if _PARAMS[key].input and value is not None and Path(value).exists():
+        if key in inputs.parsed:
             bundle.record_input(key, value)
     return bundle
 
@@ -572,23 +584,11 @@ def _map_all_kinds(
     return results
 
 
-def _split_by_kind(
-    results: Sequence[MappingResult], taxonomies: dict[TaxonomyKind, Taxonomy]
-) -> dict[TaxonomyKind, CheckedResults]:
-    """Each kind's results from :func:`read_mappings`, which resolved every
-    path in that kind's taxonomy, so they are handed on as checked."""
-    out: dict[TaxonomyKind, list[MappingResult]] = {}
-    for r in results:
-        out.setdefault(r.taxonomy_kind, []).append(r)
-    return {kind: CheckedResults(rs, taxonomies[kind]) for kind, rs in out.items()}
-
-
-def _sensitivity_rows(config: RunConfig, results: Sequence[MappingResult],
+def _sensitivity_rows(config: RunConfig, pooled: list[PoolUnit],
                       taxonomies: dict[TaxonomyKind, Taxonomy]):
     """One sensitivity summary per benchmark, sorted, then one for the whole
-    pool when it spans several benchmarks. The pool is built once; each
-    benchmark's pool is its units in pooled order."""
-    pooled = build_pool(results)
+    pool when it spans several benchmarks; each benchmark's pool is its
+    units in pooled order."""
     by_benchmark: dict[str, list[PoolUnit]] = {}
     for unit in pooled:
         by_benchmark.setdefault(unit.key[0], []).append(unit)
@@ -662,7 +662,7 @@ def _autonomy_suite(config: RunConfig, workflows: Sequence[LevelCounts],
 def _cmd_map(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
     annotators = _annotators(config, inputs)
-    bundle = _start_bundle(config)
+    bundle = _start_bundle(config, inputs)
     results = _map_all_kinds(config, inputs, annotators, bundle)
     for kind, mapped in results.items():
         for pooled in (r for r in mapping_outcome_stats(mapped) if r.benchmark == "(all)"):
@@ -675,8 +675,8 @@ def _cmd_map(config: RunConfig) -> int:
 
 def _cmd_coverage(config: RunConfig) -> int:
     inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
-    bundle = _start_bundle(config)
-    coverage_suite(bundle, _split_by_kind(inputs.mappings, inputs.taxonomies), inputs.taxonomies)
+    bundle = _start_bundle(config, inputs)
+    coverage_suite(bundle, inputs.mappings.by_kind, inputs.taxonomies)
     bundle.finalize()
     print(f"coverage tables -> {bundle.run_dir}")
     return EXIT_OK
@@ -684,8 +684,9 @@ def _cmd_coverage(config: RunConfig) -> int:
 
 def _cmd_sample(config: RunConfig) -> int:
     inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
-    bundle = _start_bundle(config)
-    emit_sensitivity(bundle, _sensitivity_rows(config, inputs.mappings, inputs.taxonomies))
+    bundle = _start_bundle(config, inputs)
+    pooled = pool_from_folds(inputs.mappings.examples, inputs.mappings.by_kind)
+    emit_sensitivity(bundle, _sensitivity_rows(config, pooled, inputs.taxonomies))
     bundle.finalize()
     print(f"sampling sensitivity -> {bundle.run_dir}")
     return EXIT_OK
@@ -693,11 +694,10 @@ def _cmd_sample(config: RunConfig) -> int:
 
 def _cmd_economics(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "occupations")
-    results_by_kind = _split_by_kind(inputs.mappings or (), inputs.taxonomies)
-    bundle = _start_bundle(config)
+    bundle = _start_bundle(config, inputs)
     family, skill, digital = _economics_suite(inputs, bundle)
-    if results_by_kind and skill is not None:
-        efforts = effort_distributions(results_by_kind, inputs.taxonomies)
+    if inputs.mappings is not None and inputs.mappings.by_kind and skill is not None:
+        efforts = effort_distributions(inputs.mappings.by_kind, inputs.taxonomies)
         alignment_suite(bundle, efforts, family, skill, digital)
     bundle.finalize()
     print(f"economics tables -> {bundle.run_dir}")
@@ -706,7 +706,7 @@ def _cmd_economics(config: RunConfig) -> int:
 
 def _cmd_autonomy(config: RunConfig) -> int:
     inputs = _load(config, "workflows")
-    bundle = _start_bundle(config)
+    bundle = _start_bundle(config, inputs)
     _autonomy_suite(config, inputs.workflows, bundle)
     bundle.finalize()
     print(f"autonomy tables -> {bundle.run_dir}")
@@ -764,7 +764,7 @@ def _cmd_advise(config: RunConfig) -> int:
         ],
     }
     text = json.dumps(record, sort_keys=True, indent=2)
-    bundle = _start_bundle(config)
+    bundle = _start_bundle(config, inputs)
     bundle.add_text("advice.json", text + "\n")
     bundle.finalize()
     print(text)
@@ -774,7 +774,7 @@ def _cmd_advise(config: RunConfig) -> int:
 def _cmd_report(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
     annotators = _annotators(config, inputs)
-    bundle = _start_bundle(config)
+    bundle = _start_bundle(config, inputs)
     # The economics and autonomy tables need no mappings. Emitting them first
     # releases their parsed inputs before mapping and sampling, which hold
     # the most memory.
@@ -786,7 +786,7 @@ def _cmd_report(config: RunConfig) -> int:
     results_by_kind = _map_all_kinds(config, inputs, annotators, bundle)
     flat = [r for rs in results_by_kind.values() for r in rs]
     efforts = coverage_suite(bundle, results_by_kind, inputs.taxonomies)
-    emit_sensitivity(bundle, _sensitivity_rows(config, flat, inputs.taxonomies))
+    emit_sensitivity(bundle, _sensitivity_rows(config, build_pool(flat), inputs.taxonomies))
     if econ is not None and econ[1] is not None:
         alignment_suite(bundle, efforts, *econ)
     bundle.finalize()

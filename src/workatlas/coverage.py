@@ -6,6 +6,11 @@ grouping level: an example increments each distinct node it reaches once,
 however many of its paths land there. Breadth is the per-example count of
 distinct nodes at that level.
 
+All three read one kind's results as a per-example fold,
+:class:`CheckedResults`: each example's key and the union of its mapped
+paths. :func:`check_results` builds the fold from results, and
+``io.read_mapping_folds`` builds it from a mappings file line by line.
+
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
 exactly equivalent to a from-scratch set union.
@@ -16,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .mapping import MappingResult, MappingStatus
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
@@ -44,66 +49,90 @@ def node_at_level(path: TaxonomyPath, level: GroupLevel) -> tuple[str, str]:
     return path.node_ids[-1], path.labels[-1]
 
 
-_NO_NODES: frozenset[tuple[str, str]] = frozenset()
+_NO_PATHS: frozenset[TaxonomyPath] = frozenset()
 
 
-class CheckedResults(tuple):
-    """Mapping results already checked against ``taxonomy``.
+class CheckedResults:
+    """One kind's mapping results checked against ``taxonomy`` and folded
+    per example.
 
-    :func:`coverage`, :func:`effort_by_node` and :func:`breadth` accept them
-    for that taxonomy without checking every path again, and the last two
-    share the per-example node sets they build at a grouping level.
+    ``paths`` maps each example key, in the order the example first
+    appears, to the union of the paths its ``mapped`` results hold, or to
+    an empty frozenset when it has none. That is all :func:`coverage`,
+    :func:`effort_by_node` and :func:`breadth` read, so they accept a fold
+    for its taxonomy without checking any path again, and no result object,
+    raw annotator output or annotator id is kept.
     """
 
-    def __new__(cls, results: Iterable[MappingResult], taxonomy: Taxonomy):
-        checked = super().__new__(cls, results)
-        checked.taxonomy = taxonomy
-        checked._nodes_by_level = {}
-        return checked
+    __slots__ = ("taxonomy", "paths", "_nodes_by_level")
+
+    def __init__(self, taxonomy: Taxonomy):
+        self.taxonomy = taxonomy
+        self.paths: dict[tuple[str, str], frozenset[TaxonomyPath]] = {}
+        self._nodes_by_level: dict[GroupLevel, dict] = {}
+
+    def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
+        """Fold one result's mapped paths (empty for one not mapped) into
+        its example's union; a union equal to one side is that side's set,
+        so equal path sets stay shared. A fold is complete before its first
+        :meth:`nodes_per_example`."""
+        earlier = self.paths.get(key, _NO_PATHS)
+        if paths <= earlier:
+            paths = earlier
+        elif not earlier <= paths:
+            paths = earlier | paths
+        self.paths[key] = paths
 
     def nodes_per_example(
         self, level: GroupLevel
     ) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
         """Each example's distinct (node id, label) pairs at ``level``,
-        built on first use and shared; empty for examples not mapped.
-        A node set is built once per distinct path set, and examples with
-        equal path sets share it."""
+        built on first use and shared. A node set is built once per distinct
+        path set and shared by every example with that path set, and each
+        distinct node is one tuple."""
         per_example = self._nodes_by_level.get(level)
         if per_example is None:
-            per_example = self._nodes_by_level[level] = {}
-            by_paths: dict[frozenset[TaxonomyPath], frozenset[tuple[str, str]]] = {}
-            for r in self:
-                nodes = _NO_NODES
-                if r.status is MappingStatus.MAPPED:
-                    nodes = by_paths.get(r.paths)
-                    if nodes is None:
-                        nodes = frozenset(node_at_level(p, level) for p in r.paths)
-                        by_paths[r.paths] = nodes
-                earlier = per_example.get(r.key)
-                per_example[r.key] = nodes if earlier is None else earlier | nodes
+            node_sets: dict[frozenset[TaxonomyPath], frozenset[tuple[str, str]]] = {}
+            nodes: dict[tuple[str, str], tuple[str, str]] = {}
+            for paths in self.paths.values():
+                if paths not in node_sets:
+                    node_sets[paths] = frozenset(
+                        nodes.setdefault(node, node)
+                        for node in (node_at_level(p, level) for p in paths)
+                    )
+            per_example = self._nodes_by_level[level] = {
+                key: node_sets[paths] for key, paths in self.paths.items()
+            }
         return per_example
 
 
-def check_results(results: Iterable[MappingResult], t: Taxonomy) -> CheckedResults:
-    """Check that every result is of ``t``'s kind and every path is in ``t``.
+def check_results(results: Iterable[MappingResult] | CheckedResults,
+                  t: Taxonomy) -> CheckedResults:
+    """Check that every result is of ``t``'s kind and every path is in
+    ``t``, and fold the results per example.
 
-    Raises :class:`ForeignPathError` otherwise. Results checked against the
-    same taxonomy before are returned as they are.
+    Raises :class:`ForeignPathError` otherwise. A fold made for ``t`` is
+    returned as it is; one made for another taxonomy is checked again.
     """
-    if isinstance(results, CheckedResults) and results.taxonomy is t:
-        return results
-    checked = []
-    for r in results:
-        if r.taxonomy_kind is not t.kind:
+    if isinstance(results, CheckedResults):
+        if results.taxonomy is t:
+            return results
+        kind = results.taxonomy.kind
+        records = ((kind, key, paths) for key, paths in results.paths.items())
+    else:
+        # a result holds paths exactly when it is mapped
+        records = ((r.taxonomy_kind, r.key, r.paths) for r in results)
+    checked = CheckedResults(t)
+    for kind, key, paths in records:
+        if kind is not t.kind:
             raise ForeignPathError(
-                f"result for {r.key} has kind {r.taxonomy_kind.value}, "
-                f"taxonomy is {t.kind.value}"
+                f"result for {key} has kind {kind.value}, taxonomy is {t.kind.value}"
             )
-        for p in r.paths:
+        for p in paths:
             if not t.contains_path(p):
-                raise ForeignPathError(f"path {p} from {r.key} is not in the taxonomy")
-        checked.append(r)
-    return CheckedResults(checked, t)
+                raise ForeignPathError(f"path {p} from {key} is not in the taxonomy")
+        checked.add(key, paths)
+    return checked
 
 
 class CoverageAccumulator:
@@ -136,21 +165,19 @@ class CoverageReport:
     per_benchmark_covered: dict[str, int]  # benchmark -> covered-path count
 
 
-def coverage(results: Sequence[MappingResult], t: Taxonomy) -> CoverageReport:
+def coverage(results: Iterable[MappingResult] | CheckedResults, t: Taxonomy) -> CoverageReport:
     """Pooled and per-benchmark path coverage of ``t``.
 
     Only ``mapped`` results contribute; empty and invalid ones count for
     nothing. Every per-benchmark fraction uses the full taxonomy as its
     denominator.
     """
-    checked = check_results(results, t)
     covered: set[TaxonomyPath] = set()
     by_benchmark: dict[str, set[TaxonomyPath]] = {}
-    for r in checked:
-        bench = by_benchmark.setdefault(r.benchmark, set())
-        if r.status is MappingStatus.MAPPED:
-            covered.update(r.paths)
-            bench.update(r.paths)
+    for (benchmark, _), paths in check_results(results, t).paths.items():
+        bench = by_benchmark.setdefault(benchmark, set())
+        covered.update(paths)
+        bench.update(paths)
     total = t.leaf_count
     return CoverageReport(
         taxonomy_kind=t.kind,
@@ -186,7 +213,7 @@ def _validate_level(t: Taxonomy, level: GroupLevel) -> None:
 
 
 def effort_by_node(
-    results: Sequence[MappingResult], t: Taxonomy, level: GroupLevel
+    results: Iterable[MappingResult] | CheckedResults, t: Taxonomy, level: GroupLevel
 ) -> EffortDistribution:
     """Benchmark effort per node: each example counts once per distinct node
     it reaches at the grouping level (family for domains, leaf activity for
@@ -227,7 +254,7 @@ class BreadthStats:
 
 
 def breadth(
-    results: Sequence[MappingResult], t: Taxonomy, level: GroupLevel
+    results: Iterable[MappingResult] | CheckedResults, t: Taxonomy, level: GroupLevel
 ) -> BreadthStats:
     """Per-example breadth (distinct nodes at the grouping level) plus its
     histogram and summary shares."""

@@ -9,9 +9,12 @@ paths as label sequences so files stay meaningful without the taxonomy at
 hand; reading them back re-resolves every path, which doubles as a
 validation pass. Resolution goes through the taxonomy's own cache, which
 mapping shares, so each distinct label sequence is resolved once per
-taxonomy. A workflow corpus is read one of two ways, with the same checks
-and errors: :func:`read_workflow_levels` folds each trajectory into
-per-level node counts and builds no tree, which is all the CLI needs, and
+taxonomy. A mappings file and a workflow corpus are each read one of two
+ways, with the same checks and errors: :func:`read_mapping_folds` folds
+each line into its kind's per-example union of paths and builds no
+record, and :func:`read_workflow_levels` folds each trajectory into
+per-level node counts and builds no tree, which is all the CLI needs;
+:func:`read_mappings` builds :class:`MappingResult` records and
 :func:`read_workflows` builds :class:`WorkflowNode` trees for library
 callers.
 
@@ -30,6 +33,7 @@ import csv
 import io as _io
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,6 +47,7 @@ from .autonomy import (
     group_name,
     workflow_from_document,
 )
+from .coverage import CheckedResults
 from .economics import (
     DigitalLabel,
     ImportanceRecord,
@@ -51,7 +56,7 @@ from .economics import (
     WorkMode,
 )
 from .mapping import MappingResult, MappingStatus, TaskExample
-from .taxonomy import Taxonomy, TaxonomyKind, resolve_path
+from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath, resolve_path
 
 SCALE_MAX_PREFIX = "# scale_max:"
 
@@ -198,15 +203,50 @@ _KINDS = {k.value: k for k in TaxonomyKind}
 _STATUSES = {s.value: s for s in MappingStatus}
 
 
-def read_mappings(
-    path: str | Path, taxonomies: dict[TaxonomyKind, Taxonomy]
-) -> list[MappingResult]:
-    """Read mapping records, re-resolving every persisted path.
+def _mapping_line(path, line_no: int, record: dict, taxonomies: dict[TaxonomyKind, Taxonomy],
+                  shared: dict) -> tuple[TaxonomyKind, MappingStatus, frozenset[TaxonomyPath]]:
+    """Check one mapping record and resolve its paths: the one check path
+    of both mapping readers. Returns its kind, status and path set; equal
+    path sets come back as one object, kept in ``shared``.
 
     Re-resolution failing on a persisted path means the file and taxonomy
     disagree; that is surfaced as an :class:`InputFormatError` rather than
     silently skipped. Failures are never cached, so an error names the
     first line that holds a bad sequence.
+    """
+    _check_fields(path, line_no, record, MAPPING_FIELDS, "mapping")
+    try:
+        kind = _KINDS[record["taxonomy_kind"]]
+        status = _STATUSES[record["status"]]
+    except KeyError:
+        # the enums word the error for an unknown value
+        try:
+            TaxonomyKind(record["taxonomy_kind"])
+            MappingStatus(record["status"])
+        except ValueError as err:
+            raise InputFormatError(path, line_no, str(err)) from None
+    taxonomy = taxonomies.get(kind)
+    if taxonomy is None:
+        raise InputFormatError(path, line_no, f"no taxonomy supplied for kind {kind.value}")
+    try:
+        paths = frozenset([resolve_path(taxonomy, labels) for labels in record["paths"]])
+    except (TypeError, ValueError) as err:
+        raise InputFormatError(
+            path,
+            line_no,
+            f"example {record['benchmark']}/{record['example_id']}: {err}",
+        ) from err
+    if (status is MappingStatus.MAPPED) != bool(paths):
+        raise InputFormatError(
+            path, line_no, f"status {status.value} inconsistent with {len(paths)} paths"
+        )
+    return kind, status, shared.setdefault(paths, paths)
+
+
+def read_mappings(
+    path: str | Path, taxonomies: dict[TaxonomyKind, Taxonomy]
+) -> list[MappingResult]:
+    """Read mapping records, re-resolving every persisted path.
 
     Records repeat values: a corpus holds far fewer distinct path sets than
     records, and an example's domain and skill records share its ids. Equal
@@ -216,46 +256,58 @@ def read_mappings(
     results = []
     shared: dict = {}
     for line_no, record in _iter_jsonl(path):
-        _check_fields(path, line_no, record, MAPPING_FIELDS, "mapping")
-        try:
-            kind = _KINDS[record["taxonomy_kind"]]
-            status = _STATUSES[record["status"]]
-        except KeyError:
-            # the enums word the error for an unknown value
-            try:
-                TaxonomyKind(record["taxonomy_kind"])
-                MappingStatus(record["status"])
-            except ValueError as err:
-                raise InputFormatError(path, line_no, str(err)) from None
-        taxonomy = taxonomies.get(kind)
-        if taxonomy is None:
-            raise InputFormatError(path, line_no, f"no taxonomy supplied for kind {kind.value}")
-        try:
-            paths = frozenset([resolve_path(taxonomy, labels) for labels in record["paths"]])
-        except (TypeError, ValueError) as err:
-            raise InputFormatError(
-                path,
-                line_no,
-                f"example {record['benchmark']}/{record['example_id']}: {err}",
-            ) from err
+        kind, status, paths = _mapping_line(path, line_no, record, taxonomies, shared)
         benchmark, example_id = record["benchmark"], record["example_id"]
         raw = record.get("raw", "")
         annotator_id = record.get("annotator_id", "unknown")
-        try:
-            results.append(
-                MappingResult(
-                    benchmark=shared.setdefault(benchmark, benchmark),
-                    example_id=shared.setdefault(example_id, example_id),
-                    taxonomy_kind=kind,
-                    paths=shared.setdefault(paths, paths),
-                    status=status,
-                    raw_annotator_output=shared.setdefault(raw, raw),
-                    annotator_id=shared.setdefault(annotator_id, annotator_id),
-                )
+        results.append(
+            MappingResult(
+                benchmark=shared.setdefault(benchmark, benchmark),
+                example_id=shared.setdefault(example_id, example_id),
+                taxonomy_kind=kind,
+                paths=paths,
+                status=status,
+                raw_annotator_output=shared.setdefault(raw, raw),
+                annotator_id=shared.setdefault(annotator_id, annotator_id),
             )
-        except ValueError as err:
-            raise InputFormatError(path, line_no, str(err)) from err
+        )
     return results
+
+
+@dataclass(frozen=True)
+class FoldedMappings:
+    """A mappings file folded per example as it was read.
+
+    ``examples`` lists every example key once, in the order the example
+    first appears in the file; ``by_kind`` holds one fold per taxonomy kind
+    that has at least one record. The folds and ``examples`` share one key
+    tuple per example.
+    """
+
+    examples: tuple[tuple[str, str], ...]
+    by_kind: dict[TaxonomyKind, CheckedResults]
+
+
+def read_mapping_folds(
+    path: str | Path, taxonomies: dict[TaxonomyKind, Taxonomy]
+) -> FoldedMappings:
+    """Read a mappings file into per-example folds, with the checks and
+    errors of :func:`read_mappings`, adding each line to its kind's fold as
+    it is read. No :class:`MappingResult` is built, and no ``raw`` output or
+    annotator id is kept."""
+    keys: dict[tuple[str, str], tuple[str, str]] = {}
+    folds: dict[TaxonomyKind, CheckedResults] = {}
+    shared: dict = {}
+    for line_no, record in _iter_jsonl(path):
+        kind, _, paths = _mapping_line(path, line_no, record, taxonomies, shared)
+        benchmark = record["benchmark"]
+        key = (shared.setdefault(benchmark, benchmark), record["example_id"])
+        key = keys.setdefault(key, key)
+        fold = folds.get(kind)
+        if fold is None:
+            fold = folds[kind] = CheckedResults(taxonomies[kind])
+        fold.add(key, paths)
+    return FoldedMappings(tuple(keys), folds)
 
 
 def read_raw_mappings(path: str | Path) -> list[dict]:

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from . import __version__
 from .coverage import (
     BreadthStats,
+    CheckedResults,
     CoverageReport,
     EffortDistribution,
     GroupLevel,
@@ -403,7 +404,7 @@ REPORT_LEVEL = {
 
 
 def effort_distributions(
-    results_by_kind: Mapping[TaxonomyKind, Sequence[MappingResult]],
+    results_by_kind: Mapping[TaxonomyKind, Iterable[MappingResult] | CheckedResults],
     taxonomies: Mapping[TaxonomyKind, Taxonomy],
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Each kind's effort at its reporting level."""
@@ -415,7 +416,7 @@ def effort_distributions(
 
 def coverage_suite(
     bundle: ReportBundle,
-    results_by_kind: Mapping[TaxonomyKind, Sequence[MappingResult]],
+    results_by_kind: Mapping[TaxonomyKind, Iterable[MappingResult] | CheckedResults],
     taxonomies: Mapping[TaxonomyKind, Taxonomy],
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Coverage, effort and breadth tables per kind; returns the efforts so

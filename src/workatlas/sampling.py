@@ -30,10 +30,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .coverage import CheckedResults
 from .mapping import MappingResult, MappingStatus
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
 
 POOLED_BENCHMARK = "pooled"
+_NO_PATHS: frozenset[TaxonomyPath] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,20 @@ def build_pool(results: Iterable[MappingResult]) -> list[PoolUnit]:
     return [
         PoolUnit(key=k, paths={kind: frozenset(s) for kind, s in paths[k].items()})
         for k in order
+    ]
+
+
+def pool_from_folds(
+    examples: Iterable[tuple[str, str]], folds: Mapping[TaxonomyKind, CheckedResults]
+) -> list[PoolUnit]:
+    """The pool :func:`build_pool` makes of the results ``folds`` were
+    folded from, given their example keys in order of first appearance."""
+    return [
+        PoolUnit(key=key, paths={
+            kind: folds[kind].paths.get(key, _NO_PATHS) if kind in folds else _NO_PATHS
+            for kind in TaxonomyKind
+        })
+        for key in examples
     ]
 
 

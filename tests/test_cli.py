@@ -399,6 +399,111 @@ class TestEconomicsCommand:
         assert sum(float(r["employment"]) for r in family) == 630000.0
 
 
+class TestReanalysis:
+    """``coverage``, ``economics`` and ``sample`` read a recorded mappings
+    file as folds; the report computes on the results it mapped."""
+
+    def test_reanalysis_reproduces_report_tables(self, tmp_path, capsys):
+        assert main(["report", *fixture_args(), "--permutations", "100",
+                     "--out", str(tmp_path), "--run-id", "report"]) == EXIT_OK
+        report = tmp_path / "report"
+        mappings = str(report / "mappings.jsonl")
+        compared = []
+        for command in ("coverage", "economics", "sample"):
+            assert main([command, *fixture_args(), "--mappings", mappings,
+                         *(["--permutations", "100"] if command == "sample" else []),
+                         "--out", str(tmp_path), "--run-id", command]) == EXIT_OK
+            for table in sorted((tmp_path / command / "tables").iterdir()):
+                expected = report / "tables" / table.name
+                assert table.read_bytes() == expected.read_bytes(), (command, table.name)
+                compared.append(table.name)
+        assert len(compared) == 15
+
+    def test_mappings_without_records_give_no_alignment(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["economics", "--fixtures", "--mappings", str(empty),
+                     "--out", str(tmp_path), "--run-id", "e"]) == EXIT_OK
+        tables = {p.name for p in (tmp_path / "e" / "tables").iterdir()}
+        assert "family_economics.csv" in tables
+        assert not any(name.startswith("alignment_") for name in tables)
+
+    def test_mapping_read_keeps_no_record_objects(self, tmp_path, domain_results,
+                                                  skill_results):
+        from workatlas.io import write_mappings
+        from workatlas.mapping import MappingResult
+
+        mappings = tmp_path / "mappings.jsonl"
+        write_mappings(mappings, list(domain_results) + list(skill_results))
+        records = [json.loads(line) for line in mappings.read_text(encoding="utf-8").splitlines()]
+        for i, record in enumerate(records):
+            record["raw"], record["annotator_id"] = f"raw marker {i}", f"annotator marker {i}"
+        mappings.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        config = RunConfig(command="coverage", values={
+            "mappings": str(mappings),
+            "domain_taxonomy": str(fixture_path("taxonomy_domain.json")),
+            "skill_taxonomy": str(fixture_path("taxonomy_skill.json")),
+        })
+
+        def results_alive() -> int:
+            return sum(1 for o in gc.get_objects() if type(o) is MappingResult)
+
+        gc.collect()
+        before = results_alive()  # the session fixtures hold their own
+        inputs = validate_inputs(config)
+        assert inputs.ok and inputs.mappings is not None
+        assert results_alive() == before
+
+        seen, stack, strings = set(), [inputs], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, type(sys), type(main))):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, str):
+                strings.append(obj)
+                continue
+            stack.extend(gc.get_referents(obj))
+            if isinstance(obj, dict):  # string keys are not referents
+                stack.extend(obj)
+        assert records[0]["example_id"] in strings  # the walk reached the parsed mappings
+        assert not [s for s in strings if "marker" in s]
+
+
+class TestManifestInputs:
+    """A manifest digests exactly the input files the run read."""
+
+    def test_replay_run_names_no_rule_files(self, tmp_path, capsys):
+        assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        assert main(["map", "--fixtures", "--annotator", "replay",
+                     "--replay-mappings", str(tmp_path / "m" / "mappings.jsonl"),
+                     "--out", str(tmp_path), "--run-id", "r"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == ["domain_taxonomy", "examples", "replay_mappings",
+                                              "skill_taxonomy"]
+
+    def test_remote_run_names_no_rule_files(self, tmp_path, monkeypatch, capsys):
+        class Silent:
+            annotator_id = "remote"
+
+            def annotate(self, instruction, taxonomy_text):
+                return ""
+
+        monkeypatch.setattr(cli, "RemoteAnnotator", Silent)
+        assert main(["map", "--fixtures", "--annotator", "remote",
+                     "--out", str(tmp_path), "--run-id", "r"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == ["domain_taxonomy", "examples", "skill_taxonomy"]
+
+    def test_report_names_every_fixture_it_reads(self, tmp_path, capsys):
+        assert main(["report", *fixture_args(), "--permutations", "2",
+                     "--out", str(tmp_path), "--run-id", "r"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == [
+            "digital_labels", "domain_rules", "domain_taxonomy", "examples", "importance",
+            "occupations", "skill_rules", "skill_taxonomy", "workflows"]
+
+
 class TestReportValidation:
     def test_inconsistent_inputs_exit_with_input_code(self, tmp_path, capsys):
         bad = tmp_path / "importance.csv"

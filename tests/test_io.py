@@ -10,13 +10,16 @@ import pytest
 from workatlas import io as workatlas_io
 from workatlas import taxonomy as workatlas_taxonomy
 from workatlas.autonomy import WorkflowNode, iter_nodes, success_rates
+from workatlas.coverage import breadth, coverage, effort_by_node
 from workatlas.io import (
+    FoldedMappings,
     InputFormatError,
     fixture_path,
     read_curves,
     read_digital_labels,
     read_examples,
     read_importance,
+    read_mapping_folds,
     read_mappings,
     read_occupations,
     read_raw_mappings,
@@ -28,6 +31,8 @@ from workatlas.io import (
     write_workflows,
 )
 from workatlas.mapping import MappingResult, MappingStatus
+from workatlas.reporting import REPORT_LEVEL
+from workatlas.sampling import build_pool, pool_from_folds
 from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
 
 from conftest import deep_chain
@@ -515,6 +520,92 @@ class TestValueSharing:
         as_dict = dataclasses.asdict(trees[0])
         assert as_dict["metadata"] == trees[0].metadata
         assert as_dict["children"][0]["metadata"] == {}
+
+
+class TestMappingFolds:
+    """The streaming reader folds a file into what the coverage tables and
+    the sampler read from :func:`read_mappings` results."""
+
+    @staticmethod
+    def assert_fold_matches(path, taxonomies):
+        results = read_mappings(path, taxonomies)
+        folded = read_mapping_folds(path, taxonomies)
+        assert folded.examples == tuple(dict.fromkeys(r.key for r in results))
+        by_kind: dict = {}
+        for r in results:
+            by_kind.setdefault(r.taxonomy_kind, []).append(r)
+        assert folded.by_kind.keys() == by_kind.keys()  # a kind without records has no fold
+        example_keys = {id(key) for key in folded.examples}
+        for kind, rs in by_kind.items():
+            fold, t = folded.by_kind[kind], taxonomies[kind]
+            union: dict = {}
+            for r in rs:
+                union.setdefault(r.key, set()).update(r.paths)
+            assert fold.taxonomy is t
+            assert list(fold.paths.items()) == [(k, frozenset(v)) for k, v in union.items()]
+            assert {id(key) for key in fold.paths} <= example_keys  # one key tuple per example
+            level = REPORT_LEVEL[kind]
+            assert coverage(fold, t) == coverage(rs, t)
+            assert effort_by_node(fold, t, level) == effort_by_node(rs, t, level)
+            assert breadth(fold, t, level) == breadth(rs, t, level)
+        assert pool_from_folds(folded.examples, folded.by_kind) == build_pool(results)
+        return results
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kinds", [("domain", "skill"), ("domain",), ("skill",)])
+    def test_random_files(self, tmp_path, domain_taxonomy, skill_taxonomy, seed, kinds):
+        taxonomies = {kind: t for kind, t in TestValueSharing.taxonomies(
+            domain_taxonomy, skill_taxonomy).items() if kind.value in kinds}
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(TestValueSharing.random_mappings(random.Random(seed), taxonomies, 300),
+                        encoding="utf-8")
+        results = self.assert_fold_matches(path, taxonomies)
+        assert len({r.key for r in results}) < len(results)  # examples repeat
+        assert {r.status for r in results} == set(MappingStatus)
+
+    def test_empty_file(self, tmp_path, domain_taxonomy, skill_taxonomy):
+        path = tmp_path / "mappings.jsonl"
+        path.write_text("\n", encoding="utf-8")
+        taxonomies = TestValueSharing.taxonomies(domain_taxonomy, skill_taxonomy)
+        assert self.assert_fold_matches(path, taxonomies) == []
+        assert read_mapping_folds(path, taxonomies) == FoldedMappings((), {})
+
+    BASE = {"benchmark": "b", "example_id": "bad", "taxonomy_kind": "domain",
+            "status": "mapped",
+            "paths": [["Business and Financial Operations", "Accountants",
+                       "prepare adjusting journal entries"]]}
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"benchmark": "b", "example_id"',
+         "invalid JSON: Expecting ':' delimiter: line 1 column 32 (char 31)"),
+        ('["b", "bad"]', "record must be a JSON object, got list"),
+        ("[" * 100000 + "]" * 100000, "nesting too deep to decode"),
+        (json.dumps({k: v for k, v in BASE.items() if k != "status"}),
+         "mapping record missing 'status'"),
+        (json.dumps({**BASE, "paths": "x"}),
+         "mapping record field 'paths' must be an array, got str"),
+        (json.dumps({**BASE, "taxonomy_kind": "domains"}),
+         "'domains' is not a valid TaxonomyKind"),
+        (json.dumps({**BASE, "status": "done"}), "'done' is not a valid MappingStatus"),
+        (json.dumps({**BASE, "taxonomy_kind": "skill"}), "no taxonomy supplied for kind skill"),
+        (json.dumps({**BASE, "paths": [["No", "Such", "Path"]]}),
+         "example b/bad: no path matches labels ['No', 'Such', 'Path']"),
+        (json.dumps({**BASE, "paths": [[5, "x"]]}),
+         "example b/bad: labels must be strings, got [5, 'x']"),
+        (json.dumps({**BASE, "paths": []}), "status mapped inconsistent with 0 paths"),
+        (json.dumps({**BASE, "status": "empty"}), "status empty inconsistent with 1 paths"),
+    ], ids=["json", "not-object", "too-deep", "missing-field", "field-type", "kind",
+            "status", "no-taxonomy", "unknown-path", "labels", "mapped-without-paths",
+            "empty-with-paths"])
+    def test_bad_line_named_alike(self, tmp_path, domain_taxonomy, line, reason):
+        path = tmp_path / "mappings.jsonl"
+        path.write_text(json.dumps({**self.BASE, "example_id": "ok"}) + "\n\n" + line + "\n",
+                        encoding="utf-8")
+        for read in (read_mappings, read_mapping_folds):
+            with pytest.raises(InputFormatError) as info:
+                read(path, {TaxonomyKind.DOMAIN: domain_taxonomy})
+            assert (info.value.path, info.value.line_no, info.value.reason) == (
+                str(path), 3, reason)
 
 
 class TestWorkflowsFile:
