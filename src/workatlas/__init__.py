@@ -45,6 +45,7 @@ from .mapping import (  # noqa: F401
     TaskExample,
     Verdict,
     agreement_rate,
+    iter_map_corpus,
     map_corpus,
     map_example,
     mapping_outcome_stats,

@@ -106,7 +106,7 @@ def format_candidates(sequences: Iterable[Sequence[str]]) -> str:
     return json.dumps([list(seq) for seq in sequences])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeywordRule:
     keyword: str
     labels: tuple[str, ...]
@@ -137,10 +137,18 @@ class KeywordAnnotator:
 
     @classmethod
     def from_file(cls, path: str | Path, annotator_id: str | None = None) -> "KeywordAnnotator":
-        """Load rules from a JSON array of ``{keyword, labels}`` objects."""
+        """Load rules from a JSON array of ``{keyword, labels}`` objects.
+
+        Rules of one tree repeat its upper labels many times over, so each
+        distinct label string is stored once across rules, and the parsed
+        document is dropped before the rules are indexed.
+        """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        rules = [KeywordRule(r["keyword"], tuple(r["labels"])) for r in data]
+        labels: dict[str, str] = {}
+        rules = [KeywordRule(r["keyword"], tuple(labels.setdefault(x, x) for x in r["labels"]))
+                 for r in data]
+        del data, labels
         return cls(rules, annotator_id or f"keyword:{Path(path).stem}")
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:
@@ -211,6 +219,11 @@ class RemoteAnnotator:
     default) and surfaced as :class:`AnnotatorTransportError` with the
     attempt count. HTTP 4xx responses are not retried: they indicate a
     request problem, not a transient fault.
+
+    A corpus sends one taxonomy text with every request, so its JSON
+    encoding is kept for the last text object seen, as one
+    ``(text, encoded)`` tuple that concurrent callers read and replace
+    whole.
     """
 
     def __init__(
@@ -232,6 +245,16 @@ class RemoteAnnotator:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self._sleep = sleep
+        self._taxonomy_json: tuple[str, str] | None = None
+
+    def _request_body(self, instruction: str, taxonomy_text: str) -> bytes:
+        """``json.dumps({"instruction": ..., "taxonomy": ...})`` as UTF-8,
+        with the taxonomy's encoding spliced in from the cache."""
+        cached = self._taxonomy_json
+        if cached is None or cached[0] is not taxonomy_text:
+            cached = self._taxonomy_json = (taxonomy_text, json.dumps(taxonomy_text))
+        return ('{"instruction": ' + json.dumps(instruction) + ', "taxonomy": ' + cached[1]
+                + "}").encode("utf-8")
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:
         # Imported here so runs without a remote annotator never load the
@@ -239,9 +262,7 @@ class RemoteAnnotator:
         import urllib.error
         import urllib.request
 
-        payload = json.dumps(
-            {"instruction": instruction, "taxonomy": taxonomy_text}
-        ).encode("utf-8")
+        payload = self._request_body(instruction, taxonomy_text)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

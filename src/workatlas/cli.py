@@ -32,6 +32,7 @@ import math
 import os
 import stat
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -52,6 +53,7 @@ from .autonomy import (
     with_overall,
 )
 from .autonomy import advise as autonomy_advise
+from .coverage import FoldedMappings, MappingFolder
 from .economics import (
     DigitalLabel,
     ImportanceTable,
@@ -61,9 +63,9 @@ from .economics import (
     effective_skill_employment_capital,
 )
 from .io import (
-    FoldedMappings,
     InputFormatError,
     fixture_path,
+    mapping_record,
     read_curves,
     read_digital_labels,
     read_examples,
@@ -75,15 +77,17 @@ from .io import (
     read_workflow_levels,
     read_workflows,  # noqa: F401 - perfbench's tracer rebinds it on this module
     write_curves,
-    write_mappings,
+    write_mappings,  # noqa: F401 - perfbench's tracer rebinds it on this module
 )
 from .mapping import (
+    POOLED,
     CorpusMappingAborted,
-    MappingResult,
+    OutcomeStats,
     TaskExample,
-    map_corpus,
+    iter_map_corpus,
+    map_corpus,  # noqa: F401 - perfbench's tracer rebinds it on this module
     map_example,
-    mapping_outcome_stats,
+    outcome_stats,
 )
 from .reporting import (
     ReportBundle,
@@ -97,7 +101,12 @@ from .reporting import (
     emit_sensitivity,
     emit_skill_econ,
 )
-from .sampling import PoolUnit, build_pool, permutation_sensitivity, pool_from_folds
+from .sampling import (
+    PoolUnit,
+    build_pool,  # noqa: F401 - perfbench's tracer rebinds it on this module
+    permutation_sensitivity,
+    pool_from_folds,
+)
 from .taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
 
 EXIT_OK = 0
@@ -558,30 +567,34 @@ def _map_all_kinds(
     inputs: LoadedInputs,
     annotators: dict[TaxonomyKind, Annotator],
     bundle: ReportBundle,
-) -> dict[TaxonomyKind, list[MappingResult]]:
-    """Map the corpus against every loaded taxonomy, persisting as we go.
+) -> tuple[FoldedMappings, list[OutcomeStats]]:
+    """Map the corpus against every loaded taxonomy, one result at a time.
 
-    On an aborted corpus the partial results are still written to the run
-    directory before the error propagates.
+    Each result, as it arrives, is written as a line of
+    ``mappings.partial.jsonl``, folded per example, and counted by kind,
+    benchmark and status; then it is dropped, so no result object or raw
+    annotator output outlives its line. Once every kind is mapped the file
+    is renamed to ``mappings.jsonl`` and the outcome table is emitted.
+    Returns the folds and that table. An aborted corpus leaves
+    ``mappings.partial.jsonl`` holding every result completed before the
+    abort, in input order, and the error propagates.
     """
-    results: dict[TaxonomyKind, list[MappingResult]] = {}
-    flat: list[MappingResult] = []
-    try:
+    folder = MappingFolder(inputs.taxonomies)
+    outcomes: Counter = Counter()
+    paths_json: dict = {}
+    partial = bundle.run_dir / "mappings.partial.jsonl"
+    with open(partial, "w", encoding="utf-8", newline="\n") as fh:
         for kind, annotator in annotators.items():
-            mapped = map_corpus(
-                inputs.examples, inputs.taxonomies[kind], annotator,
-                parallelism=config.values["parallelism"],
-            )
-            results[kind] = mapped
-            flat.extend(mapped)
-    except CorpusMappingAborted as err:
-        flat.extend(err.partial_results)
-        write_mappings(bundle.run_dir / "mappings.partial.jsonl", flat)
-        raise
-    write_mappings(bundle.run_dir / "mappings.jsonl", flat)
+            for result in iter_map_corpus(inputs.examples, inputs.taxonomies[kind], annotator,
+                                          parallelism=config.values["parallelism"]):
+                fh.write(mapping_record(result, paths_json))
+                folder.add(kind, result.key, result.paths)
+                outcomes[kind, result.benchmark, result.status] += 1
+    partial.rename(bundle.run_dir / "mappings.jsonl")
     bundle.record_output("mappings.jsonl")
-    emit_outcome_stats(bundle, mapping_outcome_stats(flat))
-    return results
+    stats = outcome_stats(outcomes)
+    emit_outcome_stats(bundle, stats)
+    return folder.folded(), stats
 
 
 def _sensitivity_rows(config: RunConfig, pooled: list[PoolUnit],
@@ -663,11 +676,10 @@ def _cmd_map(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
     annotators = _annotators(config, inputs)
     bundle = _start_bundle(config, inputs)
-    results = _map_all_kinds(config, inputs, annotators, bundle)
-    for kind, mapped in results.items():
-        for pooled in (r for r in mapping_outcome_stats(mapped) if r.benchmark == "(all)"):
-            print(f"{kind.value}: {pooled.mapped} mapped / {pooled.empty} empty / "
-                  f"{pooled.invalid} invalid of {pooled.total}")
+    _, stats = _map_all_kinds(config, inputs, annotators, bundle)
+    for pooled in (row for row in stats if row.benchmark == POOLED):
+        print(f"{pooled.taxonomy_kind.value}: {pooled.mapped} mapped / {pooled.empty} empty / "
+              f"{pooled.invalid} invalid of {pooled.total}")
     bundle.finalize()
     print(f"mapped {len(inputs.examples)} examples -> {bundle.run_dir}")
     return EXIT_OK
@@ -772,6 +784,10 @@ def _cmd_advise(config: RunConfig) -> int:
 
 
 def _cmd_report(config: RunConfig) -> int:
+    """Map the examples, then compute every table from the per-example
+    folds of the mapping, as ``coverage``, ``sample`` and ``economics`` do
+    from a mappings file: no result object outlives its line in
+    ``mappings.jsonl``."""
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
     annotators = _annotators(config, inputs)
     bundle = _start_bundle(config, inputs)
@@ -783,10 +799,13 @@ def _cmd_report(config: RunConfig) -> int:
         _autonomy_suite(config, inputs.workflows, bundle)
     inputs.occupations = inputs.importance = inputs.labels = inputs.workflows = None
 
-    results_by_kind = _map_all_kinds(config, inputs, annotators, bundle)
-    flat = [r for rs in results_by_kind.values() for r in rs]
-    efforts = coverage_suite(bundle, results_by_kind, inputs.taxonomies)
-    emit_sensitivity(bundle, _sensitivity_rows(config, build_pool(flat), inputs.taxonomies))
+    mappings, _ = _map_all_kinds(config, inputs, annotators, bundle)
+    # The tables read only the folds from here on.
+    del annotators
+    inputs.examples, inputs.rules, inputs.replay_records = None, {}, None
+    efforts = coverage_suite(bundle, mappings.by_kind, inputs.taxonomies)
+    pooled = pool_from_folds(mappings.examples, mappings.by_kind)
+    emit_sensitivity(bundle, _sensitivity_rows(config, pooled, inputs.taxonomies))
     if econ is not None and econ[1] is not None:
         alignment_suite(bundle, efforts, *econ)
     bundle.finalize()

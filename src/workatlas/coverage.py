@@ -8,8 +8,10 @@ distinct nodes at that level.
 
 All three read one kind's results as a per-example fold,
 :class:`CheckedResults`: each example's key and the union of its mapped
-paths. :func:`check_results` builds the fold from results, and
-``io.read_mapping_folds`` builds it from a mappings file line by line.
+paths. :func:`check_results` builds the fold from results. A
+:class:`MappingFolder` builds one fold per kind, one result at a time, into
+:class:`FoldedMappings`: ``io.read_mapping_folds`` from a mappings file
+line by line, and the CLI from each result as it is mapped.
 
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .mapping import MappingResult, MappingStatus
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
@@ -104,6 +106,50 @@ class CheckedResults:
                 key: node_sets[paths] for key, paths in self.paths.items()
             }
         return per_example
+
+
+@dataclass(frozen=True)
+class FoldedMappings:
+    """Mapping results folded per example, with no result object kept.
+
+    ``examples`` lists every example key once, in the order the example
+    first appears; ``by_kind`` holds one fold per taxonomy kind that has at
+    least one result. The folds and ``examples`` share one key tuple per
+    example.
+    """
+
+    examples: tuple[tuple[str, str], ...]
+    by_kind: dict[TaxonomyKind, CheckedResults]
+
+
+class MappingFolder:
+    """Builds a :class:`FoldedMappings` one result at a time.
+
+    Each kind's fold is made for its entry in ``taxonomies``. A result's
+    paths are added as they are, unchecked, so they must come from that
+    taxonomy. :func:`~workatlas.sampling.build_pool`, which reads only the
+    paths, folds with ``None`` in place of each taxonomy.
+    """
+
+    __slots__ = ("_taxonomies", "_keys", "_folds")
+
+    def __init__(self, taxonomies: Mapping[TaxonomyKind, Taxonomy | None]):
+        self._taxonomies = taxonomies
+        self._keys: dict[tuple[str, str], tuple[str, str]] = {}
+        self._folds: dict[TaxonomyKind, CheckedResults] = {}
+
+    def add(self, kind: TaxonomyKind, key: tuple[str, str],
+            paths: frozenset[TaxonomyPath]) -> None:
+        """Fold one result: its kind, its example's key, and its paths
+        (empty unless it is mapped)."""
+        key = self._keys.setdefault(key, key)
+        fold = self._folds.get(kind)
+        if fold is None:
+            fold = self._folds[kind] = CheckedResults(self._taxonomies[kind])
+        fold.add(key, paths)
+
+    def folded(self) -> FoldedMappings:
+        return FoldedMappings(tuple(self._keys), self._folds)
 
 
 def check_results(results: Iterable[MappingResult] | CheckedResults,

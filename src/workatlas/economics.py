@@ -50,7 +50,13 @@ class ImportanceRecord:
 
 @dataclass(frozen=True)
 class ImportanceTable:
-    """Importance records plus the scale maximum declared by the source."""
+    """Importance records plus the scale maximum declared by the source.
+
+    A (SOC code, activity id) pair may occur once, and every importance
+    must lie in ``[0, scale_max]``. The first record that breaks either
+    rule raises; on one record, a duplicate is reported before a value out
+    of range.
+    """
 
     records: tuple[ImportanceRecord, ...]
     scale_max: float
@@ -58,6 +64,21 @@ class ImportanceTable:
     def __post_init__(self):
         if self.scale_max <= 0:
             raise ValueError("scale_max must be > 0")
+        # Activity ids grouped per SOC code show whether any fault exists
+        # without a key tuple per record; only then does the scan below find
+        # the first one.
+        activities: dict[str, list[str]] = {}
+        for r in self.records:
+            if not (0 <= r.importance <= self.scale_max):
+                break
+            ids = activities.get(r.soc_code)
+            if ids is None:
+                ids = activities[r.soc_code] = []
+            ids.append(r.activity_id)
+        else:
+            if all(len(set(ids)) == len(ids) for ids in activities.values()):
+                return
+        del activities
         seen: set[tuple[str, str]] = set()
         for r in self.records:
             key = (r.soc_code, r.activity_id)

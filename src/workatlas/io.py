@@ -23,7 +23,9 @@ once: a mappings file's equal path sets and id, annotator and raw-output
 strings, and an importance table's SOC codes and activity ids, are each
 one shared object per distinct value, and non-root workflow nodes share
 one read-only empty metadata mapping. CSV errors name a row's physical
-line, blank rows included.
+line, blank rows included. A mappings file is written one line per result
+by :func:`mapping_record`, for :func:`write_mappings` and for the CLI,
+which writes each result as it is mapped.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -33,7 +35,6 @@ import csv
 import io as _io
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,7 +48,7 @@ from .autonomy import (
     group_name,
     workflow_from_document,
 )
-from .coverage import CheckedResults
+from .coverage import FoldedMappings, MappingFolder
 from .economics import (
     DigitalLabel,
     ImportanceRecord,
@@ -185,18 +186,31 @@ def write_examples(path: str | Path, examples: Iterable[TaskExample]) -> None:
 
 def write_mappings(path: str | Path, results: Iterable[MappingResult]) -> None:
     """Persist mapping results, one record per line, paths as label lists."""
+    paths_json: dict = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in results:
-            record = {
-                "benchmark": r.benchmark,
-                "example_id": r.example_id,
-                "taxonomy_kind": r.taxonomy_kind.value,
-                "status": r.status.value,
-                "paths": sorted(list(p.labels) for p in r.paths),
-                "annotator_id": r.annotator_id,
-                "raw": r.raw_annotator_output,
-            }
-            fh.write(_RECORD_ENCODER.encode(record) + "\n")
+            fh.write(mapping_record(r, paths_json))
+
+
+def mapping_record(r: MappingResult, paths_json: dict) -> str:
+    """The mappings-file line of one result, newline included: its record
+    (``benchmark``, ``example_id``, ``taxonomy_kind``, ``status``, ``paths``
+    as sorted label lists, ``annotator_id``, ``raw``) as
+    ``json.dumps(record, sort_keys=True)`` writes it.
+
+    ``paths_json`` caches each distinct path set's encoded label lists,
+    keyed on the path set, so a set that many results share is sorted and
+    encoded once; pass the same dict for every line of one file.
+    """
+    paths = paths_json.get(r.paths)
+    if paths is None:
+        paths = paths_json[r.paths] = _RECORD_ENCODER.encode(
+            sorted(list(p.labels) for p in r.paths))
+    encode = _RECORD_ENCODER.encode  # a string's JSON text, as inside a record
+    return (f'{{"annotator_id": {encode(r.annotator_id)}, "benchmark": {encode(r.benchmark)}, '
+            f'"example_id": {encode(r.example_id)}, "paths": {paths}, '
+            f'"raw": {encode(r.raw_annotator_output)}, "status": "{r.status.value}", '
+            f'"taxonomy_kind": "{r.taxonomy_kind.value}"}}\n')
 
 
 _KINDS = {k.value: k for k in TaxonomyKind}
@@ -274,20 +288,6 @@ def read_mappings(
     return results
 
 
-@dataclass(frozen=True)
-class FoldedMappings:
-    """A mappings file folded per example as it was read.
-
-    ``examples`` lists every example key once, in the order the example
-    first appears in the file; ``by_kind`` holds one fold per taxonomy kind
-    that has at least one record. The folds and ``examples`` share one key
-    tuple per example.
-    """
-
-    examples: tuple[tuple[str, str], ...]
-    by_kind: dict[TaxonomyKind, CheckedResults]
-
-
 def read_mapping_folds(
     path: str | Path, taxonomies: dict[TaxonomyKind, Taxonomy]
 ) -> FoldedMappings:
@@ -295,19 +295,13 @@ def read_mapping_folds(
     errors of :func:`read_mappings`, adding each line to its kind's fold as
     it is read. No :class:`MappingResult` is built, and no ``raw`` output or
     annotator id is kept."""
-    keys: dict[tuple[str, str], tuple[str, str]] = {}
-    folds: dict[TaxonomyKind, CheckedResults] = {}
+    folder = MappingFolder(taxonomies)
     shared: dict = {}
     for line_no, record in _iter_jsonl(path):
         kind, _, paths = _mapping_line(path, line_no, record, taxonomies, shared)
         benchmark = record["benchmark"]
-        key = (shared.setdefault(benchmark, benchmark), record["example_id"])
-        key = keys.setdefault(key, key)
-        fold = folds.get(kind)
-        if fold is None:
-            fold = folds[kind] = CheckedResults(taxonomies[kind])
-        fold.add(key, paths)
-    return FoldedMappings(tuple(keys), folds)
+        folder.add(kind, (shared.setdefault(benchmark, benchmark), record["example_id"]), paths)
+    return folder.folded()
 
 
 def read_raw_mappings(path: str | Path) -> list[dict]:

@@ -3,10 +3,13 @@
 Every candidate label sequence an annotator proposes is validated against
 the taxonomy before it is kept; a mapping's status records whether the
 annotator produced usable paths (``mapped``), nothing (``empty``), or only
-unresolvable candidates (``invalid``). The raw annotator output is retained
-verbatim so any corpus can be re-audited or replayed later. A corpus is
-mapped in order on the calling thread, or with ``parallelism > 1`` through a
-thread pool, which only such a run imports.
+unresolvable candidates (``invalid``). Each result carries the raw
+annotator output verbatim, and the mappings file it is written to keeps it,
+so any corpus can be re-audited or replayed later. A corpus is mapped in
+order on the calling thread, or with ``parallelism > 1`` through a thread
+pool, which only such a run imports. :func:`iter_map_corpus` yields each
+result in input order as it is ready, so a caller can write and fold it and
+keep none; :func:`map_corpus` collects them into a list.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .annotate import Annotator, AnnotatorTransportError, parse_candidates
 from .taxonomy import (
@@ -159,12 +162,38 @@ def map_corpus(
     """Map a corpus; results come back in input order regardless of
     completion order.
 
+    The list form of :func:`iter_map_corpus`, with its checks and errors,
+    except that a :class:`CorpusMappingAborted` holds every result completed
+    before the abort in ``partial_results``.
+    """
+    results: list[MappingResult] = []
+    try:
+        for result in iter_map_corpus(corpus, t, annotator, parallelism):
+            results.append(result)
+    except CorpusMappingAborted as err:
+        err.partial_results = results
+        raise
+    return results
+
+
+def iter_map_corpus(
+    corpus: Sequence[TaskExample],
+    t: Taxonomy,
+    annotator: Annotator,
+    parallelism: int = 1,
+) -> Iterator[MappingResult]:
+    """Map a corpus, yielding each result in input order as soon as it and
+    every result before it are complete.
+
     Examples with an empty instruction are rejected at ingest (no result is
     produced for them). Duplicate (benchmark, example_id) keys are a corpus
-    corruption and raise :class:`CorpusError`. A transport failure that
-    survives the annotator's retry budget aborts the run with the completed
-    results attached (:class:`CorpusMappingAborted`); with ``parallelism >
-    1``, examples not yet started when it surfaces are cancelled.
+    corruption and raise :class:`CorpusError` here, before any annotator
+    call. A transport failure that survives the annotator's retry budget
+    aborts the run: with ``parallelism > 1``, examples not yet started when
+    it surfaces are cancelled and running ones finish. Every result completed
+    before the abort is yielded, in input order, and then
+    :class:`CorpusMappingAborted` is raised with empty ``partial_results``,
+    since the caller holds them already.
 
     Annotators often return the same output for different examples. Each
     distinct output is parsed and resolved once per call, and the results
@@ -191,30 +220,50 @@ def map_corpus(
         return _result_from_raw(example, t, annotator.annotator_id, raw, outcome)
 
     if parallelism == 1:
-        results: list[MappingResult] = []
-        for e in valid:
-            try:
-                results.append(run_one(e))
-            except AnnotatorTransportError as err:
-                raise CorpusMappingAborted(err, results) from err
-        return results
+        return _map_in_order(valid, run_one)
+    return _map_in_pool(valid, run_one, parallelism)
 
+
+def _map_in_order(
+    valid: list[TaskExample], run_one: Callable[[TaskExample], MappingResult]
+) -> Iterator[MappingResult]:
+    for e in valid:
+        try:
+            result = run_one(e)
+        except AnnotatorTransportError as err:
+            raise CorpusMappingAborted(err, []) from err
+        yield result
+
+
+def _map_in_pool(
+    valid: list[TaskExample],
+    run_one: Callable[[TaskExample], MappingResult],
+    parallelism: int,
+) -> Iterator[MappingResult]:
     # Imported here so a sequential run never loads the thread pool.
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [pool.submit(run_one, e) for e in valid]
+        ready = 0  # futures[:ready] were yielded, and dropped so their results can go
         try:
             for future in as_completed(futures):
                 future.result()
+                while ready < len(futures) and futures[ready].done():
+                    result = futures[ready].result()
+                    futures[ready] = None
+                    ready += 1
+                    yield result
         except AnnotatorTransportError as err:
             # Examples not yet started are never sent; running ones finish.
             pool.shutdown(cancel_futures=True)
-            completed = [
-                f.result() for f in futures if not f.cancelled() and f.exception() is None
-            ]
-            raise CorpusMappingAborted(err, completed) from err
-    return [f.result() for f in futures]
+            for f in futures[ready:]:
+                if not f.cancelled() and f.exception() is None:
+                    yield f.result()
+            raise CorpusMappingAborted(err, []) from err
+        finally:
+            # A caller that stops early leaves nothing queued to run.
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -245,10 +294,17 @@ def mapping_outcome_stats(results: Iterable[MappingResult]) -> list[OutcomeStats
     pooled. Fractions within each group sum to 1 (each result has exactly
     one status). Empty input yields an empty table.
     """
+    return outcome_stats(Counter((r.taxonomy_kind, r.benchmark, r.status) for r in results))
+
+
+def outcome_stats(
+    counts: Mapping[tuple[TaxonomyKind, str, MappingStatus], int]
+) -> list[OutcomeStats]:
+    """The table of :func:`mapping_outcome_stats` from the number of results
+    per (kind, benchmark, status), for a caller that counted them as they
+    arrived."""
     counters: dict[tuple[TaxonomyKind, str], dict[MappingStatus, int]] = {}
-    for (kind, benchmark, status), n in Counter(
-        (r.taxonomy_kind, r.benchmark, r.status) for r in results
-    ).items():
+    for (kind, benchmark, status), n in counts.items():
         for bench in (benchmark, POOLED):
             group = counters.setdefault((kind, bench), dict.fromkeys(MappingStatus, 0))
             group[status] += n

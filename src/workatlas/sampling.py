@@ -30,8 +30,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import CheckedResults
-from .mapping import MappingResult, MappingStatus
+from .coverage import CheckedResults, MappingFolder
+from .mapping import MappingResult
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
 
 POOLED_BENCHMARK = "pooled"
@@ -47,30 +47,24 @@ class PoolUnit:
 
 
 def build_pool(results: Iterable[MappingResult]) -> list[PoolUnit]:
-    """Group per-kind mapping results into per-example units.
+    """Group per-kind mapping results into per-example units: the results
+    folded per example, then :func:`pool_from_folds`.
 
     Unit order follows each example's first appearance in ``results``; that
     order is the sampling order unless the caller gives a seed.
     """
-    order: list[tuple[str, str]] = []
-    paths: dict[tuple[str, str], dict[TaxonomyKind, set[TaxonomyPath]]] = {}
+    folder = MappingFolder(dict.fromkeys(TaxonomyKind))
     for r in results:
-        if r.key not in paths:
-            order.append(r.key)
-            paths[r.key] = {k: set() for k in TaxonomyKind}
-        if r.status is MappingStatus.MAPPED:
-            paths[r.key][r.taxonomy_kind].update(r.paths)
-    return [
-        PoolUnit(key=k, paths={kind: frozenset(s) for kind, s in paths[k].items()})
-        for k in order
-    ]
+        folder.add(r.taxonomy_kind, r.key, r.paths)
+    folded = folder.folded()
+    return pool_from_folds(folded.examples, folded.by_kind)
 
 
 def pool_from_folds(
     examples: Iterable[tuple[str, str]], folds: Mapping[TaxonomyKind, CheckedResults]
 ) -> list[PoolUnit]:
-    """The pool :func:`build_pool` makes of the results ``folds`` were
-    folded from, given their example keys in order of first appearance."""
+    """One unit per example key, in the order given, holding each kind's
+    folded paths (empty for a kind without a fold or without the key)."""
     return [
         PoolUnit(key=key, paths={
             kind: folds[kind].paths.get(key, _NO_PATHS) if kind in folds else _NO_PATHS
@@ -119,10 +113,13 @@ class _Replay:
 class _Sampler:
     """The stopping rule over one pool, in the form it replays fast.
 
-    The pool is interned once: each distinct path becomes a dense int per
-    kind and each unit one int tuple per considered kind, so coverage is a
-    ``bytearray`` plus a counter. The benchmark label and the path
-    occurrence counts are computed once too.
+    The pool is interned once, into one id space for both kinds: the first
+    kind's distinct paths are numbered 0, 1, 2, ... and the second kind's
+    -1, -2, -3, ..., so an id's sign tells its kind. Coverage is one
+    ``bytearray`` of ``path_count`` bytes, which negative ids index from
+    its end, plus a counter per kind. A unit is one id tuple, shared by
+    every unit with the same path set of each kind. The benchmark label and
+    the path occurrence counts are computed once too.
     """
 
     def __init__(
@@ -153,22 +150,29 @@ class _Sampler:
         self.kinds = list(taxonomies)
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
         self.keys = [u.key for u in units]
-        ids: list[dict[tuple[str, ...], int]] = [{} for _ in self.kinds]
-        self.occurrence: list[list[int]] = [[] for _ in self.kinds]
-        self.units: list[tuple[tuple[int, ...], ...]] = []
+        numbers: list[dict[tuple[str, ...], int]] = [{} for _ in self.kinds]
+        rows: dict[tuple[frozenset[TaxonomyPath], ...], list] = {}  # [ids, units holding them]
+        self.units: list[tuple[int, ...]] = []
         for unit in units:
-            interned = []
-            for k, kind in enumerate(self.kinds):
-                kind_ids, counts = ids[k], self.occurrence[k]
-                row = []
-                for path in unit.paths.get(kind, ()):
-                    i = kind_ids.setdefault(path.node_ids, len(kind_ids))
-                    if i == len(counts):
-                        counts.append(0)
-                    counts[i] += 1
-                    row.append(i)
-                interned.append(tuple(row))
-            self.units.append(tuple(interned))
+            pair = tuple([unit.paths.get(kind, _NO_PATHS) for kind in self.kinds])
+            row = rows.get(pair)
+            if row is None:
+                ids = []
+                for k, paths in enumerate(pair):
+                    kind_numbers = numbers[k]
+                    for path in paths:
+                        i = kind_numbers.setdefault(path.node_ids, len(kind_numbers))
+                        ids.append(~i if k else i)
+                row = rows[pair] = [tuple(ids), 0]
+            row[1] += 1
+            self.units.append(row[0])
+        first = len(numbers[0])
+        self.path_count = sum(len(kind_numbers) for kind_numbers in numbers)
+        counts = [0] * self.path_count
+        for ids, uses in rows.values():
+            for i in ids:
+                counts[i] += uses
+        self.occurrence = [counts[:first], counts[first:]][:len(self.kinds)]
         benchmarks = {key[0] for key in self.keys}
         self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK
 
@@ -190,7 +194,7 @@ class _Sampler:
         getrandbits = rng.getrandbits if rng is not None else None
         order: list[int] = []
         moved: dict[int, int] = {}
-        covered = [bytearray(len(counts)) for counts in self.occurrence]
+        seen = bytearray(self.path_count)
         distinct = [0] * len(self.kinds)
         previous = [0.0] * len(self.kinds)
         trace: list[list[float]] = [[] for _ in self.kinds]
@@ -212,12 +216,10 @@ class _Sampler:
                     u = moved.get(j, j)
                     moved[j] = moved.get(i, i)
                 order.append(u)
-                for k, paths in enumerate(units[u]):
-                    seen = covered[k]
-                    for p in paths:
-                        if not seen[p]:
-                            seen[p] = 1
-                            distinct[k] += 1
+                for p in units[u]:
+                    if not seen[p]:
+                        seen[p] = 1
+                        distinct[p < 0] += 1
             saturated = True
             for k, leaf_count in enumerate(self.leaf_counts):
                 current = distinct[k] / leaf_count

@@ -280,6 +280,19 @@ class TestRemoteAnnotator:
             annotator.annotate("x", "")
 
 
+@pytest.mark.parametrize("instruction, taxonomy_text", [
+    ('say "hi"', 'A > "quoted" label'),
+    ("C:\\path\\to", "back\\slash\nnew line\ttab"),
+    ("naïve café 日本語 \U0001F600", "Ärzte > Übersetzer \u2028"),
+    ("", ""),
+])
+def test_request_body_equals_json_dumps(instruction, taxonomy_text):
+    annotator = RemoteAnnotator(url="http://127.0.0.1:1/unused")
+    for text in (taxonomy_text, taxonomy_text, "other" + taxonomy_text):  # miss, hit, miss
+        expected = json.dumps({"instruction": instruction, "taxonomy": text})
+        assert annotator._request_body(instruction, text) == expected.encode("utf-8")
+
+
 def test_advise_sends_the_flattened_domain_tree(tmp_path, monkeypatch, capsys,
                                                 annotator_server, domain_taxonomy):
     from workatlas.cli import EXIT_INPUT, EXIT_OK, main

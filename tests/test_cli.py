@@ -218,6 +218,97 @@ class TestMapCommand:
         assert (tmp_path / "m0" / "mappings.jsonl").read_text() == ""
 
 
+class TestStreamingMapping:
+    """``map`` and ``report`` write each result as it is mapped, fold it,
+    and keep no result object."""
+
+    @staticmethod
+    def expected_mappings(tmp_path) -> bytes:
+        from workatlas.annotate import KeywordAnnotator
+        from workatlas.io import read_examples, write_mappings
+        from workatlas.mapping import map_corpus
+        from workatlas.taxonomy import load_taxonomy
+
+        examples = read_examples(fixture_path("examples.jsonl"))
+        results = []
+        for kind in ("domain", "skill"):
+            results += map_corpus(
+                examples, load_taxonomy(fixture_path(f"taxonomy_{kind}.json")),
+                KeywordAnnotator.from_file(fixture_path(f"keyword_rules_{kind}.json")))
+        path = tmp_path / "expected.jsonl"
+        write_mappings(path, results)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    @pytest.mark.parametrize("command", ["map", "report"])
+    def test_mappings_file_equals_library_output(self, tmp_path, capsys, command,
+                                                 parallelism):
+        extra = ["--permutations", "20"] if command == "report" else []
+        assert main([command, *fixture_args(), *extra, "--parallelism", parallelism,
+                     "--out", str(tmp_path), "--run-id", "r"]) == EXIT_OK
+        run_dir = tmp_path / "r"
+        assert (run_dir / "mappings.jsonl").read_bytes() == self.expected_mappings(tmp_path)
+        assert not (run_dir / "mappings.partial.jsonl").exists()
+
+    def test_map_prints_pooled_outcomes_per_kind(self, tmp_path, capsys):
+        assert main(["map", *fixture_args(), "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["domain: 17 mapped / 2 empty / 1 invalid of 20",
+                         "skill: 18 mapped / 2 empty / 0 invalid of 20",
+                         f"mapped 20 examples -> {tmp_path / 'm'}"]
+
+    def test_report_keeps_no_mapping_result(self, tmp_path, capsys, monkeypatch):
+        from workatlas.mapping import MappingResult
+
+        def results_alive() -> int:
+            return sum(1 for o in gc.get_objects() if type(o) is MappingResult)
+
+        alive_after_mapping = []
+        coverage_suite = cli.coverage_suite
+
+        def counting(*args, **kwargs):
+            alive_after_mapping.append(results_alive())
+            return coverage_suite(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "coverage_suite", counting)
+        gc.collect()
+        before = results_alive()  # the session fixtures hold their own
+        assert main(["report", *fixture_args(), "--permutations", "20",
+                     "--out", str(tmp_path), "--run-id", "r"]) == EXIT_OK
+        assert alive_after_mapping == [before]
+
+    def test_parallel_abort_leaves_completed_results_in_order(self, tmp_path, monkeypatch,
+                                                              capsys):
+        import threading
+
+        from workatlas.annotate import AnnotatorTransportError, KeywordAnnotator
+        from workatlas.io import read_examples
+
+        examples = read_examples(fixture_path("examples.jsonl"))
+        domain_lines = self.expected_mappings(tmp_path).decode().splitlines(keepends=True)
+        failing_instruction = examples[5].instruction
+        annotate = KeywordAnnotator.annotate
+        completed, lock = set(), threading.Lock()
+
+        def failing(self, instruction, taxonomy_text):
+            if instruction == failing_instruction:
+                raise AnnotatorTransportError("endpoint gone", 3)
+            raw = annotate(self, instruction, taxonomy_text)
+            with lock:
+                completed.add(instruction)
+            return raw
+
+        monkeypatch.setattr(KeywordAnnotator, "annotate", failing)
+        code = main(["map", *fixture_args(), "--parallelism", "2",
+                     "--out", str(tmp_path), "--run-id", "m"])
+        assert code == EXIT_ANNOTATOR
+        partial = tmp_path / "m.partial"
+        assert [p.name for p in partial.iterdir()] == ["mappings.partial.jsonl"]
+        kept = [line for e, line in zip(examples, domain_lines) if e.instruction in completed]
+        assert (partial / "mappings.partial.jsonl").read_text(encoding="utf-8") == "".join(kept)
+        assert len(kept) >= 5  # every example before the failing one
+
+
 class TestPipelineEquivalence:
     def test_cli_coverage_equals_module_output(self, tmp_path, capsys,
                                                domain_results, domain_taxonomy):
@@ -616,6 +707,27 @@ class TestSharedValidation:
                      "--out", str(tmp_path / "runs")])
         assert code == EXIT_INPUT
         assert "employment must be a finite number" in capsys.readouterr().err
+
+    DUPLICATE = "duplicate importance record for ('13-2011', '4.A.1.a.1')"
+
+    @pytest.mark.parametrize("rows, reason", [
+        # a duplicate before a value out of range on a later row
+        (["4.A.1.a.1,4.0", "4.A.1.a.1,3.0", "4.A.2.a.4,9.0"], DUPLICATE),
+        # the reverse order
+        (["4.A.1.a.1,4.0", "4.A.2.a.4,9.0", "4.A.1.a.1,3.0"],
+         "importance 9.0 for ('13-2011', '4.A.2.a.4') outside [0, 5.0]"),
+        # both faults on one row
+        (["4.A.1.a.1,4.0", "4.A.1.a.1,9.0"], DUPLICATE),
+    ])
+    def test_first_importance_fault_named(self, tmp_path, capsys, rows, reason):
+        importance = tmp_path / "importance.csv"
+        importance.write_text("# scale_max: 5.0\nsoc_code,activity_id,importance\n"
+                              + "".join(f"13-2011,{row}\n" for row in rows), encoding="utf-8")
+        code = main(["economics", "--fixtures", "--importance", str(importance),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"input violation: {importance} [(file)]: {reason}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_non_string_annotation_is_input_error(self, tmp_path, capsys):
         doc = json.loads(fixture_path("taxonomy_skill.json").read_text(encoding="utf-8"))

@@ -101,6 +101,26 @@ class TestMappingsFile:
             combined, key=lambda r: (r.taxonomy_kind.value, r.key)
         )
 
+    def test_lines_are_sorted_key_json(self, tmp_path, domain_results, skill_results):
+        import dataclasses
+
+        odd = ['say "hi"', "C:\\dir\\f", "tab\tnew\nline", "naïve 日本 \U0001F600", ""]
+        results = [
+            dataclasses.replace(r, benchmark=odd[i % 5], example_id=f"{odd[(i + 1) % 5]}{i}",
+                                annotator_id=odd[(i + 2) % 5],
+                                raw_annotator_output=odd[(i + 3) % 5] + r.raw_annotator_output)
+            for i, r in enumerate(list(domain_results) + list(skill_results))
+        ]
+        path = tmp_path / "mappings.jsonl"
+        write_mappings(path, results)
+        expected = "".join(json.dumps({
+            "benchmark": r.benchmark, "example_id": r.example_id,
+            "taxonomy_kind": r.taxonomy_kind.value, "status": r.status.value,
+            "paths": sorted(list(p.labels) for p in r.paths),
+            "annotator_id": r.annotator_id, "raw": r.raw_annotator_output,
+        }, sort_keys=True) + "\n" for r in results)
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_corrupt_path_surfaces_example_id(self, tmp_path, domain_taxonomy):
         path = tmp_path / "mappings.jsonl"
         path.write_text(

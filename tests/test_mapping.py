@@ -16,6 +16,7 @@ from workatlas.mapping import (
     TaskExample,
     Verdict,
     agreement_rate,
+    iter_map_corpus,
     map_corpus,
     map_example,
     mapping_outcome_stats,
@@ -176,6 +177,44 @@ class TestMapCorpus:
         ids = [r.example_id for r in partial]
         assert "e4" not in ids
         assert ids == sorted(ids, key=lambda eid: int(eid[1:]))
+
+    def test_iterator_yields_in_input_order_in_parallel(self, domain_taxonomy):
+        class Jittery:
+            """Later examples often finish first."""
+
+            annotator_id = "jittery"
+
+            def annotate(self, instruction, taxonomy_text):
+                time.sleep(random.Random(instruction).random() * 0.004)
+                return f"[{_ACCOUNTANTS}]" if instruction.endswith("0") else "[]"
+
+        corpus = [example(f"task {i}", eid=f"e{i}") for i in range(40)]
+        expected = map_corpus(corpus, domain_taxonomy, Jittery())
+        assert [r.example_id for r in expected] == [e.example_id for e in corpus]
+        for parallelism in (2, 4):
+            assert list(iter_map_corpus(corpus, domain_taxonomy, Jittery(),
+                                        parallelism=parallelism)) == expected
+
+    def test_iterator_closed_early_cancels_pending_examples(self, domain_taxonomy):
+        class Counting:
+            annotator_id = "counting"
+
+            def __init__(self):
+                self.calls = 0
+                self._lock = threading.Lock()
+
+            def annotate(self, instruction, taxonomy_text):
+                with self._lock:
+                    self.calls += 1
+                time.sleep(0.005)
+                return "[]"
+
+        annotator = Counting()
+        corpus = [example(f"task {i}", eid=f"e{i}") for i in range(60)]
+        results = iter_map_corpus(corpus, domain_taxonomy, annotator, parallelism=2)
+        assert next(results).example_id == "e0"
+        results.close()
+        assert annotator.calls < len(corpus)
 
     def test_validation_soundness_of_persisted_paths(self, domain_results, domain_taxonomy):
         for result in domain_results:
