@@ -19,11 +19,6 @@ the same way.
 The advisor consults the curves matched to a task's domains/skills and
 recommends end-to-end delegation, decomposition into simpler subtasks, or
 reports that the data cannot support either call.
-
-Only roots carry metadata, so every non-root node built from a document
-shares one empty, read-only metadata mapping instead of holding a dict of
-its own; writing to it raises ``TypeError``. Copied, deep-copied and
-unpickled trees share it too.
 """
 
 from __future__ import annotations
@@ -50,15 +45,14 @@ class WorkflowNode:
     ``leaves`` is the node's leaf-descendant count (1 for a leaf), fixed
     when the node is built from its already-built children; a node's
     children are not reassigned afterwards. Trees built from documents give
-    every non-root node one shared, read-only empty mapping: a ``Mapping``
-    but not a ``dict``, which copies, deep copies and pickles as itself.
+    every non-root node an empty metadata dict.
     """
 
     id: str
     description: str
     status: int  # 0 failure, 1 success; a true or false value is stored as 1 or 0
     children: tuple["WorkflowNode", ...] = ()
-    metadata: Mapping = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)
     leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,33 +67,6 @@ class WorkflowNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-
-class _NoMetadata(Mapping):
-    """An empty, read-only mapping. Copies and pickles of it are the
-    module's one instance, so copied and unpickled trees share it too."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "{}"
-
-    def __reduce__(self):  # pickle, copy and deepcopy return the instance
-        return "_NO_METADATA"
-
-
-#: The metadata of every non-root node built from a document: empty and
-#: read-only, so one object serves every such node.
-_NO_METADATA: Mapping = _NoMetadata()
 
 
 def iter_nodes(root: WorkflowNode) -> Iterator[WorkflowNode]:
@@ -187,8 +154,8 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
     The document has ``{benchmark, agent, model, trajectory_id, root}``;
     tree metadata lands on the root node. The tree is checked as
     :func:`walk_workflow` checks it, and each node is built once its
-    children are. The root gets its own metadata dict; every other node
-    shares one read-only empty mapping.
+    children are. Only the root gets metadata; every other node keeps an
+    empty dict.
     """
     built: list[WorkflowNode] = []
     for node_doc, node_id, status, _ in walk_workflow(doc):
@@ -201,7 +168,6 @@ def workflow_from_document(doc: Mapping) -> WorkflowNode:
                 description=node_doc["description"],
                 status=status,
                 children=children,
-                metadata=_NO_METADATA,
             )
         )
     root = built[0]

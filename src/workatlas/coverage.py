@@ -51,9 +51,6 @@ def node_at_level(path: TaxonomyPath, level: GroupLevel) -> tuple[str, str]:
     return path.node_ids[-1], path.labels[-1]
 
 
-_NO_PATHS: frozenset[TaxonomyPath] = frozenset()
-
-
 class CheckedResults:
     """One kind's mapping results checked against ``taxonomy`` and folded
     per example.
@@ -75,15 +72,10 @@ class CheckedResults:
 
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
-        its example's union; a union equal to one side is that side's set,
-        so equal path sets stay shared. A fold is complete before its first
+        its example's union. A fold is complete before its first
         :meth:`nodes_per_example`."""
-        earlier = self.paths.get(key, _NO_PATHS)
-        if paths <= earlier:
-            paths = earlier
-        elif not earlier <= paths:
-            paths = earlier | paths
-        self.paths[key] = paths
+        earlier = self.paths.get(key)
+        self.paths[key] = paths if earlier is None else earlier | paths
 
     def nodes_per_example(
         self, level: GroupLevel

@@ -21,8 +21,7 @@ callers.
 Parsed inputs repeat values many times over, so readers store each one
 once: a mappings file's equal path sets and id, annotator and raw-output
 strings, and an importance table's SOC codes and activity ids, are each
-one shared object per distinct value, and non-root workflow nodes share
-one read-only empty metadata mapping. CSV errors name a row's physical
+one shared object per distinct value. CSV errors name a row's physical
 line, blank rows included. A mappings file is written one line per result
 by :func:`mapping_record`, for :func:`write_mappings` and for the CLI,
 which writes each result as it is mapped.
@@ -527,7 +526,11 @@ def write_curves(path: str | Path, curves: dict[str, AutonomyCurve]) -> None:
 
 
 def read_curves(path: str | Path) -> dict[str, AutonomyCurve]:
-    """Read a curve CSV back; sr/lcb are recomputed from the counts."""
+    """Read a curve CSV back; sr/lcb are recomputed from the counts.
+
+    Levels start at 1, and a (group, level) pair appears on one row only;
+    :func:`write_curves` writes no other shape.
+    """
     levels: dict[str, dict[int, LevelStats]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -542,7 +545,14 @@ def read_curves(path: str | Path) -> dict[str, AutonomyCurve]:
                 )
             except (TypeError, ValueError) as err:
                 raise InputFormatError(path, reader.line_num, str(err)) from err
-            levels.setdefault(group, {})[level] = stats
+            if level < 1:
+                raise InputFormatError(path, reader.line_num, f"level must be >= 1, got {level}")
+            group_levels = levels.setdefault(group, {})
+            if level in group_levels:
+                raise InputFormatError(
+                    path, reader.line_num, f"level {level} of group {group!r} is repeated"
+                )
+            group_levels[level] = stats
     return {
         g: AutonomyCurve(group_key=g, levels=dict(sorted(ls.items())))
         for g, ls in levels.items()

@@ -117,9 +117,8 @@ class _Sampler:
     kind's distinct paths are numbered 0, 1, 2, ... and the second kind's
     -1, -2, -3, ..., so an id's sign tells its kind. Coverage is one
     ``bytearray`` of ``path_count`` bytes, which negative ids index from
-    its end, plus a counter per kind. A unit is one id tuple, shared by
-    every unit with the same path set of each kind. The benchmark label and
-    the path occurrence counts are computed once too.
+    its end, plus a counter per kind. A unit is one id tuple. The benchmark
+    label and the path occurrence counts are computed once too.
     """
 
     def __init__(
@@ -151,27 +150,21 @@ class _Sampler:
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
         self.keys = [u.key for u in units]
         numbers: list[dict[tuple[str, ...], int]] = [{} for _ in self.kinds]
-        rows: dict[tuple[frozenset[TaxonomyPath], ...], list] = {}  # [ids, units holding them]
         self.units: list[tuple[int, ...]] = []
         for unit in units:
-            pair = tuple([unit.paths.get(kind, _NO_PATHS) for kind in self.kinds])
-            row = rows.get(pair)
-            if row is None:
-                ids = []
-                for k, paths in enumerate(pair):
-                    kind_numbers = numbers[k]
-                    for path in paths:
-                        i = kind_numbers.setdefault(path.node_ids, len(kind_numbers))
-                        ids.append(~i if k else i)
-                row = rows[pair] = [tuple(ids), 0]
-            row[1] += 1
-            self.units.append(row[0])
+            ids = []
+            for k, kind in enumerate(self.kinds):
+                kind_numbers = numbers[k]
+                for path in unit.paths.get(kind, _NO_PATHS):
+                    i = kind_numbers.setdefault(path.node_ids, len(kind_numbers))
+                    ids.append(~i if k else i)
+            self.units.append(tuple(ids))
         first = len(numbers[0])
         self.path_count = sum(len(kind_numbers) for kind_numbers in numbers)
         counts = [0] * self.path_count
-        for ids, uses in rows.values():
+        for ids in self.units:
             for i in ids:
-                counts[i] += uses
+                counts[i] += 1
         self.occurrence = [counts[:first], counts[first:]][:len(self.kinds)]
         benchmarks = {key[0] for key in self.keys}
         self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK

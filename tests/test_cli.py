@@ -389,6 +389,21 @@ class TestAdviseCommand:
                      "--min-samples", "1", "--out", str(tmp_path), "--run-id", "advice"])
         assert code == EXIT_OK, capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, line, reason", [
+        ("g,1,5,10\ng,1,9,10\n", 3, "level 1 of group 'g' is repeated"),
+        ("g,0,5,10\n", 2, "level must be >= 1, got 0"),
+    ])
+    def test_curves_with_repeated_or_sub_one_level_are_input_errors(
+            self, tmp_path, capsys, rows, line, reason):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("group,level,successes,totals,sr,lcb\n" + rows, encoding="utf-8")
+        code = main(["advise", "--curves", str(curves), "--groups", "g",
+                     "--instruction", "a task", "--complexity", "1", "--min-samples", "1",
+                     "--out", str(tmp_path), "--run-id", "adv"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"input violation: {curves} [line {line}]: {reason}")
+
     def test_advise_with_explicit_groups(self, tmp_path, capsys):
         code = main([
             "autonomy", "--workflows", str(fixture_path("workflows.jsonl")),

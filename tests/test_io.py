@@ -516,27 +516,19 @@ class TestValueSharing:
         path = tmp_path / "wf.jsonl"
         path.write_text(line.format(t="t1") + line.format(t="t2"), encoding="utf-8")
         first, second = read_workflows(path)
-        assert first.children[0].metadata is second.children[0].metadata
+        assert first.children[0].metadata == {}
         assert first.metadata is not second.metadata  # roots keep their own dict
         assert first.metadata == {"benchmark": "b", "trajectory_id": "t1"}
         first.metadata["agent"] = "a"
         assert "agent" not in second.metadata
 
-    def test_non_root_metadata_is_read_only(self, workflows):
-        child = workflows[0].children[0]
-        assert child.metadata == {}
-        with pytest.raises(TypeError):
-            child.metadata["benchmark"] = "b"
-
     def test_parsed_trees_copy_and_pickle(self, tmp_path, workflows):
         path = tmp_path / "wf.jsonl"
         write_workflows(path, workflows)
         trees = read_workflows(path)
-        shared = trees[0].children[0].metadata
         for again in (pickle.loads(pickle.dumps(trees)), copy.deepcopy(trees)):
             assert again == trees
             assert again[0].metadata == trees[0].metadata
-            assert again[0].children[0].metadata is shared
         as_dict = dataclasses.asdict(trees[0])
         assert as_dict["metadata"] == trees[0].metadata
         assert as_dict["children"][0]["metadata"] == {}

@@ -245,6 +245,29 @@ class TestSensitivity:
                 occurrence[path] = occurrence.get(path, 0) + 1
         assert summary.chao1_richness[TaxonomyKind.DOMAIN] == chao1(occurrence)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chao1_richness_counts_repeated_pairs_per_unit(self, seed):
+        """Units that repeat a (domain, skill) path-set pair, as equal and as
+        separately built sets, each count once per path they hold."""
+        rng = random.Random(seed)
+        taxonomies = {TaxonomyKind.DOMAIN: synthetic_taxonomy(40, kind="domain"),
+                      TaxonomyKind.SKILL: synthetic_taxonomy(8, kind="skill")}
+        leaves = {kind: sorted(t.path_index, key=str) for kind, t in taxonomies.items()}
+        pairs = [{kind: rng.sample(leaves[kind], rng.randint(0, 4)) for kind in taxonomies}
+                 for _ in range(rng.randint(3, 12))]
+        pool = [PoolUnit(key=("b", f"u{i}"), paths={
+                    kind: frozenset(paths) for kind, paths in rng.choice(pairs).items()})
+                for i in range(rng.randint(20, 120))]
+        summary = permutation_sensitivity(pool, *taxonomies.values(),
+                                          permutations=3, rng_seed=seed)
+        for kind in taxonomies:
+            occurrence = {}
+            for unit in pool:
+                for path in unit.paths[kind]:
+                    occurrence[path] = occurrence.get(path, 0) + 1
+            expected = chao1(occurrence) if occurrence else 0.0
+            assert summary.chao1_richness[kind] == expected
+
     def test_permutations_validated(self, domain_results, domain_taxonomy):
         with pytest.raises(ValueError, match="permutations"):
             permutation_sensitivity(build_pool(domain_results), domain_taxonomy, None,
