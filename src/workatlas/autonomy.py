@@ -37,6 +37,9 @@ UNATTRIBUTED = "unattributed"
 #: One-sided 95% normal quantile, used for the lower-confidence-bound mode.
 _Z_ONE_SIDED_95 = 1.6448536269514722
 
+#: What a threshold is applied to: the raw success rate or its lower bound.
+_CONFIDENCE_MODES = ("raw", "lcb")
+
 
 @dataclass(slots=True)
 class WorkflowNode:
@@ -391,8 +394,9 @@ def autonomy_level(
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    if confidence_mode not in ("raw", "lcb"):
-        raise ValueError(f"confidence_mode must be 'raw' or 'lcb', got {confidence_mode!r}")
+    if confidence_mode not in _CONFIDENCE_MODES:
+        raise ValueError(f"confidence_mode must be {' or '.join(map(repr, _CONFIDENCE_MODES))}, "
+                         f"got {confidence_mode!r}")
 
     rates = {
         k: s.metric(confidence_mode) for k, s in curve.levels.items() if s.totals >= min_samples
@@ -523,6 +527,10 @@ def advise(
     lower complexity, decomposing into simpler subtasks is recommended;
     failing that, the data is insufficient. The complexity estimate is
     supplied by the caller; nothing is invented here.
+
+    ``consulted`` lists each matched group's estimated level, in match
+    order, then, for a decomposition, the first lower level that passes,
+    taking the matched groups in order and each curve's levels in its own.
     """
     if complexity_estimate < 1:
         raise ValueError(f"complexity_estimate must be >= 1, got {complexity_estimate}")
@@ -530,49 +538,30 @@ def advise(
     if not matched:
         raise ValueError(f"no curves match task {task.key}; cannot advise")
 
+    def passes(stats: LevelStats | None) -> bool:
+        return (stats is not None and stats.totals >= min_samples
+                and stats.metric(confidence_mode) >= threshold)
+
     consulted: list[ConsultedValue] = []
-    all_pass = True
     for g in matched:
         stats = curves[g].levels.get(complexity_estimate)
-        passed = (
-            stats is not None
-            and stats.totals >= min_samples
-            and stats.metric(confidence_mode) >= threshold
-        )
-        consulted.append(
-            ConsultedValue(
-                group_key=g,
-                level=complexity_estimate,
-                sr=stats.sr if stats else None,
-                totals=stats.totals if stats else 0,
-                passed=passed,
-            )
-        )
-        all_pass = all_pass and passed
-
-    if all_pass:
+        consulted.append(ConsultedValue(
+            group_key=g, level=complexity_estimate, sr=stats.sr if stats else None,
+            totals=stats.totals if stats else 0, passed=passes(stats),
+        ))
+    if all(c.passed for c in consulted):
         decision = AdviceDecision.DELEGATE_END_TO_END
     else:
-        can_decompose = False
-        for g in matched:
-            for k, stats in curves[g].levels.items():
-                if (
-                    k < complexity_estimate
-                    and stats.totals >= min_samples
-                    and stats.metric(confidence_mode) >= threshold
-                ):
-                    can_decompose = True
-                    consulted.append(
-                        ConsultedValue(
-                            group_key=g, level=k, sr=stats.sr, totals=stats.totals, passed=True
-                        )
-                    )
-                    break
-            if can_decompose:
-                break
-        decision = (
-            AdviceDecision.DECOMPOSE if can_decompose else AdviceDecision.INSUFFICIENT_DATA
-        )
+        lower = next((
+            ConsultedValue(group_key=g, level=k, sr=stats.sr, totals=stats.totals, passed=True)
+            for g in matched for k, stats in curves[g].levels.items()
+            if k < complexity_estimate and passes(stats)
+        ), None)
+        if lower is None:
+            decision = AdviceDecision.INSUFFICIENT_DATA
+        else:
+            consulted.append(lower)
+            decision = AdviceDecision.DECOMPOSE
     return AutonomyAdvice(
         benchmark=task.benchmark,
         example_id=task.example_id,

@@ -45,6 +45,8 @@ from .annotate import (
     ReplayAnnotator,
 )
 from .autonomy import (
+    _CONFIDENCE_MODES,
+    GROUP_FIELDS,
     AutonomyCurve,
     LevelCounts,
     autonomy_level,
@@ -238,9 +240,8 @@ _PARAMS = {
                         (_real, lambda v: 0 < v <= 1, "in (0, 1]"), 0.8),
     "min_samples": _Param("nodes a level needs to count", _AT_LEAST_ONE, 10),
     "confidence_mode": _Param("success rate compared with the threshold",
-                              _one_of("raw", "lcb"), "raw"),
-    "group_by": _Param("workflow grouping",
-                       _one_of("overall", "benchmark", "agent", "model"), "benchmark"),
+                              _one_of(*_CONFIDENCE_MODES), "raw"),
+    "group_by": _Param("workflow grouping", _one_of("overall", *GROUP_FIELDS), "benchmark"),
     "instruction": _Param("the task to advise on"),
     "benchmark": _Param("the task's benchmark", default="adhoc"),
     "example_id": _Param("the task's example id", default="query"),
@@ -267,8 +268,9 @@ _COMMANDS = {
     "autonomy": ("success-rate curves and autonomy levels",
                  (*_RUN, "workflows", "group_by", *_LEVELS)),
     "advise": ("delegate-or-decompose advice for one task",
-               (*_RUN, *_TAXONOMIES, *_ANNOTATION, "curves", "instruction", "benchmark",
-                "example_id", "complexity", "groups", *_LEVELS)),
+               (*_RUN, "domain_taxonomy", "annotator", "domain_rules", "replay_mappings",
+                "curves", "instruction", "benchmark", "example_id", "complexity", "groups",
+                *_LEVELS)),
     "report": ("full pipeline over one input set",
                (*_RUN, *_TAXONOMIES, *_ANNOTATION, "examples", *_LABOUR, "workflows",
                 *_SAMPLING, *_LEVELS, "group_by")),
@@ -386,9 +388,12 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     with non-empty instructions; mapping paths resolve in the supplied
     taxonomies; occupation SOC codes are unique; importance rows reference
     known SOC codes and activity ids; digital labels reference known SOC
-    codes; a replay recording holds an output for every example and
-    taxonomy kind. An occupation whose SOC code is absent from the domain
-    taxonomy is not a violation: the economics tables list it as unmatched.
+    codes. A replay recording holds an output for every example (for
+    ``advise``, its one task) and taxonomy kind, and, since the replay
+    annotator looks outputs up by instruction, examples that share an
+    instruction have equal outputs of each kind; the later example is named.
+    An occupation whose SOC code is absent from the domain taxonomy is not a
+    violation: the economics tables list it as unmatched.
 
     An input the run has no use for, such as keyword rules under another
     annotator, is not read. The result's ``parsed`` names every input that
@@ -453,15 +458,24 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     elif mode == "replay":
         inputs.replay_records = parse("replay_mappings", read_raw_mappings)
         if inputs.replay_records is not None:
-            recorded = {
-                (r["benchmark"], r["example_id"], r["taxonomy_kind"])
-                for r in inputs.replay_records
-            }
-            for e in inputs.examples or ():
+            recorded = {(r["benchmark"], r["example_id"], r["taxonomy_kind"]): r["raw"]
+                        for r in inputs.replay_records}
+            # the replay annotator serves one output per instruction and kind
+            served: dict[tuple[str, str], tuple[str, str]] = {}
+            tasks = [_advised_task(values)] if config.command == "advise" else inputs.examples
+            for e in tasks or ():
+                where = f"{e.benchmark}/{e.example_id}"
                 for kind in inputs.taxonomies:
-                    if (*e.key, kind.value) not in recorded:
-                        violation("replay_mappings", f"{e.benchmark}/{e.example_id}",
+                    raw = recorded.get((*e.key, kind.value))
+                    if raw is None:
+                        violation("replay_mappings", where,
                                   f"no recorded {kind.value} output for this example")
+                        continue
+                    first, earlier = served.setdefault((e.instruction, kind.value), (raw, where))
+                    if first != raw:
+                        violation("replay_mappings", where,
+                                  f"recorded {kind.value} output differs from that of {earlier}, "
+                                  "which has the same instruction")
 
     if inputs.taxonomies and taxonomies_ok:
         inputs.mappings = parse("mappings", read_mapping_folds, inputs.taxonomies)
@@ -495,6 +509,11 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     inputs.workflows = parse("workflows", read_workflow_levels)
     inputs.curves = parse("curves", read_curves)
     return inputs
+
+
+def _advised_task(values: dict) -> TaskExample:
+    return TaskExample(benchmark=values["benchmark"], example_id=values["example_id"],
+                       instruction=values["instruction"])
 
 
 def _load(config: RunConfig, *required: str | tuple[str, ...]) -> LoadedInputs:
@@ -726,19 +745,17 @@ def _cmd_autonomy(config: RunConfig) -> int:
 
 
 def _cmd_advise(config: RunConfig) -> int:
-    instruction = config.values["instruction"]
-    if not instruction:
+    if not config.values["instruction"]:
         raise ConfigError("--instruction is required")
     complexity_estimate = config.values["complexity"]
     if complexity_estimate is None:
         raise ConfigError("--complexity is required (the advisor never invents one)")
-    inputs = _load(config, "curves")
-    task = TaskExample(
-        benchmark=config.values["benchmark"],
-        example_id=config.values["example_id"],
-        instruction=instruction,
-    )
     groups_value = config.values["groups"]
+    if groups_value:
+        # nothing is mapped, so no taxonomy or annotator input is read
+        config.values.update(domain_taxonomy=None, domain_rules=None, replay_mappings=None)
+    inputs = _load(config, "curves")
+    task = _advised_task(config.values)
     if groups_value:
         groups = [g.strip() for g in groups_value.split(",") if g.strip()]
     else:

@@ -38,9 +38,11 @@ class GroupLevel(str, Enum):
     SKILL_LEAF = "skill_leaf"
 
 
-_LEVEL_KIND = {
-    GroupLevel.DOMAIN_FAMILY: TaxonomyKind.DOMAIN,
-    GroupLevel.SKILL_LEAF: TaxonomyKind.SKILL,
+#: The level each kind's effort and breadth are reported at, and the only
+#: level they may be grouped at.
+REPORT_LEVEL = {
+    TaxonomyKind.DOMAIN: GroupLevel.DOMAIN_FAMILY,
+    TaxonomyKind.SKILL: GroupLevel.SKILL_LEAF,
 }
 
 
@@ -246,7 +248,7 @@ class EffortDistribution:
 
 
 def _validate_level(t: Taxonomy, level: GroupLevel) -> None:
-    if _LEVEL_KIND[level] is not t.kind:
+    if REPORT_LEVEL[t.kind] is not level:
         raise ValueError(f"grouping level {level.value} is invalid for a {t.kind.value} taxonomy")
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .annotate import Annotator
 from .coverage import EffortDistribution, GroupLevel
-from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyNode
+from .taxonomy import LEAF_LEVEL, Taxonomy, TaxonomyKind, TaxonomyNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +216,6 @@ class SkillEconTable:
     rows: tuple[SkillEconRow, ...]
 
     def leaf_rows(self) -> tuple[SkillEconRow, ...]:
-        from .taxonomy import LEAF_LEVEL
-
         return tuple(r for r in self.rows if r.level == LEAF_LEVEL)
 
     def leaf_employment_shares(self) -> dict[str, float]:
@@ -265,37 +263,23 @@ def effective_skill_employment_capital(
             capital.get(leaf.id, 0.0) + occ.employment * occ.median_wage * weight
         )
 
-    # Post-order without recursion: a node's (employment, capital) is summed
-    # from its children's, in child order, once they are all on ``totals``.
+    # Every leaf sits at LEAF_LEVEL, so each level above it is summed from
+    # the one below, a node's children in order.
+    totals: dict[str, tuple[float, float]] = {}
     rows: list[SkillEconRow] = []
-    totals: list[tuple[float, float]] = []
-    stack: list[tuple[TaxonomyNode, bool]] = [(t_skill.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.is_leaf:
-            e, c = employment.get(node.id, 0.0), capital.get(node.id, 0.0)
-        elif not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-            continue
-        else:
-            e = c = 0.0
-            first_child = len(totals) - len(node.children)
-            for ce, cc in totals[first_child:]:
-                e += ce
-                c += cc
-            del totals[first_child:]
-        totals.append((e, c))
-        if node.level > 0:
-            rows.append(
-                SkillEconRow(
-                    node_id=node.id,
-                    label=node.label,
-                    level=node.level,
-                    effective_employment=e,
-                    effective_capital=c,
-                )
-            )
+    for level in range(LEAF_LEVEL, 0, -1):
+        for node in t_skill.nodes_at_level(level):
+            if level == LEAF_LEVEL:
+                e, c = employment.get(node.id, 0.0), capital.get(node.id, 0.0)
+            else:
+                e = c = 0.0
+                for child in node.children:
+                    ce, cc = totals[child.id]
+                    e += ce
+                    c += cc
+            totals[node.id] = (e, c)
+            rows.append(SkillEconRow(node_id=node.id, label=node.label, level=level,
+                                     effective_employment=e, effective_capital=c))
     rows.sort(key=lambda r: (r.level, r.node_id))
     return SkillEconTable(rows=tuple(rows))
 
@@ -382,13 +366,9 @@ def digital_share(
             weights = [occ_by_soc[s].employment for s in socs]
             ratios = [ratio_by_soc[s] for s in socs]
             weight_total = sum(weights)
-            weighted = (
-                sum(w * r for w, r in zip(weights, ratios)) / weight_total
-                if weight_total
-                else 0.0
-            )
-            unweighted = sum(ratios) / len(ratios)
             digital_employment = sum(w * r for w, r in zip(weights, ratios))
+            weighted = digital_employment / weight_total if weight_total else 0.0
+            unweighted = sum(ratios) / len(ratios)
         else:
             weighted = unweighted = digital_employment = 0.0
         family_rows.append(

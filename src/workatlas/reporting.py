@@ -32,7 +32,7 @@ from .coverage import (
     CheckedResults,
     CoverageReport,
     EffortDistribution,
-    GroupLevel,
+    REPORT_LEVEL,
     breadth,
     check_results,
     coverage,
@@ -206,6 +206,12 @@ def emit_effort(bundle: ReportBundle, effort: EffortDistribution) -> None:
     )
 
 
+#: The breadth summary's columns: :class:`BreadthStats` fields, read by
+#: name for the summary table and ``coverage_summary.json``.
+_BREADTH_SUMMARY = ("share_zero", "share_exactly_one", "share_more_than_one",
+                    "share_more_than_three", "share_four_or_more", "mean_breadth")
+
+
 def emit_breadth(bundle: ReportBundle, stats: BreadthStats) -> None:
     bundle.add_table(
         f"breadth_{stats.group_level.value}",
@@ -213,11 +219,8 @@ def emit_breadth(bundle: ReportBundle, stats: BreadthStats) -> None:
         sorted(stats.histogram.items()),
     )
     bundle.add_table(
-        f"breadth_{stats.group_level.value}_summary",
-        ["share_zero", "share_exactly_one", "share_more_than_one",
-         "share_more_than_three", "share_four_or_more", "mean_breadth"],
-        [(stats.share_zero, stats.share_exactly_one, stats.share_more_than_one,
-          stats.share_more_than_three, stats.share_four_or_more, stats.mean_breadth)],
+        f"breadth_{stats.group_level.value}_summary", _BREADTH_SUMMARY,
+        [tuple(getattr(stats, name) for name in _BREADTH_SUMMARY)],
     )
 
 
@@ -231,24 +234,20 @@ SENSITIVITY_HEADER = [
 
 
 def sensitivity_row(summary: SensitivitySummary) -> tuple:
+    """The cells of :data:`SENSITIVITY_HEADER`, the domain's before the
+    skill's in each group; a kind the summary lacks reads 0.0."""
     def stat(kind: TaxonomyKind, table: dict, attr: str) -> float:
         entry = table.get(kind)
         return getattr(entry, attr) if entry is not None else 0.0
 
+    spread = ("median", "ci_low", "ci_high")
     return (
         summary.benchmark,
         summary.pool_size,
-        summary.stop_size.median, summary.stop_size.ci_low, summary.stop_size.ci_high,
-        stat(TaxonomyKind.DOMAIN, summary.coverage_at_stop, "median"),
-        stat(TaxonomyKind.DOMAIN, summary.coverage_at_stop, "ci_low"),
-        stat(TaxonomyKind.DOMAIN, summary.coverage_at_stop, "ci_high"),
-        stat(TaxonomyKind.SKILL, summary.coverage_at_stop, "median"),
-        stat(TaxonomyKind.SKILL, summary.coverage_at_stop, "ci_low"),
-        stat(TaxonomyKind.SKILL, summary.coverage_at_stop, "ci_high"),
-        summary.chao1_richness.get(TaxonomyKind.DOMAIN, 0.0),
-        summary.chao1_richness.get(TaxonomyKind.SKILL, 0.0),
-        stat(TaxonomyKind.DOMAIN, summary.chao1_coverage, "median"),
-        stat(TaxonomyKind.SKILL, summary.chao1_coverage, "median"),
+        *(getattr(summary.stop_size, attr) for attr in spread),
+        *(stat(kind, summary.coverage_at_stop, attr) for kind in TaxonomyKind for attr in spread),
+        *(summary.chao1_richness.get(kind, 0.0) for kind in TaxonomyKind),
+        *(stat(kind, summary.chao1_coverage, "median") for kind in TaxonomyKind),
     )
 
 
@@ -396,13 +395,6 @@ def autonomy_heatmap_series(curves: Mapping[str, object]) -> dict:
 # Composite analytics used by the CLI `report` pipeline
 # ---------------------------------------------------------------------------
 
-#: The level each kind's effort and breadth are reported at.
-REPORT_LEVEL = {
-    TaxonomyKind.DOMAIN: GroupLevel.DOMAIN_FAMILY,
-    TaxonomyKind.SKILL: GroupLevel.SKILL_LEAF,
-}
-
-
 def effort_distributions(
     results_by_kind: Mapping[TaxonomyKind, Iterable[MappingResult] | CheckedResults],
     taxonomies: Mapping[TaxonomyKind, Taxonomy],
@@ -437,14 +429,7 @@ def coverage_suite(
             "total_paths": report.total_paths,
             "coverage": report.coverage,
             "per_benchmark": report.per_benchmark,
-            "breadth": {
-                "share_zero": breadth_stats.share_zero,
-                "share_exactly_one": breadth_stats.share_exactly_one,
-                "share_more_than_one": breadth_stats.share_more_than_one,
-                "share_more_than_three": breadth_stats.share_more_than_three,
-                "share_four_or_more": breadth_stats.share_four_or_more,
-                "mean_breadth": breadth_stats.mean_breadth,
-            },
+            "breadth": {name: getattr(breadth_stats, name) for name in _BREADTH_SUMMARY},
         }
     bundle.add_text(
         "coverage_summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n"

@@ -6,6 +6,7 @@ import pytest
 from workatlas.autonomy import (
     AdviceDecision,
     AutonomyCurve,
+    ConsultedValue,
     LevelStats,
     WorkflowNode,
     advise,
@@ -621,6 +622,25 @@ class TestAdvise:
         assert advice.decision is AdviceDecision.DECOMPOSE
         consulted_levels = {(c.group_key, c.level) for c in advice.consulted}
         assert ("Computer and Mathematical", 9) in consulted_levels
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_decompose_consults_the_estimate_then_the_first_passing_lower_level(self, order):
+        # "a" clears level 1 only and "b" level 2 only; neither clears level 4
+        curves = {
+            "a": AutonomyCurve(group_key="a", levels={
+                1: LevelStats(20, 20), 2: LevelStats(5, 20), 4: LevelStats(2, 20)}),
+            "b": AutonomyCurve(group_key="b", levels={
+                1: LevelStats(5, 20), 2: LevelStats(19, 20), 4: LevelStats(3, 20)}),
+        }
+        advice = advise(self.task(), 0.8, curves, matcher=lambda t: list(order),
+                        complexity_estimate=4)
+        lower = {"a": ConsultedValue("a", 1, 1.0, 20, True),
+                 "b": ConsultedValue("b", 2, 0.95, 20, True)}
+        assert advice.decision is AdviceDecision.DECOMPOSE
+        assert advice.consulted == (
+            *(ConsultedValue(g, 4, curves[g].levels[4].sr, 20, False) for g in order),
+            lower[order[0]],
+        )
 
     def test_delegation_requires_every_matched_curve_to_pass(self):
         curves = self.curves()

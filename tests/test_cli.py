@@ -33,6 +33,19 @@ def read_table(path):
         return list(csv.DictReader(fh))
 
 
+#: The first fixture example's instruction and the job family the bundled
+#: domain rules map it to.
+D01_INSTRUCTION = "Prepare adjusting journal entries for the March close."
+D01_FAMILY = "Business and Financial Operations"
+
+
+def family_curves(tmp_path):
+    """A curve file whose one group, ``D01_FAMILY``, passes at level 1."""
+    curves = tmp_path / "curves.csv"
+    curves.write_text(f"group,level,successes,totals\n{D01_FAMILY},1,10,10\n", encoding="utf-8")
+    return curves
+
+
 class TestExitCodes:
     def test_no_arguments_is_config_error(self, capsys):
         assert main([]) == EXIT_CONFIG
@@ -437,6 +450,29 @@ class TestAdviseCommand:
             "--out", str(tmp_path), "--run-id", "adv2",
         ])
         assert code == EXIT_INPUT  # no curve groups match the mapped families
+
+    @pytest.mark.parametrize("how, inputs", [
+        (["--groups", D01_FAMILY], ["curves"]),
+        ([], ["curves", "domain_rules", "domain_taxonomy"]),
+    ])
+    def test_manifest_digests_only_the_inputs_read(self, tmp_path, capsys, how, inputs):
+        # with --groups nothing is mapped; without, only the domain tree is
+        code = main(["advise", "--fixtures", "--curves", str(family_curves(tmp_path)),
+                     "--instruction", D01_INSTRUCTION, "--complexity", "1",
+                     "--min-samples", "1", *how, "--out", str(tmp_path), "--run-id", "adv"])
+        assert code == EXIT_OK, capsys.readouterr().err
+        manifest = json.loads((tmp_path / "adv" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == inputs
+        record = json.loads((tmp_path / "adv" / "advice.json").read_text(encoding="utf-8"))
+        assert record["matched_groups"] == [D01_FAMILY]
+        assert record["decision"] == "delegate_end_to_end"
+
+    @pytest.mark.parametrize("flag", ["--skill-taxonomy", "--skill-rules", "--parallelism"])
+    def test_unused_flags_are_not_taken(self, tmp_path, capsys, flag):
+        code = main(["advise", "--curves", "c.csv", "--groups", "g", "--instruction", "a task",
+                     "--complexity", "1", flag, "x", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("how", [
         ["--instruction", "a task", "--groups", "nosuchgroup,otherbench"],
@@ -1108,6 +1144,62 @@ class TestReplayCoverage:
             assert f"[{record['benchmark']}/{record['example_id']}]" in line
             assert f"no recorded {record['taxonomy_kind']} output" in line
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, code", [
+        ([], EXIT_INPUT),
+        (["--benchmark", "deskbench", "--example-id", "d01"], EXIT_OK),
+    ])
+    def test_advise_recording_must_hold_the_task(self, tmp_path, capsys, task, code):
+        assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        recording = tmp_path / "m" / "mappings.jsonl"
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert main(["advise", "--fixtures", "--annotator", "replay",
+                     "--replay-mappings", str(recording), "--curves", str(family_curves(tmp_path)),
+                     "--instruction", D01_INSTRUCTION, "--complexity", "1", "--min-samples", "1",
+                     *task, "--out", str(out), "--run-id", "adv"]) == code
+        if code == EXIT_INPUT:
+            assert capsys.readouterr().err == (
+                f"input violation: {recording} [adhoc/query]: "
+                "no recorded domain output for this example\n")
+            assert not out.exists()
+        else:
+            record = json.loads((out / "adv" / "advice.json").read_text(encoding="utf-8"))
+            assert record["matched_groups"] == [D01_FAMILY]
+
+    @pytest.mark.parametrize("differ", [False, True])
+    def test_shared_instruction_needs_equal_recorded_outputs(self, tmp_path, capsys, differ):
+        examples = tmp_path / "examples.jsonl"
+        examples.write_text("".join(
+            json.dumps({"benchmark": "deskbench", "example_id": i,
+                        "instruction": D01_INSTRUCTION}) + "\n"
+            for i in ("d01", "d02")), encoding="utf-8")
+        assert main(["map", "--fixtures", "--examples", str(examples),
+                     "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        records = [json.loads(line) for line in
+                   (tmp_path / "m" / "mappings.jsonl").read_text(encoding="utf-8").splitlines()]
+        if differ:
+            for r in records:
+                if (r["example_id"], r["taxonomy_kind"]) == ("d02", "domain"):
+                    r["raw"], r["paths"] = "[]", []
+        recording = tmp_path / "recording.jsonl"
+        recording.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        code = main(["map", "--fixtures", "--examples", str(examples), "--annotator", "replay",
+                     "--replay-mappings", str(recording), "--out", str(out), "--run-id", "r"])
+        if differ:
+            assert code == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                f"input violation: {recording} [deskbench/d02]: recorded domain output differs "
+                "from that of deskbench/d01, which has the same instruction\n")
+            assert not out.exists()
+        else:
+            assert code == EXIT_OK
+            replayed = (out / "r" / "mappings.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line)["paths"] for line in replayed] == [
+                r["paths"] for r in records]
+            assert records[0]["paths"]
 
     def test_complete_recording_replays(self, tmp_path, capsys):
         assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
