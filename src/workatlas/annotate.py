@@ -139,15 +139,31 @@ class KeywordAnnotator:
     def from_file(cls, path: str | Path, annotator_id: str | None = None) -> "KeywordAnnotator":
         """Load rules from a JSON array of ``{keyword, labels}`` objects.
 
+        Each rule must be an object with a string ``keyword`` and a
+        non-empty array of strings as ``labels``; otherwise ``ValueError``
+        names the rule by its index in the array, counted from 0.
+
         Rules of one tree repeat its upper labels many times over, so each
         distinct label string is stored once across rules, and the parsed
         document is dropped before the rules are indexed.
         """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("a rules file must hold a JSON array of rules")
         labels: dict[str, str] = {}
-        rules = [KeywordRule(r["keyword"], tuple(labels.setdefault(x, x) for x in r["labels"]))
-                 for r in data]
+        rules = []
+        for i, r in enumerate(data):
+            if not isinstance(r, dict):
+                raise ValueError(f"rule {i}: must be an object")
+            if not isinstance(r.get("keyword"), str):
+                raise ValueError(f"rule {i}: keyword must be a string")
+            sequence = r.get("labels")
+            if not (isinstance(sequence, list) and sequence
+                    and all(isinstance(x, str) for x in sequence)):
+                raise ValueError(f"rule {i}: labels must be a non-empty array of strings")
+            rules.append(KeywordRule(r["keyword"],
+                                     tuple(labels.setdefault(x, x) for x in sequence)))
         del data, labels
         return cls(rules, annotator_id or f"keyword:{Path(path).stem}")
 
@@ -169,7 +185,10 @@ class ReplayAnnotator:
 
     Bit-deterministic by construction: the same instruction always yields
     the same recorded bytes. Unknown instructions raise ``KeyError`` so a
-    stale recording is loud rather than silently empty.
+    stale recording is loud rather than silently empty. The CLI builds one
+    per taxonomy kind from the table its replay check joins (the recording
+    to the examples, one output per instruction); :meth:`from_records`
+    makes the same join for library callers.
     """
 
     def __init__(self, recorded: Mapping[str, str], annotator_id: str = "replay"):
@@ -186,25 +205,15 @@ class ReplayAnnotator:
         """Join persisted examples and mapping records on (benchmark, example_id).
 
         ``examples`` supply instructions, ``mappings`` supply the retained
-        raw annotator output for those examples.
+        raw annotator output for those examples; a record of another example
+        is ignored, and of two records for one instruction the later wins.
         """
-        return cls.from_raw_records(examples, (
-            {"benchmark": m.benchmark, "example_id": m.example_id, "raw": m.raw_annotator_output}
-            for m in mappings
-        ), annotator_id)
-
-    @classmethod
-    def from_raw_records(
-        cls, examples: Iterable, records: Iterable[Mapping], annotator_id: str = "replay"
-    ) -> "ReplayAnnotator":
-        """Like :meth:`from_records`, for unresolved mapping-file records
-        (``benchmark``, ``example_id`` and ``raw`` keys)."""
         instruction_by_key = {(e.benchmark, e.example_id): e.instruction for e in examples}
         recorded: dict[str, str] = {}
-        for r in records:
-            key = (r["benchmark"], r["example_id"])
+        for m in mappings:
+            key = (m.benchmark, m.example_id)
             if key in instruction_by_key:
-                recorded[instruction_by_key[key]] = r["raw"]
+                recorded[instruction_by_key[key]] = m.raw_annotator_output
         return cls(recorded, annotator_id)
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:

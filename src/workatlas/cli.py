@@ -2,15 +2,16 @@
 
 Subcommands: ``map``, ``coverage``, ``sample``, ``economics``, ``autonomy``,
 ``advise``, ``report``. Every subcommand validates its inputs the same way
-before writing anything: :func:`validate_inputs` parses each input file its
-own flags name exactly once and runs the cross-file checks, and the
-subcommand then computes on those parsed objects. A missing required flag
-exits 2 and any input violation exits 3, both before a run directory
-exists. Every run writes into a fresh directory under ``--out`` (a
-``--run-id`` that is not one path component, or that names an existing
-directory, is a configuration error) and seals a manifest with content
-digests, so re-running with the same inputs and ``--seed`` reproduces
-byte-identical tables.
+before writing anything: :func:`_load` checks that every required input is
+given, the annotator's included, then :func:`validate_inputs` parses each
+input file its own flags name exactly once, runs the cross-file checks and
+builds the annotators, and the subcommand computes on those parsed objects.
+A missing required flag exits 2 before any input is read, and any input
+violation exits 3; neither leaves a run directory. Every run writes into a
+fresh directory under ``--out`` (a ``--run-id`` that is not one path
+component, or that names an existing directory, is a configuration error)
+and seals a manifest with content digests, so re-running with the same
+inputs and ``--seed`` reproduces byte-identical tables.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 annotator
 failure, 5 internal error. The remote annotator reads its endpoint and
@@ -351,7 +352,10 @@ class LoadedInputs:
     input parameters whose files were read. ``mappings`` holds the mappings
     file folded per example and kind as it was read, with no record objects
     and no raw annotator output; ``workflows`` holds the corpus folded into
-    level counts. No command needs the records or the trees.
+    level counts. No command needs the records or the trees. ``annotators``
+    holds one annotator per taxonomy the run maps against: the parsed
+    keyword rules, or the replay table the recording check joined; a
+    recording itself is not kept.
     """
 
     violations: list[Violation] = field(default_factory=list)
@@ -364,8 +368,7 @@ class LoadedInputs:
     labels: list[DigitalLabel] | None = None
     workflows: list[LevelCounts] | None = None
     curves: dict[str, AutonomyCurve] | None = None
-    rules: dict[TaxonomyKind, KeywordAnnotator] = field(default_factory=dict)
-    replay_records: list[dict] | None = None
+    annotators: dict[TaxonomyKind, Annotator] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -388,16 +391,19 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     with non-empty instructions; mapping paths resolve in the supplied
     taxonomies; occupation SOC codes are unique; importance rows reference
     known SOC codes and activity ids; digital labels reference known SOC
-    codes. A replay recording holds an output for every example (for
+    codes. Keyword rules files hold well-formed rules. A replay recording
+    holds no two records of one example and kind with different outputs
+    (equal repeats are accepted), holds an output for every example (for
     ``advise``, its one task) and taxonomy kind, and, since the replay
     annotator looks outputs up by instruction, examples that share an
     instruction have equal outputs of each kind; the later example is named.
     An occupation whose SOC code is absent from the domain taxonomy is not a
     violation: the economics tables list it as unmatched.
 
-    An input the run has no use for, such as keyword rules under another
-    annotator, is not read. The result's ``parsed`` names every input that
-    was, and the run's manifest digests exactly those.
+    Of the annotator inputs only the ``--annotator`` mode's are read. The
+    recording is joined to the examples once, by the checks above, and each
+    kind's instruction-to-output table is that kind's replay annotator. The
+    result's ``parsed`` names every input read; the manifest digests those.
     """
     values = config.values
     inputs = LoadedInputs()
@@ -449,33 +455,39 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
             violation("examples", where, "duplicate (benchmark, example_id)")
         seen.add(e.key)
 
-    mode = values.get("annotator", "keyword")
+    mode = values.get("annotator")
     if mode == "keyword":
         for kind in TaxonomyKind:
             rules = parse(f"{kind.value}_rules", KeywordAnnotator.from_file)
             if rules is not None:
-                inputs.rules[kind] = rules
-    elif mode == "replay":
-        inputs.replay_records = parse("replay_mappings", read_raw_mappings)
-        if inputs.replay_records is not None:
-            recorded = {(r["benchmark"], r["example_id"], r["taxonomy_kind"]): r["raw"]
-                        for r in inputs.replay_records}
-            # the replay annotator serves one output per instruction and kind
-            served: dict[tuple[str, str], tuple[str, str]] = {}
-            tasks = [_advised_task(values)] if config.command == "advise" else inputs.examples
-            for e in tasks or ():
-                where = f"{e.benchmark}/{e.example_id}"
-                for kind in inputs.taxonomies:
-                    raw = recorded.get((*e.key, kind.value))
-                    if raw is None:
-                        violation("replay_mappings", where,
-                                  f"no recorded {kind.value} output for this example")
-                        continue
-                    first, earlier = served.setdefault((e.instruction, kind.value), (raw, where))
-                    if first != raw:
-                        violation("replay_mappings", where,
-                                  f"recorded {kind.value} output differs from that of {earlier}, "
-                                  "which has the same instruction")
+                inputs.annotators[kind] = rules
+    records = parse("replay_mappings", read_raw_mappings) if mode == "replay" else None
+    if records is not None:
+        recorded: dict[tuple[str, str, str], str] = {}
+        for r in records:
+            key = (r["benchmark"], r["example_id"], r["taxonomy_kind"])
+            if recorded.setdefault(key, r["raw"]) != r["raw"]:
+                violation("replay_mappings", f"{key[0]}/{key[1]}",
+                          f"repeated {key[2]} record with a different output")
+        # the replay annotator serves one output per instruction and kind
+        tables: dict[TaxonomyKind, dict[str, str]] = {kind: {} for kind in inputs.taxonomies}
+        served_by: dict[tuple[TaxonomyKind, str], str] = {}
+        tasks = [_advised_task(values)] if config.command == "advise" else inputs.examples
+        for e in tasks or ():
+            where = f"{e.benchmark}/{e.example_id}"
+            for kind, table in tables.items():
+                raw = recorded.get((*e.key, kind.value))
+                if raw is None:
+                    violation("replay_mappings", where,
+                              f"no recorded {kind.value} output for this example")
+                elif table.setdefault(e.instruction, raw) == raw:
+                    served_by.setdefault((kind, e.instruction), where)
+                else:
+                    violation("replay_mappings", where,
+                              f"recorded {kind.value} output differs from that of "
+                              f"{served_by[kind, e.instruction]}, which has the same instruction")
+        inputs.annotators = {kind: ReplayAnnotator(table, f"replay:{kind.value}")
+                             for kind, table in tables.items()}
 
     if inputs.taxonomies and taxonomies_ok:
         inputs.mappings = parse("mappings", read_mapping_folds, inputs.taxonomies)
@@ -518,41 +530,40 @@ def _advised_task(values: dict) -> TaskExample:
 
 def _load(config: RunConfig, *required: str | tuple[str, ...]) -> LoadedInputs:
     """Check the required inputs are given (a tuple needs any one), then
-    validate; both failures surface before any run directory exists."""
+    validate; both failures surface before any run directory exists.
+
+    The annotator is decided here, before any input is read: a subcommand
+    that takes ``--annotator`` maps against every taxonomy it is given, and
+    each requires the mode's input (``--<kind>-rules`` or
+    ``--replay-mappings``) or, for ``remote``, an endpoint.
+    """
+    values = config.values
+    mode = values.get("annotator")
+    mapped = [kind for kind in TaxonomyKind
+              if mode is not None and values.get(f"{kind.value}_taxonomy") is not None]
+    if mode == "keyword":
+        required += tuple(f"{kind.value}_rules" for kind in mapped)
+    elif mode == "replay" and mapped:
+        required += ("replay_mappings",)
     for need in required:
         options = need if isinstance(need, tuple) else (need,)
-        if all(config.values.get(key) is None for key in options):
+        if all(values.get(key) is None for key in options):
             flags = " or ".join(f"--{key.replace('_', '-')}" for key in options)
             raise ConfigError(f"missing required input {flags}")
+    try:
+        remote = {kind: RemoteAnnotator() for kind in mapped} if mode == "remote" else {}
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     inputs = validate_inputs(config)
     if not inputs.ok:
         raise InvalidInputs(inputs.violations)
+    inputs.annotators.update(remote)
     return inputs
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-def _build_annotator(config: RunConfig, inputs: LoadedInputs, kind: TaxonomyKind,
-                     examples: Sequence[TaskExample]) -> Annotator:
-    mode = config.values["annotator"]
-    if mode == "keyword":
-        if kind not in inputs.rules:
-            raise ConfigError(f"missing required input --{kind.value}-rules")
-        return inputs.rules[kind]
-    if mode == "replay":
-        if inputs.replay_records is None:
-            raise ConfigError("missing required input --replay-mappings")
-        records = [r for r in inputs.replay_records if r["taxonomy_kind"] == kind.value]
-        return ReplayAnnotator.from_raw_records(
-            examples, records, annotator_id=f"replay:{kind.value}"
-        )
-    try:
-        return RemoteAnnotator()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
 
 def _start_bundle(config: RunConfig, inputs: LoadedInputs) -> ReportBundle:
     """The run directory, with the merged configuration and a digest of
@@ -572,21 +583,8 @@ def _start_bundle(config: RunConfig, inputs: LoadedInputs) -> ReportBundle:
     return bundle
 
 
-def _annotators(config: RunConfig, inputs: LoadedInputs) -> dict[TaxonomyKind, Annotator]:
-    """One annotator per loaded taxonomy; built before the run bundle starts,
-    so a bad annotator configuration leaves no run directory behind."""
-    return {
-        kind: _build_annotator(config, inputs, kind, inputs.examples)
-        for kind in inputs.taxonomies
-    }
-
-
-def _map_all_kinds(
-    config: RunConfig,
-    inputs: LoadedInputs,
-    annotators: dict[TaxonomyKind, Annotator],
-    bundle: ReportBundle,
-) -> tuple[FoldedMappings, list[OutcomeStats]]:
+def _map_all_kinds(config: RunConfig, inputs: LoadedInputs,
+                   bundle: ReportBundle) -> tuple[FoldedMappings, list[OutcomeStats]]:
     """Map the corpus against every loaded taxonomy, one result at a time.
 
     Each result, as it arrives, is written as a line of
@@ -603,7 +601,7 @@ def _map_all_kinds(
     paths_json: dict = {}
     partial = bundle.run_dir / "mappings.partial.jsonl"
     with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-        for kind, annotator in annotators.items():
+        for kind, annotator in inputs.annotators.items():
             for result in iter_map_corpus(inputs.examples, inputs.taxonomies[kind], annotator,
                                           parallelism=config.values["parallelism"]):
                 fh.write(mapping_record(result, paths_json))
@@ -693,9 +691,8 @@ def _autonomy_suite(config: RunConfig, workflows: Sequence[LevelCounts],
 
 def _cmd_map(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
-    annotators = _annotators(config, inputs)
     bundle = _start_bundle(config, inputs)
-    _, stats = _map_all_kinds(config, inputs, annotators, bundle)
+    _, stats = _map_all_kinds(config, inputs, bundle)
     for pooled in (row for row in stats if row.benchmark == POOLED):
         print(f"{pooled.taxonomy_kind.value}: {pooled.mapped} mapped / {pooled.empty} empty / "
               f"{pooled.invalid} invalid of {pooled.total}")
@@ -750,20 +747,19 @@ def _cmd_advise(config: RunConfig) -> int:
     complexity_estimate = config.values["complexity"]
     if complexity_estimate is None:
         raise ConfigError("--complexity is required (the advisor never invents one)")
-    groups_value = config.values["groups"]
+    # an empty --groups maps the task, as no --groups does
+    groups_value = config.values["groups"] = config.values["groups"] or None
     if groups_value:
         # nothing is mapped, so no taxonomy or annotator input is read
         config.values.update(domain_taxonomy=None, domain_rules=None, replay_mappings=None)
-    inputs = _load(config, "curves")
+    inputs = _load(config, "curves", ("groups", "domain_taxonomy"))
     task = _advised_task(config.values)
     if groups_value:
         groups = [g.strip() for g in groups_value.split(",") if g.strip()]
     else:
-        t_domain = inputs.taxonomies.get(TaxonomyKind.DOMAIN)
-        if t_domain is None:
-            raise ConfigError("either --groups or a domain taxonomy with rules is required")
-        annotator = _build_annotator(config, inputs, TaxonomyKind.DOMAIN, [task])
-        groups = sorted({p.labels[0] for p in map_example(task, t_domain, annotator).paths})
+        domain = TaxonomyKind.DOMAIN
+        result = map_example(task, inputs.taxonomies[domain], inputs.annotators[domain])
+        groups = sorted({p.labels[0] for p in result.paths})
     if not any(g in inputs.curves for g in groups):
         raise InvalidInputs([Violation(
             str(config.values["curves"]), f"{task.benchmark}/{task.example_id}",
@@ -806,7 +802,6 @@ def _cmd_report(config: RunConfig) -> int:
     from a mappings file: no result object outlives its line in
     ``mappings.jsonl``."""
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "examples")
-    annotators = _annotators(config, inputs)
     bundle = _start_bundle(config, inputs)
     # The economics and autonomy tables need no mappings. Emitting them first
     # releases their parsed inputs before mapping and sampling, which hold
@@ -816,10 +811,9 @@ def _cmd_report(config: RunConfig) -> int:
         _autonomy_suite(config, inputs.workflows, bundle)
     inputs.occupations = inputs.importance = inputs.labels = inputs.workflows = None
 
-    mappings, _ = _map_all_kinds(config, inputs, annotators, bundle)
+    mappings, _ = _map_all_kinds(config, inputs, bundle)
     # The tables read only the folds from here on.
-    del annotators
-    inputs.examples, inputs.rules, inputs.replay_records = None, {}, None
+    inputs.examples, inputs.annotators = None, {}
     efforts = coverage_suite(bundle, mappings.by_kind, inputs.taxonomies)
     pooled = pool_from_folds(mappings.examples, mappings.by_kind)
     emit_sensitivity(bundle, _sensitivity_rows(config, pooled, inputs.taxonomies))

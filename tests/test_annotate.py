@@ -163,18 +163,31 @@ class TestReplayAnnotator:
             instruction = by_key[result.key].instruction
             assert annotator.annotate(instruction, "") == result.raw_annotator_output
 
-    def test_from_raw_records_matches_from_records(self, tmp_path, examples_corpus,
-                                                   domain_results):
-        from workatlas.io import read_raw_mappings, write_mappings
+    def test_validated_recording_matches_from_records(self, tmp_path, examples_corpus,
+                                                      domain_results, skill_results):
+        """The CLI's replay annotators, joined from a mappings file while it
+        is checked, serve what :meth:`ReplayAnnotator.from_records` serves."""
+        from workatlas.cli import RunConfig, validate_inputs
+        from workatlas.io import fixture_path, write_mappings
+        from workatlas.taxonomy import TaxonomyKind
 
         path = tmp_path / "mappings.jsonl"
-        write_mappings(path, domain_results)
-        raw = ReplayAnnotator.from_raw_records(examples_corpus, read_raw_mappings(path))
-        resolved = ReplayAnnotator.from_records(examples_corpus, domain_results)
-        for example in examples_corpus:
-            assert raw.annotate(example.instruction, "") == resolved.annotate(
-                example.instruction, ""
-            )
+        write_mappings(path, [*domain_results, *skill_results])
+        inputs = validate_inputs(RunConfig(command="map", values={
+            "domain_taxonomy": str(fixture_path("taxonomy_domain.json")),
+            "skill_taxonomy": str(fixture_path("taxonomy_skill.json")),
+            "examples": str(fixture_path("examples.jsonl")),
+            "annotator": "replay", "replay_mappings": str(path),
+        }))
+        assert inputs.ok, inputs.violations
+        for kind, results in ((TaxonomyKind.DOMAIN, domain_results),
+                              (TaxonomyKind.SKILL, skill_results)):
+            replayed = inputs.annotators[kind]
+            assert replayed.annotator_id == f"replay:{kind.value}"
+            resolved = ReplayAnnotator.from_records(examples_corpus, results)
+            for example in examples_corpus:
+                assert replayed.annotate(example.instruction, "") == resolved.annotate(
+                    example.instruction, "")
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

@@ -824,6 +824,60 @@ class TestSharedValidation:
         assert set(manifest["inputs"]) == {"workflows"}
 
 
+class TestAnnotatorInputs:
+    """The annotator mode's inputs are required flags like any other: a
+    missing one exits 2 before any input is read. A malformed keyword rule
+    is an input violation naming the rule. Neither leaves a run directory."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["map", "--domain-taxonomy", "{domain}", "--skill-taxonomy", "{skill}",
+          "--examples", "{examples}", "--domain-rules", "{rules}"], "--skill-rules"),
+        (["report", "--fixtures", "--annotator", "replay"], "--replay-mappings"),
+        (["advise", "--curves", "{curves}", "--domain-taxonomy", "{domain}",
+          "--instruction", D01_INSTRUCTION, "--complexity", "1"], "--domain-rules"),
+        # the examples file does not exist either: the missing flag is found first
+        (["map", "--domain-taxonomy", "{domain}", "--skill-taxonomy", "{skill}",
+          "--examples", "{missing}", "--domain-rules", "{rules}"], "--skill-rules"),
+    ])
+    def test_missing_annotator_input_exits_config_before_reading(
+            self, tmp_path, capsys, monkeypatch, argv, flag):
+        paths = {
+            "domain": fixture_path("taxonomy_domain.json"),
+            "skill": fixture_path("taxonomy_skill.json"),
+            "examples": fixture_path("examples.jsonl"),
+            "rules": fixture_path("keyword_rules_domain.json"),
+            "curves": family_curves(tmp_path),
+            "missing": tmp_path / "missing.jsonl",
+        }
+        validated = []
+        monkeypatch.setattr(cli, "validate_inputs", validated.append)
+        out = tmp_path / "runs"
+        code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: missing required input {flag}\n"
+        assert validated == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule, reason", [
+        ({"keyword": "budget", "labels": "A > B > C"},
+         "labels must be a non-empty array of strings"),
+        ({"keyword": 7, "labels": ["A", "B", "C"]}, "keyword must be a string"),
+        ({"keyword": "budget", "labels": {"A": "B"}},
+         "labels must be a non-empty array of strings"),
+        (["budget", ["A", "B", "C"]], "must be an object"),
+    ])
+    def test_malformed_keyword_rule_is_input_error(self, tmp_path, capsys, rule, reason):
+        rules = json.loads(fixture_path("keyword_rules_domain.json").read_text(encoding="utf-8"))
+        rules[2] = rule
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["map", "--fixtures", "--domain-rules", str(path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"input violation: {path} [(file)]: rule 2: {reason}\n"
+        assert not out.exists()
+
+
 class TestNonRegularInputs:
     """An input that is not a regular file is an input violation found with
     ``os.stat``, before any reader opens it, and leaves no run directory."""
@@ -1200,6 +1254,61 @@ class TestReplayCoverage:
             assert [json.loads(line)["paths"] for line in replayed] == [
                 r["paths"] for r in records]
             assert records[0]["paths"]
+
+    @pytest.mark.parametrize("differ", [False, True])
+    def test_repeated_record_needs_equal_output(self, tmp_path, capsys, differ):
+        assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
+        lines = (tmp_path / "m" / "mappings.jsonl").read_text(encoding="utf-8").splitlines(True)
+        repeat = json.loads(lines[0])
+        assert (repeat["example_id"], repeat["taxonomy_kind"]) == ("d01", "domain")
+        if differ:
+            repeat["raw"], repeat["paths"] = "[]", []
+        recording = tmp_path / "recording.jsonl"
+        recording.write_text("".join(lines) + json.dumps(repeat) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        code = main(["map", "--fixtures", "--annotator", "replay",
+                     "--replay-mappings", str(recording), "--out", str(out), "--run-id", "r"])
+        if differ:
+            assert code == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                f"input violation: {recording} [deskbench/d01]: "
+                "repeated domain record with a different output\n")
+            assert not out.exists()
+        else:
+            assert code == EXIT_OK
+            replayed = (out / "r" / "mappings.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line)["paths"] for line in replayed] == [
+                json.loads(line)["paths"] for line in lines]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_replayed_report_reproduces_its_recording(self, tmp_path, capsys, parallelism):
+        args = ["report", *fixture_args(), "--permutations", "100", "--out", str(tmp_path)]
+        assert main([*args, "--run-id", "k"]) == EXIT_OK
+        recorded = tmp_path / "k"
+        assert main([*args, "--run-id", "r", "--annotator", "replay",
+                     "--replay-mappings", str(recorded / "mappings.jsonl"),
+                     "--parallelism", parallelism]) == EXIT_OK
+        replayed = tmp_path / "r"
+
+        def outputs(run_dir):
+            return sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
+                          if p.is_file() and p.name not in ("manifest.json", "mappings.jsonl"))
+
+        assert outputs(replayed) == outputs(recorded)
+        assert len(outputs(recorded)) == 22  # 21 tables and plots, and the coverage summary
+        for name in outputs(recorded):
+            assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
+
+        def records(run_dir):
+            lines = (run_dir / "mappings.jsonl").read_text(encoding="utf-8").splitlines()
+            return [json.loads(line) for line in lines]
+
+        served, kept = records(replayed), records(recorded)
+        assert {r.pop("annotator_id") for r in served} == {"replay:domain", "replay:skill"}
+        assert {r.pop("annotator_id") for r in kept} == {"keyword:keyword_rules_domain",
+                                                          "keyword:keyword_rules_skill"}
+        assert served == kept
 
     def test_complete_recording_replays(self, tmp_path, capsys):
         assert main(["map", "--fixtures", "--out", str(tmp_path), "--run-id", "m"]) == EXIT_OK
