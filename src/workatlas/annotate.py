@@ -139,8 +139,8 @@ class KeywordAnnotator:
     def from_file(cls, path: str | Path, annotator_id: str | None = None) -> "KeywordAnnotator":
         """Load rules from a JSON array of ``{keyword, labels}`` objects.
 
-        Each rule must be an object with a string ``keyword`` and a
-        non-empty array of strings as ``labels``; otherwise ``ValueError``
+        Each rule must be an object with a non-empty string ``keyword`` and
+        a non-empty array of strings as ``labels``; otherwise ``ValueError``
         names the rule by its index in the array, counted from 0.
 
         Rules of one tree repeat its upper labels many times over, so each
@@ -158,6 +158,9 @@ class KeywordAnnotator:
                 raise ValueError(f"rule {i}: must be an object")
             if not isinstance(r.get("keyword"), str):
                 raise ValueError(f"rule {i}: keyword must be a string")
+            if not r["keyword"]:
+                # the empty string occurs in every instruction
+                raise ValueError(f"rule {i}: keyword must be a non-empty string")
             sequence = r.get("labels")
             if not (isinstance(sequence, list) and sequence
                     and all(isinstance(x, str) for x in sequence)):

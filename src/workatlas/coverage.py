@@ -13,6 +13,12 @@ paths. :func:`check_results` builds the fold from results. A
 :class:`FoldedMappings`: ``io.read_mapping_folds`` from a mappings file
 line by line, and the CLI from each result as it is mapped.
 
+Effort and breadth read a fold through :class:`NodeSets`, which builds
+the nodes at the grouping level once per distinct path set and counts the
+examples that reach each distinct node set. Both count each distinct set
+once, weighted by its examples, so no per-example node table is built:
+breadth's ``per_example`` holds one width per example and nothing else.
+
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
 exactly equivalent to a from-scratch set union.
@@ -62,44 +68,22 @@ class CheckedResults:
     an empty frozenset when it has none. That is all :func:`coverage`,
     :func:`effort_by_node` and :func:`breadth` read, so they accept a fold
     for its taxonomy without checking any path again, and no result object,
-    raw annotator output or annotator id is kept.
+    raw annotator output or annotator id is kept. Nothing derived from the
+    paths is kept either: :class:`NodeSets` groups them for effort and
+    breadth, and lives only as long as its caller holds it.
     """
 
-    __slots__ = ("taxonomy", "paths", "_nodes_by_level")
+    __slots__ = ("taxonomy", "paths")
 
     def __init__(self, taxonomy: Taxonomy):
         self.taxonomy = taxonomy
         self.paths: dict[tuple[str, str], frozenset[TaxonomyPath]] = {}
-        self._nodes_by_level: dict[GroupLevel, dict] = {}
 
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
-        its example's union. A fold is complete before its first
-        :meth:`nodes_per_example`."""
+        its example's union."""
         earlier = self.paths.get(key)
         self.paths[key] = paths if earlier is None else earlier | paths
-
-    def nodes_per_example(
-        self, level: GroupLevel
-    ) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
-        """Each example's distinct (node id, label) pairs at ``level``,
-        built on first use and shared. A node set is built once per distinct
-        path set and shared by every example with that path set, and each
-        distinct node is one tuple."""
-        per_example = self._nodes_by_level.get(level)
-        if per_example is None:
-            node_sets: dict[frozenset[TaxonomyPath], frozenset[tuple[str, str]]] = {}
-            nodes: dict[tuple[str, str], tuple[str, str]] = {}
-            for paths in self.paths.values():
-                if paths not in node_sets:
-                    node_sets[paths] = frozenset(
-                        nodes.setdefault(node, node)
-                        for node in (node_at_level(p, level) for p in paths)
-                    )
-            per_example = self._nodes_by_level[level] = {
-                key: node_sets[paths] for key, paths in self.paths.items()
-            }
-        return per_example
 
 
 @dataclass(frozen=True)
@@ -252,25 +236,70 @@ def _validate_level(t: Taxonomy, level: GroupLevel) -> None:
         raise ValueError(f"grouping level {level.value} is invalid for a {t.kind.value} taxonomy")
 
 
+class NodeSets:
+    """A fold's node sets at a grouping level, each built once.
+
+    A node set is the sorted tuple of the distinct (node id, label) pairs
+    that a path set reaches at ``level``. ``of_paths`` maps each distinct
+    path set of the fold to its node set, and ``examples`` counts the
+    examples per distinct node set; equal node sets, and equal nodes, are
+    one object. Effort and breadth read ``examples``, so each distinct set
+    is counted once, weighted by its examples; breadth's ``per_example``
+    also reads ``of_paths``. Build it with :func:`node_sets`, and pass it
+    to :func:`effort_by_node` and :func:`breadth` in place of results to
+    count both from one table.
+    """
+
+    __slots__ = ("fold", "of_paths", "examples")
+
+    def __init__(self, fold: CheckedResults, level: GroupLevel):
+        self.fold = fold
+        self.of_paths: dict[frozenset[TaxonomyPath], tuple[tuple[str, str], ...]] = {}
+        self.examples: Counter[tuple[tuple[str, str], ...]] = Counter()
+        shared: dict = {}  # each distinct node and node set once
+        for paths in fold.paths.values():
+            nodes = self.of_paths.get(paths)
+            if nodes is None:
+                nodes = tuple(sorted({shared.setdefault(node, node)
+                                      for node in (node_at_level(p, level) for p in paths)}))
+                nodes = self.of_paths[paths] = shared.setdefault(nodes, nodes)
+            self.examples[nodes] += 1
+
+
+def node_sets(results: Iterable[MappingResult] | CheckedResults | NodeSets,
+              t: Taxonomy, level: GroupLevel) -> NodeSets:
+    """The results' :class:`NodeSets` at ``level``, checked against ``t``
+    as :func:`check_results` does. Node sets already built from a fold for
+    ``t`` are returned as they are."""
+    _validate_level(t, level)
+    if isinstance(results, NodeSets):
+        if results.fold.taxonomy is t:
+            return results
+        results = results.fold
+    return NodeSets(check_results(results, t), level)
+
+
 def effort_by_node(
-    results: Iterable[MappingResult] | CheckedResults, t: Taxonomy, level: GroupLevel
+    results: Iterable[MappingResult] | CheckedResults | NodeSets,
+    t: Taxonomy,
+    level: GroupLevel,
 ) -> EffortDistribution:
     """Benchmark effort per node: each example counts once per distinct node
     it reaches at the grouping level (family for domains, leaf activity for
-    skills), never once per path."""
-    _validate_level(t, level)
-    per_example = check_results(results, t).nodes_per_example(level)
+    skills), never once per path. Each distinct node set is counted once,
+    weighted by the number of examples that reach it."""
+    sets = node_sets(results, t, level)
     counts: Counter[str] = Counter()
     labels: dict[str, str] = {}
-    for nodes in per_example.values():
+    for nodes, examples in sets.examples.items():
         for node_id, label in nodes:
-            counts[node_id] += 1
+            counts[node_id] += examples
             labels[node_id] = label
     return EffortDistribution(
         group_level=level,
         counts=dict(sorted(counts.items())),
         labels=labels,
-        total_examples=len(per_example),
+        total_examples=len(sets.fold.paths),
     )
 
 
@@ -294,27 +323,32 @@ class BreadthStats:
 
 
 def breadth(
-    results: Iterable[MappingResult] | CheckedResults, t: Taxonomy, level: GroupLevel
+    results: Iterable[MappingResult] | CheckedResults | NodeSets,
+    t: Taxonomy,
+    level: GroupLevel,
 ) -> BreadthStats:
     """Per-example breadth (distinct nodes at the grouping level) plus its
-    histogram and summary shares."""
-    _validate_level(t, level)
-    nodes = check_results(results, t).nodes_per_example(level)
-    per_example = {k: len(v) for k, v in nodes.items()}
+    histogram and summary shares. The histogram and shares count each
+    distinct node set once, weighted by the number of examples that reach
+    it; ``per_example`` maps each example to its node set's width."""
+    sets = node_sets(results, t, level)
+    per_example = {key: len(sets.of_paths[paths]) for key, paths in sets.fold.paths.items()}
+    histogram: Counter[int] = Counter()
+    for nodes, examples in sets.examples.items():
+        histogram[len(nodes)] += examples
     n = len(per_example)
-    histogram = dict(sorted(Counter(per_example.values()).items()))
 
     def share(pred) -> float:
-        return sum(1 for v in per_example.values() if pred(v)) / n if n else 0.0
+        return sum(c for width, c in histogram.items() if pred(width)) / n if n else 0.0
 
     return BreadthStats(
         group_level=level,
         per_example=per_example,
-        histogram=histogram,
+        histogram=dict(sorted(histogram.items())),
         share_zero=share(lambda v: v == 0),
         share_exactly_one=share(lambda v: v == 1),
         share_more_than_one=share(lambda v: v > 1),
         share_more_than_three=share(lambda v: v > 3),
         share_four_or_more=share(lambda v: v >= 4),
-        mean_breadth=(sum(per_example.values()) / n) if n else 0.0,
+        mean_breadth=(sum(width * c for width, c in histogram.items()) / n) if n else 0.0,
     )

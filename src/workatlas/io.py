@@ -396,6 +396,7 @@ def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
     leave ``task_text`` empty.
     """
     rows = []
+    shared: dict = {}  # an occupation has many tasks; justifications repeat
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         expected = {"soc_code", "task_hash", "label"}
@@ -406,12 +407,13 @@ def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
                 label = WorkMode(record["label"])
             except ValueError as err:
                 raise InputFormatError(path, reader.line_num, str(err)) from err
+            soc_code, justification = record["soc_code"], record.get("justification", "")
             rows.append(
                 DigitalLabel(
-                    soc_code=record["soc_code"],
+                    soc_code=shared.setdefault(soc_code, soc_code),
                     task_text="",
                     label=label,
-                    justification=record.get("justification", ""),
+                    justification=shared.setdefault(justification, justification),
                     task_hash=record["task_hash"],
                 )
             )

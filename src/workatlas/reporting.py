@@ -37,6 +37,7 @@ from .coverage import (
     check_results,
     coverage,
     effort_by_node,
+    node_sets,
 )
 from .economics import (
     AlignmentReport,
@@ -413,15 +414,17 @@ def coverage_suite(
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Coverage, effort and breadth tables per kind; returns the efforts so
     the alignment tables reuse them. Each kind's results are checked against
-    its taxonomy once, then shared by the three computations."""
+    its taxonomy once, then shared by the three computations; effort and
+    breadth also share one node set per distinct path set."""
     efforts: dict[TaxonomyKind, EffortDistribution] = {}
     summary: dict = {"kinds": {}}
     for kind, taxonomy in taxonomies.items():
         results = check_results(results_by_kind.get(kind, ()), taxonomy)
         report = coverage(results, taxonomy)
         emit_coverage(bundle, report)
-        efforts[kind] = effort_by_node(results, taxonomy, REPORT_LEVEL[kind])
-        breadth_stats = breadth(results, taxonomy, REPORT_LEVEL[kind])
+        sets = node_sets(results, taxonomy, REPORT_LEVEL[kind])
+        efforts[kind] = effort_by_node(sets, taxonomy, REPORT_LEVEL[kind])
+        breadth_stats = breadth(sets, taxonomy, REPORT_LEVEL[kind])
         emit_effort(bundle, efforts[kind])
         emit_breadth(bundle, breadth_stats)
         summary["kinds"][kind.value] = {

@@ -72,8 +72,16 @@ def canonical_label(label: str) -> str:
     return " ".join(label.split()).casefold()
 
 
-@dataclass
-class TaxonomyNode:
+class _WeakReferenceable:
+    """Base of the slotted node and path classes: gives them the weak
+    reference slot that ``dataclass(weakref_slot=True)`` would, which
+    Python 3.10 lacks."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class TaxonomyNode(_WeakReferenceable):
     """One labeled node; ``annotations`` may carry a SOC code (domain
     occupations) or an activity id (skill leaves)."""
 
@@ -88,8 +96,8 @@ class TaxonomyNode:
         return not self.children
 
 
-@dataclass(frozen=True)
-class TaxonomyPath:
+@dataclass(frozen=True, slots=True)
+class TaxonomyPath(_WeakReferenceable):
     """A root-to-leaf path, stored from root child down to the leaf.
 
     Node ids are the identity; labels are carried along because mappings
@@ -302,9 +310,10 @@ def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
     Matching is canonical (case-insensitive, whitespace-normalized) and must
     cover the full path from a root child down to a leaf. Each taxonomy
     remembers the sequences it has resolved, verbatim, so a repeated
-    sequence costs one dict lookup; case and whitespace variants are
-    remembered separately and map to the same path object. Failures are not
-    remembered.
+    sequence costs one dict lookup; a sequence equal to the path's own
+    labels is remembered under the path's ``labels`` tuple. Case and
+    whitespace variants are remembered separately and map to the same path
+    object. Failures are not remembered.
 
     Raises
     ------
@@ -321,7 +330,10 @@ def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
     key = tuple(labels)
     found = t._resolved.get(key)
     if found is None:
-        found = t._resolved[key] = _resolve_labels(t, key)
+        found = _resolve_labels(t, key)
+        # A verbatim sequence is kept as the path's own label tuple, so the
+        # cache holds no copy of it.
+        t._resolved[found.labels if found.labels == key else key] = found
     return found
 
 

@@ -83,6 +83,19 @@ class TestKeywordAnnotator:
         second = domain_annotator.annotate("Reconcile bank statements", "other taxonomy")
         assert first == second
 
+    def test_file_rejects_empty_keyword(self, tmp_path):
+        # An empty keyword would fire on every instruction.
+        path = tmp_path / "rules.json"
+        rules = [{"keyword": "budget", "labels": ["F", "O", "review budget"]},
+                 {"keyword": "", "labels": ["F", "O", "anything"]}]
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            KeywordAnnotator.from_file(path)
+        assert str(err.value) == "rule 1: keyword must be a non-empty string"
+        rules[1]["keyword"] = " "
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        assert len(KeywordAnnotator.from_file(path).rules) == 2
+
 
 def linear_scan(rules, instruction):
     """Reference matcher: test every rule's lowercased keyword in turn."""

@@ -1,10 +1,13 @@
 import importlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from workatlas.coverage import (
+    REPORT_LEVEL,
+    CheckedResults,
     CoverageAccumulator,
     ForeignPathError,
     GroupLevel,
@@ -13,6 +16,7 @@ from workatlas.coverage import (
     coverage,
     effort_by_node,
     node_at_level,
+    node_sets,
 )
 from workatlas.mapping import MappingStatus
 from workatlas.reporting import ReportBundle, coverage_suite
@@ -233,7 +237,6 @@ class TestCheckOncePerKind:
             checked = check_results(results, taxonomy)
             stats = breadth(checked, taxonomy, level)
             effort = effort_by_node(checked, taxonomy, level)
-            assert checked.nodes_per_example(level) is checked.nodes_per_example(level)
             assert effort.counts == dict(sorted(counts.items()))
             assert effort.total_examples == len(per_example)
             assert stats.per_example == {k: len(v) for k, v in per_example.items()}
@@ -261,3 +264,83 @@ class TestCheckOncePerKind:
             coverage_suite(ReportBundle(run_dir=tmp_path),
                            {TaxonomyKind.SKILL: domain_results},
                            {TaxonomyKind.SKILL: skill_taxonomy})
+
+
+class TestDistinctPathSets:
+    """Effort and breadth count each distinct path set once, weighted by
+    its examples, and equal a per-example count from scratch."""
+
+    @staticmethod
+    def random_fold(t, rng, n_examples):
+        """A fold whose examples share path-set objects, hold equal sets
+        built separately or empty sets, and are sometimes folded twice;
+        also the per-example unions, built independently."""
+        paths = sorted(t.path_index, key=lambda p: p.node_ids)
+        shared = [frozenset(rng.sample(paths, rng.randint(1, 4))) for _ in range(5)]
+        shared.append(frozenset())
+        fold, unions = CheckedResults(t), {}
+        for i in range(n_examples):
+            key = ("b" + str(i % 3), f"e{i}")
+            for _ in range(1 if rng.random() < 0.8 else 2):  # a second fold is a union
+                choice = rng.randrange(4)
+                if choice == 0:
+                    added = rng.choice(shared)
+                elif choice == 1:
+                    added = frozenset(list(rng.choice(shared)))  # equal, not the same
+                elif choice == 2:
+                    added = frozenset()
+                else:
+                    added = frozenset(rng.sample(paths, rng.randint(1, 3)))
+                fold.add(key, added)
+                unions.setdefault(key, set()).update(added)
+        return fold, unions
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_example_count(self, domain_taxonomy, skill_taxonomy, seed):
+        rng = random.Random(seed)
+        for t in (domain_taxonomy, skill_taxonomy):
+            level = REPORT_LEVEL[t.kind]
+            fold, unions = self.random_fold(t, rng, rng.randint(1, 120))
+            nodes = {key: {node_at_level(p, level) for p in paths}
+                     for key, paths in unions.items()}
+            counts = Counter(node_id for ns in nodes.values() for node_id, _ in ns)
+            labels = dict(node for ns in nodes.values() for node in ns)
+            widths = {key: len(ns) for key, ns in nodes.items()}
+            n = len(widths)
+
+            for source in (fold, node_sets(fold, t, level)):
+                effort = effort_by_node(source, t, level)
+                assert effort.counts == dict(sorted(counts.items()))
+                assert effort.labels == labels
+                assert effort.total_examples == n
+                stats = breadth(source, t, level)
+                assert stats.per_example == widths
+                assert list(stats.per_example) == list(unions)
+                assert stats.histogram == dict(sorted(Counter(widths.values()).items()))
+                assert stats.share_zero == sum(w == 0 for w in widths.values()) / n
+                assert stats.share_exactly_one == sum(w == 1 for w in widths.values()) / n
+                assert stats.share_more_than_one == sum(w > 1 for w in widths.values()) / n
+                assert stats.share_more_than_three == sum(w > 3 for w in widths.values()) / n
+                assert stats.share_four_or_more == sum(w >= 4 for w in widths.values()) / n
+                assert stats.mean_breadth == sum(widths.values()) / n
+
+    def test_effort_memory_bounded_by_distinct_sets(self, domain_taxonomy):
+        # 20,000 examples over 50 path sets: effort's working memory follows
+        # the 50 sets; a table with one entry per example would exceed it.
+        t, distinct = domain_taxonomy, 50
+        paths = sorted(t.path_index, key=lambda p: p.node_ids)
+        rng, sets = random.Random(20), set()
+        while len(sets) < distinct:
+            sets.add(frozenset(rng.sample(paths, rng.randint(1, 4))))
+        sets = list(sets)
+        fold = CheckedResults(t)
+        for i in range(20_000):
+            fold.add(("b", f"e{i}"), sets[i % distinct])
+        tracemalloc.start()
+        try:
+            effort = effort_by_node(fold, t, GroupLevel.DOMAIN_FAMILY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert effort.total_examples == 20_000
+        assert peak < 1024 * distinct

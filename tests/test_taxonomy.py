@@ -278,6 +278,22 @@ class TestResolve:
             resolve_path(t, ["no", "such", "path"])
         assert len(t._resolved) == 2  # failures are not cached
 
+    def test_verbatim_sequence_cached_under_path_labels(self):
+        t = load_taxonomy(minimal_doc())
+        path = next(iter(t.path_index))
+        decoded = json.loads(json.dumps(list(path.labels)))  # equal strings, new objects
+        assert resolve_path(t, decoded) is path
+        (key,) = t._resolved
+        assert key is path.labels
+        variant = tuple(f" {label} " for label in path.labels)
+        assert resolve_path(t, list(variant)) is path
+        assert [k for k in t._resolved if k is not path.labels] == [variant]
+        with pytest.raises(PartialPathError):
+            resolve_path(t, path.labels[:2])
+        with pytest.raises(UnknownPathError):
+            resolve_path(t, ["no", "such", "path"])
+        assert len(t._resolved) == 2
+
     def test_cache_shared_by_threads(self):
         t = load_taxonomy(fixture_path("taxonomy_domain.json"))
         spellings = [(labels, variant) for path in t.path_index for labels in [path.labels]
