@@ -139,9 +139,10 @@ class KeywordAnnotator:
     def from_file(cls, path: str | Path, annotator_id: str | None = None) -> "KeywordAnnotator":
         """Load rules from a JSON array of ``{keyword, labels}`` objects.
 
-        Each rule must be an object with a non-empty string ``keyword`` and
-        a non-empty array of strings as ``labels``; otherwise ``ValueError``
-        names the rule by its index in the array, counted from 0.
+        Each rule must be an object with a string ``keyword`` that holds a
+        non-whitespace character and a non-empty array of strings as
+        ``labels``; otherwise ``ValueError`` names the rule by its index in
+        the array, counted from 0.
 
         Rules of one tree repeat its upper labels many times over, so each
         distinct label string is stored once across rules, and the parsed
@@ -158,9 +159,10 @@ class KeywordAnnotator:
                 raise ValueError(f"rule {i}: must be an object")
             if not isinstance(r.get("keyword"), str):
                 raise ValueError(f"rule {i}: keyword must be a string")
-            if not r["keyword"]:
-                # the empty string occurs in every instruction
-                raise ValueError(f"rule {i}: keyword must be a non-empty string")
+            if not r["keyword"].strip():
+                # the empty string occurs in every instruction, a blank in
+                # nearly every one
+                raise ValueError(f"rule {i}: keyword must be a non-blank string")
             sequence = r.get("labels")
             if not (isinstance(sequence, list) and sequence
                     and all(isinstance(x, str) for x in sequence)):

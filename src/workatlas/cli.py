@@ -105,10 +105,8 @@ from .reporting import (
     emit_skill_econ,
 )
 from .sampling import (
-    PoolUnit,
     build_pool,  # noqa: F401 - perfbench's tracer rebinds it on this module
     permutation_sensitivity,
-    pool_from_folds,
 )
 from .taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
 
@@ -614,28 +612,26 @@ def _map_all_kinds(config: RunConfig, inputs: LoadedInputs,
     return folder.folded(), stats
 
 
-def _sensitivity_rows(config: RunConfig, pooled: list[PoolUnit],
+def _sensitivity_rows(config: RunConfig, mappings: FoldedMappings,
                       taxonomies: dict[TaxonomyKind, Taxonomy]):
     """One sensitivity summary per benchmark, sorted, then one for the whole
     pool when it spans several benchmarks; each benchmark's pool is its
-    units in pooled order."""
-    by_benchmark: dict[str, list[PoolUnit]] = {}
-    for unit in pooled:
-        by_benchmark.setdefault(unit.key[0], []).append(unit)
-    pools = [by_benchmark[bench] for bench in sorted(by_benchmark)]
-    if len(by_benchmark) > 1:
-        pools.append(pooled)
+    examples in pooled order."""
+    benchmarks: list[str | None] = sorted({bench for bench, _ in mappings.examples})
+    if len(benchmarks) > 1:
+        benchmarks.append(None)
     return [
         permutation_sensitivity(
-            pool,
+            mappings,
             taxonomies.get(TaxonomyKind.DOMAIN),
             taxonomies.get(TaxonomyKind.SKILL),
             batch_size=config.values["batch_size"],
             delta=config.values["delta"],
             permutations=config.values["permutations"],
             rng_seed=config.values["seed"],
+            benchmark=benchmark,
         )
-        for pool in pools
+        for benchmark in benchmarks
     ]
 
 
@@ -713,8 +709,7 @@ def _cmd_coverage(config: RunConfig) -> int:
 def _cmd_sample(config: RunConfig) -> int:
     inputs = _load(config, "mappings", ("domain_taxonomy", "skill_taxonomy"))
     bundle = _start_bundle(config, inputs)
-    pooled = pool_from_folds(inputs.mappings.examples, inputs.mappings.by_kind)
-    emit_sensitivity(bundle, _sensitivity_rows(config, pooled, inputs.taxonomies))
+    emit_sensitivity(bundle, _sensitivity_rows(config, inputs.mappings, inputs.taxonomies))
     bundle.finalize()
     print(f"sampling sensitivity -> {bundle.run_dir}")
     return EXIT_OK
@@ -815,8 +810,7 @@ def _cmd_report(config: RunConfig) -> int:
     # The tables read only the folds from here on.
     inputs.examples, inputs.annotators = None, {}
     efforts = coverage_suite(bundle, mappings.by_kind, inputs.taxonomies)
-    pooled = pool_from_folds(mappings.examples, mappings.by_kind)
-    emit_sensitivity(bundle, _sensitivity_rows(config, pooled, inputs.taxonomies))
+    emit_sensitivity(bundle, _sensitivity_rows(config, mappings, inputs.taxonomies))
     if econ is not None and econ[1] is not None:
         alignment_suite(bundle, efforts, *econ)
     bundle.finalize()

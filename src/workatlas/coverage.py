@@ -6,18 +6,15 @@ grouping level: an example increments each distinct node it reaches once,
 however many of its paths land there. Breadth is the per-example count of
 distinct nodes at that level.
 
-All three read one kind's results as a per-example fold,
-:class:`CheckedResults`: each example's key and the union of its mapped
-paths. :func:`check_results` builds the fold from results. A
-:class:`MappingFolder` builds one fold per kind, one result at a time, into
-:class:`FoldedMappings`: ``io.read_mapping_folds`` from a mappings file
-line by line, and the CLI from each result as it is mapped.
-
-Effort and breadth read a fold through :class:`NodeSets`, which builds
-the nodes at the grouping level once per distinct path set and counts the
-examples that reach each distinct node set. Both count each distinct set
-once, weighted by its examples, so no per-example node table is built:
-breadth's ``per_example`` holds one width per example and nothing else.
+All three, and the sampler, read one kind's results as a per-example fold,
+:class:`CheckedResults`: the one place where examples are numbered and
+each distinct path set is stored once. :func:`check_results` builds a fold
+from results; a :class:`MappingFolder` numbers the examples once for every
+kind and builds one fold per kind, one result at a time (from a mappings
+file in ``io.read_mapping_folds``, and as the CLI maps each result).
+Effort and breadth read a fold through :class:`NodeSets`, which builds the
+nodes at the grouping level once per set id, so no per-example node table
+is built: breadth's ``per_example`` holds one width per example.
 
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
@@ -26,6 +23,7 @@ exactly equivalent to a from-scratch set union.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -59,41 +57,47 @@ def node_at_level(path: TaxonomyPath, level: GroupLevel) -> tuple[str, str]:
     return path.node_ids[-1], path.labels[-1]
 
 
+MISSING = -1  # the set id of an example without a result of a fold's kind
+
+
 class CheckedResults:
     """One kind's mapping results checked against ``taxonomy`` and folded
-    per example.
-
-    ``paths`` maps each example key, in the order the example first
-    appears, to the union of the paths its ``mapped`` results hold, or to
-    an empty frozenset when it has none. That is all :func:`coverage`,
-    :func:`effort_by_node` and :func:`breadth` read, so they accept a fold
-    for its taxonomy without checking any path again, and no result object,
-    raw annotator output or annotator id is kept. Nothing derived from the
-    paths is kept either: :class:`NodeSets` groups them for effort and
-    breadth, and lives only as long as its caller holds it.
+    per example: ``keys`` numbers the examples in first-seen order (shared
+    by a :class:`MappingFolder`'s folds, which end with the tuple of keys),
+    ``sets`` holds each distinct union of an example's mapped paths once,
+    and ``ids`` each example's set id, :data:`MISSING` without a result of
+    this kind. The tables and the sampler read only these.
     """
 
-    __slots__ = ("taxonomy", "paths")
+    __slots__ = ("taxonomy", "keys", "sets", "ids", "_set_ids")
 
-    def __init__(self, taxonomy: Taxonomy):
+    def __init__(self, taxonomy: Taxonomy | None, keys: dict | None = None):
         self.taxonomy = taxonomy
-        self.paths: dict[tuple[str, str], frozenset[TaxonomyPath]] = {}
+        self.keys = {} if keys is None else keys
+        self.sets: list[frozenset[TaxonomyPath]] = []
+        self.ids = array("i")
+        self._set_ids: dict[frozenset[TaxonomyPath], int] = {}
 
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
         its example's union."""
-        earlier = self.paths.get(key)
-        self.paths[key] = paths if earlier is None else earlier | paths
+        number, ids = self.keys.setdefault(key, len(self.keys)), self.ids
+        ids.extend([MISSING] * (number + 1 - len(ids)))
+        if ids[number] != MISSING:
+            paths = self.sets[ids[number]] | paths
+        ids[number] = self._set_ids.setdefault(paths, len(self.sets))
+        if ids[number] == len(self.sets):
+            self.sets.append(paths)
 
 
 @dataclass(frozen=True)
 class FoldedMappings:
     """Mapping results folded per example, with no result object kept.
 
-    ``examples`` lists every example key once, in the order the example
-    first appears; ``by_kind`` holds one fold per taxonomy kind that has at
-    least one result. The folds and ``examples`` share one key tuple per
-    example.
+    ``examples`` lists every example key once, by number; ``by_kind`` holds
+    one fold per kind that has a result, with a set id for every example.
+    The folds share one numbering, so only :meth:`MappingFolder.folded`
+    builds one.
     """
 
     examples: tuple[tuple[str, str], ...]
@@ -105,29 +109,33 @@ class MappingFolder:
 
     Each kind's fold is made for its entry in ``taxonomies``. A result's
     paths are added as they are, unchecked, so they must come from that
-    taxonomy. :func:`~workatlas.sampling.build_pool`, which reads only the
-    paths, folds with ``None`` in place of each taxonomy.
+    taxonomy. The sampler, which reads only the paths, folds with ``None``
+    in place of each taxonomy.
     """
 
     __slots__ = ("_taxonomies", "_keys", "_folds")
 
     def __init__(self, taxonomies: Mapping[TaxonomyKind, Taxonomy | None]):
         self._taxonomies = taxonomies
-        self._keys: dict[tuple[str, str], tuple[str, str]] = {}
+        self._keys: dict[tuple[str, str], int] = {}  # example key -> number
         self._folds: dict[TaxonomyKind, CheckedResults] = {}
 
     def add(self, kind: TaxonomyKind, key: tuple[str, str],
             paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result: its kind, its example's key, and its paths
         (empty unless it is mapped)."""
-        key = self._keys.setdefault(key, key)
-        fold = self._folds.get(kind)
-        if fold is None:
-            fold = self._folds[kind] = CheckedResults(self._taxonomies[kind])
-        fold.add(key, paths)
+        if kind not in self._folds:
+            self._folds[kind] = CheckedResults(self._taxonomies[kind], self._keys)
+        self._folds[kind].add(key, paths)
 
     def folded(self) -> FoldedMappings:
-        return FoldedMappings(tuple(self._keys), self._folds)
+        """The folds, each with a set id for every example; they drop their
+        lookup tables, so no result can be added to them."""
+        examples = tuple(self._keys)
+        for fold in self._folds.values():
+            fold.ids.extend([MISSING] * (len(examples) - len(fold.ids)))
+            fold.keys, fold._set_ids = examples, None
+        return FoldedMappings(examples, self._folds)
 
 
 def check_results(results: Iterable[MappingResult] | CheckedResults,
@@ -141,8 +149,8 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
     if isinstance(results, CheckedResults):
         if results.taxonomy is t:
             return results
-        kind = results.taxonomy.kind
-        records = ((kind, key, paths) for key, paths in results.paths.items())
+        records = ((results.taxonomy.kind, key, results.sets[i])
+                   for key, i in zip(results.keys, results.ids) if i != MISSING)
     else:
         # a result holds paths exactly when it is mapped
         records = ((r.taxonomy_kind, r.key, r.paths) for r in results)
@@ -196,12 +204,12 @@ def coverage(results: Iterable[MappingResult] | CheckedResults, t: Taxonomy) -> 
     nothing. Every per-benchmark fraction uses the full taxonomy as its
     denominator.
     """
-    covered: set[TaxonomyPath] = set()
+    fold = check_results(results, t)
     by_benchmark: dict[str, set[TaxonomyPath]] = {}
-    for (benchmark, _), paths in check_results(results, t).paths.items():
-        bench = by_benchmark.setdefault(benchmark, set())
-        covered.update(paths)
-        bench.update(paths)
+    for (benchmark, _), i in zip(fold.keys, fold.ids):
+        if i != MISSING:
+            by_benchmark.setdefault(benchmark, set()).update(fold.sets[i])
+    covered = set().union(*by_benchmark.values())
     total = t.leaf_count
     return CoverageReport(
         taxonomy_kind=t.kind,
@@ -240,30 +248,28 @@ class NodeSets:
     """A fold's node sets at a grouping level, each built once.
 
     A node set is the sorted tuple of the distinct (node id, label) pairs
-    that a path set reaches at ``level``. ``of_paths`` maps each distinct
-    path set of the fold to its node set, and ``examples`` counts the
-    examples per distinct node set; equal node sets, and equal nodes, are
-    one object. Effort and breadth read ``examples``, so each distinct set
-    is counted once, weighted by its examples; breadth's ``per_example``
-    also reads ``of_paths``. Build it with :func:`node_sets`, and pass it
-    to :func:`effort_by_node` and :func:`breadth` in place of results to
-    count both from one table.
+    that a path set reaches at ``level``; equal ones, and equal nodes, are
+    one object. ``of_ids`` holds each set id's node set (``None`` if unused)
+    and ``examples`` counts the examples per node set, which effort and
+    breadth read, so each distinct set is counted once. Build it with
+    :func:`node_sets` and pass it to :func:`effort_by_node` and
+    :func:`breadth` in place of results to count both from one table.
     """
 
-    __slots__ = ("fold", "of_paths", "examples")
+    __slots__ = ("fold", "of_ids", "examples")
 
     def __init__(self, fold: CheckedResults, level: GroupLevel):
         self.fold = fold
-        self.of_paths: dict[frozenset[TaxonomyPath], tuple[tuple[str, str], ...]] = {}
+        self.of_ids: list[tuple[tuple[str, str], ...] | None] = [None] * len(fold.sets)
         self.examples: Counter[tuple[tuple[str, str], ...]] = Counter()
         shared: dict = {}  # each distinct node and node set once
-        for paths in fold.paths.values():
-            nodes = self.of_paths.get(paths)
-            if nodes is None:
-                nodes = tuple(sorted({shared.setdefault(node, node)
-                                      for node in (node_at_level(p, level) for p in paths)}))
-                nodes = self.of_paths[paths] = shared.setdefault(nodes, nodes)
-            self.examples[nodes] += 1
+        for set_id in fold.ids:
+            if set_id != MISSING:
+                if self.of_ids[set_id] is None:
+                    nodes = tuple(sorted({shared.setdefault(node, node) for node in
+                                          (node_at_level(p, level) for p in fold.sets[set_id])}))
+                    self.of_ids[set_id] = shared.setdefault(nodes, nodes)
+                self.examples[self.of_ids[set_id]] += 1
 
 
 def node_sets(results: Iterable[MappingResult] | CheckedResults | NodeSets,
@@ -299,7 +305,7 @@ def effort_by_node(
         group_level=level,
         counts=dict(sorted(counts.items())),
         labels=labels,
-        total_examples=len(sets.fold.paths),
+        total_examples=sum(sets.examples.values()),
     )
 
 
@@ -332,7 +338,8 @@ def breadth(
     distinct node set once, weighted by the number of examples that reach
     it; ``per_example`` maps each example to its node set's width."""
     sets = node_sets(results, t, level)
-    per_example = {key: len(sets.of_paths[paths]) for key, paths in sets.fold.paths.items()}
+    per_example = {key: len(sets.of_ids[i]) for key, i in zip(sets.fold.keys, sets.fold.ids)
+                   if i != MISSING}
     histogram: Counter[int] = Counter()
     for nodes, examples in sets.examples.items():
         histogram[len(nodes)] += examples

@@ -19,12 +19,12 @@ per-level node counts and builds no tree, which is all the CLI needs;
 callers.
 
 Parsed inputs repeat values many times over, so readers store each one
-once: a mappings file's equal path sets and id, annotator and raw-output
-strings, and an importance table's SOC codes and activity ids, are each
-one shared object per distinct value. CSV errors name a row's physical
-line, blank rows included. A mappings file is written one line per result
-by :func:`mapping_record`, for :func:`write_mappings` and for the CLI,
-which writes each result as it is mapped.
+once: a mappings file's path sets (kept by the folds themselves for
+:func:`read_mapping_folds`) and id, annotator and raw-output strings, and
+an importance table's SOC codes and activity ids. CSV errors name a row's
+physical line, blank rows included. A mappings file is written one line
+per result by :func:`mapping_record`, for :func:`write_mappings` and for
+the CLI, which writes each result as it is mapped.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -216,11 +216,10 @@ _KINDS = {k.value: k for k in TaxonomyKind}
 _STATUSES = {s.value: s for s in MappingStatus}
 
 
-def _mapping_line(path, line_no: int, record: dict, taxonomies: dict[TaxonomyKind, Taxonomy],
-                  shared: dict) -> tuple[TaxonomyKind, MappingStatus, frozenset[TaxonomyPath]]:
+def _mapping_line(path, line_no: int, record: dict, taxonomies: dict[TaxonomyKind, Taxonomy]
+                  ) -> tuple[TaxonomyKind, MappingStatus, frozenset[TaxonomyPath]]:
     """Check one mapping record and resolve its paths: the one check path
-    of both mapping readers. Returns its kind, status and path set; equal
-    path sets come back as one object, kept in ``shared``.
+    of both mapping readers. Returns its kind, status and path set.
 
     Re-resolution failing on a persisted path means the file and taxonomy
     disagree; that is surfaced as an :class:`InputFormatError` rather than
@@ -253,7 +252,7 @@ def _mapping_line(path, line_no: int, record: dict, taxonomies: dict[TaxonomyKin
         raise InputFormatError(
             path, line_no, f"status {status.value} inconsistent with {len(paths)} paths"
         )
-    return kind, status, shared.setdefault(paths, paths)
+    return kind, status, paths
 
 
 def read_mappings(
@@ -269,7 +268,7 @@ def read_mappings(
     results = []
     shared: dict = {}
     for line_no, record in _iter_jsonl(path):
-        kind, status, paths = _mapping_line(path, line_no, record, taxonomies, shared)
+        kind, status, paths = _mapping_line(path, line_no, record, taxonomies)
         benchmark, example_id = record["benchmark"], record["example_id"]
         raw = record.get("raw", "")
         annotator_id = record.get("annotator_id", "unknown")
@@ -278,7 +277,7 @@ def read_mappings(
                 benchmark=shared.setdefault(benchmark, benchmark),
                 example_id=shared.setdefault(example_id, example_id),
                 taxonomy_kind=kind,
-                paths=paths,
+                paths=shared.setdefault(paths, paths),
                 status=status,
                 raw_annotator_output=shared.setdefault(raw, raw),
                 annotator_id=shared.setdefault(annotator_id, annotator_id),
@@ -293,11 +292,11 @@ def read_mapping_folds(
     """Read a mappings file into per-example folds, with the checks and
     errors of :func:`read_mappings`, adding each line to its kind's fold as
     it is read. No :class:`MappingResult` is built, and no ``raw`` output or
-    annotator id is kept."""
+    annotator id is kept; the folds hold each distinct path set once."""
     folder = MappingFolder(taxonomies)
-    shared: dict = {}
+    shared: dict = {}  # each benchmark name once
     for line_no, record in _iter_jsonl(path):
-        kind, _, paths = _mapping_line(path, line_no, record, taxonomies, shared)
+        kind, _, paths = _mapping_line(path, line_no, record, taxonomies)
         benchmark = record["benchmark"]
         folder.add(kind, (shared.setdefault(benchmark, benchmark), record["example_id"]), paths)
     return folder.folded()
@@ -418,14 +417,6 @@ def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
                 )
             )
     return rows
-
-
-def write_digital_labels(path: str | Path, labels: Iterable[DigitalLabel]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["soc_code", "task_hash", "label", "justification"])
-        for lab in labels:
-            writer.writerow([lab.soc_code, lab.task_hash, lab.label.value, lab.justification])
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,11 @@ def score_against_reference(
 def agreement_rate(
     verdicts_a: Sequence[RubricVerdict], verdicts_b: Sequence[RubricVerdict]
 ) -> float:
-    """Fraction of aligned positions where both judges gave the same verdict."""
+    """Fraction of aligned positions where both judges gave the same verdict.
+
+    This is the rubric's judge-agreement figure; no command reports it, and
+    the library keeps it for callers that score mappings with two judges.
+    """
     if len(verdicts_a) != len(verdicts_b):
         raise ValueError(
             f"verdict lists differ in length: {len(verdicts_a)} vs {len(verdicts_b)}"

@@ -12,8 +12,8 @@ stop size and achieved coverage are to task ordering, and a Chao1 richness
 estimate extrapolates how many distinct paths the pool plausibly holds
 beyond the ones observed.
 
-The rule runs on an interned copy of the pool: each distinct path becomes a
-dense int per kind, so coverage is a ``bytearray`` and a counter. A random
+The rule runs on the pool's fold: each distinct path set becomes dense ints
+per kind once, so coverage is a ``bytearray`` and a counter. A random
 order is drawn lazily and sparsely, by a forward Fisher-Yates (Durstenfeld)
 shuffle that fixes only the positions the rule consumes and keeps only the
 positions a swap displaced, in a dict, instead of the whole order. On pools
@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import CheckedResults, MappingFolder
+from .coverage import MISSING, FoldedMappings, MappingFolder
 from .mapping import MappingResult
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
 
@@ -47,31 +48,17 @@ class PoolUnit:
 
 
 def build_pool(results: Iterable[MappingResult]) -> list[PoolUnit]:
-    """Group per-kind mapping results into per-example units: the results
-    folded per example, then :func:`pool_from_folds`.
+    """Group per-kind mapping results into per-example units, each holding
+    the union of every kind's paths (empty for a kind without a result).
 
     Unit order follows each example's first appearance in ``results``; that
     order is the sampling order unless the caller gives a seed.
     """
-    folder = MappingFolder(dict.fromkeys(TaxonomyKind))
+    units: dict[tuple[str, str], dict[TaxonomyKind, frozenset[TaxonomyPath]]] = {}
     for r in results:
-        folder.add(r.taxonomy_kind, r.key, r.paths)
-    folded = folder.folded()
-    return pool_from_folds(folded.examples, folded.by_kind)
-
-
-def pool_from_folds(
-    examples: Iterable[tuple[str, str]], folds: Mapping[TaxonomyKind, CheckedResults]
-) -> list[PoolUnit]:
-    """One unit per example key, in the order given, holding each kind's
-    folded paths (empty for a kind without a fold or without the key)."""
-    return [
-        PoolUnit(key=key, paths={
-            kind: folds[kind].paths.get(key, _NO_PATHS) if kind in folds else _NO_PATHS
-            for kind in TaxonomyKind
-        })
-        for key in examples
-    ]
+        paths = units.setdefault(r.key, dict.fromkeys(TaxonomyKind, _NO_PATHS))
+        paths[r.taxonomy_kind] = paths[r.taxonomy_kind] | r.paths
+    return [PoolUnit(key, paths) for key, paths in units.items()]
 
 
 @dataclass(frozen=True)
@@ -113,21 +100,23 @@ class _Replay:
 class _Sampler:
     """The stopping rule over one pool, in the form it replays fast.
 
-    The pool is interned once, into one id space for both kinds: the first
-    kind's distinct paths are numbered 0, 1, 2, ... and the second kind's
-    -1, -2, -3, ..., so an id's sign tells its kind. Coverage is one
-    ``bytearray`` of ``path_count`` bytes, which negative ids index from
-    its end, plus a counter per kind. A unit is one id tuple. The benchmark
-    label and the path occurrence counts are computed once too.
+    The pool, a fold's examples or one benchmark's, is interned once, into
+    one id space for both kinds: the first kind's distinct paths are
+    numbered 0, 1, 2, ... and the second kind's -1, -2, -3, ..., so an id's
+    sign tells its kind. Coverage is one ``bytearray`` of ``path_count``
+    bytes, which negative ids index from its end, plus a counter per kind.
+    A unit is one id tuple, shared by the examples with equal set ids. The
+    benchmark label and the path occurrence counts are computed once too.
     """
 
     def __init__(
         self,
-        pool: Sequence[MappingResult] | Sequence[PoolUnit],
+        pool: Sequence[MappingResult] | Sequence[PoolUnit] | FoldedMappings,
         t_domain: Taxonomy | None,
         t_skill: Taxonomy | None,
         batch_size: int,
         delta: float,
+        benchmark: str | None = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -140,33 +129,48 @@ class _Sampler:
         }
         if not taxonomies:
             raise ValueError("at least one taxonomy is required")
-        units = _as_units(pool)
-        if not units:
+        if not isinstance(pool, FoldedMappings):
+            folder = MappingFolder(dict.fromkeys(TaxonomyKind))
+            for item in pool:
+                if isinstance(item, PoolUnit):
+                    for kind in TaxonomyKind:
+                        folder.add(kind, item.key, item.paths.get(kind, _NO_PATHS))
+                else:
+                    folder.add(item.taxonomy_kind, item.key, item.paths)
+            pool = folder.folded()
+        numbers: Sequence[int] = range(len(pool.examples)) if benchmark is None else array(
+            "i", (n for n, (bench, _) in enumerate(pool.examples) if bench == benchmark))
+        if not numbers:
             raise ValueError("pool is empty")
         self.batch_size = batch_size
         self.delta = delta
 
         self.kinds = list(taxonomies)
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
-        self.keys = [u.key for u in units]
-        numbers: list[dict[tuple[str, ...], int]] = [{} for _ in self.kinds]
+        self.examples, self.numbers = pool.examples, numbers
+        folds = [pool.by_kind.get(kind) for kind in self.kinds]
+        path_ids: list[dict[TaxonomyPath, int]] = [{} for _ in self.kinds]
+        set_paths = [{MISSING: ()} for _ in self.kinds]  # per kind, set id -> path ids
+        units: dict[tuple[int, ...], tuple[int, ...]] = {}  # set id per kind -> unit
         self.units: list[tuple[int, ...]] = []
-        for unit in units:
-            ids = []
-            for k, kind in enumerate(self.kinds):
-                kind_numbers = numbers[k]
-                for path in unit.paths.get(kind, _NO_PATHS):
-                    i = kind_numbers.setdefault(path.node_ids, len(kind_numbers))
-                    ids.append(~i if k else i)
-            self.units.append(tuple(ids))
-        first = len(numbers[0])
-        self.path_count = sum(len(kind_numbers) for kind_numbers in numbers)
+        for n in numbers:
+            set_ids = tuple(MISSING if fold is None else fold.ids[n] for fold in folds)
+            if set_ids not in units:
+                for k, set_id in enumerate(set_ids):
+                    if set_id not in set_paths[k]:
+                        kind_ids = path_ids[k]
+                        set_paths[k][set_id] = tuple(~i if k else i for i in (
+                            kind_ids.setdefault(p, len(kind_ids)) for p in folds[k].sets[set_id]))
+                units[set_ids] = sum((set_paths[k][i] for k, i in enumerate(set_ids)), ())
+            self.units.append(units[set_ids])
+        first = len(path_ids[0])
+        self.path_count = sum(len(kind_ids) for kind_ids in path_ids)
         counts = [0] * self.path_count
         for ids in self.units:
             for i in ids:
                 counts[i] += 1
         self.occurrence = [counts[:first], counts[first:]][:len(self.kinds)]
-        benchmarks = {key[0] for key in self.keys}
+        benchmarks = {self.examples[n][0] for n in numbers}
         self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK
 
     def replay(self, rng: random.Random | None) -> _Replay:
@@ -226,7 +230,7 @@ class _Sampler:
 
 
 def sample_until_saturation(
-    pool: Sequence[MappingResult] | Sequence[PoolUnit],
+    pool: Sequence[MappingResult] | Sequence[PoolUnit] | FoldedMappings,
     t_domain: Taxonomy | None,
     t_skill: Taxonomy | None,
     batch_size: int = 5,
@@ -237,9 +241,9 @@ def sample_until_saturation(
 
     Parameters
     ----------
-    pool : sequence of MappingResult or PoolUnit
+    pool : sequence of MappingResult or PoolUnit, or FoldedMappings
         Without ``rng_seed`` the sampling order is the given order (results
-        are grouped per example first).
+        and units are folded per example first).
     t_domain, t_skill : Taxonomy or None
         Coverage denominators. A kind whose taxonomy is ``None`` is ignored
         by the stopping rule; at least one must be given.
@@ -262,7 +266,7 @@ def sample_until_saturation(
     run = sampler.replay(None if rng_seed is None else random.Random(rng_seed))
     return SamplingRun(
         benchmark=sampler.benchmark,
-        selected=tuple(sampler.keys[i] for i in run.order),
+        selected=tuple(sampler.examples[sampler.numbers[i]] for i in run.order),
         batch_size=batch_size,
         delta=delta,
         stop_batch_index=run.stop_batch_index,
@@ -270,12 +274,6 @@ def sample_until_saturation(
         coverage_trace={kind: tuple(run.trace[k]) for k, kind in enumerate(sampler.kinds)},
         rng_seed=rng_seed,
     )
-
-
-def _as_units(pool: Sequence) -> list[PoolUnit]:
-    if pool and isinstance(pool[0], PoolUnit):
-        return list(pool)
-    return build_pool(pool)
 
 
 def chao1(observed_path_counts: Mapping[object, int] | Sequence[int]) -> float:
@@ -361,13 +359,14 @@ class SensitivitySummary:
 
 
 def permutation_sensitivity(
-    pool: Sequence[MappingResult] | Sequence[PoolUnit],
+    pool: Sequence[MappingResult] | Sequence[PoolUnit] | FoldedMappings,
     t_domain: Taxonomy | None,
     t_skill: Taxonomy | None,
     batch_size: int = 5,
     delta: float = 0.1,
     permutations: int = 500,
     rng_seed: int | None = None,
+    benchmark: str | None = None,
 ) -> SensitivitySummary:
     """Replay the stopping rule over random permutations of the pool.
 
@@ -379,11 +378,12 @@ def permutation_sensitivity(
     same prefix as shuffling the whole pool with that sub-seed first.
     Reported coverage comes in two forms: raw taxonomy coverage at the stop
     point, and the number of distinct paths at stop relative to the pool's
-    Chao1-estimated path richness.
+    Chao1-estimated path richness. With ``benchmark``, only that
+    benchmark's examples form the pool.
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
-    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta)
+    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta, benchmark)
     kinds = sampler.kinds
     richness = [chao1(counts) if counts else 0.0 for counts in sampler.occurrence]
 

@@ -84,15 +84,18 @@ class TestKeywordAnnotator:
         assert first == second
 
     def test_file_rejects_empty_keyword(self, tmp_path):
-        # An empty keyword would fire on every instruction.
+        # An empty keyword would fire on every instruction, a blank one on
+        # every instruction with a space or a tab.
         path = tmp_path / "rules.json"
         rules = [{"keyword": "budget", "labels": ["F", "O", "review budget"]},
                  {"keyword": "", "labels": ["F", "O", "anything"]}]
-        path.write_text(json.dumps(rules), encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            KeywordAnnotator.from_file(path)
-        assert str(err.value) == "rule 1: keyword must be a non-empty string"
-        rules[1]["keyword"] = " "
+        for keyword in ("", " ", " \t\n"):
+            rules[1]["keyword"] = keyword
+            path.write_text(json.dumps(rules), encoding="utf-8")
+            with pytest.raises(ValueError) as err:
+                KeywordAnnotator.from_file(path)
+            assert str(err.value) == "rule 1: keyword must be a non-blank string"
+        rules[1]["keyword"] = " budget "
         path.write_text(json.dumps(rules), encoding="utf-8")
         assert len(KeywordAnnotator.from_file(path).rules) == 2
 

@@ -865,7 +865,8 @@ class TestAnnotatorInputs:
         ({"keyword": "budget", "labels": {"A": "B"}},
          "labels must be a non-empty array of strings"),
         (["budget", ["A", "B", "C"]], "must be an object"),
-        ({"keyword": "", "labels": ["A", "B", "C"]}, "keyword must be a non-empty string"),
+        ({"keyword": "", "labels": ["A", "B", "C"]}, "keyword must be a non-blank string"),
+        ({"keyword": " ", "labels": ["A", "B", "C"]}, "keyword must be a non-blank string"),
     ])
     def test_malformed_keyword_rule_is_input_error(self, tmp_path, capsys, rule, reason):
         rules = json.loads(fixture_path("keyword_rules_domain.json").read_text(encoding="utf-8"))

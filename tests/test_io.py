@@ -10,7 +10,7 @@ import pytest
 from workatlas import io as workatlas_io
 from workatlas import taxonomy as workatlas_taxonomy
 from workatlas.autonomy import WorkflowNode, iter_nodes, success_rates
-from workatlas.coverage import breadth, coverage, effort_by_node
+from workatlas.coverage import MISSING, breadth, coverage, effort_by_node
 from workatlas.io import (
     FoldedMappings,
     InputFormatError,
@@ -32,7 +32,7 @@ from workatlas.io import (
 )
 from workatlas.mapping import MappingResult, MappingStatus
 from workatlas.reporting import REPORT_LEVEL
-from workatlas.sampling import build_pool, pool_from_folds
+from workatlas.sampling import build_pool, permutation_sensitivity, sample_until_saturation
 from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
 
 from conftest import deep_chain
@@ -337,10 +337,11 @@ class TestEconomicsFiles:
         assert {l.label.value for l in digital_labels} == {"DIGITAL", "PHYSICAL"}
 
     def test_digital_labels_roundtrip_preserves_hashes(self, tmp_path, digital_labels):
-        from workatlas.io import write_digital_labels
-
         out = tmp_path / "labels.csv"
-        write_digital_labels(out, digital_labels)
+        out.write_text(render_table(
+            ["soc_code", "task_hash", "label", "justification"],
+            [(lab.soc_code, lab.task_hash, lab.label.value, lab.justification)
+             for lab in digital_labels]), encoding="utf-8")
         assert out.read_bytes() == fixture_path("digital_labels.csv").read_bytes()
 
     def test_digital_label_vocabulary_enforced(self, tmp_path):
@@ -547,20 +548,36 @@ class TestMappingFolds:
         for r in results:
             by_kind.setdefault(r.taxonomy_kind, []).append(r)
         assert folded.by_kind.keys() == by_kind.keys()  # a kind without records has no fold
-        example_keys = {id(key) for key in folded.examples}
+        unions: dict = {}
         for kind, rs in by_kind.items():
             fold, t = folded.by_kind[kind], taxonomies[kind]
-            union: dict = {}
+            union = unions[kind] = {}
             for r in rs:
                 union.setdefault(r.key, set()).update(r.paths)
             assert fold.taxonomy is t
-            assert list(fold.paths.items()) == [(k, frozenset(v)) for k, v in union.items()]
-            assert {id(key) for key in fold.paths} <= example_keys  # one key tuple per example
+            # the examples are numbered once, for every kind, in first-seen order
+            assert fold.keys is folded.examples
+            assert len(fold.ids) == len(folded.examples)
+            assert [(k, fold.sets[i]) for k, i in zip(fold.keys, fold.ids) if i != MISSING] == [
+                (k, frozenset(union[k])) for k in folded.examples if k in union]
+            assert len(set(fold.sets)) == len(fold.sets)  # each distinct set once
             level = REPORT_LEVEL[kind]
             assert coverage(fold, t) == coverage(rs, t)
             assert effort_by_node(fold, t, level) == effort_by_node(rs, t, level)
             assert breadth(fold, t, level) == breadth(rs, t, level)
-        assert pool_from_folds(folded.examples, folded.by_kind) == build_pool(results)
+        pool = build_pool(results)
+        assert [(u.key, u.paths) for u in pool] == [
+            (key, {kind: frozenset(unions.get(kind, {}).get(key, ())) for kind in TaxonomyKind})
+            for key in folded.examples]
+        if results:
+            t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
+            t_skill = taxonomies.get(TaxonomyKind.SKILL)
+            assert (sample_until_saturation(folded, t_domain, t_skill)
+                    == sample_until_saturation(pool, t_domain, t_skill))
+            assert (permutation_sensitivity(folded, t_domain, t_skill, permutations=40,
+                                            rng_seed=9)
+                    == permutation_sensitivity(pool, t_domain, t_skill, permutations=40,
+                                               rng_seed=9))
         return results
 
     @pytest.mark.parametrize("seed", range(4))

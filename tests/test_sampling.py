@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from workatlas.coverage import coverage
+from workatlas.coverage import MappingFolder, coverage
 from workatlas.sampling import (
     PoolUnit,
     SummaryStat,
@@ -268,6 +268,21 @@ class TestSensitivity:
             expected = chao1(occurrence) if occurrence else 0.0
             assert summary.chao1_richness[kind] == expected
 
+    def test_benchmark_pool_is_its_examples_in_pool_order(self):
+        rng = random.Random(13)
+        t = synthetic_taxonomy(20)
+        pool = [synthetic_result(t, f"e{i}", rng.sample(range(20), rng.randint(0, 3)),
+                                 benchmark=rng.choice("ab")) for i in range(60)]
+        for bench in "ab":
+            own = [r for r in pool if r.benchmark == bench]
+            summary = permutation_sensitivity(pool, t, None, permutations=30, rng_seed=6,
+                                              benchmark=bench)
+            assert summary == permutation_sensitivity(own, t, None, permutations=30,
+                                                      rng_seed=6)
+            assert summary.benchmark == bench and summary.pool_size == len(own)
+        with pytest.raises(ValueError, match="empty"):
+            permutation_sensitivity(pool, t, None, permutations=3, benchmark="c")
+
     def test_permutations_validated(self, domain_results, domain_taxonomy):
         with pytest.raises(ValueError, match="permutations"):
             permutation_sensitivity(build_pool(domain_results), domain_taxonomy, None,
@@ -450,6 +465,36 @@ class TestSparseDraw:
             assert len(run.order) == run.stop_size < 100
             assert len(set(run.order)) == run.stop_size
             assert peak < full_order / 100, (peak, full_order)
+
+    def test_sampler_memory_bounded_by_distinct_sets(self):
+        # 20,000 examples over 50 path sets: building the sampler from the
+        # fold and replaying it holds one shared unit per distinct pair of
+        # sets and one pointer per example, never an object per example.
+        td = synthetic_taxonomy(40, kind="domain")
+        ts = synthetic_taxonomy(12, kind="skill")
+        rng, n = random.Random(21), 20_000
+        sets = {}
+        for kind, t, count in ((TaxonomyKind.DOMAIN, td, 30), (TaxonomyKind.SKILL, ts, 20)):
+            paths, distinct = sorted(t.path_index, key=str), set()
+            while len(distinct) < count:
+                distinct.add(frozenset(rng.sample(paths, rng.randint(1, 3))))
+            sets[kind] = list(distinct)
+        folder = MappingFolder(dict.fromkeys(TaxonomyKind))
+        for i in range(n):
+            for kind, kind_sets in sets.items():
+                folder.add(kind, ("b", f"e{i}"), kind_sets[i % len(kind_sets)])
+        folded = folder.folded()
+        # a first run fills the interpreter's free lists, which keep a fixed
+        # number of freed tuples whatever the pool size
+        permutation_sensitivity(folded, td, ts, permutations=20, rng_seed=3)
+        tracemalloc.start()
+        try:
+            summary = permutation_sensitivity(folded, td, ts, permutations=20, rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.pool_size == n
+        assert peak < 16 * n + 1024 * 50, peak
 
     def test_identity_order_without_rng(self):
         t = synthetic_taxonomy(4, kind="skill")
