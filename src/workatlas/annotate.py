@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
+from .taxonomy import Taxonomy, path_with_labels
+
 ANNOTATOR_URL_ENV = "ATLAS_ANNOTATOR_URL"
 ANNOTATOR_KEY_ENV = "ATLAS_ANNOTATOR_KEY"
 
@@ -124,19 +126,30 @@ class KeywordAnnotator:
     The lowercased keywords are indexed by length, so an instruction is
     matched by looking up each of its windows of every keyword length, in
     time proportional to its length times the number of distinct keyword
-    lengths rather than to the number of rules.
+    lengths rather than to the number of rules. The index maps a keyword to
+    the number of its rule, or to a tuple of numbers when several rules
+    share it, and holds a keyword that is already lowercase as the rule's
+    own string.
     """
 
     def __init__(self, rules: Iterable[KeywordRule], annotator_id: str = "keyword"):
         self.rules = tuple(rules)
         self.annotator_id = annotator_id
-        self._by_length: dict[int, dict[str, list[int]]] = {}
+        self._by_length: dict[int, dict[str, int | tuple[int, ...]]] = {}
         for i, rule in enumerate(self.rules):
             keyword = rule.keyword.lower()
-            self._by_length.setdefault(len(keyword), {}).setdefault(keyword, []).append(i)
+            if keyword == rule.keyword:
+                keyword = rule.keyword
+            index = self._by_length.setdefault(len(keyword), {})
+            before = index.get(keyword)
+            if before is None:
+                index[keyword] = i
+            else:
+                index[keyword] = (before, i) if isinstance(before, int) else (*before, i)
 
     @classmethod
-    def from_file(cls, path: str | Path, annotator_id: str | None = None) -> "KeywordAnnotator":
+    def from_file(cls, path: str | Path, annotator_id: str | None = None,
+                  taxonomy: Taxonomy | None = None) -> "KeywordAnnotator":
         """Load rules from a JSON array of ``{keyword, labels}`` objects.
 
         Each rule must be an object with a string ``keyword`` that holds a
@@ -144,9 +157,15 @@ class KeywordAnnotator:
         ``labels``; otherwise ``ValueError`` names the rule by its index in
         the array, counted from 0.
 
-        Rules of one tree repeat its upper labels many times over, so each
-        distinct label string is stored once across rules, and the parsed
-        document is dropped before the rules are indexed.
+        A rule whose labels are exactly those of a path of ``taxonomy``
+        holds that path's ``labels`` tuple, strings included. Any other rule
+        keeps a tuple of its own and maps as before: one that names no path
+        still gives an ``invalid`` mapping. ``taxonomy`` may be left out
+        where rules are loaded with no tree at hand; then every rule keeps a
+        tuple of its own. Rules of one tree repeat its upper labels many
+        times over, so each distinct label string of such tuples is stored
+        once across rules, and the parsed document is
+        dropped before the rules are indexed.
         """
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -167,7 +186,8 @@ class KeywordAnnotator:
             if not (isinstance(sequence, list) and sequence
                     and all(isinstance(x, str) for x in sequence)):
                 raise ValueError(f"rule {i}: labels must be a non-empty array of strings")
-            rules.append(KeywordRule(r["keyword"],
+            named = None if taxonomy is None else path_with_labels(taxonomy, sequence)
+            rules.append(KeywordRule(r["keyword"], named.labels if named is not None else
                                      tuple(labels.setdefault(x, x) for x in sequence)))
         del data, labels
         return cls(rules, annotator_id or f"keyword:{Path(path).stem}")
@@ -177,9 +197,13 @@ class KeywordAnnotator:
         fired: set[int] = set()
         for length, keywords in self._by_length.items():
             for start in range(len(lowered) - length + 1):
-                indices = keywords.get(lowered[start : start + length])
-                if indices is not None:
-                    fired.update(indices)
+                hit = keywords.get(lowered[start : start + length])
+                if hit is None:
+                    continue
+                if isinstance(hit, int):
+                    fired.add(hit)
+                else:
+                    fired.update(hit)
         if not fired:
             return "[]"
         return format_candidates(self.rules[i].labels for i in sorted(fired))

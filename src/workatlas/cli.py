@@ -389,10 +389,11 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     with non-empty instructions; mapping paths resolve in the supplied
     taxonomies; occupation SOC codes are unique; importance rows reference
     known SOC codes and activity ids; digital labels reference known SOC
-    codes. Keyword rules files hold well-formed rules. A replay recording
-    holds no two records of one example and kind with different outputs
-    (equal repeats are accepted), holds an output for every example (for
-    ``advise``, its one task) and taxonomy kind, and, since the replay
+    codes. Keyword rules files hold well-formed rules; each is read with the
+    taxonomy of its kind, whose path label tuples its rules share. A replay
+    recording holds no two records of one example and kind with different
+    outputs (equal repeats are accepted), holds an output for every example
+    (for ``advise``, its one task) and taxonomy kind, and, since the replay
     annotator looks outputs up by instruction, examples that share an
     instruction have equal outputs of each kind; the later example is named.
     An occupation whose SOC code is absent from the domain taxonomy is not a
@@ -456,7 +457,8 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
     mode = values.get("annotator")
     if mode == "keyword":
         for kind in TaxonomyKind:
-            rules = parse(f"{kind.value}_rules", KeywordAnnotator.from_file)
+            rules = parse(f"{kind.value}_rules", KeywordAnnotator.from_file, None,
+                          inputs.taxonomies.get(kind))
             if rules is not None:
                 inputs.annotators[kind] = rules
     records = parse("replay_mappings", read_raw_mappings) if mode == "replay" else None
@@ -497,18 +499,25 @@ def validate_inputs(config: RunConfig) -> LoadedInputs:
             violation("occupations", o.soc_code, "duplicate SOC code")
         soc_codes.add(o.soc_code)
 
-    inputs.importance = parse("importance", read_importance)
+    inputs.importance = table = parse("importance", read_importance)
     t_skill = inputs.taxonomies.get(TaxonomyKind.SKILL)
-    if inputs.importance is not None:
+    if table is not None:
+        # each distinct SOC code and activity id checked once; the rows are
+        # read only to name those that hold an unknown one
+        unknown_soc = [inputs.occupations is not None and soc not in soc_codes
+                       for soc in table.soc_codes]
         activities = {
             leaf.annotations.get("activity_id") for leaf in t_skill.leaves()
         } if t_skill is not None else set()
-        for record in inputs.importance.records:
-            where = f"{record.soc_code}/{record.activity_id}"
-            if inputs.occupations is not None and record.soc_code not in soc_codes:
-                violation("importance", where, "unknown SOC code")
-            if t_skill is not None and record.activity_id not in activities:
-                violation("importance", where, "unknown activity_id")
+        unknown_activity = [t_skill is not None and activity not in activities
+                            for activity in table.activity_ids]
+        if any(unknown_soc) or any(unknown_activity):
+            for s, a in zip(table.soc_index, table.activity_index):
+                where = f"{table.soc_codes[s]}/{table.activity_ids[a]}"
+                if unknown_soc[s]:
+                    violation("importance", where, "unknown SOC code")
+                if unknown_activity[a]:
+                    violation("importance", where, "unknown activity_id")
 
     inputs.labels = parse("digital_labels", read_digital_labels)
     if inputs.occupations is not None:
@@ -596,10 +605,10 @@ def _map_all_kinds(config: RunConfig, inputs: LoadedInputs,
     """
     folder = MappingFolder(inputs.taxonomies)
     outcomes: Counter = Counter()
-    paths_json: dict = {}
     partial = bundle.run_dir / "mappings.partial.jsonl"
     with open(partial, "w", encoding="utf-8", newline="\n") as fh:
         for kind, annotator in inputs.annotators.items():
+            paths_json: dict = {}  # no path set of one kind is one of another's
             for result in iter_map_corpus(inputs.examples, inputs.taxonomies[kind], annotator,
                                           parallelism=config.values["parallelism"]):
                 fh.write(mapping_record(result, paths_json))

@@ -81,13 +81,19 @@ class CheckedResults:
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
         its example's union."""
-        number, ids = self.keys.setdefault(key, len(self.keys)), self.ids
-        ids.extend([MISSING] * (number + 1 - len(ids)))
-        if ids[number] != MISSING:
-            paths = self.sets[ids[number]] | paths
-        ids[number] = self._set_ids.setdefault(paths, len(self.sets))
-        if ids[number] == len(self.sets):
-            self.sets.append(paths)
+        number, ids, sets = self.keys.setdefault(key, len(self.keys)), self.ids, self.sets
+        seen = number < len(ids)
+        if seen and ids[number] != MISSING:
+            paths = sets[ids[number]] | paths
+        set_id = self._set_ids.setdefault(paths, len(sets))
+        if set_id == len(sets):
+            sets.append(paths)
+        if seen:
+            ids[number] = set_id
+            return
+        if number > len(ids):  # examples that only other kinds have results for
+            ids.extend([MISSING] * (number - len(ids)))
+        ids.append(set_id)
 
 
 @dataclass(frozen=True)
@@ -130,11 +136,21 @@ class MappingFolder:
 
     def folded(self) -> FoldedMappings:
         """The folds, each with a set id for every example; they drop their
-        lookup tables, so no result can be added to them."""
+        lookup tables, so no result can be added to them.
+
+        A repeated record replaces its example's set with a union, which
+        may leave the old set unused. Each fold keeps only the sets that
+        some example uses, renumbered in the order they were first added.
+        """
         examples = tuple(self._keys)
         for fold in self._folds.values():
             fold.ids.extend([MISSING] * (len(examples) - len(fold.ids)))
             fold.keys, fold._set_ids = examples, None
+            in_use = sorted(set(fold.ids) - {MISSING})
+            if len(in_use) < len(fold.sets):
+                renumber = {old: new for new, old in enumerate(in_use)}
+                fold.sets = [fold.sets[old] for old in in_use]
+                fold.ids = array("i", [renumber.get(i, MISSING) for i in fold.ids])
         return FoldedMappings(examples, self._folds)
 
 

@@ -18,9 +18,10 @@ family figure is reported both employment-weighted and unweighted.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .annotate import Annotator
 from .coverage import EffortDistribution, GroupLevel
@@ -41,54 +42,84 @@ class OccupationStats:
             raise ValueError(f"{self.soc_code}: median_wage must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class ImportanceRecord:
+class ImportanceRecord(NamedTuple):
     soc_code: str
     activity_id: str
     importance: float
 
 
-@dataclass(frozen=True)
 class ImportanceTable:
     """Importance records plus the scale maximum declared by the source.
 
-    A (SOC code, activity id) pair may occur once, and every importance
-    must lie in ``[0, scale_max]``. The first record that breaks either
-    rule raises; on one record, a duplicate is reported before a value out
-    of range.
+    The records are folded into columns as they are read: ``soc_codes``
+    and ``activity_ids`` list each distinct value once, in first-seen
+    order, and row ``i`` is ``soc_codes[soc_index[i]]``,
+    ``activity_ids[activity_index[i]]`` and ``importance[i]``, held in
+    three arrays. :attr:`records` rebuilds the rows as
+    :class:`ImportanceRecord` tuples, which share the column strings.
+
+    ``records`` may be any iterable of ``(soc_code, activity_id,
+    importance)`` triples. A (SOC code, activity id) pair may occur once,
+    and every importance must lie in ``[0, scale_max]``. Once every record
+    is read, a ``scale_max`` that is not positive raises, and then the
+    first record that breaks either rule; on one record, a duplicate is
+    reported before a value out of range.
+
+    Tables compare by ``scale_max`` and rows. Their columns are arrays,
+    which can be changed in place, so a table is not hashable.
     """
 
-    records: tuple[ImportanceRecord, ...]
-    scale_max: float
+    __slots__ = ("soc_codes", "activity_ids", "soc_index", "activity_index", "importance",
+                 "scale_max")
 
-    def __post_init__(self):
-        if self.scale_max <= 0:
+    def __init__(self, records: Iterable[tuple[str, str, float]], scale_max: float):
+        socs: dict[str, int] = {}
+        activities: dict[str, int] = {}
+        self.soc_index, self.activity_index = array("i"), array("i")
+        self.importance = array("d")
+        for soc_code, activity_id, importance in records:
+            self.soc_index.append(socs.setdefault(soc_code, len(socs)))
+            self.activity_index.append(activities.setdefault(activity_id, len(activities)))
+            self.importance.append(importance)
+        self.soc_codes, self.activity_ids = list(socs), list(activities)
+        self.scale_max = scale_max
+        if scale_max <= 0:
             raise ValueError("scale_max must be > 0")
-        # Activity ids grouped per SOC code show whether any fault exists
-        # without a key tuple per record; only then does the scan below find
-        # the first one.
-        activities: dict[str, list[str]] = {}
-        for r in self.records:
-            if not (0 <= r.importance <= self.scale_max):
-                break
-            ids = activities.get(r.soc_code)
-            if ids is None:
-                ids = activities[r.soc_code] = []
-            ids.append(r.activity_id)
-        else:
-            if all(len(set(ids)) == len(ids) for ids in activities.values()):
-                return
-        del activities
-        seen: set[tuple[str, str]] = set()
-        for r in self.records:
-            key = (r.soc_code, r.activity_id)
-            if key in seen:
+        # Activity numbers grouped per SOC code show whether any fault
+        # exists without a key per record; only then does the scan below
+        # find the first one.
+        by_soc: list[list[int]] = [[] for _ in self.soc_codes]
+        for s, a in zip(self.soc_index, self.activity_index):
+            by_soc[s].append(a)
+        if (all(len(set(ids)) == len(ids) for ids in by_soc)
+                and all(0 <= x <= scale_max for x in self.importance)):
+            return
+        del by_soc
+        seen: set[tuple[int, int]] = set()
+        for s, a, importance in zip(self.soc_index, self.activity_index, self.importance):
+            key = (self.soc_codes[s], self.activity_ids[a])
+            if (s, a) in seen:
                 raise ValueError(f"duplicate importance record for {key}")
-            seen.add(key)
-            if not (0 <= r.importance <= self.scale_max):
-                raise ValueError(
-                    f"importance {r.importance} for {key} outside [0, {self.scale_max}]"
-                )
+            seen.add((s, a))
+            if not (0 <= importance <= scale_max):
+                raise ValueError(f"importance {importance} for {key} outside [0, {scale_max}]")
+
+    @property
+    def records(self) -> tuple[ImportanceRecord, ...]:
+        """The rows, in the order they were read."""
+        socs, activities = self.soc_codes, self.activity_ids
+        return tuple(ImportanceRecord(socs[s], activities[a], importance) for s, a, importance
+                     in zip(self.soc_index, self.activity_index, self.importance))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ImportanceTable):
+            return NotImplemented
+        return self.scale_max == other.scale_max and self.records == other.records
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ImportanceTable({len(self.importance)} records, scale_max={self.scale_max!r})"
 
 
 class WorkMode(str, Enum):
@@ -248,16 +279,21 @@ def effective_skill_employment_capital(
         if activity is not None:
             leaf_by_activity[activity] = leaf
 
+    # each distinct activity and SOC code of the table looked up once
+    leaves = [leaf_by_activity.get(a) for a in importances.activity_ids]
+    occs = [occ_by_soc.get(soc) for soc in importances.soc_codes]
     employment: dict[str, float] = {}
     capital: dict[str, float] = {}
-    for record in importances.records:
-        leaf = leaf_by_activity.get(record.activity_id)
+    for s, a, importance in zip(importances.soc_index, importances.activity_index,
+                                importances.importance):
+        leaf = leaves[a]
         if leaf is None:
-            raise ValueError(f"unknown activity_id {record.activity_id!r}")
-        occ = occ_by_soc.get(record.soc_code)
+            raise ValueError(f"unknown activity_id {importances.activity_ids[a]!r}")
+        occ = occs[s]
         if occ is None:
-            raise ValueError(f"importance record references unknown SOC code {record.soc_code}")
-        weight = record.importance / importances.scale_max
+            raise ValueError("importance record references unknown SOC code "
+                             f"{importances.soc_codes[s]}")
+        weight = importance / importances.scale_max
         employment[leaf.id] = employment.get(leaf.id, 0.0) + occ.employment * weight
         capital[leaf.id] = (
             capital.get(leaf.id, 0.0) + occ.employment * occ.median_wage * weight

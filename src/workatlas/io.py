@@ -19,12 +19,19 @@ per-level node counts and builds no tree, which is all the CLI needs;
 callers.
 
 Parsed inputs repeat values many times over, so readers store each one
-once: a mappings file's path sets (kept by the folds themselves for
-:func:`read_mapping_folds`) and id, annotator and raw-output strings, and
-an importance table's SOC codes and activity ids. CSV errors name a row's
-physical line, blank rows included. A mappings file is written one line
-per result by :func:`mapping_record`, for :func:`write_mappings` and for
-the CLI, which writes each result as it is mapped.
+once. Examples share one string per benchmark name, and every example
+without metadata shares :data:`~workatlas.mapping.NO_METADATA`, an empty
+dict that is read-only. A mappings file's path sets (kept by the folds
+themselves for :func:`read_mapping_folds`) and id, annotator and
+raw-output strings are one object per distinct value. An importance table
+is folded into columns as it is read, each distinct SOC code and activity
+id once and three arrays with one entry per row, and builds no record
+object unless a caller asks for ``records``. Digital labels share their
+SOC codes and justifications. A taxonomy's sharing is described in
+:mod:`workatlas.taxonomy`. CSV errors name a row's physical line, blank
+rows included. A mappings file is written one line per result by
+:func:`mapping_record`, for :func:`write_mappings` and for the CLI, which
+writes each result as it is mapped.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -50,12 +57,11 @@ from .autonomy import (
 from .coverage import FoldedMappings, MappingFolder
 from .economics import (
     DigitalLabel,
-    ImportanceRecord,
     ImportanceTable,
     OccupationStats,
     WorkMode,
 )
-from .mapping import MappingResult, MappingStatus, TaskExample
+from .mapping import NO_METADATA, MappingResult, MappingStatus, TaskExample
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath, resolve_path
 
 SCALE_MAX_PREFIX = "# scale_max:"
@@ -147,16 +153,22 @@ def _check_fields(path, line_no: int, record: dict, schema: tuple, what: str) ->
 # ---------------------------------------------------------------------------
 
 def read_examples(path: str | Path) -> list[TaskExample]:
-    """Read a JSONL examples file: {benchmark, example_id, instruction, metadata?}."""
+    """Read a JSONL examples file: {benchmark, example_id, instruction, metadata?}.
+
+    Examples of one benchmark share its name, and every example with no or
+    empty metadata shares :data:`~workatlas.mapping.NO_METADATA`.
+    """
     examples = []
+    shared: dict = {}  # each benchmark name once
     for line_no, record in _iter_jsonl(path):
         _check_fields(path, line_no, record, EXAMPLE_FIELDS, "example")
+        benchmark = record["benchmark"]
         examples.append(
             TaskExample(
-                benchmark=record["benchmark"],
+                benchmark=shared.setdefault(benchmark, benchmark),
                 example_id=record["example_id"],
                 instruction=record["instruction"],
-                metadata=record.get("metadata", {}),
+                metadata=record.get("metadata") or NO_METADATA,
             )
         )
     return examples
@@ -340,7 +352,13 @@ def read_occupations(path: str | Path) -> list[OccupationStats]:
 
 def read_importance(path: str | Path) -> ImportanceTable:
     """Read the importance CSV; the scale maximum comes from a leading
-    ``# scale_max: <value>`` comment line."""
+    ``# scale_max: <value>`` comment line.
+
+    Each row is folded into the table's columns as it is read, so no
+    record object is built. A row whose importance does not parse is
+    reported first, by its line; then the table's own checks, for the
+    whole file.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if not first.startswith(SCALE_MAX_PREFIX):
@@ -364,28 +382,25 @@ def read_importance(path: str | Path) -> ImportanceTable:
         i_soc, i_activity, i_importance = (column[name] for name in
                                            ("soc_code", "activity_id", "importance"))
         width = max(i_soc, i_activity, i_importance) + 1
-        records = []
-        shared: dict = {}  # a table holds many rows per occupation and per activity
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            soc_code, activity_id = row[i_soc], row[i_activity]
-            try:
-                records.append(
-                    ImportanceRecord(
-                        soc_code=shared.setdefault(soc_code, soc_code),
-                        activity_id=shared.setdefault(activity_id, activity_id),
-                        importance=_finite(row[i_importance], "importance"),
-                    )
-                )
-            except (TypeError, ValueError) as err:
-                raise InputFormatError(path, reader.line_num + 1, str(err)) from err
-    try:
-        return ImportanceTable(records=tuple(records), scale_max=scale_max)
-    except ValueError as err:
-        raise InputFormatError(path, None, str(err)) from err
+
+        def rows():
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [None] * (width - len(row))
+                try:
+                    importance = _finite(row[i_importance], "importance")
+                except (TypeError, ValueError) as err:
+                    raise InputFormatError(path, reader.line_num + 1, str(err)) from err
+                yield row[i_soc], row[i_activity], importance
+
+        try:
+            return ImportanceTable(rows(), scale_max)
+        except InputFormatError:
+            raise
+        except ValueError as err:
+            raise InputFormatError(path, None, str(err)) from err
 
 
 def read_digital_labels(path: str | Path) -> list[DigitalLabel]:

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .annotate import Annotator, AnnotatorTransportError, parse_candidates
 from .taxonomy import (
     PathResolutionError,
+    ReadOnlyEmptyDict,
     Taxonomy,
     TaxonomyKind,
     TaxonomyPath,
@@ -30,14 +31,20 @@ from .taxonomy import (
 )
 
 
-@dataclass(frozen=True)
+#: The metadata of every example that has none.
+NO_METADATA = ReadOnlyEmptyDict()
+
+
+@dataclass(frozen=True, slots=True)
 class TaskExample:
-    """One benchmark task instance; (benchmark, example_id) identifies it."""
+    """One benchmark task instance; (benchmark, example_id) identifies it.
+    An example without metadata holds :data:`NO_METADATA`, which is
+    read-only."""
 
     benchmark: str
     example_id: str
     instruction: str
-    metadata: dict = field(default_factory=dict, compare=False)
+    metadata: dict = field(default_factory=lambda: NO_METADATA, compare=False)
 
     @property
     def key(self) -> tuple[str, str]:

@@ -131,9 +131,10 @@ class _Sampler:
             raise ValueError("at least one taxonomy is required")
         if not isinstance(pool, FoldedMappings):
             folder = MappingFolder(dict.fromkeys(TaxonomyKind))
+            kinds = tuple(TaxonomyKind)  # iterating the enum itself costs more per unit
             for item in pool:
                 if isinstance(item, PoolUnit):
-                    for kind in TaxonomyKind:
+                    for kind in kinds:
                         folder.add(kind, item.key, item.paths.get(kind, _NO_PATHS))
                 else:
                     folder.add(item.taxonomy_kind, item.key, item.paths)

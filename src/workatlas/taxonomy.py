@@ -13,6 +13,14 @@ The node table therefore holds the nodes in document pre-order;
 :meth:`Taxonomy.nodes_at_level` and :func:`flatten_for_prompt` read it in
 that order instead of walking the tree again.
 
+A loaded taxonomy holds its nodes, one path object per leaf, and three
+tables: ``path_index``, the node table, and each path under the key that
+resolution looks up. A path's ids and labels are tuples of the nodes' own
+strings, and every node without annotations shares
+:data:`NO_ANNOTATIONS`, an empty dict that is read-only. Keyword rules read
+with the taxonomy share its paths' label tuples
+(:func:`path_with_labels`).
+
 A loaded taxonomy's tree and path index never change. Its only mutable
 state is the resolution cache behind :func:`resolve_path`, which maps each
 label sequence seen so far to the path it names. A cache write stores the
@@ -72,6 +80,11 @@ def canonical_label(label: str) -> str:
     return " ".join(label.split()).casefold()
 
 
+#: Joins a path's canonical labels into its key; a canonical label holds no
+#: newline, so equal keys mean equal label sequences.
+_KEY_SEPARATOR = "\n"
+
+
 class _WeakReferenceable:
     """Base of the slotted node and path classes: gives them the weak
     reference slot that ``dataclass(weakref_slot=True)`` would, which
@@ -80,16 +93,35 @@ class _WeakReferenceable:
     __slots__ = ("__weakref__",)
 
 
+class ReadOnlyEmptyDict(dict):
+    """An empty dict that many objects share, so every method that would
+    change it raises ``TypeError``. It compares, encodes, copies and
+    pickles as an empty dict does; a copy is a new read-only one."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("this empty dict is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+#: The annotations of every node that has none.
+NO_ANNOTATIONS = ReadOnlyEmptyDict()
+
+
 @dataclass(slots=True)
 class TaxonomyNode(_WeakReferenceable):
     """One labeled node; ``annotations`` may carry a SOC code (domain
-    occupations) or an activity id (skill leaves)."""
+    occupations) or an activity id (skill leaves). A node without
+    annotations holds :data:`NO_ANNOTATIONS`, which is read-only."""
 
     id: str
     label: str
     level: int
     children: tuple["TaxonomyNode", ...] = ()
-    annotations: Mapping[str, str] = field(default_factory=dict)
+    annotations: dict[str, str] = field(default_factory=lambda: NO_ANNOTATIONS)
 
     @property
     def is_leaf(self) -> bool:
@@ -127,7 +159,13 @@ class TaxonomyPath(_WeakReferenceable):
 
 @dataclass
 class Taxonomy:
-    """A validated taxonomy tree plus its enumerated path index."""
+    """A validated taxonomy tree plus its enumerated path index.
+
+    Besides the tree it holds three tables: ``path_index``, every path once;
+    the node table, id to node in document pre-order; and, for resolution,
+    each path under its key: the canonical forms of its labels joined by a
+    newline, which no canonical label holds.
+    """
 
     kind: TaxonomyKind
     root: TaxonomyNode
@@ -135,10 +173,7 @@ class Taxonomy:
 
     # internal lookup tables built by load_taxonomy; nodes in pre-order
     _nodes_by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
-    _paths_by_labels: dict[tuple[str, ...], TaxonomyPath] = field(
-        default_factory=dict, repr=False
-    )
-    _paths_by_leaf: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
+    _paths_by_key: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
     # raw label tuple -> path, filled by resolve_path
     _resolved: dict[tuple, TaxonomyPath] = field(
         default_factory=dict, repr=False, compare=False
@@ -163,15 +198,19 @@ class Taxonomy:
         return path in self.path_index
 
     def path_for_leaf(self, leaf_id: str) -> TaxonomyPath:
-        """The root-to-leaf path ending at the leaf with id ``leaf_id``."""
-        try:
-            return self._paths_by_leaf[leaf_id]
-        except KeyError:
-            raise UnknownPathError(f"no leaf with id {leaf_id!r}") from None
+        """The root-to-leaf path ending at the leaf with id ``leaf_id``.
+
+        A scan of ``path_index``: no command looks paths up by leaf, so no
+        table is kept for it.
+        """
+        for path in self.path_index:
+            if path.node_ids[-1] == leaf_id:
+                return path
+        raise UnknownPathError(f"no leaf with id {leaf_id!r}")
 
     def leaves(self) -> list[TaxonomyNode]:
         """Leaf nodes, in document order."""
-        return [self._nodes_by_id[leaf_id] for leaf_id in self._paths_by_leaf]
+        return [n for n in self._nodes_by_id.values() if not n.children]
 
 
 def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
@@ -213,19 +252,18 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
         raise TaxonomySchemaError("document missing 'root'")
 
     nodes_by_id: dict[str, TaxonomyNode] = {}
-    paths: dict[tuple[str, ...], TaxonomyPath] = {}
-    paths_by_leaf: dict[str, TaxonomyPath] = {}
+    paths: dict[str, TaxonomyPath] = {}  # path key -> path
     # (node, the list its children are appended to as the walk enters them)
     parents: list[tuple[TaxonomyNode, list[TaxonomyNode]]] = []
 
     # Pre-order, children in document order. Each entry carries what the
-    # node's path inherits: ids, labels and canonical labels from the root
-    # child down to its parent. A loop rather than recursion: a deep
+    # node's path inherits: ids and labels from the root child down to its
+    # parent, and their key. A loop rather than recursion: a deep
     # document cannot exhaust the stack, and no closure forms a reference
     # cycle that only the cyclic garbage collector could free.
-    stack: list[tuple] = [(doc["root"], "root", 0, (), (), (), None)]
+    stack: list[tuple] = [(doc["root"], "root", 0, (), (), "", None)]
     while stack:
-        raw, where, level, ids, labels, keys, siblings = stack.pop()
+        raw, where, level, ids, labels, path_key, siblings = stack.pop()
         if not isinstance(raw, dict):
             raise TaxonomySchemaError(
                 f"{where}: node must be an object, got {type(raw).__name__}"
@@ -264,38 +302,39 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
                 node_id, "soc_code annotation is only valid on level-2 domain nodes"
             )
 
-        node = TaxonomyNode(id=node_id, label=label, level=level, annotations=dict(annotations))
+        node = TaxonomyNode(id=node_id, label=label, level=level,
+                            annotations=dict(annotations) if annotations else NO_ANNOTATIONS)
         nodes_by_id[node_id] = node
         if siblings is not None:
             siblings.append(node)
         if level:
             ids += (node_id,)
             labels += (label,)
-            keys += (canonical_label(label),)
+            path_key = canonical_label(label) if level == 1 else (
+                path_key + _KEY_SEPARATOR + canonical_label(label))
         if not raw_children:
-            if keys in paths:
+            if path_key in paths:
                 raise TaxonomyStructureError(
                     node_id, f"path label sequence {labels!r} is not unique"
                 )
-            paths[keys] = paths_by_leaf[node_id] = TaxonomyPath(
-                taxonomy_kind=kind, node_ids=ids, labels=labels
-            )
+            paths[path_key] = TaxonomyPath(taxonomy_kind=kind, node_ids=ids, labels=labels)
             continue
         children: list[TaxonomyNode] = []
         parents.append((node, children))
         for i in range(len(raw_children) - 1, -1, -1):
             stack.append((raw_children[i], f"{where}.children[{i}]", level + 1,
-                          ids, labels, keys, children))
+                          ids, labels, path_key, children))
 
     for node, children in parents:
         node.children = tuple(children)
     return Taxonomy(
         kind=kind,
         root=next(iter(nodes_by_id.values())),
-        path_index=frozenset(paths.values()),
+        # from a dict, a frozenset is sized for its paths; from an iterator
+        # it keeps the slack of growing one path at a time
+        path_index=frozenset(dict.fromkeys(paths.values())),
         _nodes_by_id=nodes_by_id,
-        _paths_by_labels=paths,
-        _paths_by_leaf=paths_by_leaf,
+        _paths_by_key=paths,
     )
 
 
@@ -337,12 +376,22 @@ def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
     return found
 
 
+def path_with_labels(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath | None:
+    """The path whose labels are exactly ``labels``, or ``None``.
+
+    Unlike :func:`resolve_path` it accepts no case or whitespace variant,
+    never raises for a sequence that names no path, and remembers nothing.
+    """
+    found = t._paths_by_key.get(_KEY_SEPARATOR.join(map(canonical_label, labels)))
+    return found if found is not None and found.labels == tuple(labels) else None
+
+
 def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
     """The uncached resolution behind :func:`resolve_path`."""
     if not all(isinstance(x, str) for x in labels):
         raise UnknownPathError(f"labels must be strings, got {list(labels)!r}")
-    key = tuple(canonical_label(x) for x in labels)
-    found = t._paths_by_labels.get(key)
+    key = [canonical_label(x) for x in labels]
+    found = t._paths_by_key.get(_KEY_SEPARATOR.join(key))
     if found is not None:
         return found
     if not labels:

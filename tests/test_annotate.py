@@ -20,6 +20,8 @@ from workatlas.annotate import (
     format_candidates,
     parse_candidates,
 )
+from workatlas.io import fixture_path
+from workatlas.mapping import MappingStatus, TaskExample, map_example
 
 
 class TestParseCandidates:
@@ -98,6 +100,51 @@ class TestKeywordAnnotator:
         rules[1]["keyword"] = " budget "
         path.write_text(json.dumps(rules), encoding="utf-8")
         assert len(KeywordAnnotator.from_file(path).rules) == 2
+
+
+class TestRulesShareTaxonomyLabels:
+    """Rules read with their taxonomy hold its label tuples."""
+
+    def test_rule_labels_are_the_path_labels(self, domain_taxonomy, skill_taxonomy):
+        for t in (domain_taxonomy, skill_taxonomy):
+            resolved = len(t._resolved)
+            annotator = KeywordAnnotator.from_file(
+                fixture_path(f"keyword_rules_{t.kind.value}.json"), taxonomy=t)
+            paths = {p.labels: p for p in t.path_index}
+            named = [rule for rule in annotator.rules if rule.labels in paths]
+            assert named
+            for rule in named:
+                assert rule.labels is paths[rule.labels].labels
+            assert len(t._resolved) == resolved  # reading rules resolves nothing
+
+    def test_other_rules_keep_their_own_labels_and_outcomes(self, tmp_path, domain_taxonomy):
+        labels = sorted(p.labels for p in domain_taxonomy.path_index)[0]
+        variant = [x.upper() for x in labels]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([
+            {"keyword": "ledger", "labels": ["No Such Family", "X", "Y"]},
+            {"keyword": "budget", "labels": variant},
+            {"keyword": "journal", "labels": list(labels[:2])},
+        ]), encoding="utf-8")
+        annotator = KeywordAnnotator.from_file(path, taxonomy=domain_taxonomy)
+        assert [rule.labels for rule in annotator.rules] == [
+            ("No Such Family", "X", "Y"), tuple(variant), labels[:2]]
+
+        def status(instruction):
+            return map_example(TaskExample("b", "e", instruction), domain_taxonomy,
+                               annotator).status
+
+        assert status("close the ledger") is MappingStatus.INVALID
+        assert status("the journal") is MappingStatus.INVALID  # a partial path
+        assert status("review the budget") is MappingStatus.MAPPED
+        assert status("nothing") is MappingStatus.EMPTY
+
+    def test_index_holds_each_keyword_once(self):
+        rules = [KeywordRule("budget", ("A",)), KeywordRule("BUDGET", ("B",)),
+                 KeywordRule("ledger", ("C",)), KeywordRule("Budget", ("D",))]
+        index = KeywordAnnotator(rules)._by_length[6]
+        assert index == {"budget": (0, 1, 3), "ledger": 2}
+        assert next(k for k in index if k == "ledger") is rules[2].keyword
 
 
 def linear_scan(rules, instruction):

@@ -30,7 +30,8 @@ from workatlas.io import (
     write_mappings,
     write_workflows,
 )
-from workatlas.mapping import MappingResult, MappingStatus
+from workatlas.economics import ImportanceRecord
+from workatlas.mapping import NO_METADATA, MappingResult, MappingStatus
 from workatlas.reporting import REPORT_LEVEL
 from workatlas.sampling import build_pool, permutation_sensitivity, sample_until_saturation
 from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
@@ -502,6 +503,65 @@ class TestValueSharing:
         assert loaded == expected
         assert shared < 0.6 * reference, (shared, reference)
 
+    def test_examples_share_benchmark_names_and_empty_metadata(self, tmp_path):
+        path = tmp_path / "examples.jsonl"
+        path.write_text(
+            '{"benchmark": "b", "example_id": "e1", "instruction": "one"}\n'
+            '{"benchmark": "b", "example_id": "e2", "instruction": "two", '
+            '"metadata": {"split": "test"}}\n'
+            '{"benchmark": "b", "example_id": "e3", "instruction": "three", "metadata": {}}\n',
+            encoding="utf-8")
+        first, second, third = examples = read_examples(path)
+        assert first.benchmark is second.benchmark is third.benchmark
+        assert first.metadata is NO_METADATA and third.metadata is NO_METADATA
+        assert second.metadata == {"split": "test"}
+        with pytest.raises(TypeError):
+            first.metadata["split"] = "dev"
+        for again in (pickle.loads(pickle.dumps(examples)), copy.deepcopy(examples)):
+            assert again == examples
+            assert [e.metadata for e in again] == [{}, {"split": "test"}, {}]
+        assert dataclasses.asdict(first)["metadata"] == {}
+        out = tmp_path / "again.jsonl"
+        write_examples(out, examples)
+        assert read_examples(out) == examples
+
+    def test_importance_records_as_a_dict_reader_reads_them(self, tmp_path):
+        import csv
+
+        rng = random.Random(4)
+        path = tmp_path / "imp.csv"
+        pairs = rng.sample([(f"{c}-{n:02d}", f"4.A.{a}") for c in "abc" for n in range(40)
+                            for a in range(3)], 200)  # unique pairs, in random order
+        path.write_text("# scale_max: 5.0\nsoc_code,activity_id,importance\n" + "".join(
+            f"{soc},{activity},{rng.uniform(0, 5)!r}\n" for soc, activity in pairs),
+            encoding="utf-8")
+        for source in (fixture_path("importance.csv"), path):
+            with open(source, encoding="utf-8", newline="") as fh:
+                fh.readline()
+                expected = tuple(ImportanceRecord(r["soc_code"], r["activity_id"],
+                                                  float(r["importance"]))
+                                 for r in csv.DictReader(fh))
+            table = read_importance(source)
+            assert table.records == expected
+            assert all(type(r) is ImportanceRecord for r in table.records)
+
+    def test_importance_holds_under_40_bytes_per_row(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "imp.csv"
+        path.write_text("# scale_max: 7.0\nsoc_code,activity_id,importance\n" + "".join(
+            f"{11 + s // 100:02d}-{s:04d},4.A.{a // 10}.{a},{(s * a) % 70 / 10}\n"
+            for s in range(250) for a in range(40)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = read_importance(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table.importance) == 10_000
+        assert held < 40 * 10_000, held
+
     def test_importance_ids_are_one_object(self, tmp_path):
         path = tmp_path / "imp.csv"
         path.write_text("# scale_max: 5.0\nsoc_code,activity_id,importance\n"
@@ -561,6 +621,7 @@ class TestMappingFolds:
             assert [(k, fold.sets[i]) for k, i in zip(fold.keys, fold.ids) if i != MISSING] == [
                 (k, frozenset(union[k])) for k in folded.examples if k in union]
             assert len(set(fold.sets)) == len(fold.sets)  # each distinct set once
+            assert set(fold.ids) - {MISSING} == set(range(len(fold.sets)))  # each one used
             level = REPORT_LEVEL[kind]
             assert coverage(fold, t) == coverage(rs, t)
             assert effort_by_node(fold, t, level) == effort_by_node(rs, t, level)
@@ -591,6 +652,34 @@ class TestMappingFolds:
         results = self.assert_fold_matches(path, taxonomies)
         assert len({r.key for r in results}) < len(results)  # examples repeat
         assert {r.status for r in results} == set(MappingStatus)
+
+    def test_repeated_records_keep_only_the_sets_in_use(self, tmp_path, domain_taxonomy,
+                                                        skill_taxonomy):
+        taxonomies = TestValueSharing.taxonomies(domain_taxonomy, skill_taxonomy)
+        a, b, c = (list(p.labels) for p in sorted(domain_taxonomy.path_index, key=str)[:3])
+        skill = list(sorted(skill_taxonomy.path_index, key=str)[0].labels)
+
+        def record(example_id, kind, paths):
+            return json.dumps({"benchmark": "b", "example_id": example_id,
+                               "taxonomy_kind": kind, "paths": paths,
+                               "status": "mapped" if paths else "empty"})
+
+        path = tmp_path / "mappings.jsonl"
+        path.write_text("\n".join([
+            record("e1", "domain", [a]),
+            record("e2", "domain", [b]),
+            record("e1", "skill", [skill]),
+            record("e1", "domain", [c]),  # e1's {a} becomes {a, c}; no example keeps {a}
+            record("e3", "domain", []),
+            record("e3", "domain", [b]),  # e3's empty set becomes e2's {b}
+        ]) + "\n", encoding="utf-8")
+        self.assert_fold_matches(path, taxonomies)
+        fold = read_mapping_folds(path, taxonomies).by_kind[TaxonomyKind.DOMAIN]
+        paths = {tuple(labels): resolve_path(domain_taxonomy, labels) for labels in (a, b, c)}
+        # the sets in use, in the order they were first added, and no other
+        assert fold.sets == [frozenset([paths[tuple(b)]]),
+                             frozenset([paths[tuple(a)], paths[tuple(c)]])]
+        assert list(fold.ids) == [1, 0, 0]
 
     def test_empty_file(self, tmp_path, domain_taxonomy, skill_taxonomy):
         path = tmp_path / "mappings.jsonl"

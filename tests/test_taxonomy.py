@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import pickle
@@ -10,7 +11,9 @@ import pytest
 
 from workatlas.io import fixture_path
 from workatlas.taxonomy import (
+    NO_ANNOTATIONS,
     PartialPathError,
+    ReadOnlyEmptyDict,
     TaxonomyKind,
     TaxonomyPath,
     TaxonomySchemaError,
@@ -156,6 +159,36 @@ def test_loaded_taxonomy_freed_without_cyclic_collector():
         gc.enable()
 
 
+class TestAnnotations:
+    def test_nodes_without_annotations_share_one_read_only_mapping(self, domain_taxonomy,
+                                                                   skill_taxonomy):
+        for t in (domain_taxonomy, skill_taxonomy):
+            nodes = list(t._nodes_by_id.values())
+            bare = [n for n in nodes if not n.annotations]
+            annotated = [n for n in nodes if n.annotations]
+            assert len(bare) > 1 and annotated
+            assert all(n.annotations is NO_ANNOTATIONS for n in bare)
+            # an annotated node keeps a dict of its own
+            assert len({id(n.annotations) for n in annotated}) == len(annotated)
+        with pytest.raises(TypeError):
+            bare[0].annotations["activity_id"] = "4.A.1"
+        with pytest.raises(TypeError):
+            bare[0].annotations.update(activity_id="4.A.1")
+        assert NO_ANNOTATIONS == {} and json.dumps(bare[0].annotations) == "{}"
+
+    def test_copies_keep_annotations(self, domain_taxonomy):
+        original = [(n.id, n.level, n.annotations)
+                    for n in domain_taxonomy._nodes_by_id.values()]
+        for again in (pickle.loads(pickle.dumps(domain_taxonomy)),
+                      copy.deepcopy(domain_taxonomy)):
+            nodes = list(again._nodes_by_id.values())
+            assert [(n.id, n.level, n.annotations) for n in nodes] == original
+            bare = [n.annotations for n in nodes if not n.annotations]
+            assert bare and all(isinstance(a, ReadOnlyEmptyDict) for a in bare)
+            assert again.root.children[0] is nodes[1]
+            assert again.path_index == domain_taxonomy.path_index
+
+
 class TestPaths:
     def test_all_paths_cardinality_equals_leaves(self, domain_taxonomy, skill_taxonomy):
         assert len(all_paths(domain_taxonomy)) == domain_taxonomy.leaf_count
@@ -198,6 +231,16 @@ class TestPaths:
             assert {t.path_for_leaf(n.id) for n in leaves} == all_paths(t)
             for leaf in leaves:
                 assert t.path_for_leaf(leaf.id).node_ids[-1] == leaf.id
+
+    def test_blank_labels_keep_their_place_in_the_path(self):
+        # a whitespace-only label is canonically empty, yet still a level
+        doc = minimal_doc()
+        doc["root"]["children"][0]["label"] = " "
+        t = load_taxonomy(doc)
+        path = next(p for p in t.path_index if p.node_ids == ("f1", "o1", "t1"))
+        assert resolve_path(t, ["", "occ one", "task one"]) is path
+        with pytest.raises(UnknownPathError):
+            resolve_path(t, ["Occ One", "task one"])
 
     def test_path_for_unknown_leaf(self, domain_taxonomy):
         with pytest.raises(UnknownPathError, match="fam-business"):
