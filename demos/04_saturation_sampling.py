@@ -33,9 +33,9 @@ results = map_corpus(
     examples, skill, KeywordAnnotator.from_file(fixture_path("keyword_rules_skill.json"))
 )
 
-# Results of both kinds group into one unit per example.
+# Results of both kinds fold into one pool, each example numbered once.
 pool = build_pool(results)
-print("pool of", len(pool), "examples")
+print("pool of", len(pool.examples), "examples")
 
 run = sample_until_saturation(pool, domain, skill, batch_size=5, delta=0.1, rng_seed=7)
 print(f"stopped after batch {run.stop_batch_index} ({run.stopped_by}),"
@@ -59,7 +59,7 @@ for kind, stat in summary.coverage_at_stop.items():
 # Chao1 extrapolates richness from how many paths were seen once or twice.
 print("\nchao1-estimated distinct paths in the pool:")
 for kind, estimate in summary.chao1_richness.items():
-    observed = len({p for unit in pool for p in unit.paths[kind]})
+    observed = len(frozenset().union(*pool.by_kind[kind].sets))
     print(f"  {kind.value}: observed {observed}, estimated {estimate:.1f}")
 
 # The estimator itself on a toy abundance table: 10 observed species with

@@ -64,7 +64,6 @@ from .coverage import (  # noqa: F401
     effort_by_node,
 )
 from .sampling import (  # noqa: F401
-    PoolUnit,
     SamplingRun,
     SensitivitySummary,
     build_pool,

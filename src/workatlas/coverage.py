@@ -61,17 +61,20 @@ MISSING = -1  # the set id of an example without a result of a fold's kind
 
 
 class CheckedResults:
-    """One kind's mapping results checked against ``taxonomy`` and folded
-    per example: ``keys`` numbers the examples in first-seen order (shared
-    by a :class:`MappingFolder`'s folds, which end with the tuple of keys),
-    ``sets`` holds each distinct union of an example's mapped paths once,
-    and ``ids`` each example's set id, :data:`MISSING` without a result of
-    this kind. The tables and the sampler read only these.
+    """One ``kind`` of mapping results (by default ``taxonomy``'s) checked
+    against ``taxonomy`` and folded per example: ``keys`` numbers the
+    examples in first-seen order (shared by a :class:`MappingFolder`'s
+    folds, which end with the tuple of keys), ``sets`` holds each distinct
+    union of an example's mapped paths once, and ``ids`` each example's set
+    id, :data:`MISSING` without a result of this kind. The tables and the
+    sampler read only these.
     """
 
-    __slots__ = ("taxonomy", "keys", "sets", "ids", "_set_ids")
+    __slots__ = ("kind", "taxonomy", "keys", "sets", "ids", "_set_ids")
 
-    def __init__(self, taxonomy: Taxonomy | None, keys: dict | None = None):
+    def __init__(self, taxonomy: Taxonomy | None, keys: dict | None = None,
+                 kind: TaxonomyKind | None = None):
+        self.kind = taxonomy.kind if kind is None else kind
         self.taxonomy = taxonomy
         self.keys = {} if keys is None else keys
         self.sets: list[frozenset[TaxonomyPath]] = []
@@ -115,8 +118,8 @@ class MappingFolder:
 
     Each kind's fold is made for its entry in ``taxonomies``. A result's
     paths are added as they are, unchecked, so they must come from that
-    taxonomy. The sampler, which reads only the paths, folds with ``None``
-    in place of each taxonomy.
+    taxonomy. ``sampling.build_pool`` folds with ``None`` in place of each
+    taxonomy; the tables and the sampler check such folds as they read them.
     """
 
     __slots__ = ("_taxonomies", "_keys", "_folds")
@@ -131,7 +134,7 @@ class MappingFolder:
         """Fold one result: its kind, its example's key, and its paths
         (empty unless it is mapped)."""
         if kind not in self._folds:
-            self._folds[kind] = CheckedResults(self._taxonomies[kind], self._keys)
+            self._folds[kind] = CheckedResults(self._taxonomies[kind], self._keys, kind)
         self._folds[kind].add(key, paths)
 
     def folded(self) -> FoldedMappings:
@@ -165,7 +168,7 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
     if isinstance(results, CheckedResults):
         if results.taxonomy is t:
             return results
-        records = ((results.taxonomy.kind, key, results.sets[i])
+        records = ((results.kind, key, results.sets[i])
                    for key, i in zip(results.keys, results.ids) if i != MISSING)
     else:
         # a result holds paths exactly when it is mapped

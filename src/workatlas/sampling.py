@@ -12,15 +12,16 @@ stop size and achieved coverage are to task ordering, and a Chao1 richness
 estimate extrapolates how many distinct paths the pool plausibly holds
 beyond the ones observed.
 
-The rule runs on the pool's fold: each distinct path set becomes dense ints
-per kind once, so coverage is a ``bytearray`` and a counter. A random
-order is drawn lazily and sparsely, by a forward Fisher-Yates (Durstenfeld)
-shuffle that fixes only the positions the rule consumes and keeps only the
-positions a swap displaced, in a dict, instead of the whole order. On pools
-of thousands of units the rule typically stops after a few dozen, so a
-permutation costs its stop size rather than the pool size, in time and in
-memory; its consumed prefix is the same as that of a full shuffle drawn
-from the same seed.
+The rule runs on the pool's fold, which :func:`build_pool` makes from
+results: each distinct path set is checked against its taxonomy and becomes
+dense ints per kind once, so coverage is a ``bytearray`` and a counter. A
+random order is drawn lazily and sparsely, by a forward Fisher-Yates
+(Durstenfeld) shuffle that fixes only the positions the rule consumes and
+keeps only the positions a swap displaced, in a dict, instead of the whole
+order. On pools of thousands of units the rule typically stops after a few
+dozen, so a permutation costs its stop size rather than the pool size, in
+time and in memory; its consumed prefix is the same as that of a full
+shuffle drawn from the same seed.
 """
 
 from __future__ import annotations
@@ -31,34 +32,27 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import MISSING, FoldedMappings, MappingFolder
+from .coverage import MISSING, FoldedMappings, ForeignPathError, MappingFolder
 from .mapping import MappingResult
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
 
 POOLED_BENCHMARK = "pooled"
-_NO_PATHS: frozenset[TaxonomyPath] = frozenset()
 
 
-@dataclass(frozen=True)
-class PoolUnit:
-    """One example's mapped paths, split by taxonomy kind."""
+def build_pool(results: Iterable[MappingResult] | FoldedMappings) -> FoldedMappings:
+    """Fold mapping results per example, each kind's paths into one set
+    (:data:`~workatlas.coverage.MISSING`, read as no paths, for a kind
+    without a result); a fold is returned as it is.
 
-    key: tuple[str, str]
-    paths: dict[TaxonomyKind, frozenset[TaxonomyPath]]
-
-
-def build_pool(results: Iterable[MappingResult]) -> list[PoolUnit]:
-    """Group per-kind mapping results into per-example units, each holding
-    the union of every kind's paths (empty for a kind without a result).
-
-    Unit order follows each example's first appearance in ``results``; that
-    order is the sampling order unless the caller gives a seed.
+    Examples are numbered by first appearance in ``results``; that order
+    is the sampling order unless the caller gives a seed.
     """
-    units: dict[tuple[str, str], dict[TaxonomyKind, frozenset[TaxonomyPath]]] = {}
+    if isinstance(results, FoldedMappings):
+        return results
+    folder = MappingFolder(dict.fromkeys(TaxonomyKind))
     for r in results:
-        paths = units.setdefault(r.key, dict.fromkeys(TaxonomyKind, _NO_PATHS))
-        paths[r.taxonomy_kind] = paths[r.taxonomy_kind] | r.paths
-    return [PoolUnit(key, paths) for key, paths in units.items()]
+        folder.add(r.taxonomy_kind, r.key, r.paths)
+    return folder.folded()
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,8 @@ class _Sampler:
     The pool, a fold's examples or one benchmark's, is interned once, into
     one id space for both kinds: the first kind's distinct paths are
     numbered 0, 1, 2, ... and the second kind's -1, -2, -3, ..., so an id's
-    sign tells its kind. Coverage is one ``bytearray`` of ``path_count``
+    sign tells its kind. A path set is checked against its kind's taxonomy
+    when first numbered. Coverage is one ``bytearray`` of ``path_count``
     bytes, which negative ids index from its end, plus a counter per kind.
     A unit is one id tuple, shared by the examples with equal set ids. The
     benchmark label and the path occurrence counts are computed once too.
@@ -111,7 +106,7 @@ class _Sampler:
 
     def __init__(
         self,
-        pool: Sequence[MappingResult] | Sequence[PoolUnit] | FoldedMappings,
+        pool: FoldedMappings,
         t_domain: Taxonomy | None,
         t_skill: Taxonomy | None,
         batch_size: int,
@@ -129,16 +124,6 @@ class _Sampler:
         }
         if not taxonomies:
             raise ValueError("at least one taxonomy is required")
-        if not isinstance(pool, FoldedMappings):
-            folder = MappingFolder(dict.fromkeys(TaxonomyKind))
-            kinds = tuple(TaxonomyKind)  # iterating the enum itself costs more per unit
-            for item in pool:
-                if isinstance(item, PoolUnit):
-                    for kind in kinds:
-                        folder.add(kind, item.key, item.paths.get(kind, _NO_PATHS))
-                else:
-                    folder.add(item.taxonomy_kind, item.key, item.paths)
-            pool = folder.folded()
         numbers: Sequence[int] = range(len(pool.examples)) if benchmark is None else array(
             "i", (n for n, (bench, _) in enumerate(pool.examples) if bench == benchmark))
         if not numbers:
@@ -150,6 +135,7 @@ class _Sampler:
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
         self.examples, self.numbers = pool.examples, numbers
         folds = [pool.by_kind.get(kind) for kind in self.kinds]
+        leaves = [t.path_index for t in taxonomies.values()]
         path_ids: list[dict[TaxonomyPath, int]] = [{} for _ in self.kinds]
         set_paths = [{MISSING: ()} for _ in self.kinds]  # per kind, set id -> path ids
         units: dict[tuple[int, ...], tuple[int, ...]] = {}  # set id per kind -> unit
@@ -159,9 +145,14 @@ class _Sampler:
             if set_ids not in units:
                 for k, set_id in enumerate(set_ids):
                     if set_id not in set_paths[k]:
-                        kind_ids = path_ids[k]
+                        kind_ids, paths = path_ids[k], folds[k].sets[set_id]
+                        foreign = paths - leaves[k]
+                        if foreign:
+                            raise ForeignPathError(
+                                f"path {min(foreign, key=str)} from {pool.examples[n]} is not"
+                                f" in the {self.kinds[k].value} taxonomy")
                         set_paths[k][set_id] = tuple(~i if k else i for i in (
-                            kind_ids.setdefault(p, len(kind_ids)) for p in folds[k].sets[set_id]))
+                            kind_ids.setdefault(p, len(kind_ids)) for p in paths))
                 units[set_ids] = sum((set_paths[k][i] for k, i in enumerate(set_ids)), ())
             self.units.append(units[set_ids])
         first = len(path_ids[0])
@@ -231,7 +222,7 @@ class _Sampler:
 
 
 def sample_until_saturation(
-    pool: Sequence[MappingResult] | Sequence[PoolUnit] | FoldedMappings,
+    pool: Iterable[MappingResult] | FoldedMappings,
     t_domain: Taxonomy | None,
     t_skill: Taxonomy | None,
     batch_size: int = 5,
@@ -242,9 +233,9 @@ def sample_until_saturation(
 
     Parameters
     ----------
-    pool : sequence of MappingResult or PoolUnit, or FoldedMappings
-        Without ``rng_seed`` the sampling order is the given order (results
-        and units are folded per example first).
+    pool : iterable of MappingResult, or FoldedMappings
+        Results are folded by :func:`build_pool` first. Without ``rng_seed``
+        the sampling order is the pool's example order.
     t_domain, t_skill : Taxonomy or None
         Coverage denominators. A kind whose taxonomy is ``None`` is ignored
         by the stopping rule; at least one must be given.
@@ -261,9 +252,10 @@ def sample_until_saturation(
     -----
     At least one batch is always consumed. Coverage traces are cumulative
     after each batch and therefore non-decreasing; they equal a from-scratch
-    coverage computation on each selected prefix.
+    coverage computation on each selected prefix. A path that is not in its
+    kind's taxonomy raises :class:`~workatlas.coverage.ForeignPathError`.
     """
-    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta)
+    sampler = _Sampler(build_pool(pool), t_domain, t_skill, batch_size, delta)
     run = sampler.replay(None if rng_seed is None else random.Random(rng_seed))
     return SamplingRun(
         benchmark=sampler.benchmark,
@@ -360,7 +352,7 @@ class SensitivitySummary:
 
 
 def permutation_sensitivity(
-    pool: Sequence[MappingResult] | Sequence[PoolUnit] | FoldedMappings,
+    pool: Iterable[MappingResult] | FoldedMappings,
     t_domain: Taxonomy | None,
     t_skill: Taxonomy | None,
     batch_size: int = 5,
@@ -380,11 +372,12 @@ def permutation_sensitivity(
     Reported coverage comes in two forms: raw taxonomy coverage at the stop
     point, and the number of distinct paths at stop relative to the pool's
     Chao1-estimated path richness. With ``benchmark``, only that
-    benchmark's examples form the pool.
+    benchmark's examples form the pool. The pool is read as in
+    :func:`sample_until_saturation`.
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
-    sampler = _Sampler(pool, t_domain, t_skill, batch_size, delta, benchmark)
+    sampler = _Sampler(build_pool(pool), t_domain, t_skill, batch_size, delta, benchmark)
     kinds = sampler.kinds
     richness = [chao1(counts) if counts else 0.0 for counts in sampler.occurrence]
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from workatlas.annotate import KeywordAnnotator
+from workatlas.coverage import FoldedMappings, MappingFolder
 from workatlas.io import (
     fixture_path,
     read_digital_labels,
@@ -16,7 +17,7 @@ from workatlas.io import (
     read_workflows,
 )
 from workatlas.mapping import MappingResult, MappingStatus, map_corpus
-from workatlas.taxonomy import Taxonomy, load_taxonomy
+from workatlas.taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
 
 
 @pytest.fixture(scope="session")
@@ -131,6 +132,18 @@ def random_corpus(
         indices = rng.sample(range(n_leaves), k) if k else []
         results.append(synthetic_result(taxonomy, f"e{i}", indices))
     return results
+
+
+def fold_units(units) -> FoldedMappings:
+    """A pool folded from ``(key, {kind: paths})`` units, in their order.
+    Every kind is added for every unit, an empty set where a unit has no
+    paths of that kind."""
+    folder = MappingFolder(dict.fromkeys(TaxonomyKind))
+    kinds = tuple(TaxonomyKind)  # iterating the enum itself costs more per unit
+    for key, paths in units:
+        for kind in kinds:
+            folder.add(kind, key, paths.get(kind, frozenset()))
+    return folder.folded()
 
 
 def deep_chain(depth: int) -> str:

@@ -858,6 +858,26 @@ class TestAnnotatorInputs:
         assert validated == []
         assert not out.exists()
 
+    def test_rules_read_when_their_taxonomy_fails(self, tmp_path, capsys):
+        # a taxonomy that fails to parse leaves its kind's rules to be read
+        # with no taxonomy, so both files' violations are reported
+        document = json.loads(fixture_path("taxonomy_domain.json").read_text(encoding="utf-8"))
+        del document["root"]
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps(document), encoding="utf-8")
+        rules = json.loads(fixture_path("keyword_rules_domain.json").read_text(encoding="utf-8"))
+        rules[2]["keyword"] = " "
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules), encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["map", "--fixtures", "--domain-taxonomy", str(taxonomy),
+                     "--domain-rules", str(path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input violation: {taxonomy} [(file)]: document missing 'root'\n"
+            f"input violation: {path} [(file)]: rule 2: keyword must be a non-blank string\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("rule, reason", [
         ({"keyword": "budget", "labels": "A > B > C"},
          "labels must be a non-empty array of strings"),

@@ -20,6 +20,7 @@ from workatlas.coverage import (
 )
 from workatlas.mapping import MappingStatus
 from workatlas.reporting import ReportBundle, coverage_suite
+from workatlas.sampling import build_pool
 from workatlas.taxonomy import TaxonomyKind
 
 from conftest import random_corpus, synthetic_result, synthetic_taxonomy
@@ -206,6 +207,19 @@ class TestCheckOncePerKind:
         checked = check_results(domain_results, domain_taxonomy)
         with pytest.raises(ForeignPathError):
             coverage(checked, synthetic_taxonomy(10))
+
+    def test_pool_fold_is_read_like_its_results(self, domain_results, skill_results,
+                                                domain_taxonomy, skill_taxonomy):
+        # build_pool folds without a taxonomy: the tables check its folds by kind
+        pool = build_pool(list(domain_results) + list(skill_results))
+        for results, t, other in ((domain_results, domain_taxonomy, skill_taxonomy),
+                                  (skill_results, skill_taxonomy, domain_taxonomy)):
+            fold, level = pool.by_kind[t.kind], REPORT_LEVEL[t.kind]
+            assert coverage(fold, t) == coverage(results, t)
+            assert effort_by_node(fold, t, level) == effort_by_node(results, t, level)
+            assert breadth(fold, t, level) == breadth(results, t, level)
+            with pytest.raises(ForeignPathError, match=f"has kind {t.kind.value}"):
+                coverage(fold, other)
 
     def test_suite_checks_each_kind_once(self, tmp_path, domain_results, skill_results,
                                          domain_taxonomy, skill_taxonomy, monkeypatch):

@@ -608,10 +608,9 @@ class TestMappingFolds:
         for r in results:
             by_kind.setdefault(r.taxonomy_kind, []).append(r)
         assert folded.by_kind.keys() == by_kind.keys()  # a kind without records has no fold
-        unions: dict = {}
         for kind, rs in by_kind.items():
             fold, t = folded.by_kind[kind], taxonomies[kind]
-            union = unions[kind] = {}
+            union: dict = {}
             for r in rs:
                 union.setdefault(r.key, set()).update(r.paths)
             assert fold.taxonomy is t
@@ -627,18 +626,21 @@ class TestMappingFolds:
             assert effort_by_node(fold, t, level) == effort_by_node(rs, t, level)
             assert breadth(fold, t, level) == breadth(rs, t, level)
         pool = build_pool(results)
-        assert [(u.key, u.paths) for u in pool] == [
-            (key, {kind: frozenset(unions.get(kind, {}).get(key, ())) for kind in TaxonomyKind})
-            for key in folded.examples]
+        assert pool.examples == folded.examples
+        assert pool.by_kind.keys() == folded.by_kind.keys()
+        for kind, fold in folded.by_kind.items():
+            assert pool.by_kind[kind].sets == fold.sets
+            assert pool.by_kind[kind].ids == fold.ids
         if results:
             t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
             t_skill = taxonomies.get(TaxonomyKind.SKILL)
-            assert (sample_until_saturation(folded, t_domain, t_skill)
-                    == sample_until_saturation(pool, t_domain, t_skill))
-            assert (permutation_sensitivity(folded, t_domain, t_skill, permutations=40,
-                                            rng_seed=9)
-                    == permutation_sensitivity(pool, t_domain, t_skill, permutations=40,
-                                               rng_seed=9))
+            for source in (pool, results):
+                assert (sample_until_saturation(folded, t_domain, t_skill)
+                        == sample_until_saturation(source, t_domain, t_skill))
+                assert (permutation_sensitivity(folded, t_domain, t_skill, permutations=40,
+                                                rng_seed=9)
+                        == permutation_sensitivity(source, t_domain, t_skill, permutations=40,
+                                                   rng_seed=9))
         return results
 
     @pytest.mark.parametrize("seed", range(4))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from workatlas.coverage import MappingFolder, coverage
+from workatlas.coverage import MISSING, ForeignPathError, MappingFolder, coverage
 from workatlas.sampling import (
-    PoolUnit,
     SummaryStat,
     _Sampler,
     build_pool,
@@ -19,7 +19,7 @@ from workatlas.sampling import (
 )
 from workatlas.taxonomy import TaxonomyKind
 
-from conftest import random_corpus, synthetic_result, synthetic_taxonomy
+from conftest import fold_units, random_corpus, synthetic_result, synthetic_taxonomy
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -64,13 +64,13 @@ class TestChao1:
 class TestBuildPool:
     def test_groups_results_by_example(self, domain_results, skill_results):
         pool = build_pool(list(domain_results) + list(skill_results))
-        assert len(pool) == 20
-        first = pool[0]
-        assert set(first.paths) == {TaxonomyKind.DOMAIN, TaxonomyKind.SKILL}
+        assert len(pool.examples) == 20
+        assert set(pool.by_kind) == {TaxonomyKind.DOMAIN, TaxonomyKind.SKILL}
+        assert all(fold.ids[0] != MISSING for fold in pool.by_kind.values())
 
     def test_order_follows_first_appearance(self, domain_results):
         pool = build_pool(domain_results)
-        assert [u.key for u in pool] == [r.key for r in domain_results]
+        assert list(pool.examples) == [r.key for r in domain_results]
 
 
 def constructed_pool(taxonomy, batches):
@@ -117,17 +117,17 @@ class TestSampler:
         # domain saturates immediately; skill keeps gaining in batch 2
         units = []
         for i in range(5):
-            units.append(PoolUnit(key=("synth", f"a{i}"), paths={
+            units.append((("synth", f"a{i}"), {
                 TaxonomyKind.DOMAIN: frozenset([next(iter(td.path_index))]),
                 TaxonomyKind.SKILL: frozenset(),
             }))
         skill_paths = sorted(ts.path_index, key=str)
         for i in range(5):
-            units.append(PoolUnit(key=("synth", f"b{i}"), paths={
+            units.append((("synth", f"b{i}"), {
                 TaxonomyKind.DOMAIN: frozenset(),
                 TaxonomyKind.SKILL: frozenset([skill_paths[i]]),
             }))
-        run = sample_until_saturation(units, td, ts, batch_size=5, delta=0.1)
+        run = sample_until_saturation(fold_units(units), td, ts, batch_size=5, delta=0.1)
         # batch 2 still gains skill coverage, so the rule cannot fire before it
         assert run.stop_size == 10
 
@@ -176,14 +176,14 @@ class TestSampler:
         ts = synthetic_taxonomy(10, kind="skill")
         skill_paths = sorted(ts.path_index, key=str)
         units = [
-            PoolUnit(key=("synth", f"u{i}"), paths={
+            (("synth", f"u{i}"), {
                 TaxonomyKind.DOMAIN: frozenset(),
                 TaxonomyKind.SKILL: frozenset([skill_paths[i]]),
             })
             for i in range(10)
         ]
         # domain coverage never moves, but skill still gains in both batches
-        run = sample_until_saturation(units, td, ts, batch_size=5, delta=0.1)
+        run = sample_until_saturation(fold_units(units), td, ts, batch_size=5, delta=0.1)
         assert run.stop_size == 10
 
     def test_parameter_validation(self, domain_taxonomy):
@@ -196,6 +196,25 @@ class TestSampler:
             sample_until_saturation([], domain_taxonomy, None)
         with pytest.raises(ValueError, match="taxonomy"):
             sample_until_saturation(pool, None, None)
+
+    @pytest.mark.parametrize("kind", ["domain", "skill"])
+    def test_rejects_paths_outside_its_taxonomy(self, kind):
+        # the 4-leaf tree holds the 40-leaf tree's first four paths, no other
+        wide, narrow = synthetic_taxonomy(40, kind=kind), synthetic_taxonomy(4, kind=kind)
+        other = synthetic_taxonomy(4, kind="skill" if kind == "domain" else "domain")
+        pool = [synthetic_result(wide, f"e{i}", [i]) for i in range(20)]
+        pool += [synthetic_result(other, f"e{i}", [0]) for i in range(20)]
+
+        def pair(t):  # (t_domain, t_skill)
+            return (t, other) if kind == "domain" else (other, t)
+
+        named = re.escape(f"{wide.path_for_leaf('leaf-4')} from ('synth', 'e4')")
+        for source in (pool, build_pool(pool)):
+            with pytest.raises(ForeignPathError, match=named):
+                sample_until_saturation(source, *pair(narrow))
+            with pytest.raises(ForeignPathError, match=named):
+                permutation_sensitivity(source, *pair(narrow), permutations=3, rng_seed=1)
+        assert sample_until_saturation(pool, *pair(wide)).coverage_at_stop(wide.kind) <= 1.0
 
 
 class TestSensitivity:
@@ -240,8 +259,9 @@ class TestSensitivity:
         summary = permutation_sensitivity(pool, domain_taxonomy, None,
                                           permutations=10, rng_seed=4)
         occurrence = {}
-        for unit in pool:
-            for path in unit.paths[TaxonomyKind.DOMAIN]:
+        fold = pool.by_kind[TaxonomyKind.DOMAIN]
+        for set_id in fold.ids:
+            for path in fold.sets[set_id] if set_id != MISSING else ():
                 occurrence[path] = occurrence.get(path, 0) + 1
         assert summary.chao1_richness[TaxonomyKind.DOMAIN] == chao1(occurrence)
 
@@ -255,15 +275,15 @@ class TestSensitivity:
         leaves = {kind: sorted(t.path_index, key=str) for kind, t in taxonomies.items()}
         pairs = [{kind: rng.sample(leaves[kind], rng.randint(0, 4)) for kind in taxonomies}
                  for _ in range(rng.randint(3, 12))]
-        pool = [PoolUnit(key=("b", f"u{i}"), paths={
+        pool = [(("b", f"u{i}"), {
                     kind: frozenset(paths) for kind, paths in rng.choice(pairs).items()})
                 for i in range(rng.randint(20, 120))]
-        summary = permutation_sensitivity(pool, *taxonomies.values(),
+        summary = permutation_sensitivity(fold_units(pool), *taxonomies.values(),
                                           permutations=3, rng_seed=seed)
         for kind in taxonomies:
             occurrence = {}
-            for unit in pool:
-                for path in unit.paths[kind]:
+            for _, paths in pool:
+                for path in paths[kind]:
                     occurrence[path] = occurrence.get(path, 0) + 1
             expected = chao1(occurrence) if occurrence else 0.0
             assert summary.chao1_richness[kind] == expected
@@ -359,9 +379,10 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def eager_replay(units, kinds, leaf_counts, sub_seed, batch_size, delta):
-    """Reference: a full forward Fisher-Yates shuffle from ``sub_seed``, then
-    the stopping rule recomputed from scratch on every batch prefix. Returns
-    (selected keys, coverage at stop, distinct paths at stop) per kind."""
+    """Reference over ``(key, {kind: paths})`` units: a full forward
+    Fisher-Yates shuffle from ``sub_seed``, then the stopping rule recomputed
+    from scratch on every batch prefix. Returns (selected keys, coverage at
+    stop, distinct paths at stop) per kind."""
     order = list(units)
     rng = random.Random(sub_seed)
     for i in range(len(order)):
@@ -370,13 +391,13 @@ def eager_replay(units, kinds, leaf_counts, sub_seed, batch_size, delta):
     previous = {kind: 0.0 for kind in kinds}
     for end in range(batch_size, len(order) + batch_size, batch_size):
         prefix = order[:end]
-        covered = {kind: set().union(*(u.paths.get(kind, frozenset()) for u in prefix))
+        covered = {kind: set().union(*(paths.get(kind, frozenset()) for _, paths in prefix))
                    for kind in kinds}
         current = {kind: len(covered[kind]) / leaf_counts[kind] for kind in kinds}
         below = [(current[k] - previous[k]) * 100.0 < delta for k in kinds]
         previous = current
         if all(below) or end >= len(order):
-            return ([u.key for u in prefix], current,
+            return ([key for key, _ in prefix], current,
                     {kind: float(len(covered[kind])) for kind in kinds})
 
 
@@ -391,7 +412,7 @@ def skewed_pool(rng, taxonomies, n_units):
             k = rng.randint(0, 2)
             paths[kind] = frozenset(leaves[min(int(rng.expovariate(0.4)), len(leaves) - 1)]
                                     for _ in range(k))
-        units.append(PoolUnit(key=(f"b{i % 3}", f"u{i}"), paths=paths))
+        units.append(((f"b{i % 3}", f"u{i}"), paths))
     return units
 
 
@@ -414,7 +435,8 @@ class TestLazyDrawEquivalence:
             leaf_counts = {kind: t.leaf_count for kind, t in taxonomies.items()}
             t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
             t_skill = taxonomies.get(TaxonomyKind.SKILL)
-            summary = permutation_sensitivity(units, t_domain, t_skill, batch_size=5,
+            pool = fold_units(units)
+            summary = permutation_sensitivity(pool, t_domain, t_skill, batch_size=5,
                                               delta=0.1, permutations=60, rng_seed=17)
             seed_source = random.Random(17)
             sub_seeds = [seed_source.getrandbits(64) for _ in range(60)]
@@ -428,14 +450,15 @@ class TestLazyDrawEquivalence:
                 assert summary.paths_at_stop[kind] == SummaryStat.from_values(
                     [ref[2][kind] for ref in reference])
             for sub_seed, (keys, cov, _) in zip(sub_seeds[:10], reference):
-                run = sample_until_saturation(units, t_domain, t_skill, batch_size=5,
+                run = sample_until_saturation(pool, t_domain, t_skill, batch_size=5,
                                               delta=0.1, rng_seed=sub_seed)
                 assert list(run.selected) == keys
                 assert {kind: run.coverage_at_stop(kind) for kind in kinds} == cov
 
     def test_same_seed_same_summary(self):
         for taxonomies, units in self.pools():
-            args = (units, taxonomies.get(TaxonomyKind.DOMAIN), taxonomies.get(TaxonomyKind.SKILL))
+            args = (fold_units(units), taxonomies.get(TaxonomyKind.DOMAIN),
+                    taxonomies.get(TaxonomyKind.SKILL))
             first = permutation_sensitivity(*args, permutations=100, rng_seed=8)
             second = permutation_sensitivity(*args, permutations=100, rng_seed=8)
             assert first == second
@@ -450,9 +473,8 @@ class TestSparseDraw:
         t = synthetic_taxonomy(8, kind="skill")
         singletons = [frozenset([p]) for p in sorted(t.path_index, key=str)]
         n = 200_000
-        units = [PoolUnit(key=("big", f"u{i}"), paths={TaxonomyKind.SKILL: singletons[i % 8]})
-                 for i in range(n)]
-        sampler = _Sampler(units, None, t, batch_size=5, delta=0.1)
+        units = [(("big", f"u{i}"), {TaxonomyKind.SKILL: singletons[i % 8]}) for i in range(n)]
+        sampler = _Sampler(fold_units(units), None, t, batch_size=5, delta=0.1)
         full_order = sys.getsizeof(list(range(n)))  # the list alone, not its ints
         for seed in (1, 2, 3):
             tracemalloc.start()
@@ -498,8 +520,8 @@ class TestSparseDraw:
 
     def test_identity_order_without_rng(self):
         t = synthetic_taxonomy(4, kind="skill")
-        units = [PoolUnit(key=("b", f"u{i}"), paths={}) for i in range(12)]
-        run = _Sampler(units, None, t, batch_size=5, delta=0.1).replay(None)
+        units = [(("b", f"u{i}"), {}) for i in range(12)]
+        run = _Sampler(fold_units(units), None, t, batch_size=5, delta=0.1).replay(None)
         assert run.order == [0, 1, 2, 3, 4] == list(range(run.stop_size))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 255, 256, 257, 4_097])
@@ -507,8 +529,8 @@ class TestSparseDraw:
         # With no paths the rule stops after one batch, so a batch as large
         # as the pool draws a whole permutation.
         t = synthetic_taxonomy(4, kind="skill")
-        units = [PoolUnit(key=("b", f"u{i}"), paths={}) for i in range(n)]
-        sampler = _Sampler(units, None, t, batch_size=n, delta=0.1)
+        units = [(("b", f"u{i}"), {}) for i in range(n)]
+        sampler = _Sampler(fold_units(units), None, t, batch_size=n, delta=0.1)
         for seed in (0, 7, 2**63 + 5):
             rng = random.Random(seed)
             run = sampler.replay(rng)
