@@ -59,6 +59,7 @@ from .coverage import (  # noqa: F401
     EffortDistribution,
     GroupLevel,
     breadth,
+    build_pool,
     check_results,
     coverage,
     effort_by_node,
@@ -66,7 +67,6 @@ from .coverage import (  # noqa: F401
 from .sampling import (  # noqa: F401
     SamplingRun,
     SensitivitySummary,
-    build_pool,
     chao1,
     permutation_sensitivity,
     sample_until_saturation,

@@ -56,7 +56,11 @@ from .autonomy import (
     with_overall,
 )
 from .autonomy import advise as autonomy_advise
-from .coverage import FoldedMappings, MappingFolder
+from .coverage import (
+    FoldedMappings,
+    MappingFolder,
+    build_pool,  # noqa: F401 - perfbench's tracer rebinds it on this module
+)
 from .economics import (
     DigitalLabel,
     ImportanceTable,
@@ -104,10 +108,7 @@ from .reporting import (
     emit_sensitivity,
     emit_skill_econ,
 )
-from .sampling import (
-    build_pool,  # noqa: F401 - perfbench's tracer rebinds it on this module
-    permutation_sensitivity,
-)
+from .sampling import permutation_sensitivity
 from .taxonomy import Taxonomy, TaxonomyKind, load_taxonomy
 
 EXIT_OK = 0
@@ -608,10 +609,9 @@ def _map_all_kinds(config: RunConfig, inputs: LoadedInputs,
     partial = bundle.run_dir / "mappings.partial.jsonl"
     with open(partial, "w", encoding="utf-8", newline="\n") as fh:
         for kind, annotator in inputs.annotators.items():
-            paths_json: dict = {}  # no path set of one kind is one of another's
             for result in iter_map_corpus(inputs.examples, inputs.taxonomies[kind], annotator,
                                           parallelism=config.values["parallelism"]):
-                fh.write(mapping_record(result, paths_json))
+                fh.write(mapping_record(result))
                 folder.add(kind, result.key, result.paths)
                 outcomes[kind, result.benchmark, result.status] += 1
     partial.rename(bundle.run_dir / "mappings.jsonl")

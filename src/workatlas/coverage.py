@@ -8,10 +8,13 @@ distinct nodes at that level.
 
 All three, and the sampler, read one kind's results as a per-example fold,
 :class:`CheckedResults`: the one place where examples are numbered and
-each distinct path set is stored once. :func:`check_results` builds a fold
-from results; a :class:`MappingFolder` numbers the examples once for every
-kind and builds one fold per kind, one result at a time (from a mappings
-file in ``io.read_mapping_folds``, and as the CLI maps each result).
+each distinct path set is stored once. A :class:`MappingFolder` numbers
+the examples once for every kind and builds one fold per kind, one result
+at a time (from a mappings file in ``io.read_mapping_folds``, as the CLI
+maps each result, and in :func:`build_pool`, which folds results with no
+taxonomy). :func:`check_results` is the one check of mapped paths against
+a taxonomy: a fold made for that taxonomy passes as it is, and any other
+fold is checked once per distinct path set, never re-folded.
 Effort and breadth read a fold through :class:`NodeSets`, which builds the
 nodes at the grouping level once per set id, so no per-example node table
 is built: breadth's ``per_example`` holds one width per example.
@@ -61,9 +64,10 @@ MISSING = -1  # the set id of an example without a result of a fold's kind
 
 
 class CheckedResults:
-    """One ``kind`` of mapping results (by default ``taxonomy``'s) checked
-    against ``taxonomy`` and folded per example: ``keys`` numbers the
-    examples in first-seen order (shared by a :class:`MappingFolder`'s
+    """One ``kind`` of mapping results (by default ``taxonomy``'s) folded
+    per example for ``taxonomy`` (``None`` for :func:`build_pool`'s folds,
+    which :func:`check_results` checks as they are read): ``keys`` numbers
+    the examples in first-seen order (shared by a :class:`MappingFolder`'s
     folds, which end with the tuple of keys), ``sets`` holds each distinct
     union of an example's mapped paths once, and ``ids`` each example's set
     id, :data:`MISSING` without a result of this kind. The tables and the
@@ -118,8 +122,9 @@ class MappingFolder:
 
     Each kind's fold is made for its entry in ``taxonomies``. A result's
     paths are added as they are, unchecked, so they must come from that
-    taxonomy. ``sampling.build_pool`` folds with ``None`` in place of each
-    taxonomy; the tables and the sampler check such folds as they read them.
+    taxonomy, which then takes the fold without a check. :func:`build_pool`
+    folds with ``None`` in place of each taxonomy; :func:`check_results`
+    checks such a fold, once per distinct path set, wherever it is read.
     """
 
     __slots__ = ("_taxonomies", "_keys", "_folds")
@@ -157,32 +162,54 @@ class MappingFolder:
         return FoldedMappings(examples, self._folds)
 
 
+def build_pool(results: Iterable[MappingResult] | FoldedMappings) -> FoldedMappings:
+    """Fold mapping results per example, each kind's paths into one set
+    (:data:`MISSING`, read as no paths, for a kind without a result), with
+    no taxonomy; a fold is returned as it is.
+
+    Examples are numbered by first appearance in ``results``; that order
+    is the sampling order unless the caller gives a seed.
+    """
+    if isinstance(results, FoldedMappings):
+        return results
+    folder = MappingFolder(dict.fromkeys(TaxonomyKind))
+    for r in results:
+        folder.add(r.taxonomy_kind, r.key, r.paths)
+    return folder.folded()
+
+
 def check_results(results: Iterable[MappingResult] | CheckedResults,
                   t: Taxonomy) -> CheckedResults:
-    """Check that every result is of ``t``'s kind and every path is in
-    ``t``, and fold the results per example.
+    """The one check of mapped paths: every result must be of ``t``'s kind
+    and every path in ``t``; returns the results' fold for ``t``.
 
-    Raises :class:`ForeignPathError` otherwise. A fold made for ``t`` is
-    returned as it is; one made for another taxonomy is checked again.
+    A fold made for ``t`` is returned as it is. Any other fold is checked
+    one distinct path set at a time, walking its examples in first-seen
+    order, and the fold returned shares its ``keys``, ``sets`` and ``ids``.
+    Results are folded by :func:`build_pool` first. Raises
+    :class:`ForeignPathError` naming the first example that fails.
     """
     if isinstance(results, CheckedResults):
         if results.taxonomy is t:
             return results
-        records = ((results.kind, key, results.sets[i])
-                   for key, i in zip(results.keys, results.ids) if i != MISSING)
-    else:
-        # a result holds paths exactly when it is mapped
-        records = ((r.taxonomy_kind, r.key, r.paths) for r in results)
-    checked = CheckedResults(t)
-    for kind, key, paths in records:
-        if kind is not t.kind:
-            raise ForeignPathError(
-                f"result for {key} has kind {kind.value}, taxonomy is {t.kind.value}"
-            )
-        for p in paths:
-            if not t.contains_path(p):
-                raise ForeignPathError(f"path {p} from {key} is not in the taxonomy")
-        checked.add(key, paths)
+        folds = [results]
+    else:  # a fold of another kind fails its check, so at most one passes
+        folds = list(build_pool(results).by_kind.values()) or [CheckedResults(None, (), t.kind)]
+    for fold in folds:
+        seen = bytearray(len(fold.sets))
+        for key, i in zip(fold.keys, fold.ids):
+            if i == MISSING or seen[i]:
+                continue
+            if fold.kind is not t.kind:
+                raise ForeignPathError(
+                    f"result for {key} has kind {fold.kind.value}, taxonomy is {t.kind.value}")
+            if not fold.sets[i] <= t.path_index:
+                raise ForeignPathError(
+                    f"path {min(fold.sets[i] - t.path_index, key=str)} from {key} is not"
+                    f" in the {t.kind.value} taxonomy")
+            seen[i] = 1
+    checked = CheckedResults(t, fold.keys)
+    checked.sets, checked.ids, checked._set_ids = fold.sets, fold.ids, None
     return checked
 
 

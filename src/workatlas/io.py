@@ -197,29 +197,21 @@ def write_examples(path: str | Path, examples: Iterable[TaskExample]) -> None:
 
 def write_mappings(path: str | Path, results: Iterable[MappingResult]) -> None:
     """Persist mapping results, one record per line, paths as label lists."""
-    paths_json: dict = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in results:
-            fh.write(mapping_record(r, paths_json))
+            fh.write(mapping_record(r))
 
 
-def mapping_record(r: MappingResult, paths_json: dict) -> str:
+def mapping_record(r: MappingResult) -> str:
     """The mappings-file line of one result, newline included: its record
     (``benchmark``, ``example_id``, ``taxonomy_kind``, ``status``, ``paths``
     as sorted label lists, ``annotator_id``, ``raw``) as
     ``json.dumps(record, sort_keys=True)`` writes it.
-
-    ``paths_json`` caches each distinct path set's encoded label lists,
-    keyed on the path set, so a set that many results share is sorted and
-    encoded once; pass the same dict for every line of one file.
     """
-    paths = paths_json.get(r.paths)
-    if paths is None:
-        paths = paths_json[r.paths] = _RECORD_ENCODER.encode(
-            sorted(list(p.labels) for p in r.paths))
-    encode = _RECORD_ENCODER.encode  # a string's JSON text, as inside a record
+    encode = _RECORD_ENCODER.encode  # a value's JSON text, as inside a record
     return (f'{{"annotator_id": {encode(r.annotator_id)}, "benchmark": {encode(r.benchmark)}, '
-            f'"example_id": {encode(r.example_id)}, "paths": {paths}, '
+            f'"example_id": {encode(r.example_id)}, '
+            f'"paths": {encode(sorted(list(p.labels) for p in r.paths))}, '
             f'"raw": {encode(r.raw_annotator_output)}, "status": "{r.status.value}", '
             f'"taxonomy_kind": "{r.taxonomy_kind.value}"}}\n')
 

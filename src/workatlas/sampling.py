@@ -13,12 +13,13 @@ estimate extrapolates how many distinct paths the pool plausibly holds
 beyond the ones observed.
 
 The rule runs on the pool's fold, which :func:`build_pool` makes from
-results: each distinct path set is checked against its taxonomy and becomes
-dense ints per kind once, so coverage is a ``bytearray`` and a counter. A
-random order is drawn lazily and sparsely, by a forward Fisher-Yates
-(Durstenfeld) shuffle that fixes only the positions the rule consumes and
-keeps only the positions a swap displaced, in a dict, instead of the whole
-order. On pools of thousands of units the rule typically stops after a few
+results. Each kind's fold is checked against its taxonomy by
+``coverage.check_results``, the one check of mapped paths, and each
+distinct path set becomes dense ints per kind once, so coverage is a
+``bytearray`` and a counter. A random order is drawn lazily and sparsely,
+by a forward Fisher-Yates (Durstenfeld) shuffle that fixes only the
+positions the rule consumes and keeps only the positions a swap
+displaced, in a dict, instead of the whole order. On pools of thousands of units the rule typically stops after a few
 dozen, so a permutation costs its stop size rather than the pool size, in
 time and in memory; its consumed prefix is the same as that of a full
 shuffle drawn from the same seed.
@@ -32,27 +33,11 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .coverage import MISSING, FoldedMappings, ForeignPathError, MappingFolder
+from .coverage import MISSING, FoldedMappings, build_pool, check_results
 from .mapping import MappingResult
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
 
 POOLED_BENCHMARK = "pooled"
-
-
-def build_pool(results: Iterable[MappingResult] | FoldedMappings) -> FoldedMappings:
-    """Fold mapping results per example, each kind's paths into one set
-    (:data:`~workatlas.coverage.MISSING`, read as no paths, for a kind
-    without a result); a fold is returned as it is.
-
-    Examples are numbered by first appearance in ``results``; that order
-    is the sampling order unless the caller gives a seed.
-    """
-    if isinstance(results, FoldedMappings):
-        return results
-    folder = MappingFolder(dict.fromkeys(TaxonomyKind))
-    for r in results:
-        folder.add(r.taxonomy_kind, r.key, r.paths)
-    return folder.folded()
 
 
 @dataclass(frozen=True)
@@ -94,11 +79,12 @@ class _Replay:
 class _Sampler:
     """The stopping rule over one pool, in the form it replays fast.
 
-    The pool, a fold's examples or one benchmark's, is interned once, into
+    Each kind's fold is checked against its taxonomy by
+    :func:`~workatlas.coverage.check_results`, whole, even when only one
+    benchmark's examples form the pool. The pool is interned once, into
     one id space for both kinds: the first kind's distinct paths are
     numbered 0, 1, 2, ... and the second kind's -1, -2, -3, ..., so an id's
-    sign tells its kind. A path set is checked against its kind's taxonomy
-    when first numbered. Coverage is one ``bytearray`` of ``path_count``
+    sign tells its kind. Coverage is one ``bytearray`` of ``path_count``
     bytes, which negative ids index from its end, plus a counter per kind.
     A unit is one id tuple, shared by the examples with equal set ids. The
     benchmark label and the path occurrence counts are computed once too.
@@ -134,8 +120,8 @@ class _Sampler:
         self.kinds = list(taxonomies)
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
         self.examples, self.numbers = pool.examples, numbers
-        folds = [pool.by_kind.get(kind) for kind in self.kinds]
-        leaves = [t.path_index for t in taxonomies.values()]
+        folds = [check_results(pool.by_kind[kind], t) if kind in pool.by_kind else None
+                 for kind, t in taxonomies.items()]
         path_ids: list[dict[TaxonomyPath, int]] = [{} for _ in self.kinds]
         set_paths = [{MISSING: ()} for _ in self.kinds]  # per kind, set id -> path ids
         units: dict[tuple[int, ...], tuple[int, ...]] = {}  # set id per kind -> unit
@@ -145,14 +131,9 @@ class _Sampler:
             if set_ids not in units:
                 for k, set_id in enumerate(set_ids):
                     if set_id not in set_paths[k]:
-                        kind_ids, paths = path_ids[k], folds[k].sets[set_id]
-                        foreign = paths - leaves[k]
-                        if foreign:
-                            raise ForeignPathError(
-                                f"path {min(foreign, key=str)} from {pool.examples[n]} is not"
-                                f" in the {self.kinds[k].value} taxonomy")
+                        kind_ids = path_ids[k]
                         set_paths[k][set_id] = tuple(~i if k else i for i in (
-                            kind_ids.setdefault(p, len(kind_ids)) for p in paths))
+                            kind_ids.setdefault(p, len(kind_ids)) for p in folds[k].sets[set_id]))
                 units[set_ids] = sum((set_paths[k][i] for k, i in enumerate(set_ids)), ())
             self.units.append(units[set_ids])
         first = len(path_ids[0])
@@ -372,8 +353,8 @@ def permutation_sensitivity(
     Reported coverage comes in two forms: raw taxonomy coverage at the stop
     point, and the number of distinct paths at stop relative to the pool's
     Chao1-estimated path richness. With ``benchmark``, only that
-    benchmark's examples form the pool. The pool is read as in
-    :func:`sample_until_saturation`.
+    benchmark's examples form the pool, though every example's paths are
+    checked. The pool is read as in :func:`sample_until_saturation`.
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")

@@ -194,9 +194,6 @@ class Taxonomy:
         """
         return [n for n in self._nodes_by_id.values() if n.level == level]
 
-    def contains_path(self, path: TaxonomyPath) -> bool:
-        return path in self.path_index
-
     def path_for_leaf(self, leaf_id: str) -> TaxonomyPath:
         """The root-to-leaf path ending at the leaf with id ``leaf_id``.
 

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +13,7 @@ from workatlas.coverage import (
     ForeignPathError,
     GroupLevel,
     breadth,
+    build_pool,
     check_results,
     coverage,
     effort_by_node,
@@ -20,13 +22,31 @@ from workatlas.coverage import (
 )
 from workatlas.mapping import MappingStatus
 from workatlas.reporting import ReportBundle, coverage_suite
-from workatlas.sampling import build_pool
 from workatlas.taxonomy import TaxonomyKind
 
 from conftest import random_corpus, synthetic_result, synthetic_taxonomy
 
 # The package re-exports the function ``coverage`` under the module's name.
 coverage_module = importlib.import_module("workatlas.coverage")
+reporting_module = importlib.import_module("workatlas.reporting")
+
+
+def count_checks(monkeypatch) -> list:
+    """Record the taxonomy of every :func:`check_results` call, where
+    ``coverage`` and ``reporting`` look it up, that returns a fold other
+    than the one it was given: a call that checks rather than passes a fold
+    already made for its taxonomy."""
+    checks = []
+
+    def counted(results, t):
+        checked = check_results(results, t)
+        if checked is not results:
+            checks.append(t)
+        return checked
+
+    monkeypatch.setattr(coverage_module, "check_results", counted)
+    monkeypatch.setattr(reporting_module, "check_results", counted)
+    return checks
 
 
 class TestCoverage:
@@ -192,15 +212,13 @@ class TestCheckOncePerKind:
             effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
             breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
         )
-        calls = []
-        monkeypatch.setattr(type(domain_taxonomy), "contains_path",
-                            lambda self, p: calls.append(p) or True)
+        checks = count_checks(monkeypatch)
         assert (
             coverage(checked, domain_taxonomy),
             effort_by_node(checked, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
             breadth(checked, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
         ) == expected
-        assert calls == []
+        assert checks == []
 
     def test_checked_against_another_taxonomy_is_checked(self, domain_results,
                                                          domain_taxonomy):
@@ -221,17 +239,38 @@ class TestCheckOncePerKind:
             with pytest.raises(ForeignPathError, match=f"has kind {t.kind.value}"):
                 coverage(fold, other)
 
+    def test_checking_a_pool_fold_shares_it(self, domain_results, skill_results,
+                                            domain_taxonomy, skill_taxonomy):
+        pool = build_pool(list(domain_results) + list(skill_results))
+        for t in (domain_taxonomy, skill_taxonomy):
+            fold = pool.by_kind[t.kind]
+            checked = check_results(fold, t)
+            assert (checked.taxonomy, checked.kind) == (t, t.kind)
+            assert checked.keys is fold.keys
+            assert checked.sets is fold.sets
+            assert checked.ids is fold.ids
+            assert check_results(checked, t) is checked
+
+    def test_error_names_first_example_holding_a_foreign_path(self):
+        # the 4-leaf tree holds the 10-leaf tree's first four paths, no other;
+        # e0's second record, the last in record order, makes e0's set foreign
+        wide, narrow = synthetic_taxonomy(10), synthetic_taxonomy(4)
+        results = [synthetic_result(wide, "e0", [0]), synthetic_result(wide, "e1", [1]),
+                   synthetic_result(wide, "e2", [7]), synthetic_result(wide, "e0", [9, 5])]
+        named = re.escape(f"path {wide.path_for_leaf('leaf-5')} from ('synth', 'e0')"
+                          " is not in the domain taxonomy")
+        for source in (results, build_pool(results).by_kind[TaxonomyKind.DOMAIN],
+                       check_results(results, wide)):
+            with pytest.raises(ForeignPathError, match=named):
+                check_results(source, narrow)
+
     def test_suite_checks_each_kind_once(self, tmp_path, domain_results, skill_results,
                                          domain_taxonomy, skill_taxonomy, monkeypatch):
         taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
         results = {TaxonomyKind.DOMAIN: domain_results, TaxonomyKind.SKILL: skill_results}
-        paths = sum(len(r.paths) for rs in results.values() for r in rs)
-        calls = []
-        original = type(domain_taxonomy).contains_path
-        monkeypatch.setattr(type(domain_taxonomy), "contains_path",
-                            lambda self, p: calls.append(p) or original(self, p))
+        checks = count_checks(monkeypatch)
         coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies)
-        assert len(calls) == paths
+        assert checks == [domain_taxonomy, skill_taxonomy]
 
     def test_effort_and_breadth_share_node_sets(self, domain_results, skill_results,
                                                 domain_taxonomy, skill_taxonomy):

@@ -217,6 +217,19 @@ class TestSampler:
         assert sample_until_saturation(pool, *pair(wide)).coverage_at_stop(wide.kind) <= 1.0
 
 
+    def test_checks_every_benchmark_of_the_pool(self):
+        # benchmark B's paths are outside the 4-leaf tree; A's are inside it
+        wide, narrow = synthetic_taxonomy(10), synthetic_taxonomy(4)
+        pool = [synthetic_result(wide, f"a{i}", [i], benchmark="A") for i in range(4)]
+        pool += [synthetic_result(wide, "b0", [8], benchmark="B")]
+        assert permutation_sensitivity(pool[:4], narrow, None, permutations=3,
+                                       rng_seed=1, benchmark="A").pool_size == 4
+        named = re.escape(f"{wide.path_for_leaf('leaf-8')} from ('B', 'b0')")
+        with pytest.raises(ForeignPathError, match=named):
+            permutation_sensitivity(pool, narrow, None, permutations=3, rng_seed=1,
+                                    benchmark="A")
+
+
 class TestSensitivity:
     def test_single_batch_pool_is_point_mass(self):
         t = synthetic_taxonomy(6)
