@@ -7,17 +7,19 @@ however many of its paths land there. Breadth is the per-example count of
 distinct nodes at that level.
 
 All three, and the sampler, read one kind's results as a per-example fold,
-:class:`CheckedResults`: the one place where examples are numbered and
-each distinct path set is stored once. A :class:`MappingFolder` numbers
-the examples once for every kind and builds one fold per kind, one result
-at a time (from a mappings file in ``io.read_mapping_folds``, as the CLI
-maps each result, and in :func:`build_pool`, which folds results with no
-taxonomy). :func:`check_results` is the one check of mapped paths against
-a taxonomy: a fold made for that taxonomy passes as it is, and any other
-fold is checked once per distinct path set, never re-folded.
-Effort and breadth read a fold through :class:`NodeSets`, which builds the
-nodes at the grouping level once per set id, so no per-example node table
-is built: breadth's ``per_example`` holds one width per example.
+:class:`CheckedResults`: the one place where examples and paths are
+numbered and each distinct path set is stored once, as a sorted tuple of
+path numbers into the fold's own path table. A :class:`MappingFolder`
+numbers the examples once for every kind and builds one fold per kind, one
+result at a time (from a mappings file in ``io.read_mapping_folds``, as
+the CLI maps each result, and in :func:`build_pool`, which folds results
+with no taxonomy). :func:`check_results` is the one check of mapped paths
+against a taxonomy: a fold made for that taxonomy passes as it is, and any
+other fold is checked once per distinct path, never re-folded. Coverage
+collects path numbers per benchmark. Effort and breadth read a fold
+through :class:`NodeSets`, which finds each path's node at the grouping
+level once and builds the node set once per set id, so no per-example node
+table is built: breadth's ``per_example`` holds one width per example.
 
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
@@ -68,33 +70,48 @@ class CheckedResults:
     per example for ``taxonomy`` (``None`` for :func:`build_pool`'s folds,
     which :func:`check_results` checks as they are read): ``keys`` numbers
     the examples in first-seen order (shared by a :class:`MappingFolder`'s
-    folds, which end with the tuple of keys), ``sets`` holds each distinct
-    union of an example's mapped paths once, and ``ids`` each example's set
-    id, :data:`MISSING` without a result of this kind. The tables and the
+    folds, which end with the tuple of keys), ``paths`` numbers each
+    distinct mapped path in first-seen order, ``sets`` holds each distinct
+    union of an example's mapped paths once, as the strictly increasing
+    tuple of its path numbers, and ``ids`` each example's set id,
+    :data:`MISSING` without a result of this kind. The tables and the
     sampler read only these.
     """
 
-    __slots__ = ("kind", "taxonomy", "keys", "sets", "ids", "_set_ids")
+    __slots__ = ("kind", "taxonomy", "keys", "paths", "sets", "ids", "_numbers", "_set_ids")
 
     def __init__(self, taxonomy: Taxonomy | None, keys: dict | None = None,
                  kind: TaxonomyKind | None = None):
         self.kind = taxonomy.kind if kind is None else kind
         self.taxonomy = taxonomy
         self.keys = {} if keys is None else keys
-        self.sets: list[frozenset[TaxonomyPath]] = []
+        self.paths: list[TaxonomyPath] = []
+        self.sets: list[tuple[int, ...]] = []
         self.ids = array("i")
-        self._set_ids: dict[frozenset[TaxonomyPath], int] = {}
+        self._numbers: dict[TaxonomyPath, int] = {}  # path -> its index in ``paths``
+        self._set_ids: dict[tuple[int, ...], int] = {}
 
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
         its example's union."""
         number, ids, sets = self.keys.setdefault(key, len(self.keys)), self.ids, self.sets
+        numbers = self._numbers
+        try:
+            added = [numbers[path] for path in paths]
+        except KeyError:  # a path this fold has not numbered yet
+            for path in paths:
+                if path not in numbers:
+                    numbers[path] = len(self.paths)
+                    self.paths.append(path)
+            added = [numbers[path] for path in paths]
         seen = number < len(ids)
         if seen and ids[number] != MISSING:
-            paths = sets[ids[number]] | paths
-        set_id = self._set_ids.setdefault(paths, len(sets))
+            added = list(set(sets[ids[number]]).union(added))
+        added.sort()
+        added = tuple(added)
+        set_id = self._set_ids.setdefault(added, len(sets))
         if set_id == len(sets):
-            sets.append(paths)
+            sets.append(added)
         if seen:
             ids[number] = set_id
             return
@@ -124,7 +141,9 @@ class MappingFolder:
     paths are added as they are, unchecked, so they must come from that
     taxonomy, which then takes the fold without a check. :func:`build_pool`
     folds with ``None`` in place of each taxonomy; :func:`check_results`
-    checks such a fold, once per distinct path set, wherever it is read.
+    checks such a fold, once per distinct path, wherever it is read. A
+    path is numbered through a path to number dict, and a set interned
+    through a set to id dict, which :meth:`folded` drops.
     """
 
     __slots__ = ("_taxonomies", "_keys", "_folds")
@@ -144,7 +163,8 @@ class MappingFolder:
 
     def folded(self) -> FoldedMappings:
         """The folds, each with a set id for every example; they drop their
-        lookup tables, so no result can be added to them.
+        lookup tables (path to number, set to id), so no result can be
+        added to them.
 
         A repeated record replaces its example's set with a union, which
         may leave the old set unused. Each fold keeps only the sets that
@@ -153,7 +173,7 @@ class MappingFolder:
         examples = tuple(self._keys)
         for fold in self._folds.values():
             fold.ids.extend([MISSING] * (len(examples) - len(fold.ids)))
-            fold.keys, fold._set_ids = examples, None
+            fold.keys, fold._numbers, fold._set_ids = examples, None, None
             in_use = sorted(set(fold.ids) - {MISSING})
             if len(in_use) < len(fold.sets):
                 renumber = {old: new for new, old in enumerate(in_use)}
@@ -184,10 +204,10 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
     and every path in ``t``; returns the results' fold for ``t``.
 
     A fold made for ``t`` is returned as it is. Any other fold is checked
-    one distinct path set at a time, walking its examples in first-seen
-    order, and the fold returned shares its ``keys``, ``sets`` and ``ids``.
-    Results are folded by :func:`build_pool` first. Raises
-    :class:`ForeignPathError` naming the first example that fails.
+    once per distinct path in its ``paths``, and the fold returned shares
+    its ``keys``, ``paths``, ``sets`` and ``ids``. Results are folded by
+    :func:`build_pool` first. Raises :class:`ForeignPathError` naming the
+    first example, in first-seen order, that holds a foreign path.
     """
     if isinstance(results, CheckedResults):
         if results.taxonomy is t:
@@ -196,20 +216,19 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
     else:  # a fold of another kind fails its check, so at most one passes
         folds = list(build_pool(results).by_kind.values()) or [CheckedResults(None, (), t.kind)]
     for fold in folds:
-        seen = bytearray(len(fold.sets))
-        for key, i in zip(fold.keys, fold.ids):
-            if i == MISSING or seen[i]:
-                continue
-            if fold.kind is not t.kind:
+        examples = ((key, i) for key, i in zip(fold.keys, fold.ids) if i != MISSING)
+        if fold.kind is not t.kind:
+            for key, _ in examples:  # the first example with a result
                 raise ForeignPathError(
                     f"result for {key} has kind {fold.kind.value}, taxonomy is {t.kind.value}")
-            if not fold.sets[i] <= t.path_index:
-                raise ForeignPathError(
-                    f"path {min(fold.sets[i] - t.path_index, key=str)} from {key} is not"
-                    f" in the {t.kind.value} taxonomy")
-            seen[i] = 1
+        foreign = {j for j, path in enumerate(fold.paths) if path not in t.path_index}
+        if foreign:  # every path of a fold is in some example's set
+            key, i = next((key, i) for key, i in examples if not foreign.isdisjoint(fold.sets[i]))
+            path = min((fold.paths[j] for j in foreign.intersection(fold.sets[i])), key=str)
+            raise ForeignPathError(f"path {path} from {key} is not in the {t.kind.value} taxonomy")
     checked = CheckedResults(t, fold.keys)
-    checked.sets, checked.ids, checked._set_ids = fold.sets, fold.ids, None
+    checked.paths, checked.sets, checked.ids = fold.paths, fold.sets, fold.ids
+    checked._numbers = checked._set_ids = None
     return checked
 
 
@@ -251,7 +270,7 @@ def coverage(results: Iterable[MappingResult] | CheckedResults, t: Taxonomy) -> 
     denominator.
     """
     fold = check_results(results, t)
-    by_benchmark: dict[str, set[TaxonomyPath]] = {}
+    by_benchmark: dict[str, set[int]] = {}  # benchmark -> the path numbers it covers
     for (benchmark, _), i in zip(fold.keys, fold.ids):
         if i != MISSING:
             by_benchmark.setdefault(benchmark, set()).update(fold.sets[i])
@@ -259,7 +278,7 @@ def coverage(results: Iterable[MappingResult] | CheckedResults, t: Taxonomy) -> 
     total = t.leaf_count
     return CoverageReport(
         taxonomy_kind=t.kind,
-        covered_paths=frozenset(covered),
+        covered_paths=frozenset(fold.paths[j] for j in covered),
         total_paths=total,
         coverage=len(covered) / total,
         per_benchmark={b: len(s) / total for b, s in sorted(by_benchmark.items())},
@@ -295,11 +314,12 @@ class NodeSets:
 
     A node set is the sorted tuple of the distinct (node id, label) pairs
     that a path set reaches at ``level``; equal ones, and equal nodes, are
-    one object. ``of_ids`` holds each set id's node set (``None`` if unused)
-    and ``examples`` counts the examples per node set, which effort and
-    breadth read, so each distinct set is counted once. Build it with
-    :func:`node_sets` and pass it to :func:`effort_by_node` and
-    :func:`breadth` in place of results to count both from one table.
+    one object. Each path number's node is found once. ``of_ids`` holds
+    each set id's node set (``None`` if unused) and ``examples`` counts the
+    examples per node set, which effort and breadth read, so each distinct
+    set is counted once. Build it with :func:`node_sets` and pass it to
+    :func:`effort_by_node` and :func:`breadth` in place of results to count
+    both from one table.
     """
 
     __slots__ = ("fold", "of_ids", "examples")
@@ -309,11 +329,12 @@ class NodeSets:
         self.of_ids: list[tuple[tuple[str, str], ...] | None] = [None] * len(fold.sets)
         self.examples: Counter[tuple[tuple[str, str], ...]] = Counter()
         shared: dict = {}  # each distinct node and node set once
+        nodes_of = [shared.setdefault(node, node) for node in
+                    (node_at_level(p, level) for p in fold.paths)]  # by path number
         for set_id in fold.ids:
             if set_id != MISSING:
                 if self.of_ids[set_id] is None:
-                    nodes = tuple(sorted({shared.setdefault(node, node) for node in
-                                          (node_at_level(p, level) for p in fold.sets[set_id])}))
+                    nodes = tuple(sorted({nodes_of[j] for j in fold.sets[set_id]}))
                     self.of_ids[set_id] = shared.setdefault(nodes, nodes)
                 self.examples[self.of_ids[set_id]] += 1
 

@@ -21,7 +21,7 @@ callers.
 Parsed inputs repeat values many times over, so readers store each one
 once. Examples share one string per benchmark name, and every example
 without metadata shares :data:`~workatlas.mapping.NO_METADATA`, an empty
-dict that is read-only. A mappings file's path sets (kept by the folds
+dict that is read-only. A mappings file's path sets (numbered by the folds
 themselves for :func:`read_mapping_folds`) and id, annotator and
 raw-output strings are one object per distinct value. An importance table
 is folded into columns as it is read, each distinct SOC code and activity
@@ -296,7 +296,8 @@ def read_mapping_folds(
     """Read a mappings file into per-example folds, with the checks and
     errors of :func:`read_mappings`, adding each line to its kind's fold as
     it is read. No :class:`MappingResult` is built, and no ``raw`` output or
-    annotator id is kept; the folds hold each distinct path set once."""
+    annotator id is kept; each fold holds each distinct path once and each
+    distinct path set once, as a tuple of path numbers."""
     folder = MappingFolder(taxonomies)
     shared: dict = {}  # each benchmark name once
     for line_no, record in _iter_jsonl(path):

@@ -14,15 +14,16 @@ beyond the ones observed.
 
 The rule runs on the pool's fold, which :func:`build_pool` makes from
 results. Each kind's fold is checked against its taxonomy by
-``coverage.check_results``, the one check of mapped paths, and each
-distinct path set becomes dense ints per kind once, so coverage is a
-``bytearray`` and a counter. A random order is drawn lazily and sparsely,
-by a forward Fisher-Yates (Durstenfeld) shuffle that fixes only the
-positions the rule consumes and keeps only the positions a swap
-displaced, in a dict, instead of the whole order. On pools of thousands of units the rule typically stops after a few
-dozen, so a permutation costs its stop size rather than the pool size, in
-time and in memory; its consumed prefix is the same as that of a full
-shuffle drawn from the same seed.
+``coverage.check_results``, the one check of mapped paths, and already
+holds each distinct path set as a tuple of path numbers, which the rule
+reads as they are, so coverage is a ``bytearray`` and a counter. A random
+order is drawn lazily and sparsely, by a forward Fisher-Yates
+(Durstenfeld) shuffle that fixes only the positions the rule consumes and
+keeps only the positions a swap displaced, in a dict, instead of the
+whole order. On pools of thousands of units the rule typically stops after
+a few dozen, so a permutation costs its stop size rather than the pool
+size, in time and in memory; its consumed prefix is the same as that of a
+full shuffle drawn from the same seed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .coverage import MISSING, FoldedMappings, build_pool, check_results
 from .mapping import MappingResult
-from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
+from .taxonomy import Taxonomy, TaxonomyKind
 
 POOLED_BENCHMARK = "pooled"
 
@@ -81,13 +82,14 @@ class _Sampler:
 
     Each kind's fold is checked against its taxonomy by
     :func:`~workatlas.coverage.check_results`, whole, even when only one
-    benchmark's examples form the pool. The pool is interned once, into
-    one id space for both kinds: the first kind's distinct paths are
-    numbered 0, 1, 2, ... and the second kind's -1, -2, -3, ..., so an id's
+    benchmark's examples form the pool. Both kinds share one id space,
+    read from the folds' path numbers: the first kind's path ``j`` is id
+    ``j`` and the second kind's is ``~j`` (-1, -2, -3, ...), so an id's
     sign tells its kind. Coverage is one ``bytearray`` of ``path_count``
-    bytes, which negative ids index from its end, plus a counter per kind.
-    A unit is one id tuple, shared by the examples with equal set ids. The
-    benchmark label and the path occurrence counts are computed once too.
+    bytes, one per path of the folds, which negative ids index from its
+    end, plus a counter per kind. A unit is one id tuple, shared by the
+    examples with equal set ids. The benchmark label and the occurrence
+    counts of the paths the pool uses are computed once too.
     """
 
     def __init__(
@@ -122,7 +124,6 @@ class _Sampler:
         self.examples, self.numbers = pool.examples, numbers
         folds = [check_results(pool.by_kind[kind], t) if kind in pool.by_kind else None
                  for kind, t in taxonomies.items()]
-        path_ids: list[dict[TaxonomyPath, int]] = [{} for _ in self.kinds]
         set_paths = [{MISSING: ()} for _ in self.kinds]  # per kind, set id -> path ids
         units: dict[tuple[int, ...], tuple[int, ...]] = {}  # set id per kind -> unit
         self.units: list[tuple[int, ...]] = []
@@ -131,18 +132,19 @@ class _Sampler:
             if set_ids not in units:
                 for k, set_id in enumerate(set_ids):
                     if set_id not in set_paths[k]:
-                        kind_ids = path_ids[k]
-                        set_paths[k][set_id] = tuple(~i if k else i for i in (
-                            kind_ids.setdefault(p, len(kind_ids)) for p in folds[k].sets[set_id]))
+                        numbered = folds[k].sets[set_id]
+                        set_paths[k][set_id] = tuple(~j for j in numbered) if k else numbered
                 units[set_ids] = sum((set_paths[k][i] for k, i in enumerate(set_ids)), ())
             self.units.append(units[set_ids])
-        first = len(path_ids[0])
-        self.path_count = sum(len(kind_ids) for kind_ids in path_ids)
+        sizes = [0 if fold is None else len(fold.paths) for fold in folds]
+        self.path_count = sum(sizes)
         counts = [0] * self.path_count
         for ids in self.units:
             for i in ids:
                 counts[i] += 1
-        self.occurrence = [counts[:first], counts[first:]][:len(self.kinds)]
+        # a one-benchmark pool need not use every path of its folds
+        self.occurrence = [[c for c in counts[:sizes[0]] if c],
+                           [c for c in counts[sizes[0]:] if c]][:len(self.kinds)]
         benchmarks = {self.examples[n][0] for n in numbers}
         self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK
 

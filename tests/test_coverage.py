@@ -247,6 +247,7 @@ class TestCheckOncePerKind:
             checked = check_results(fold, t)
             assert (checked.taxonomy, checked.kind) == (t, t.kind)
             assert checked.keys is fold.keys
+            assert checked.paths is fold.paths
             assert checked.sets is fold.sets
             assert checked.ids is fold.ids
             assert check_results(checked, t) is checked
@@ -301,11 +302,9 @@ class TestCheckOncePerKind:
                                                   skill_taxonomy, monkeypatch):
         taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
         results = {TaxonomyKind.DOMAIN: domain_results, TaxonomyKind.SKILL: skill_results}
-        # one node set per distinct mapped path set and kind, shared by
-        # effort and breadth and by every example with that path set
-        distinct_paths = sum(len(paths) for rs in results.values()
-                             for paths in {r.paths for r in rs
-                                           if r.status is MappingStatus.MAPPED})
+        # one node per distinct mapped path and kind, found once for effort
+        # and breadth together and for every example that holds the path
+        distinct_paths = sum(len({p for r in rs for p in r.paths}) for rs in results.values())
         calls = []
         monkeypatch.setattr(coverage_module, "node_at_level",
                             lambda p, level: calls.append(p) or node_at_level(p, level))

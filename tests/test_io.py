@@ -3,6 +3,7 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from workatlas import io as workatlas_io
 from workatlas import taxonomy as workatlas_taxonomy
 from workatlas.autonomy import WorkflowNode, iter_nodes, success_rates
-from workatlas.coverage import MISSING, breadth, coverage, effort_by_node
+from workatlas.coverage import MISSING, MappingFolder, breadth, coverage, effort_by_node
 from workatlas.io import (
     FoldedMappings,
     InputFormatError,
@@ -595,6 +596,18 @@ class TestValueSharing:
         assert as_dict["children"][0]["metadata"] == {}
 
 
+def assert_numbered(fold):
+    """``paths`` holds each distinct path once, each in some set, and every
+    set is a strictly increasing tuple of path numbers."""
+    assert len(set(fold.paths)) == len(fold.paths)
+    for numbers in fold.sets:
+        assert type(numbers) is tuple
+        assert all(type(j) is int for j in numbers)
+        assert list(numbers) == sorted(set(numbers))
+        assert all(0 <= j < len(fold.paths) for j in numbers)
+    assert set().union(*fold.sets) == set(range(len(fold.paths)))
+
+
 class TestMappingFolds:
     """The streaming reader folds a file into what the coverage tables and
     the sampler read from :func:`read_mappings` results."""
@@ -617,10 +630,12 @@ class TestMappingFolds:
             # the examples are numbered once, for every kind, in first-seen order
             assert fold.keys is folded.examples
             assert len(fold.ids) == len(folded.examples)
-            assert [(k, fold.sets[i]) for k, i in zip(fold.keys, fold.ids) if i != MISSING] == [
+            assert [(k, frozenset(fold.paths[j] for j in fold.sets[i]))
+                    for k, i in zip(fold.keys, fold.ids) if i != MISSING] == [
                 (k, frozenset(union[k])) for k in folded.examples if k in union]
             assert len(set(fold.sets)) == len(fold.sets)  # each distinct set once
             assert set(fold.ids) - {MISSING} == set(range(len(fold.sets)))  # each one used
+            assert_numbered(fold)
             level = REPORT_LEVEL[kind]
             assert coverage(fold, t) == coverage(rs, t)
             assert effort_by_node(fold, t, level) == effort_by_node(rs, t, level)
@@ -629,8 +644,11 @@ class TestMappingFolds:
         assert pool.examples == folded.examples
         assert pool.by_kind.keys() == folded.by_kind.keys()
         for kind, fold in folded.by_kind.items():
+            # a build_pool fold of the same records is numbered the same way
+            assert pool.by_kind[kind].paths == fold.paths
             assert pool.by_kind[kind].sets == fold.sets
             assert pool.by_kind[kind].ids == fold.ids
+            assert_numbered(pool.by_kind[kind])
         if results:
             t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
             t_skill = taxonomies.get(TaxonomyKind.SKILL)
@@ -679,9 +697,27 @@ class TestMappingFolds:
         fold = read_mapping_folds(path, taxonomies).by_kind[TaxonomyKind.DOMAIN]
         paths = {tuple(labels): resolve_path(domain_taxonomy, labels) for labels in (a, b, c)}
         # the sets in use, in the order they were first added, and no other
-        assert fold.sets == [frozenset([paths[tuple(b)]]),
-                             frozenset([paths[tuple(a)], paths[tuple(c)]])]
+        assert [frozenset(fold.paths[j] for j in s) for s in fold.sets] == [
+            frozenset([paths[tuple(b)]]), frozenset([paths[tuple(a)], paths[tuple(c)]])]
         assert list(fold.ids) == [1, 0, 0]
+
+    def test_sets_take_a_pointer_per_member(self, domain_taxonomy, skill_taxonomy):
+        # 20,000 examples with one to four paths of each kind: a set is a
+        # tuple of path numbers, a header and one pointer per member
+        rng = random.Random(25)
+        taxonomies = TestValueSharing.taxonomies(domain_taxonomy, skill_taxonomy)
+        paths = {kind: sorted(t.path_index, key=str) for kind, t in taxonomies.items()}
+        folder = MappingFolder(taxonomies)
+        for i in range(20_000):
+            for kind, kind_paths in paths.items():
+                folder.add(kind, ("b", f"e{i}"),
+                           frozenset(rng.sample(kind_paths, rng.randint(1, 4))))
+        folded = folder.folded()
+        assert len(folded.examples) == 20_000
+        for fold in folded.by_kind.values():
+            assert len(fold.sets) > 100
+            for numbers in fold.sets:
+                assert sys.getsizeof(numbers) <= 64 + 8 * len(numbers), numbers
 
     def test_empty_file(self, tmp_path, domain_taxonomy, skill_taxonomy):
         path = tmp_path / "mappings.jsonl"

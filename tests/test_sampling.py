@@ -274,8 +274,8 @@ class TestSensitivity:
         occurrence = {}
         fold = pool.by_kind[TaxonomyKind.DOMAIN]
         for set_id in fold.ids:
-            for path in fold.sets[set_id] if set_id != MISSING else ():
-                occurrence[path] = occurrence.get(path, 0) + 1
+            for j in fold.sets[set_id] if set_id != MISSING else ():
+                occurrence[fold.paths[j]] = occurrence.get(fold.paths[j], 0) + 1
         assert summary.chao1_richness[TaxonomyKind.DOMAIN] == chao1(occurrence)
 
     @pytest.mark.parametrize("seed", range(10))
