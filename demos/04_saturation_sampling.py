@@ -59,7 +59,7 @@ for kind, stat in summary.coverage_at_stop.items():
 # Chao1 extrapolates richness from how many paths were seen once or twice.
 print("\nchao1-estimated distinct paths in the pool:")
 for kind, estimate in summary.chao1_richness.items():
-    observed = len(pool.by_kind[kind].paths)
+    observed = len(set().union(*pool.by_kind[kind].sets))
     print(f"  {kind.value}: observed {observed}, estimated {estimate:.1f}")
 
 # The estimator itself on a toy abundance table: 10 observed species with

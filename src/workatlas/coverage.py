@@ -7,19 +7,22 @@ however many of its paths land there. Breadth is the per-example count of
 distinct nodes at that level.
 
 All three, and the sampler, read one kind's results as a per-example fold,
-:class:`CheckedResults`: the one place where examples and paths are
-numbered and each distinct path set is stored once, as a sorted tuple of
-path numbers into the fold's own path table. A :class:`MappingFolder`
+:class:`CheckedResults`: the one place where examples are numbered and each
+distinct path set is stored once, as a sorted tuple of path numbers. A fold
+made for a taxonomy numbers paths as the taxonomy does (``Taxonomy.paths``
+and ``Taxonomy.path_index``) and refuses a path outside it; only a fold
+made with no taxonomy numbers its paths itself. A :class:`MappingFolder`
 numbers the examples once for every kind and builds one fold per kind, one
 result at a time (from a mappings file in ``io.read_mapping_folds``, as
 the CLI maps each result, and in :func:`build_pool`, which folds results
 with no taxonomy). :func:`check_results` is the one check of mapped paths
 against a taxonomy: a fold made for that taxonomy passes as it is, and any
-other fold is checked once per distinct path, never re-folded. Coverage
-collects path numbers per benchmark. Effort and breadth read a fold
-through :class:`NodeSets`, which finds each path's node at the grouping
-level once and builds the node set once per set id, so no per-example node
-table is built: breadth's ``per_example`` holds one width per example.
+other fold is checked once per path number its sets use and renumbered
+into the taxonomy's numbers, never re-folded. Coverage collects path
+numbers per benchmark. Effort and breadth read a fold through
+:class:`NodeSets`, which finds each path's node at the grouping level once
+and builds the node set once per set id, so no per-example node table is
+built: breadth's ``per_example`` holds one width per example.
 
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
@@ -32,7 +35,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .mapping import MappingResult, MappingStatus
 from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath
@@ -70,12 +73,16 @@ class CheckedResults:
     per example for ``taxonomy`` (``None`` for :func:`build_pool`'s folds,
     which :func:`check_results` checks as they are read): ``keys`` numbers
     the examples in first-seen order (shared by a :class:`MappingFolder`'s
-    folds, which end with the tuple of keys), ``paths`` numbers each
-    distinct mapped path in first-seen order, ``sets`` holds each distinct
-    union of an example's mapped paths once, as the strictly increasing
-    tuple of its path numbers, and ``ids`` each example's set id,
-    :data:`MISSING` without a result of this kind. The tables and the
-    sampler read only these.
+    folds, which end with the tuple of keys), ``paths`` maps path numbers
+    to paths, ``sets`` holds each distinct union of an example's mapped
+    paths once, as the strictly increasing tuple of its path numbers, and
+    ``ids`` each example's set id, :data:`MISSING` without a result of this
+    kind. The tables and the sampler read only these.
+
+    A fold for a taxonomy has no path table of its own: ``paths`` is the
+    taxonomy's ``paths``, and :meth:`add` numbers a path by the taxonomy's
+    ``path_index``. A fold with no taxonomy numbers each distinct mapped
+    path in first-seen order, in a ``paths`` list of its own.
     """
 
     __slots__ = ("kind", "taxonomy", "keys", "paths", "sets", "ids", "_numbers", "_set_ids")
@@ -85,25 +92,31 @@ class CheckedResults:
         self.kind = taxonomy.kind if kind is None else kind
         self.taxonomy = taxonomy
         self.keys = {} if keys is None else keys
-        self.paths: list[TaxonomyPath] = []
+        self.paths: Sequence[TaxonomyPath] = [] if taxonomy is None else taxonomy.paths
         self.sets: list[tuple[int, ...]] = []
         self.ids = array("i")
-        self._numbers: dict[TaxonomyPath, int] = {}  # path -> its index in ``paths``
+        # path -> its index in ``paths``
+        self._numbers: dict[TaxonomyPath, int] = {} if taxonomy is None else taxonomy.path_index
         self._set_ids: dict[tuple[int, ...], int] = {}
 
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
-        its example's union."""
-        number, ids, sets = self.keys.setdefault(key, len(self.keys)), self.ids, self.sets
+        its example's union. Raises :class:`ForeignPathError` for a path
+        outside the fold's taxonomy."""
         numbers = self._numbers
         try:
             added = [numbers[path] for path in paths]
         except KeyError:  # a path this fold has not numbered yet
+            if self.taxonomy is not None:
+                path = min((p for p in paths if p not in numbers), key=str)
+                raise ForeignPathError(f"path {path} from {key} is not in the "
+                                       f"{self.taxonomy.kind.value} taxonomy") from None
             for path in paths:
                 if path not in numbers:
                     numbers[path] = len(self.paths)
                     self.paths.append(path)
             added = [numbers[path] for path in paths]
+        number, ids, sets = self.keys.setdefault(key, len(self.keys)), self.ids, self.sets
         seen = number < len(ids)
         if seen and ids[number] != MISSING:
             added = list(set(sets[ids[number]]).union(added))
@@ -137,13 +150,14 @@ class FoldedMappings:
 class MappingFolder:
     """Builds a :class:`FoldedMappings` one result at a time.
 
-    Each kind's fold is made for its entry in ``taxonomies``. A result's
-    paths are added as they are, unchecked, so they must come from that
-    taxonomy, which then takes the fold without a check. :func:`build_pool`
-    folds with ``None`` in place of each taxonomy; :func:`check_results`
-    checks such a fold, once per distinct path, wherever it is read. A
-    path is numbered through a path to number dict, and a set interned
-    through a set to id dict, which :meth:`folded` drops.
+    Each kind's fold is made for its entry in ``taxonomies`` and numbers a
+    result's paths by that taxonomy's ``path_index``, so a path outside it
+    raises :class:`ForeignPathError` and the taxonomy takes the fold without
+    a further check. :func:`build_pool` folds with ``None`` in place of
+    each taxonomy, so each fold numbers its paths itself, and
+    :func:`check_results` checks and renumbers such a fold wherever it is
+    read. A set is interned through a set to id dict, which :meth:`folded`
+    drops.
     """
 
     __slots__ = ("_taxonomies", "_keys", "_folds")
@@ -204,8 +218,9 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
     and every path in ``t``; returns the results' fold for ``t``.
 
     A fold made for ``t`` is returned as it is. Any other fold is checked
-    once per distinct path in its ``paths``, and the fold returned shares
-    its ``keys``, ``paths``, ``sets`` and ``ids``. Results are folded by
+    once per path number that its sets use; the fold returned shares its
+    ``keys`` and ``ids``, has ``t.paths`` as its ``paths``, and holds its
+    ``sets`` renumbered into ``t``'s numbers. Results are folded by
     :func:`build_pool` first. Raises :class:`ForeignPathError` naming the
     first example, in first-seen order, that holds a foreign path.
     """
@@ -221,13 +236,16 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
             for key, _ in examples:  # the first example with a result
                 raise ForeignPathError(
                     f"result for {key} has kind {fold.kind.value}, taxonomy is {t.kind.value}")
-        foreign = {j for j, path in enumerate(fold.paths) if path not in t.path_index}
-        if foreign:  # every path of a fold is in some example's set
+        # each number the sets use, mapped to ``t``'s number for its path
+        renumber = {j: t.path_index.get(fold.paths[j]) for j in set().union(*fold.sets)}
+        foreign = {j for j, number in renumber.items() if number is None}
+        if foreign:  # every set of a fold is some example's
             key, i = next((key, i) for key, i in examples if not foreign.isdisjoint(fold.sets[i]))
             path = min((fold.paths[j] for j in foreign.intersection(fold.sets[i])), key=str)
             raise ForeignPathError(f"path {path} from {key} is not in the {t.kind.value} taxonomy")
     checked = CheckedResults(t, fold.keys)
-    checked.paths, checked.sets, checked.ids = fold.paths, fold.sets, fold.ids
+    checked.sets = [tuple(sorted(renumber[j] for j in s)) for s in fold.sets]
+    checked.ids = fold.ids
     checked._numbers = checked._set_ids = None
     return checked
 
@@ -314,12 +332,13 @@ class NodeSets:
 
     A node set is the sorted tuple of the distinct (node id, label) pairs
     that a path set reaches at ``level``; equal ones, and equal nodes, are
-    one object. Each path number's node is found once. ``of_ids`` holds
-    each set id's node set (``None`` if unused) and ``examples`` counts the
-    examples per node set, which effort and breadth read, so each distinct
-    set is counted once. Build it with :func:`node_sets` and pass it to
-    :func:`effort_by_node` and :func:`breadth` in place of results to count
-    both from one table.
+    one object. The fold is checked, so its numbers are its taxonomy's, and
+    each of the taxonomy's paths has its node found once, in a list by path
+    number. ``of_ids`` holds each set id's node set (``None`` if unused)
+    and ``examples`` counts the examples per node set, which effort and
+    breadth read, so each distinct set is counted once. Build it with
+    :func:`node_sets` and pass it to :func:`effort_by_node` and
+    :func:`breadth` in place of results to count both from one table.
     """
 
     __slots__ = ("fold", "of_ids", "examples")

@@ -296,8 +296,8 @@ def read_mapping_folds(
     """Read a mappings file into per-example folds, with the checks and
     errors of :func:`read_mappings`, adding each line to its kind's fold as
     it is read. No :class:`MappingResult` is built, and no ``raw`` output or
-    annotator id is kept; each fold holds each distinct path once and each
-    distinct path set once, as a tuple of path numbers."""
+    annotator id is kept; each fold numbers paths as its taxonomy does and
+    holds each distinct path set once, as a tuple of path numbers."""
     folder = MappingFolder(taxonomies)
     shared: dict = {}  # each benchmark name once
     for line_no, record in _iter_jsonl(path):

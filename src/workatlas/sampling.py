@@ -14,16 +14,16 @@ beyond the ones observed.
 
 The rule runs on the pool's fold, which :func:`build_pool` makes from
 results. Each kind's fold is checked against its taxonomy by
-``coverage.check_results``, the one check of mapped paths, and already
-holds each distinct path set as a tuple of path numbers, which the rule
-reads as they are, so coverage is a ``bytearray`` and a counter. A random
-order is drawn lazily and sparsely, by a forward Fisher-Yates
-(Durstenfeld) shuffle that fixes only the positions the rule consumes and
-keeps only the positions a swap displaced, in a dict, instead of the
-whole order. On pools of thousands of units the rule typically stops after
-a few dozen, so a permutation costs its stop size rather than the pool
-size, in time and in memory; its consumed prefix is the same as that of a
-full shuffle drawn from the same seed.
+``coverage.check_results``, the one check of mapped paths, and then holds
+each distinct path set as a tuple of its taxonomy's path numbers, which
+the rule reads as they are, so coverage is a ``bytearray`` with a byte per
+leaf and a counter. A random order is drawn lazily and sparsely, by a
+forward Fisher-Yates (Durstenfeld) shuffle that fixes only the positions
+the rule consumes and keeps only the positions a swap displaced, in a
+dict, instead of the whole order. On pools of thousands of units the
+rule typically stops after a few dozen, so a permutation costs its stop
+size rather than the pool size, in time and in memory; its consumed
+prefix is the same as that of a full shuffle drawn from the same seed.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ class _Sampler:
     Each kind's fold is checked against its taxonomy by
     :func:`~workatlas.coverage.check_results`, whole, even when only one
     benchmark's examples form the pool. Both kinds share one id space,
-    read from the folds' path numbers: the first kind's path ``j`` is id
-    ``j`` and the second kind's is ``~j`` (-1, -2, -3, ...), so an id's
-    sign tells its kind. Coverage is one ``bytearray`` of ``path_count``
-    bytes, one per path of the folds, which negative ids index from its
-    end, plus a counter per kind. A unit is one id tuple, shared by the
-    examples with equal set ids. The benchmark label and the occurrence
-    counts of the paths the pool uses are computed once too.
+    read from the checked folds' path numbers, which are their taxonomies':
+    the first kind's path ``j`` is id ``j`` and the second kind's is ``~j``
+    (-1, -2, -3, ...), so an id's sign tells its kind. Coverage is one
+    ``bytearray`` of ``path_count`` bytes, one per leaf of the taxonomies,
+    which negative ids index from its end, plus a counter per kind. A unit
+    is one id tuple, shared by the examples with equal set ids. The
+    benchmark label and the occurrence counts of the paths the pool uses
+    are computed once too.
     """
 
     def __init__(
@@ -136,15 +137,15 @@ class _Sampler:
                         set_paths[k][set_id] = tuple(~j for j in numbered) if k else numbered
                 units[set_ids] = sum((set_paths[k][i] for k, i in enumerate(set_ids)), ())
             self.units.append(units[set_ids])
-        sizes = [0 if fold is None else len(fold.paths) for fold in folds]
-        self.path_count = sum(sizes)
+        self.path_count = sum(self.leaf_counts)
         counts = [0] * self.path_count
         for ids in self.units:
             for i in ids:
                 counts[i] += 1
-        # a one-benchmark pool need not use every path of its folds
-        self.occurrence = [[c for c in counts[:sizes[0]] if c],
-                           [c for c in counts[sizes[0]:] if c]][:len(self.kinds)]
+        # a pool need not use every leaf: Chao1 reads only the paths it uses
+        first = self.leaf_counts[0]
+        self.occurrence = [[c for c in counts[:first] if c],
+                           [c for c in counts[first:] if c]][:len(self.kinds)]
         benchmarks = {self.examples[n][0] for n in numbers}
         self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK
 

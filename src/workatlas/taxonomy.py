@@ -13,15 +13,17 @@ The node table therefore holds the nodes in document pre-order;
 :meth:`Taxonomy.nodes_at_level` and :func:`flatten_for_prompt` read it in
 that order instead of walking the tree again.
 
-A loaded taxonomy holds its nodes, one path object per leaf, and three
-tables: ``path_index``, the node table, and each path under the key that
-resolution looks up. A path's ids and labels are tuples of the nodes' own
-strings, and every node without annotations shares
-:data:`NO_ANNOTATIONS`, an empty dict that is read-only. Keyword rules read
-with the taxonomy share its paths' label tuples
-(:func:`path_with_labels`).
+A loaded taxonomy holds its nodes, one path object per leaf, and four
+tables. It numbers each path once, in document order: ``paths`` maps
+number to path and ``path_index`` path to number, and every table and the
+sampler read paths by these numbers. The node table and each path under
+the key that resolution looks up are the other two. A path's ids and
+labels are tuples of the nodes' own strings, and every node without
+annotations shares :data:`NO_ANNOTATIONS`, an empty dict that is
+read-only. Keyword rules read with the taxonomy share its paths' label
+tuples (:func:`path_with_labels`).
 
-A loaded taxonomy's tree and path index never change. Its only mutable
+A loaded taxonomy's tree and path tables never change. Its only mutable
 state is the resolution cache behind :func:`resolve_path`, which maps each
 label sequence seen so far to the path it names. A cache write stores the
 one shared path object for that sequence, so writes are idempotent, and a
@@ -159,17 +161,19 @@ class TaxonomyPath(_WeakReferenceable):
 
 @dataclass
 class Taxonomy:
-    """A validated taxonomy tree plus its enumerated path index.
+    """A validated taxonomy tree plus its numbered paths.
 
-    Besides the tree it holds three tables: ``path_index``, every path once;
-    the node table, id to node in document pre-order; and, for resolution,
-    each path under its key: the canonical forms of its labels joined by a
-    newline, which no canonical label holds.
+    Besides the tree it holds four tables: ``path_index``, every path once,
+    mapped to its number, its leaf's position in document order; ``paths``,
+    the paths by number; the node table, id to node in document pre-order;
+    and, for resolution, each path under its key: the canonical forms of its
+    labels joined by a newline, which no canonical label holds.
     """
 
     kind: TaxonomyKind
     root: TaxonomyNode
-    path_index: frozenset[TaxonomyPath]
+    path_index: dict[TaxonomyPath, int]
+    paths: tuple[TaxonomyPath, ...]
 
     # internal lookup tables built by load_taxonomy; nodes in pre-order
     _nodes_by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
@@ -181,7 +185,7 @@ class Taxonomy:
 
     @property
     def leaf_count(self) -> int:
-        return len(self.path_index)
+        return len(self.paths)
 
     def node(self, node_id: str) -> TaxonomyNode:
         return self._nodes_by_id[node_id]
@@ -197,10 +201,10 @@ class Taxonomy:
     def path_for_leaf(self, leaf_id: str) -> TaxonomyPath:
         """The root-to-leaf path ending at the leaf with id ``leaf_id``.
 
-        A scan of ``path_index``: no command looks paths up by leaf, so no
+        A scan of ``paths``: no command looks paths up by leaf, so no
         table is kept for it.
         """
-        for path in self.path_index:
+        for path in self.paths:
             if path.node_ids[-1] == leaf_id:
                 return path
         raise UnknownPathError(f"no leaf with id {leaf_id!r}")
@@ -222,7 +226,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
     Returns
     -------
     Taxonomy
-        Fully validated, with ``path_index`` populated.
+        Fully validated, with its paths numbered in document order.
 
     Raises
     ------
@@ -324,12 +328,12 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
 
     for node, children in parents:
         node.children = tuple(children)
+    numbered = tuple(paths.values())  # leaves in document order
     return Taxonomy(
         kind=kind,
         root=next(iter(nodes_by_id.values())),
-        # from a dict, a frozenset is sized for its paths; from an iterator
-        # it keeps the slack of growing one path at a time
-        path_index=frozenset(dict.fromkeys(paths.values())),
+        path_index={path: j for j, path in enumerate(numbered)},
+        paths=numbered,
         _nodes_by_id=nodes_by_id,
         _paths_by_key=paths,
     )
@@ -337,7 +341,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
 
 def all_paths(t: Taxonomy) -> frozenset[TaxonomyPath]:
     """Every root-to-leaf path, exactly once; cardinality equals leaf count."""
-    return t.path_index
+    return frozenset(t.paths)
 
 
 def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:

@@ -12,6 +12,7 @@ from workatlas.coverage import (
     CoverageAccumulator,
     ForeignPathError,
     GroupLevel,
+    MappingFolder,
     breadth,
     build_pool,
     check_results,
@@ -247,9 +248,12 @@ class TestCheckOncePerKind:
             checked = check_results(fold, t)
             assert (checked.taxonomy, checked.kind) == (t, t.kind)
             assert checked.keys is fold.keys
-            assert checked.paths is fold.paths
-            assert checked.sets is fold.sets
             assert checked.ids is fold.ids
+            # the sets are renumbered into the taxonomy's numbers, in order
+            assert checked.paths is t.paths
+            assert [frozenset(checked.paths[j] for j in s) for s in checked.sets] == [
+                frozenset(fold.paths[j] for j in s) for s in fold.sets]
+            assert all(list(s) == sorted(s) for s in checked.sets)
             assert check_results(checked, t) is checked
 
     def test_error_names_first_example_holding_a_foreign_path(self):
@@ -264,6 +268,38 @@ class TestCheckOncePerKind:
                        check_results(results, wide)):
             with pytest.raises(ForeignPathError, match=named):
                 check_results(source, narrow)
+
+    def test_fold_for_a_taxonomy_refuses_a_path_outside_it(self):
+        # the 4-leaf tree holds the 8-leaf tree's first four paths, no other
+        narrow, wide = synthetic_taxonomy(4), synthetic_taxonomy(8)
+        folder = MappingFolder({TaxonomyKind.DOMAIN: narrow})
+        folder.add(TaxonomyKind.DOMAIN, ("synth", "e0"),
+                   synthetic_result(wide, "e0", [0, 3]).paths)
+        named = re.escape(f"path {wide.path_for_leaf('leaf-4')} from ('synth', 'e1')"
+                          " is not in the domain taxonomy")
+        with pytest.raises(ForeignPathError, match=named):
+            folder.add(TaxonomyKind.DOMAIN, ("synth", "e1"),
+                       synthetic_result(wide, "e1", range(8)).paths)
+        fold = folder.folded().by_kind[TaxonomyKind.DOMAIN]
+        assert fold.keys == (("synth", "e0"),)  # the refused record left nothing
+        assert coverage(fold, narrow).coverage == 0.5
+
+    def test_fold_for_a_wider_tree_checks_only_the_paths_it_uses(self):
+        # every example maps into the 10-leaf tree's first four paths, which
+        # the 4-leaf tree holds; the wider tree's other six are never used
+        wide, narrow = synthetic_taxonomy(10), synthetic_taxonomy(4)
+        results = [synthetic_result(wide, "e0", [3, 1]), synthetic_result(wide, "e1", [0]),
+                   synthetic_result(wide, "e2", []), synthetic_result(wide, "e0", [2])]
+        folder = MappingFolder({TaxonomyKind.DOMAIN: wide})
+        for r in results:
+            folder.add(r.taxonomy_kind, r.key, r.paths)
+        fold = folder.folded().by_kind[TaxonomyKind.DOMAIN]
+        checked = check_results(fold, narrow)
+        assert checked.paths is narrow.paths
+        assert coverage(fold, narrow) == coverage(results, narrow)
+        assert coverage(fold, narrow).coverage == 1.0
+        assert (effort_by_node(fold, narrow, GroupLevel.DOMAIN_FAMILY)
+                == effort_by_node(results, narrow, GroupLevel.DOMAIN_FAMILY))
 
     def test_suite_checks_each_kind_once(self, tmp_path, domain_results, skill_results,
                                          domain_taxonomy, skill_taxonomy, monkeypatch):
@@ -302,14 +338,13 @@ class TestCheckOncePerKind:
                                                   skill_taxonomy, monkeypatch):
         taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy, TaxonomyKind.SKILL: skill_taxonomy}
         results = {TaxonomyKind.DOMAIN: domain_results, TaxonomyKind.SKILL: skill_results}
-        # one node per distinct mapped path and kind, found once for effort
+        # one node per path of each kind's taxonomy, found once for effort
         # and breadth together and for every example that holds the path
-        distinct_paths = sum(len({p for r in rs for p in r.paths}) for rs in results.values())
         calls = []
         monkeypatch.setattr(coverage_module, "node_at_level",
                             lambda p, level: calls.append(p) or node_at_level(p, level))
         coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies)
-        assert len(calls) == distinct_paths
+        assert calls == list(domain_taxonomy.paths) + list(skill_taxonomy.paths)
 
     def test_suite_rejects_foreign_paths(self, tmp_path, domain_results, skill_taxonomy):
         with pytest.raises(ForeignPathError):

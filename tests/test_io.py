@@ -11,7 +11,14 @@ import pytest
 from workatlas import io as workatlas_io
 from workatlas import taxonomy as workatlas_taxonomy
 from workatlas.autonomy import WorkflowNode, iter_nodes, success_rates
-from workatlas.coverage import MISSING, MappingFolder, breadth, coverage, effort_by_node
+from workatlas.coverage import (
+    MISSING,
+    MappingFolder,
+    breadth,
+    check_results,
+    coverage,
+    effort_by_node,
+)
 from workatlas.io import (
     FoldedMappings,
     InputFormatError,
@@ -597,15 +604,20 @@ class TestValueSharing:
 
 
 def assert_numbered(fold):
-    """``paths`` holds each distinct path once, each in some set, and every
-    set is a strictly increasing tuple of path numbers."""
+    """``paths`` holds each distinct path once and every set is a strictly
+    increasing tuple of path numbers; a fold for a taxonomy numbers paths
+    by the taxonomy's table, and a fold with none holds each of its own
+    paths in some set."""
     assert len(set(fold.paths)) == len(fold.paths)
     for numbers in fold.sets:
         assert type(numbers) is tuple
         assert all(type(j) is int for j in numbers)
         assert list(numbers) == sorted(set(numbers))
         assert all(0 <= j < len(fold.paths) for j in numbers)
-    assert set().union(*fold.sets) == set(range(len(fold.paths)))
+    if fold.taxonomy is None:
+        assert set().union(*fold.sets) == set(range(len(fold.paths)))
+    else:
+        assert fold.paths is fold.taxonomy.paths
 
 
 class TestMappingFolds:
@@ -644,11 +656,12 @@ class TestMappingFolds:
         assert pool.examples == folded.examples
         assert pool.by_kind.keys() == folded.by_kind.keys()
         for kind, fold in folded.by_kind.items():
-            # a build_pool fold of the same records is numbered the same way
-            assert pool.by_kind[kind].paths == fold.paths
-            assert pool.by_kind[kind].sets == fold.sets
-            assert pool.by_kind[kind].ids == fold.ids
+            # a build_pool fold of the same records, checked, is the same fold
             assert_numbered(pool.by_kind[kind])
+            checked = check_results(pool.by_kind[kind], taxonomies[kind])
+            assert checked.sets == fold.sets
+            assert checked.ids == fold.ids
+            assert checked.paths is fold.paths is taxonomies[kind].paths
         if results:
             t_domain = taxonomies.get(TaxonomyKind.DOMAIN)
             t_skill = taxonomies.get(TaxonomyKind.SKILL)
@@ -696,9 +709,13 @@ class TestMappingFolds:
         self.assert_fold_matches(path, taxonomies)
         fold = read_mapping_folds(path, taxonomies).by_kind[TaxonomyKind.DOMAIN]
         paths = {tuple(labels): resolve_path(domain_taxonomy, labels) for labels in (a, b, c)}
-        # the sets in use, in the order they were first added, and no other
+        # the sets in use, in the order they were first added, and no other,
+        # as tuples of the taxonomy's path numbers
         assert [frozenset(fold.paths[j] for j in s) for s in fold.sets] == [
             frozenset([paths[tuple(b)]]), frozenset([paths[tuple(a)], paths[tuple(c)]])]
+        number = {labels: domain_taxonomy.path_index[path] for labels, path in paths.items()}
+        assert fold.sets == [(number[tuple(b)],),
+                             tuple(sorted([number[tuple(a)], number[tuple(c)]]))]
         assert list(fold.ids) == [1, 0, 0]
 
     def test_sets_take_a_pointer_per_member(self, domain_taxonomy, skill_taxonomy):

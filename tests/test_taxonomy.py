@@ -194,6 +194,19 @@ class TestPaths:
         assert len(all_paths(domain_taxonomy)) == domain_taxonomy.leaf_count
         assert len(all_paths(skill_taxonomy)) == skill_taxonomy.leaf_count
 
+    def test_paths_are_numbered_once_in_document_order(self, domain_taxonomy,
+                                                       skill_taxonomy):
+        for t in (domain_taxonomy, skill_taxonomy):
+            assert type(t.paths) is tuple
+            assert [p.node_ids[-1] for p in t.paths] == [n.id for n in t.leaves()]
+            for again in (t, pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+                assert len(again.path_index) == again.leaf_count == len(t.paths)
+                for path, number in again.path_index.items():
+                    assert again.paths[number] is path
+            paths = all_paths(t)
+            assert type(paths) is frozenset
+            assert paths == frozenset(t.paths)
+
     def test_balanced_branching_two_gives_eight(self):
         def node(prefix, depth):
             if depth == 3:
