@@ -13,12 +13,13 @@ made for a taxonomy numbers paths as the taxonomy does (``Taxonomy.paths``
 and ``Taxonomy.path_index``) and refuses a path outside it; only a fold
 made with no taxonomy numbers its paths itself. A :class:`MappingFolder`
 numbers the examples once for every kind and builds one fold per kind, one
-result at a time (from a mappings file in ``io.read_mapping_folds``, as
-the CLI maps each result, and in :func:`build_pool`, which folds results
-with no taxonomy). :func:`check_results` is the one check of mapped paths
-against a taxonomy: a fold made for that taxonomy passes as it is, and any
-other fold is checked once per path number its sets use and renumbered
-into the taxonomy's numbers, never re-folded. Coverage collects path
+result at a time (from a mappings file in ``io.read_mapping_folds``, by
+the path numbers that each line resolves to, as the CLI maps each result,
+and in :func:`build_pool`, which folds results with no taxonomy).
+:func:`check_results` is the one check of mapped paths against a taxonomy:
+a fold made for that taxonomy passes as it is, and any other fold is
+checked once per path number its sets use and renumbered into the
+taxonomy's numbers, never re-folded. Coverage collects path
 numbers per benchmark. Effort and breadth read a fold through
 :class:`NodeSets`, which finds each path's node at the grouping level once
 and builds the node set once per set id, so no per-example node table is
@@ -101,8 +102,8 @@ class CheckedResults:
 
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
-        its example's union. Raises :class:`ForeignPathError` for a path
-        outside the fold's taxonomy."""
+        its example's union, by their numbers (:meth:`add_numbers`). Raises
+        :class:`ForeignPathError` for a path outside the fold's taxonomy."""
         numbers = self._numbers
         try:
             added = [numbers[path] for path in paths]
@@ -116,15 +117,22 @@ class CheckedResults:
                     numbers[path] = len(self.paths)
                     self.paths.append(path)
             added = [numbers[path] for path in paths]
+        added.sort()
+        self.add_numbers(key, tuple(added))
+
+    def add_numbers(self, key: tuple[str, str], numbers: tuple[int, ...]) -> None:
+        """Fold one result's path numbers, a strictly increasing tuple
+        (empty for a result not mapped), into its example's union. The
+        numbers are taken unchecked: a fold for a taxonomy reads them as
+        that taxonomy's path numbers, which ``io.read_mapping_folds``
+        resolves each line's label lists to."""
         number, ids, sets = self.keys.setdefault(key, len(self.keys)), self.ids, self.sets
         seen = number < len(ids)
         if seen and ids[number] != MISSING:
-            added = list(set(sets[ids[number]]).union(added))
-        added.sort()
-        added = tuple(added)
-        set_id = self._set_ids.setdefault(added, len(sets))
+            numbers = tuple(sorted(set(sets[ids[number]]).union(numbers)))
+        set_id = self._set_ids.setdefault(numbers, len(sets))
         if set_id == len(sets):
-            sets.append(added)
+            sets.append(numbers)
         if seen:
             ids[number] = set_id
             return
@@ -153,7 +161,8 @@ class MappingFolder:
     Each kind's fold is made for its entry in ``taxonomies`` and numbers a
     result's paths by that taxonomy's ``path_index``, so a path outside it
     raises :class:`ForeignPathError` and the taxonomy takes the fold without
-    a further check. :func:`build_pool` folds with ``None`` in place of
+    a further check; :meth:`add_numbers` takes numbers already resolved in
+    that taxonomy. :func:`build_pool` folds with ``None`` in place of
     each taxonomy, so each fold numbers its paths itself, and
     :func:`check_results` checks and renumbers such a fold wherever it is
     read. A set is interned through a set to id dict, which :meth:`folded`
@@ -171,9 +180,20 @@ class MappingFolder:
             paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result: its kind, its example's key, and its paths
         (empty unless it is mapped)."""
-        if kind not in self._folds:
-            self._folds[kind] = CheckedResults(self._taxonomies[kind], self._keys, kind)
-        self._folds[kind].add(key, paths)
+        self._fold(kind).add(key, paths)
+
+    def add_numbers(self, kind: TaxonomyKind, key: tuple[str, str],
+                    numbers: tuple[int, ...]) -> None:
+        """Fold one result by its paths' numbers in its kind's taxonomy
+        (:meth:`CheckedResults.add_numbers`); only for a folder made with a
+        taxonomy of that kind."""
+        self._fold(kind).add_numbers(key, numbers)
+
+    def _fold(self, kind: TaxonomyKind) -> CheckedResults:
+        fold = self._folds.get(kind)
+        if fold is None:
+            fold = self._folds[kind] = CheckedResults(self._taxonomies[kind], self._keys, kind)
+        return fold
 
     def folded(self) -> FoldedMappings:
         """The folds, each with a set id for every example; they drop their

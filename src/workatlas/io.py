@@ -4,16 +4,22 @@ Line-oriented JSON for examples, mappings, and workflows; CSV for the
 economics tables and curve exports. Every JSONL line must hold an object,
 and example and mapping records are checked field by field against one
 schema table each (name, JSON type, required), so a wrong type is an
-:class:`InputFormatError` naming the file, line and field. Mappings persist
-paths as label sequences so files stay meaningful without the taxonomy at
-hand; reading them back re-resolves every path, which doubles as a
-validation pass. Resolution goes through the taxonomy's own cache, which
-mapping shares, so each distinct label sequence is resolved once per
-taxonomy. A mappings file and a workflow corpus are each read one of two
-ways, with the same checks and errors: :func:`read_mapping_folds` folds
-each line into its kind's per-example union of paths and builds no
-record, and :func:`read_workflow_levels` folds each trajectory into
-per-level node counts and builds no tree, which is all the CLI needs;
+:class:`InputFormatError` naming the file, line and field. A line is
+decoded by ``json.loads``'s own scanner, called directly; a line that is
+not one JSON value is decoded again by ``json.loads``, so its error reads
+as ``json.loads`` words it. Mappings persist paths as label sequences
+(each an array of labels) so files stay meaningful without the taxonomy
+at hand; reading them back re-resolves every path, which doubles as a
+validation pass. Each label sequence is resolved straight to its path
+number in its taxonomy (:func:`~workatlas.taxonomy.path_number`), through
+the taxonomy's own cache, which mapping shares, so each distinct label
+sequence is resolved once per taxonomy and a line's paths are carried as
+numbers, never as path objects, until a reader needs the paths. A
+mappings file and a workflow corpus are each read one of two ways, with
+the same checks and errors: :func:`read_mapping_folds` adds each line's
+path numbers to its kind's per-example union and builds no record, and
+:func:`read_workflow_levels` folds each trajectory into per-level node
+counts and builds no tree, which is all the CLI needs;
 :func:`read_mappings` builds :class:`MappingResult` records and
 :func:`read_workflows` builds :class:`WorkflowNode` trees for library
 callers.
@@ -21,17 +27,18 @@ callers.
 Parsed inputs repeat values many times over, so readers store each one
 once. Examples share one string per benchmark name, and every example
 without metadata shares :data:`~workatlas.mapping.NO_METADATA`, an empty
-dict that is read-only. A mappings file's path sets (numbered by the folds
-themselves for :func:`read_mapping_folds`) and id, annotator and
-raw-output strings are one object per distinct value. An importance table
-is folded into columns as it is read, each distinct SOC code and activity
-id once and three arrays with one entry per row, and builds no record
-object unless a caller asks for ``records``. Digital labels share their
-SOC codes and justifications. A taxonomy's sharing is described in
-:mod:`workatlas.taxonomy`. CSV errors name a row's physical line, blank
-rows included. A mappings file is written one line per result by
-:func:`mapping_record`, for :func:`write_mappings` and for the CLI, which
-writes each result as it is mapped.
+dict that is read-only. A mappings file's path sets (built once per
+distinct set of path numbers by :func:`read_mappings`, held as tuples of
+the taxonomy's path numbers by :func:`read_mapping_folds`) and id,
+annotator and raw-output strings are one object per distinct value. An
+importance table is folded into columns as it is read, each distinct SOC
+code and activity id once and three arrays with one entry per row, and
+builds no record object unless a caller asks for ``records``. Digital
+labels share their SOC codes and justifications. A taxonomy's sharing is
+described in :mod:`workatlas.taxonomy`. CSV errors name a row's physical
+line, blank rows included. A mappings file is written one line per result
+by :func:`mapping_record`, for :func:`write_mappings` and for the CLI,
+which writes each result as it is mapped.
 All files are UTF-8. Writers never mutate existing files in place.
 """
 
@@ -62,7 +69,12 @@ from .economics import (
     WorkMode,
 )
 from .mapping import NO_METADATA, MappingResult, MappingStatus, TaskExample
-from .taxonomy import Taxonomy, TaxonomyKind, TaxonomyPath, resolve_path
+from .taxonomy import (
+    Taxonomy,
+    TaxonomyKind,
+    path_number,
+    resolve_path,  # noqa: F401 - perfbench's tracer rebinds it on this module
+)
 
 SCALE_MAX_PREFIX = "# scale_max:"
 
@@ -85,6 +97,12 @@ def _finite(value: str, name: str) -> float:
     return number
 
 
+#: ``json.loads``'s own scanner. A stripped line is one JSON value exactly
+#: when the scan from its start ends at its end; called directly, it skips
+#: the three Python frames and two whitespace matches of each ``json.loads``.
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
 def _iter_jsonl(path: str | Path):
     """``(line_no, record)`` for every non-blank line; a record is a dict."""
     with open(path, encoding="utf-8") as fh:
@@ -93,11 +111,16 @@ def _iter_jsonl(path: str | Path):
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise InputFormatError(path, line_no, f"invalid JSON: {err}") from err
+                record, end = _SCAN_JSON(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = None
             except RecursionError as err:
                 raise InputFormatError(path, line_no, "nesting too deep to decode") from err
+            if end != len(line):  # not one JSON value: json.loads words the error
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise InputFormatError(path, line_no, f"invalid JSON: {err}") from err
             if not isinstance(record, dict):
                 raise InputFormatError(
                     path, line_no, f"record must be a JSON object, got {type(record).__name__}"
@@ -221,14 +244,16 @@ _STATUSES = {s.value: s for s in MappingStatus}
 
 
 def _mapping_line(path, line_no: int, record: dict, taxonomies: dict[TaxonomyKind, Taxonomy]
-                  ) -> tuple[TaxonomyKind, MappingStatus, frozenset[TaxonomyPath]]:
+                  ) -> tuple[TaxonomyKind, MappingStatus, tuple[int, ...]]:
     """Check one mapping record and resolve its paths: the one check path
-    of both mapping readers. Returns its kind, status and path set.
+    of both mapping readers. Returns its kind, its status and the numbers
+    of its distinct paths in its kind's taxonomy, in increasing order.
 
-    Re-resolution failing on a persisted path means the file and taxonomy
-    disagree; that is surfaced as an :class:`InputFormatError` rather than
-    silently skipped. Failures are never cached, so an error names the
-    first line that holds a bad sequence.
+    Each path entry must be an array of labels. Re-resolution failing on a
+    persisted path means the file and taxonomy disagree; that is surfaced
+    as an :class:`InputFormatError` rather than silently skipped. Failures
+    are never cached, so an error names the first line that holds a bad
+    sequence.
     """
     _check_fields(path, line_no, record, MAPPING_FIELDS, "mapping")
     try:
@@ -245,18 +270,18 @@ def _mapping_line(path, line_no: int, record: dict, taxonomies: dict[TaxonomyKin
     if taxonomy is None:
         raise InputFormatError(path, line_no, f"no taxonomy supplied for kind {kind.value}")
     try:
-        paths = frozenset([resolve_path(taxonomy, labels) for labels in record["paths"]])
+        numbers = tuple(sorted({path_number(taxonomy, labels) for labels in record["paths"]}))
     except (TypeError, ValueError) as err:
         raise InputFormatError(
             path,
             line_no,
             f"example {record['benchmark']}/{record['example_id']}: {err}",
         ) from err
-    if (status is MappingStatus.MAPPED) != bool(paths):
+    if (status is MappingStatus.MAPPED) != bool(numbers):
         raise InputFormatError(
-            path, line_no, f"status {status.value} inconsistent with {len(paths)} paths"
+            path, line_no, f"status {status.value} inconsistent with {len(numbers)} paths"
         )
-    return kind, status, paths
+    return kind, status, numbers
 
 
 def read_mappings(
@@ -267,12 +292,19 @@ def read_mappings(
     Records repeat values: a corpus holds far fewer distinct path sets than
     records, and an example's domain and skill records share its ids. Equal
     path sets and equal ``benchmark``, ``example_id``, ``annotator_id`` and
-    ``raw`` strings come back as one shared object each.
+    ``raw`` strings come back as one shared object each; a path set is
+    built once, from its path numbers, the first time they appear.
     """
     results = []
     shared: dict = {}
+    path_sets: dict = {}  # (kind, path numbers) -> the shared path set
     for line_no, record in _iter_jsonl(path):
-        kind, status, paths = _mapping_line(path, line_no, record, taxonomies)
+        kind, status, numbers = _mapping_line(path, line_no, record, taxonomies)
+        paths = path_sets.get((kind, numbers))
+        if paths is None:
+            paths = frozenset([taxonomies[kind].paths[j] for j in numbers])
+            # two kinds' equal sets (the empty one) are one object too
+            paths = path_sets[kind, numbers] = shared.setdefault(paths, paths)
         benchmark, example_id = record["benchmark"], record["example_id"]
         raw = record.get("raw", "")
         annotator_id = record.get("annotator_id", "unknown")
@@ -281,7 +313,7 @@ def read_mappings(
                 benchmark=shared.setdefault(benchmark, benchmark),
                 example_id=shared.setdefault(example_id, example_id),
                 taxonomy_kind=kind,
-                paths=shared.setdefault(paths, paths),
+                paths=paths,
                 status=status,
                 raw_annotator_output=shared.setdefault(raw, raw),
                 annotator_id=shared.setdefault(annotator_id, annotator_id),
@@ -295,15 +327,18 @@ def read_mapping_folds(
 ) -> FoldedMappings:
     """Read a mappings file into per-example folds, with the checks and
     errors of :func:`read_mappings`, adding each line to its kind's fold as
-    it is read. No :class:`MappingResult` is built, and no ``raw`` output or
-    annotator id is kept; each fold numbers paths as its taxonomy does and
-    holds each distinct path set once, as a tuple of path numbers."""
+    it is read. Each line's label lists are resolved straight to their
+    taxonomy's path numbers, which the fold takes as they are, so no path
+    object is looked up or hashed per line. No :class:`MappingResult` is
+    built, and no ``raw`` output or annotator id is kept; each fold holds
+    each distinct path set once, as a tuple of path numbers."""
     folder = MappingFolder(taxonomies)
     shared: dict = {}  # each benchmark name once
     for line_no, record in _iter_jsonl(path):
-        kind, _, paths = _mapping_line(path, line_no, record, taxonomies)
+        kind, _, numbers = _mapping_line(path, line_no, record, taxonomies)
         benchmark = record["benchmark"]
-        folder.add(kind, (shared.setdefault(benchmark, benchmark), record["example_id"]), paths)
+        folder.add_numbers(kind, (shared.setdefault(benchmark, benchmark),
+                                  record["example_id"]), numbers)
     return folder.folded()
 
 

@@ -24,15 +24,19 @@ read-only. Keyword rules read with the taxonomy share its paths' label
 tuples (:func:`path_with_labels`).
 
 A loaded taxonomy's tree and path tables never change. Its only mutable
-state is the resolution cache behind :func:`resolve_path`, which maps each
-label sequence seen so far to the path it names. A cache write stores the
-one shared path object for that sequence, so writes are idempotent, and a
-single dict store is atomic, so a taxonomy is safe to share across threads.
+state is the resolution cache behind :func:`path_number` and
+:func:`resolve_path`, which maps each label sequence seen so far to the
+number of the path it names: the very ``int`` that ``path_index`` holds,
+under the path's own ``labels`` tuple when the sequence is verbatim, so the
+cache holds no copy of either. A cache write stores that one number for
+that sequence, so writes are idempotent, and a single dict store is atomic,
+so a taxonomy is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -178,8 +182,8 @@ class Taxonomy:
     # internal lookup tables built by load_taxonomy; nodes in pre-order
     _nodes_by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
     _paths_by_key: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
-    # raw label tuple -> path, filled by resolve_path
-    _resolved: dict[tuple, TaxonomyPath] = field(
+    # raw label tuple -> path number, filled by path_number
+    _resolved: dict[tuple, int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -344,37 +348,52 @@ def all_paths(t: Taxonomy) -> frozenset[TaxonomyPath]:
     return frozenset(t.paths)
 
 
-def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
-    """Resolve a label sequence to the unique root-to-leaf path it names.
+def path_number(t: Taxonomy, labels: Sequence[str]) -> int:
+    """The number of the root-to-leaf path that a label sequence names.
 
     Matching is canonical (case-insensitive, whitespace-normalized) and must
     cover the full path from a root child down to a leaf. Each taxonomy
     remembers the sequences it has resolved, verbatim, so a repeated
-    sequence costs one dict lookup; a sequence equal to the path's own
-    labels is remembered under the path's ``labels`` tuple. Case and
-    whitespace variants are remembered separately and map to the same path
-    object. Failures are not remembered.
+    sequence costs one dict lookup. The cache maps a sequence to the ``int``
+    that ``path_index`` holds for its path; a sequence equal to the path's
+    own labels is remembered under the path's ``labels`` tuple. Case and
+    whitespace variants are remembered separately and map to the same
+    number. Failures are not remembered.
 
     Raises
     ------
     PartialPathError
         If the labels are a valid prefix ending at a non-leaf node.
     UnknownPathError
-        If any label is absent or mis-ordered, or ``labels`` is a string
-        or holds a non-string.
+        If any label is absent or mis-ordered, or ``labels`` is a string,
+        not a sequence, or holds a non-string.
     TypeError
-        If ``labels`` is not iterable or holds an unhashable item.
+        If ``labels`` holds an unhashable item.
     """
-    if isinstance(labels, str):
-        raise UnknownPathError(f"labels must be a sequence of strings, got string {labels!r}")
+    if not isinstance(labels, (list, tuple)):  # the common types, checked first
+        if isinstance(labels, str):
+            raise UnknownPathError(
+                f"labels must be a sequence of strings, got string {labels!r}")
+        if not isinstance(labels, _SequenceABC):  # a mapping's keys have no path order
+            raise UnknownPathError(
+                f"labels must be a sequence of strings, got {type(labels).__name__}")
     key = tuple(labels)
-    found = t._resolved.get(key)
-    if found is None:
-        found = _resolve_labels(t, key)
+    number = t._resolved.get(key)
+    if number is None:
+        path = _resolve_labels(t, key)
+        number = t.path_index[path]
         # A verbatim sequence is kept as the path's own label tuple, so the
         # cache holds no copy of it.
-        t._resolved[found.labels if found.labels == key else key] = found
-    return found
+        t._resolved[path.labels if path.labels == key else key] = number
+    return number
+
+
+def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
+    """Resolve a label sequence to the unique root-to-leaf path it names:
+    ``t.paths[path_number(t, labels)]``, with :func:`path_number`'s
+    matching, cache and errors, so equal and variant sequences give one
+    shared path object."""
+    return t.paths[path_number(t, labels)]
 
 
 def path_with_labels(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath | None:
@@ -388,7 +407,7 @@ def path_with_labels(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath | None:
 
 
 def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
-    """The uncached resolution behind :func:`resolve_path`."""
+    """The uncached resolution behind :func:`path_number`."""
     if not all(isinstance(x, str) for x in labels):
         raise UnknownPathError(f"labels must be strings, got {list(labels)!r}")
     key = [canonical_label(x) for x in labels]

@@ -44,7 +44,7 @@ from workatlas.reporting import REPORT_LEVEL
 from workatlas.sampling import build_pool, permutation_sensitivity, sample_until_saturation
 from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
 
-from conftest import deep_chain
+from conftest import deep_chain, synthetic_taxonomy
 
 
 class TestExamplesFile:
@@ -83,6 +83,31 @@ class TestExamplesFile:
         with pytest.raises(InputFormatError) as info:
             read_examples(path)
         assert (info.value.line_no, info.value.reason) == (2, "example record " + reason)
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 1} {"b": 2}', '{"a": 1}]', "1 2", '{"a": }', '{"a" 1}', '{"a": "b', "nul",
+    ",", "\ufeff{}", '{"a": 1,}', '{"a": "\x01"}', '{"a": 1}\x1c{"b": 2}',
+])
+def test_invalid_json_worded_as_json_loads_words_it(tmp_path, line):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line)
+    path = tmp_path / "records.jsonl"
+    record = {"benchmark": "b", "example_id": "e", "taxonomy_kind": "domain", "raw": ""}
+    path.write_text(json.dumps(record) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as info:
+        read_raw_mappings(path)
+    assert (info.value.line_no, info.value.reason) == (2, f"invalid JSON: {expected.value}")
+
+
+def test_records_decoded_as_json_loads_decodes_them(tmp_path):
+    lines = ['{"n": NaN, "i": -Infinity, "f": 1e400, "x": 1.5, "k": 10000000000000000000001}',
+             '{"s": "\\u00e9\\ud83d\\ude00", "a": [1, [2, {}]], "t": true, "z": null}',
+             '{"a": 1, "a": 2}', '  {"pad": " "}\t']
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = [record for _, record in workatlas_io._iter_jsonl(path)]
+    assert repr(got) == repr([json.loads(line) for line in lines])
 
 
 @pytest.mark.parametrize("reader", [read_examples, read_raw_mappings, read_workflows,
@@ -179,6 +204,35 @@ class TestMappingsFile:
         variants = {id(p) for r in loaded for p in r.paths if p.labels == a}
         assert len(variants) == 1  # case and whitespace variants share one path object
         assert len(loaded[4].paths) == 1
+
+    def test_folds_resolve_each_distinct_sequence_once(self, tmp_path, monkeypatch):
+        # 600 leaves, so path numbers above 256 are not the interpreter's
+        # shared small ints and "is" below tells the memo's ints apart
+        t = synthetic_taxonomy(600)
+        a, b = t.paths[300].labels, t.paths[599].labels
+        a_case = tuple(label.upper() for label in a)
+        a_space = tuple(f"  {label.replace(' ', '   ')} " for label in a)
+        lines = [self.mapping_line("e1", a, b), self.mapping_line("e2", a),
+                 self.mapping_line("e3", a_case, b), self.mapping_line("e4", a_space),
+                 self.mapping_line("e5", a_case, a, a_space)]
+        path = tmp_path / "mappings.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        slow = []
+        resolve_labels = workatlas_taxonomy._resolve_labels
+        monkeypatch.setattr(workatlas_taxonomy, "_resolve_labels",
+                            lambda t, labels: slow.append(labels) or resolve_labels(t, labels))
+        fold = read_mapping_folds(path, {TaxonomyKind.DOMAIN: t}).by_kind[TaxonomyKind.DOMAIN]
+        assert slow == [a, b, a_case, a_space]  # nine label lists, four distinct
+        # case and whitespace variants fold to one path number
+        assert [fold.sets[i] for i in fold.ids] == [(300, 599), (300,), (300, 599), (300,),
+                                                    (300,)]
+        # the memo holds the taxonomy's own number objects, and a verbatim
+        # sequence under the path's own labels tuple, so it adds no copies
+        assert len(t._resolved) == 4
+        for key, number in t._resolved.items():
+            assert number is t.path_index[t.paths[number]]
+            assert (key is t.paths[number].labels) == (key in (a, b))
+        assert {id(n) for s in fold.sets for n in s} == {id(t._resolved[a]), id(t._resolved[b])}
 
     def test_repeated_bad_sequence_named_at_first_line(self, tmp_path, domain_taxonomy):
         good = sorted(p.labels for p in domain_taxonomy.path_index)[0]
@@ -765,10 +819,21 @@ class TestMappingFolds:
          "example b/bad: no path matches labels ['No', 'Such', 'Path']"),
         (json.dumps({**BASE, "paths": [[5, "x"]]}),
          "example b/bad: labels must be strings, got [5, 'x']"),
+        (json.dumps({**BASE, "paths": ["abc"]}),
+         "example b/bad: labels must be a sequence of strings, got string 'abc'"),
+        (json.dumps({**BASE, "paths": [dict.fromkeys(BASE["paths"][0], 0)]}),
+         "example b/bad: labels must be a sequence of strings, got dict"),
+        (json.dumps({**BASE, "paths": [*BASE["paths"], 7]}),
+         "example b/bad: labels must be a sequence of strings, got int"),
+        (json.dumps({**BASE, "paths": [None]}),
+         "example b/bad: labels must be a sequence of strings, got NoneType"),
+        (json.dumps({**BASE, "paths": [[["nested"]]]}),
+         "example b/bad: unhashable type: 'list'"),
         (json.dumps({**BASE, "paths": []}), "status mapped inconsistent with 0 paths"),
         (json.dumps({**BASE, "status": "empty"}), "status empty inconsistent with 1 paths"),
     ], ids=["json", "not-object", "too-deep", "missing-field", "field-type", "kind",
-            "status", "no-taxonomy", "unknown-path", "labels", "mapped-without-paths",
+            "status", "no-taxonomy", "unknown-path", "labels", "string-entry", "object-entry",
+            "number-entry", "null-entry", "unhashable-entry", "mapped-without-paths",
             "empty-with-paths"])
     def test_bad_line_named_alike(self, tmp_path, domain_taxonomy, line, reason):
         path = tmp_path / "mappings.jsonl"

@@ -23,6 +23,7 @@ from workatlas.taxonomy import (
     canonical_label,
     flatten_for_prompt,
     load_taxonomy,
+    path_number,
     resolve_path,
 )
 
@@ -322,6 +323,26 @@ class TestResolve:
             resolve_path(domain_taxonomy, "Accountants")
         with pytest.raises(UnknownPathError, match="must be strings"):
             resolve_path(domain_taxonomy, ["Business and Financial Operations", 5, None])
+
+    @pytest.mark.parametrize("labels, type_name", [
+        # a mapping's keys, in order, spell a path: still no sequence
+        (dict.fromkeys(["Business and Financial Operations", "Accountants",
+                        "prepare adjusting journal entries"], 0), "dict"),
+        ({"Accountants"}, "set"),
+        (7, "int"),
+        (None, "NoneType"),
+    ])
+    def test_labels_that_are_no_sequence_are_no_match(self, domain_taxonomy, labels,
+                                                      type_name):
+        for resolve in (path_number, resolve_path):
+            with pytest.raises(UnknownPathError) as info:
+                resolve(domain_taxonomy, labels)
+            assert str(info.value) == f"labels must be a sequence of strings, got {type_name}"
+
+    def test_path_number_is_the_path_index_number(self, domain_taxonomy):
+        for path, number in domain_taxonomy.path_index.items():
+            assert path_number(domain_taxonomy, list(path.labels)) is number
+            assert resolve_path(domain_taxonomy, path.labels) is domain_taxonomy.paths[number]
 
     def test_variants_cached_as_one_path_object(self):
         t = load_taxonomy(minimal_doc())
