@@ -12,7 +12,6 @@ over- or under-invested.
 """
 
 from workatlas import (
-    GroupLevel,
     KeywordAnnotator,
     WorkMode,
     alignment_report,
@@ -83,7 +82,7 @@ assert fresh.labels[0].label is WorkMode.PHYSICAL
 examples = read_examples(fixture_path("examples.jsonl"))
 results = map_corpus(
     examples, domain, KeywordAnnotator.from_file(fixture_path("keyword_rules_domain.json")))
-effort = effort_by_node(results, domain, GroupLevel.DOMAIN_FAMILY)
+effort = effort_by_node(results, domain)
 report = alignment_report(effort, family, digital)
 print("\nalignment (effort share vs employment share; ratio > 1 means over-invested):")
 for row in report.rows:

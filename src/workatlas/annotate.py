@@ -68,7 +68,7 @@ def parse_candidates(raw: str) -> tuple[list[list[str]], int]:
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # an int over the digit limit, deep nesting
             data = None
         if isinstance(data, list):
             sequences: list[list[str]] = []
@@ -255,8 +255,10 @@ class RemoteAnnotator:
 
     Transport failures are retried with exponential backoff (3 attempts by
     default) and surfaced as :class:`AnnotatorTransportError` with the
-    attempt count. HTTP 4xx responses are not retried: they indicate a
-    request problem, not a transient fault.
+    attempt count. A reply that breaks HTTP (a malformed status line, a cut
+    body) or whose body is not UTF-8 is a transport failure too. HTTP 4xx
+    responses are not retried: they indicate a request problem, not a
+    transient fault.
 
     A corpus sends one taxonomy text with every request, so its JSON
     encoding is kept for the last text object seen, as one
@@ -297,6 +299,7 @@ class RemoteAnnotator:
     def annotate(self, instruction: str, taxonomy_text: str) -> str:
         # Imported here so runs without a remote annotator never load the
         # HTTP stack; ``urlopen`` is looked up on the module at each attempt.
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -317,7 +320,8 @@ class RemoteAnnotator:
                         f"annotator rejected request with HTTP {err.code}", attempt
                     ) from err
                 last_error = err
-            except (urllib.error.URLError, TimeoutError, OSError) as err:
+            except (urllib.error.URLError, TimeoutError, OSError, http.client.HTTPException,
+                    UnicodeDecodeError) as err:
                 last_error = err
             if attempt < self.max_attempts:
                 self._sleep(self.backoff_base * (2 ** (attempt - 1)))

@@ -295,10 +295,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file does not exist: {config_path}")
         try:
             file_values = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"config file cannot be read: {err}") from err
+        except ValueError as err:  # also an int over the digit limit
+            raise ConfigError(f"config file is not valid JSON: {err}") from err
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = [key for key in file_values if key.replace("-", "_") not in _PARAMS]

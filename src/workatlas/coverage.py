@@ -1,10 +1,11 @@
 """Taxonomy coverage, per-node effort, and per-example breadth.
 
 Coverage is the fraction of a taxonomy's root-to-leaf paths touched by at
-least one mapped example. Effort counts (example, node) incidences at a
-grouping level: an example increments each distinct node it reaches once,
-however many of its paths land there. Breadth is the per-example count of
-distinct nodes at that level.
+least one mapped example. Effort counts (example, node) incidences at the
+taxonomy kind's grouping level (:data:`REPORT_LEVEL`: the family for
+domains, the leaf for skills): an example increments each distinct node it
+reaches once, however many of its paths land there. Breadth is the
+per-example count of distinct nodes at that level.
 
 All three, and the sampler, read one kind's results as a per-example fold,
 :class:`CheckedResults`: the one place where examples are numbered and each
@@ -51,17 +52,16 @@ class GroupLevel(str, Enum):
     SKILL_LEAF = "skill_leaf"
 
 
-#: The level each kind's effort and breadth are reported at, and the only
-#: level they may be grouped at.
+#: The level each kind's effort and breadth are grouped and reported at.
 REPORT_LEVEL = {
     TaxonomyKind.DOMAIN: GroupLevel.DOMAIN_FAMILY,
     TaxonomyKind.SKILL: GroupLevel.SKILL_LEAF,
 }
 
 
-def node_at_level(path: TaxonomyPath, level: GroupLevel) -> tuple[str, str]:
-    """(node id, label) of the path's node at the grouping level."""
-    if level is GroupLevel.DOMAIN_FAMILY:
+def node_at_level(path: TaxonomyPath) -> tuple[str, str]:
+    """(node id, label) of the path's node at its kind's grouping level."""
+    if REPORT_LEVEL[path.taxonomy_kind] is GroupLevel.DOMAIN_FAMILY:
         return path.node_ids[0], path.labels[0]
     return path.node_ids[-1], path.labels[-1]
 
@@ -342,16 +342,11 @@ class EffortDistribution:
         return {node: c / total for node, c in self.counts.items()} if total else {}
 
 
-def _validate_level(t: Taxonomy, level: GroupLevel) -> None:
-    if REPORT_LEVEL[t.kind] is not level:
-        raise ValueError(f"grouping level {level.value} is invalid for a {t.kind.value} taxonomy")
-
-
 class NodeSets:
-    """A fold's node sets at a grouping level, each built once.
+    """A fold's node sets at its kind's grouping level, each built once.
 
     A node set is the sorted tuple of the distinct (node id, label) pairs
-    that a path set reaches at ``level``; equal ones, and equal nodes, are
+    that a path set reaches at that level; equal ones, and equal nodes, are
     one object. The fold is checked, so its numbers are its taxonomy's, and
     each of the taxonomy's paths has its node found once, in a list by path
     number. ``of_ids`` holds each set id's node set (``None`` if unused)
@@ -363,13 +358,13 @@ class NodeSets:
 
     __slots__ = ("fold", "of_ids", "examples")
 
-    def __init__(self, fold: CheckedResults, level: GroupLevel):
+    def __init__(self, fold: CheckedResults):
         self.fold = fold
         self.of_ids: list[tuple[tuple[str, str], ...] | None] = [None] * len(fold.sets)
         self.examples: Counter[tuple[tuple[str, str], ...]] = Counter()
         shared: dict = {}  # each distinct node and node set once
         nodes_of = [shared.setdefault(node, node) for node in
-                    (node_at_level(p, level) for p in fold.paths)]  # by path number
+                    (node_at_level(p) for p in fold.paths)]  # by path number
         for set_id in fold.ids:
             if set_id != MISSING:
                 if self.of_ids[set_id] is None:
@@ -379,28 +374,25 @@ class NodeSets:
 
 
 def node_sets(results: Iterable[MappingResult] | CheckedResults | NodeSets,
-              t: Taxonomy, level: GroupLevel) -> NodeSets:
-    """The results' :class:`NodeSets` at ``level``, checked against ``t``
-    as :func:`check_results` does. Node sets already built from a fold for
+              t: Taxonomy) -> NodeSets:
+    """The results' :class:`NodeSets`, checked against ``t`` as
+    :func:`check_results` does. Node sets already built from a fold for
     ``t`` are returned as they are."""
-    _validate_level(t, level)
     if isinstance(results, NodeSets):
         if results.fold.taxonomy is t:
             return results
         results = results.fold
-    return NodeSets(check_results(results, t), level)
+    return NodeSets(check_results(results, t))
 
 
 def effort_by_node(
-    results: Iterable[MappingResult] | CheckedResults | NodeSets,
-    t: Taxonomy,
-    level: GroupLevel,
+    results: Iterable[MappingResult] | CheckedResults | NodeSets, t: Taxonomy
 ) -> EffortDistribution:
     """Benchmark effort per node: each example counts once per distinct node
-    it reaches at the grouping level (family for domains, leaf activity for
-    skills), never once per path. Each distinct node set is counted once,
-    weighted by the number of examples that reach it."""
-    sets = node_sets(results, t, level)
+    it reaches at ``t``'s grouping level (family for domains, leaf activity
+    for skills), never once per path. Each distinct node set is counted
+    once, weighted by the number of examples that reach it."""
+    sets = node_sets(results, t)
     counts: Counter[str] = Counter()
     labels: dict[str, str] = {}
     for nodes, examples in sets.examples.items():
@@ -408,7 +400,7 @@ def effort_by_node(
             counts[node_id] += examples
             labels[node_id] = label
     return EffortDistribution(
-        group_level=level,
+        group_level=REPORT_LEVEL[t.kind],
         counts=dict(sorted(counts.items())),
         labels=labels,
         total_examples=sum(sets.examples.values()),
@@ -435,15 +427,13 @@ class BreadthStats:
 
 
 def breadth(
-    results: Iterable[MappingResult] | CheckedResults | NodeSets,
-    t: Taxonomy,
-    level: GroupLevel,
+    results: Iterable[MappingResult] | CheckedResults | NodeSets, t: Taxonomy
 ) -> BreadthStats:
-    """Per-example breadth (distinct nodes at the grouping level) plus its
-    histogram and summary shares. The histogram and shares count each
+    """Per-example breadth (distinct nodes at ``t``'s grouping level) plus
+    its histogram and summary shares. The histogram and shares count each
     distinct node set once, weighted by the number of examples that reach
     it; ``per_example`` maps each example to its node set's width."""
-    sets = node_sets(results, t, level)
+    sets = node_sets(results, t)
     per_example = {key: len(sets.of_ids[i]) for key, i in zip(sets.fold.keys, sets.fold.ids)
                    if i != MISSING}
     histogram: Counter[int] = Counter()
@@ -455,7 +445,7 @@ def breadth(
         return sum(c for width, c in histogram.items() if pred(width)) / n if n else 0.0
 
     return BreadthStats(
-        group_level=level,
+        group_level=REPORT_LEVEL[t.kind],
         per_example=per_example,
         histogram=dict(sorted(histogram.items())),
         share_zero=share(lambda v: v == 0),

@@ -6,11 +6,12 @@ and example and mapping records are checked field by field against one
 schema table each (name, JSON type, required), so a wrong type is an
 :class:`InputFormatError` naming the file, line and field. A line is
 decoded by ``json.loads``'s own scanner, called directly; a line that is
-not one JSON value is decoded again by ``json.loads``, so its error reads
-as ``json.loads`` words it. Mappings persist paths as label sequences
-(each an array of labels) so files stay meaningful without the taxonomy
-at hand; reading them back re-resolves every path, which doubles as a
-validation pass. Each label sequence is resolved straight to its path
+not one JSON value, or that the scanner refuses (an integer over the
+int-string digit limit too), is decoded again by ``json.loads``, so its
+error reads as ``json.loads`` words it. Mappings persist paths as label
+sequences (each an array of labels) so files stay meaningful without the
+taxonomy at hand; reading them back re-resolves every path, which doubles
+as a validation pass. Each label sequence is resolved straight to its path
 number in its taxonomy (:func:`~workatlas.taxonomy.path_number`), through
 the taxonomy's own cache, which mapping shares, so each distinct label
 sequence is resolved once per taxonomy and a line's paths are carried as
@@ -35,8 +36,11 @@ importance table is folded into columns as it is read, each distinct SOC
 code and activity id once and three arrays with one entry per row, and
 builds no record object unless a caller asks for ``records``. Digital
 labels share their SOC codes and justifications. A taxonomy's sharing is
-described in :mod:`workatlas.taxonomy`. CSV errors name a row's physical
-line, blank rows included. A mappings file is written one line per result
+described in :mod:`workatlas.taxonomy`. Every CSV input is read by one
+row iterator, which checks the header's columns, reads each row as
+``csv.DictReader`` would and leaves each reader only its row conversion;
+a refused header or row, a ``csv`` error included, names its physical
+line, blank rows counted. A mappings file is written one line per result
 by :func:`mapping_record`, for :func:`write_mappings` and for the CLI,
 which writes each result as it is mapped.
 All files are UTF-8. Writers never mutate existing files in place.
@@ -48,6 +52,7 @@ import csv
 import io as _io
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -112,20 +117,55 @@ def _iter_jsonl(path: str | Path):
                 continue
             try:
                 record, end = _SCAN_JSON(line, 0)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, ValueError):  # also an int over the digit limit
                 end = None
             except RecursionError as err:
                 raise InputFormatError(path, line_no, "nesting too deep to decode") from err
             if end != len(line):  # not one JSON value: json.loads words the error
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as err:
+                except ValueError as err:
                     raise InputFormatError(path, line_no, f"invalid JSON: {err}") from err
             if not isinstance(record, dict):
                 raise InputFormatError(
                     path, line_no, f"record must be a JSON object, got {type(record).__name__}"
                 )
             yield line_no, record
+
+
+def _iter_csv(path, columns: Sequence[str], optional: Sequence[str] = (), header_line: int = 1):
+    """``(line_no, cells)`` for each non-blank row of the CSV table whose
+    header is line ``header_line`` of ``path``. ``cells`` holds the row's
+    cell of each of ``columns`` (two or more), in order, as
+    :class:`csv.DictReader` reads them: the last column of a repeated name
+    wins, a short row reads ``None``, and an ``optional`` column that the
+    header lacks reads ``""``. A header without every other column, and a
+    row that the ``csv`` module refuses, is an :class:`InputFormatError`
+    naming its physical line.
+    """
+    before = header_line - 1  # lines before the header, skipped
+    with open(path, encoding="utf-8", newline="") as fh:
+        for _ in range(before):
+            fh.readline()
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
+            required = sorted(set(columns).difference(optional))
+            if not index.keys() >= set(required):
+                raise InputFormatError(path, header_line, f"header must contain {required}")
+            width = len(header)  # an absent optional column reads cell `width`, ""
+            exact = width if index.keys() >= set(columns) else -1  # rows read as they are
+            cells = itemgetter(*(index.get(name, width) for name in columns))
+            fill = [None] * width + [""]  # a short row's missing cells, then cell `width`
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != exact:
+                    row = row[:width] + fill[min(len(row), width):]
+                yield before + reader.line_num, cells(row)
+        except csv.Error as err:
+            raise InputFormatError(path, before + reader.line_num, str(err)) from err
 
 
 #: Record schemas: (field, JSON type, required), checked in this order.
@@ -358,107 +398,81 @@ def read_raw_mappings(path: str | Path) -> list[dict]:
 def read_occupations(path: str | Path) -> list[OccupationStats]:
     """Read the occupations CSV: soc_code,title,employment,median_wage."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"soc_code", "title", "employment", "median_wage"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise InputFormatError(path, 1, f"header must contain {sorted(expected)}")
-        for record in reader:
-            try:
-                rows.append(
-                    OccupationStats(
-                        soc_code=record["soc_code"],
-                        title=record["title"],
-                        employment=_finite(record["employment"], "employment"),
-                        median_wage=_finite(record["median_wage"], "median_wage"),
-                    )
-                )
-            except (TypeError, ValueError) as err:
-                raise InputFormatError(path, reader.line_num, str(err)) from err
+    for line_no, (soc_code, title, employment, median_wage) in _iter_csv(
+            path, ("soc_code", "title", "employment", "median_wage")):
+        try:
+            if title is None:
+                raise ValueError("title missing")
+            rows.append(OccupationStats(soc_code, title, _finite(employment, "employment"),
+                                        _finite(median_wage, "median_wage")))
+        except (TypeError, ValueError) as err:
+            raise InputFormatError(path, line_no, str(err)) from err
     return rows
 
 
 def read_importance(path: str | Path) -> ImportanceTable:
-    """Read the importance CSV; the scale maximum comes from a leading
-    ``# scale_max: <value>`` comment line.
-
-    Each row is folded into the table's columns as it is read, so no
-    record object is built. A row whose importance does not parse is
-    reported first, by its line; then the table's own checks, for the
-    whole file.
+    """Read the importance CSV, whose leading ``# scale_max: <value>``
+    comment line gives the scale maximum. Rows are folded into the table's
+    columns as they are read, building no record object. A row whose
+    importance does not parse is reported first, by its line; then the
+    table's own checks, for the whole file.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline()
-        if not first.startswith(SCALE_MAX_PREFIX):
-            raise InputFormatError(
-                path, 1, f"first line must declare the scale, e.g. '{SCALE_MAX_PREFIX} 5.0'"
-            )
-        try:
-            scale_max = _finite(first[len(SCALE_MAX_PREFIX):].strip(), "scale_max")
-        except ValueError as err:
-            raise InputFormatError(path, 1, f"bad scale_max value: {err}") from err
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = {"soc_code", "activity_id", "importance"}
-        if header is None or not expected.issubset(header):
-            raise InputFormatError(path, 2, f"header must contain {sorted(expected)}")
-        # Read as csv.DictReader would: the last column of a repeated name
-        # wins, a short row reads None for its missing cells, blank rows are
-        # skipped. The reader started after the scale line, so a row's
-        # physical line is one more than the reader's count.
-        column = {name: i for i, name in enumerate(header)}
-        i_soc, i_activity, i_importance = (column[name] for name in
-                                           ("soc_code", "activity_id", "importance"))
-        width = max(i_soc, i_activity, i_importance) + 1
+    if not first.startswith(SCALE_MAX_PREFIX):
+        raise InputFormatError(
+            path, 1, f"first line must declare the scale, e.g. '{SCALE_MAX_PREFIX} 5.0'"
+        )
+    try:
+        scale_max = _finite(first[len(SCALE_MAX_PREFIX):].strip(), "scale_max")
+    except ValueError as err:
+        raise InputFormatError(path, 1, f"bad scale_max value: {err}") from err
 
-        def rows():
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    row += [None] * (width - len(row))
-                try:
-                    importance = _finite(row[i_importance], "importance")
-                except (TypeError, ValueError) as err:
-                    raise InputFormatError(path, reader.line_num + 1, str(err)) from err
-                yield row[i_soc], row[i_activity], importance
+    def rows():
+        for line_no, (soc_code, activity_id, importance) in _iter_csv(
+                path, ("soc_code", "activity_id", "importance"), header_line=2):
+            try:
+                importance = _finite(importance, "importance")
+            except (TypeError, ValueError) as err:
+                raise InputFormatError(path, line_no, str(err)) from err
+            yield soc_code, activity_id, importance
 
-        try:
-            return ImportanceTable(rows(), scale_max)
-        except InputFormatError:
-            raise
-        except ValueError as err:
-            raise InputFormatError(path, None, str(err)) from err
+    try:
+        return ImportanceTable(rows(), scale_max)
+    except InputFormatError:
+        raise
+    except ValueError as err:
+        raise InputFormatError(path, None, str(err)) from err
 
 
 def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
     """Read the digital labels CSV: soc_code,task_hash,label,justification.
 
     Only the task hash is persisted, so loaded labels carry it verbatim and
-    leave ``task_text`` empty.
+    leave ``task_text`` empty; a row must hold a non-empty hash. A missing
+    justification reads as ``""``.
     """
     rows = []
     shared: dict = {}  # an occupation has many tasks; justifications repeat
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"soc_code", "task_hash", "label"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise InputFormatError(path, 1, f"header must contain {sorted(expected)}")
-        for record in reader:
-            try:
-                label = WorkMode(record["label"])
-            except ValueError as err:
-                raise InputFormatError(path, reader.line_num, str(err)) from err
-            soc_code, justification = record["soc_code"], record.get("justification", "")
-            rows.append(
-                DigitalLabel(
-                    soc_code=shared.setdefault(soc_code, soc_code),
-                    task_text="",
-                    label=label,
-                    justification=shared.setdefault(justification, justification),
-                    task_hash=record["task_hash"],
-                )
+    for line_no, (soc_code, task_hash, label, justification) in _iter_csv(
+            path, ("soc_code", "task_hash", "label", "justification"),
+            optional=("justification",)):
+        try:
+            label = WorkMode(label)
+            if not task_hash:
+                raise ValueError(f"task_hash must not be empty, got {task_hash!r}")
+        except ValueError as err:
+            raise InputFormatError(path, line_no, str(err)) from err
+        justification = justification or ""
+        rows.append(
+            DigitalLabel(
+                soc_code=shared.setdefault(soc_code, soc_code),
+                task_text="",
+                label=label,
+                justification=shared.setdefault(justification, justification),
+                task_hash=task_hash,
             )
+        )
     return rows
 
 
@@ -568,27 +582,18 @@ def read_curves(path: str | Path) -> dict[str, AutonomyCurve]:
     :func:`write_curves` writes no other shape.
     """
     levels: dict[str, dict[int, LevelStats]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(CURVE_HEADER[:4]).issubset(reader.fieldnames):
-            raise InputFormatError(path, 1, f"header must contain {CURVE_HEADER[:4]}")
-        for record in reader:
-            try:
-                group = record["group"]
-                level = int(record["level"])
-                stats = LevelStats(
-                    successes=int(record["successes"]), totals=int(record["totals"])
-                )
-            except (TypeError, ValueError) as err:
-                raise InputFormatError(path, reader.line_num, str(err)) from err
-            if level < 1:
-                raise InputFormatError(path, reader.line_num, f"level must be >= 1, got {level}")
-            group_levels = levels.setdefault(group, {})
-            if level in group_levels:
-                raise InputFormatError(
-                    path, reader.line_num, f"level {level} of group {group!r} is repeated"
-                )
-            group_levels[level] = stats
+    for line_no, (group, level, successes, totals) in _iter_csv(path, CURVE_HEADER[:4]):
+        try:
+            level = int(level)
+            stats = LevelStats(successes=int(successes), totals=int(totals))
+        except (TypeError, ValueError) as err:
+            raise InputFormatError(path, line_no, str(err)) from err
+        if level < 1:
+            raise InputFormatError(path, line_no, f"level must be >= 1, got {level}")
+        group_levels = levels.setdefault(group, {})
+        if level in group_levels:
+            raise InputFormatError(path, line_no, f"level {level} of group {group!r} is repeated")
+        group_levels[level] = stats
     return {
         g: AutonomyCurve(group_key=g, levels=dict(sorted(ls.items())))
         for g, ls in levels.items()

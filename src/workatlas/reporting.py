@@ -32,7 +32,6 @@ from .coverage import (
     CheckedResults,
     CoverageReport,
     EffortDistribution,
-    REPORT_LEVEL,
     breadth,
     check_results,
     coverage,
@@ -402,7 +401,7 @@ def effort_distributions(
 ) -> dict[TaxonomyKind, EffortDistribution]:
     """Each kind's effort at its reporting level."""
     return {
-        kind: effort_by_node(results_by_kind.get(kind, ()), t, REPORT_LEVEL[kind])
+        kind: effort_by_node(results_by_kind.get(kind, ()), t)
         for kind, t in taxonomies.items()
     }
 
@@ -422,9 +421,9 @@ def coverage_suite(
         results = check_results(results_by_kind.get(kind, ()), taxonomy)
         report = coverage(results, taxonomy)
         emit_coverage(bundle, report)
-        sets = node_sets(results, taxonomy, REPORT_LEVEL[kind])
-        efforts[kind] = effort_by_node(sets, taxonomy, REPORT_LEVEL[kind])
-        breadth_stats = breadth(sets, taxonomy, REPORT_LEVEL[kind])
+        sets = node_sets(results, taxonomy)
+        efforts[kind] = effort_by_node(sets, taxonomy)
+        breadth_stats = breadth(sets, taxonomy)
         emit_effort(bundle, efforts[kind])
         emit_breadth(bundle, breadth_stats)
         summary["kinds"][kind.value] = {

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import http.server
 import json
@@ -55,6 +56,13 @@ class TestParseCandidates:
         sequences, failed = parse_candidates('[["A", "B"], 42, ["", ""]]')
         assert sequences == [["A", "B"]]
         assert failed == 2
+
+    @pytest.mark.parametrize("text", ["[" + "9" * 4301 + "]", "[" * 100_000],
+                             ids=["int-over-the-digit-limit", "nesting-too-deep"])
+    def test_json_the_decoder_refuses_reads_as_prose(self, text):
+        # an int over the digit limit (a plain ValueError) or nesting too
+        # deep to decode (RecursionError), read as "[9x]" is
+        assert parse_candidates(text) == ([[text]], 0)
 
     def test_separator_only_line_is_a_failure(self):
         sequences, failed = parse_candidates("> > >")
@@ -285,19 +293,59 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def annotator_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
+@contextlib.contextmanager
+def _serving(handler):
+    """The URL of a loopback server that answers with ``handler``."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/annotate"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture()
+def annotator_server():
     _Handler.fail_times = 0
     _Handler.reject_times = 0
     _Handler.requests_seen = 0
     _Handler.payloads = []
-    yield f"http://127.0.0.1:{server.server_port}/annotate"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    with _serving(_Handler) as url:
+        yield url
+
+
+class _BrokenReplyHandler(http.server.BaseHTTPRequestHandler):
+    """Reads each request and answers it with raw bytes that are no
+    well-formed HTTP reply, or whose body is no UTF-8."""
+
+    reply = b""
+    requests_seen = 0
+
+    def do_POST(self):
+        type(self).requests_seen += 1
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.wfile.write(self.reply)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+BROKEN_REPLIES = {
+    "malformed-status-line": b"HTTP/1.1 two-hundred OK\r\n\r\n",
+    "body-not-utf8": b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+}
+
+
+@pytest.fixture(params=sorted(BROKEN_REPLIES))
+def broken_server(request):
+    _BrokenReplyHandler.reply = BROKEN_REPLIES[request.param]
+    _BrokenReplyHandler.requests_seen = 0
+    with _serving(_BrokenReplyHandler) as url:
+        yield url
 
 
 class TestRemoteAnnotator:
@@ -347,6 +395,15 @@ class TestRemoteAnnotator:
             assert "Family One" in annotator.annotate("x", "")  # after one 500
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_broken_reply_is_retried_then_a_transport_error(self, broken_server):
+        sleeps = []
+        annotator = RemoteAnnotator(url=broken_server, sleep=sleeps.append)
+        with pytest.raises(AnnotatorTransportError, match="after 3 attempts"):
+            annotator.annotate("x", "")
+        gc.collect()  # an unclosed socket fails the test under the warning filter
+        assert _BrokenReplyHandler.requests_seen == 3
+        assert sleeps == [0.5, 1.0]
 
     def test_unreachable_endpoint(self):
         annotator = RemoteAnnotator(
@@ -405,3 +462,23 @@ def test_remote_map_in_parallel_in_a_fresh_interpreter(tmp_path, annotator_serve
     lines = (tmp_path / "m" / "mappings.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 40  # 20 fixture examples, each against both taxonomies
     assert _Handler.requests_seen == 40
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_broken_reply_exits_annotator_error(tmp_path, monkeypatch, capsys, broken_server,
+                                            parallelism):
+    """A reply that breaks HTTP ends ``map`` as an annotator failure, exit
+    4, never as an internal error."""
+    import functools
+
+    from workatlas import cli
+
+    monkeypatch.setenv("ATLAS_ANNOTATOR_URL", broken_server)
+    monkeypatch.setattr(cli, "RemoteAnnotator",
+                        functools.partial(RemoteAnnotator, sleep=lambda s: None))
+    code = cli.main(["map", "--fixtures", "--annotator", "remote", "--parallelism", parallelism,
+                     "--out", str(tmp_path), "--run-id", "m"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ANNOTATOR, err
+    assert "after 3 attempts" in err and "internal error" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.partial"]

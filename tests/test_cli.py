@@ -662,8 +662,80 @@ class TestReportValidation:
         assert "9.Z.9" in err and "activity_id" in err
 
 
+#: A cell one byte over the ``csv`` module's field limit, and its refusal.
+OVER_LIMIT = "x" * (csv.field_size_limit() + 1)
+OVER_LIMIT_REASON = f"field larger than field limit ({csv.field_size_limit()})"
+#: A JSON integer one digit over Python's int-string conversion limit.
+OVER_LIMIT_INT = "9" * 4301
+ECONOMICS = ["economics", "--fixtures"]
+ADVISE = ["advise", "--fixtures", "--groups", "overall", "--instruction", "Fix the failing test",
+          "--complexity", "2"]
+
+
 class TestSharedValidation:
     """Every subcommand validates its inputs before writing anything."""
+
+    @pytest.mark.parametrize("argv, key, text, line, reason", [
+        pytest.param(ECONOMICS, "occupations", "soc_code,title,employment,median_wage\n\n"
+                     f"13-2011,{OVER_LIMIT},1,2\n", 3, OVER_LIMIT_REASON,
+                     id="occupations-over-limit"),
+        pytest.param(ECONOMICS, "importance", "# scale_max: 5.0\n"
+                     f"soc_code,activity_id,importance\n13-2011,{OVER_LIMIT},1\n", 3,
+                     OVER_LIMIT_REASON, id="importance-over-limit"),
+        pytest.param(ECONOMICS, "digital-labels", "soc_code,task_hash,label,justification\n"
+                     f"13-2011,abc,DIGITAL,eh\n13-2011,def,DIGITAL,{OVER_LIMIT}\n", 3,
+                     OVER_LIMIT_REASON, id="digital-labels-over-limit"),
+        pytest.param(ADVISE, "curves", "group,level,successes,totals\noverall,1,3,4\n\n"
+                     f"{OVER_LIMIT},2,0,1\n", 4, OVER_LIMIT_REASON, id="curves-over-limit"),
+        pytest.param(ECONOMICS, "occupations", "soc_code,employment,median_wage,title\n"
+                     "13-2011,1,2\n", 2, "title missing", id="occupation-without-title"),
+        pytest.param(ECONOMICS, "digital-labels", "soc_code,task_hash,label\n"
+                     "13-2011,,DIGITAL\n", 2, "task_hash must not be empty, got ''",
+                     id="digital-label-without-task-hash"),
+        pytest.param(ECONOMICS, "digital-labels", "soc_code,label,task_hash\n\n"
+                     "13-2011,DIGITAL\n", 3, "task_hash must not be empty, got None",
+                     id="digital-label-without-task-hash-cell"),
+    ])
+    def test_refused_csv_row_exits_input_naming_its_line(self, tmp_path, capsys, argv, key,
+                                                         text, line, reason):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main([*argv, f"--{key}", str(path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert f"input violation: {path} [line {line}]: {reason}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("map", "examples"), ("coverage", "mappings"),
+                                              ("autonomy", "workflows")])
+    def test_integer_over_the_digit_limit_names_its_line(self, tmp_path, capsys, domain_results,
+                                                         command, key):
+        from workatlas.io import write_mappings
+
+        path = tmp_path / f"{key}.jsonl"
+        if key == "mappings":
+            write_mappings(path, domain_results)
+        else:
+            path.write_bytes(fixture_path(f"{key}.jsonl").read_bytes())
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2][:-1] + f', "n": {OVER_LIMIT_INT}}}'
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main([command, "--fixtures", f"--{key}", str(path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert (f"input violation: {path} [line 3]: invalid JSON: Exceeds the limit"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_config_integer_over_the_digit_limit_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"seed": {OVER_LIMIT_INT}}}', encoding="utf-8")
+        code = main(["autonomy", "--fixtures", "--config", str(config),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: config file is not valid JSON: Exceeds the limit")
+        assert not (tmp_path / "runs").exists()
 
     def test_economics_cross_file_error_exits_input_without_run_dir(self, tmp_path, capsys):
         occupations = tmp_path / "occupations.csv"

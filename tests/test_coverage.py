@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from workatlas.coverage import (
-    REPORT_LEVEL,
     CheckedResults,
     CoverageAccumulator,
     ForeignPathError,
@@ -141,65 +140,61 @@ class TestEffort:
     def test_two_paths_same_family_count_once(self):
         t = synthetic_taxonomy(8)
         results = [synthetic_result(t, "e0", [0, 3])]  # same family f0
-        dist = effort_by_node(results, t, GroupLevel.DOMAIN_FAMILY)
+        dist = effort_by_node(results, t)
         assert dist.counts == {"f0": 1}
         assert dist.total_incidences == 1
 
     def test_two_families_both_counted(self, domain_results, domain_taxonomy):
-        dist = effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+        dist = effort_by_node(domain_results, domain_taxonomy)
         # c05 reaches business and office; every count checked by hand
         assert dist.counts == {"fam-business": 6, "fam-computer": 7, "fam-office": 5}
         assert dist.total_examples == 20
 
     def test_skill_leaf_level(self, skill_results, skill_taxonomy):
-        dist = effort_by_node(skill_results, skill_taxonomy, GroupLevel.SKILL_LEAF)
+        dist = effort_by_node(skill_results, skill_taxonomy)
         assert dist.group_level is GroupLevel.SKILL_LEAF
         assert sum(dist.counts.values()) == dist.total_incidences
 
-    def test_level_kind_mismatch(self, domain_results, domain_taxonomy):
-        with pytest.raises(ValueError, match="invalid for"):
-            effort_by_node(domain_results, domain_taxonomy, GroupLevel.SKILL_LEAF)
-
     def test_effort_conservation(self, domain_results, domain_taxonomy):
-        dist = effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
-        stats = breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+        dist = effort_by_node(domain_results, domain_taxonomy)
+        stats = breadth(domain_results, domain_taxonomy)
         assert dist.total_incidences == sum(stats.per_example.values())
 
     def test_shares_sum_to_one(self, domain_results, domain_taxonomy):
-        dist = effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+        dist = effort_by_node(domain_results, domain_taxonomy)
         assert abs(sum(dist.shares().values()) - 1.0) < 1e-9
 
 
 class TestBreadth:
     def test_single_path_breadth_one(self):
         t = synthetic_taxonomy(5)
-        stats = breadth([synthetic_result(t, "e0", [2])], t, GroupLevel.DOMAIN_FAMILY)
+        stats = breadth([synthetic_result(t, "e0", [2])], t)
         assert stats.per_example[("synth", "e0")] == 1
         assert stats.share_exactly_one == 1.0
 
     def test_fixture_two_families(self, domain_results, domain_taxonomy):
-        stats = breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+        stats = breadth(domain_results, domain_taxonomy)
         # c05 reconciles (business) and refunds (office)
         assert stats.per_example[("codebench", "c05")] == 2
         assert stats.histogram == {0: 3, 1: 16, 2: 1}
 
     def test_zero_breadth_kept_in_denominator(self, domain_results, domain_taxonomy):
-        stats = breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+        stats = breadth(domain_results, domain_taxonomy)
         assert stats.share_zero == 3 / 20
         assert abs(
             stats.share_zero + stats.share_exactly_one + stats.share_more_than_one - 1.0
         ) < 1e-9
 
     def test_histogram_sums_to_examples(self, skill_results, skill_taxonomy):
-        stats = breadth(skill_results, skill_taxonomy, GroupLevel.SKILL_LEAF)
+        stats = breadth(skill_results, skill_taxonomy)
         assert sum(stats.histogram.values()) == len(stats.per_example) == 20
 
     def test_permutation_invariance(self, domain_results, domain_taxonomy):
         shuffled = list(domain_results)
         random.Random(1).shuffle(shuffled)
         assert (
-            breadth(shuffled, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
-            == breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+            breadth(shuffled, domain_taxonomy)
+            == breadth(domain_results, domain_taxonomy)
         )
 
 
@@ -210,14 +205,14 @@ class TestCheckOncePerKind:
         assert check_results(checked, domain_taxonomy) is checked
         expected = (
             coverage(domain_results, domain_taxonomy),
-            effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
-            breadth(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+            effort_by_node(domain_results, domain_taxonomy),
+            breadth(domain_results, domain_taxonomy),
         )
         checks = count_checks(monkeypatch)
         assert (
             coverage(checked, domain_taxonomy),
-            effort_by_node(checked, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
-            breadth(checked, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
+            effort_by_node(checked, domain_taxonomy),
+            breadth(checked, domain_taxonomy),
         ) == expected
         assert checks == []
 
@@ -233,10 +228,10 @@ class TestCheckOncePerKind:
         pool = build_pool(list(domain_results) + list(skill_results))
         for results, t, other in ((domain_results, domain_taxonomy, skill_taxonomy),
                                   (skill_results, skill_taxonomy, domain_taxonomy)):
-            fold, level = pool.by_kind[t.kind], REPORT_LEVEL[t.kind]
+            fold = pool.by_kind[t.kind]
             assert coverage(fold, t) == coverage(results, t)
-            assert effort_by_node(fold, t, level) == effort_by_node(results, t, level)
-            assert breadth(fold, t, level) == breadth(results, t, level)
+            assert effort_by_node(fold, t) == effort_by_node(results, t)
+            assert breadth(fold, t) == breadth(results, t)
             with pytest.raises(ForeignPathError, match=f"has kind {t.kind.value}"):
                 coverage(fold, other)
 
@@ -298,8 +293,8 @@ class TestCheckOncePerKind:
         assert checked.paths is narrow.paths
         assert coverage(fold, narrow) == coverage(results, narrow)
         assert coverage(fold, narrow).coverage == 1.0
-        assert (effort_by_node(fold, narrow, GroupLevel.DOMAIN_FAMILY)
-                == effort_by_node(results, narrow, GroupLevel.DOMAIN_FAMILY))
+        assert (effort_by_node(fold, narrow)
+                == effort_by_node(results, narrow))
 
     def test_suite_checks_each_kind_once(self, tmp_path, domain_results, skill_results,
                                          domain_taxonomy, skill_taxonomy, monkeypatch):
@@ -313,25 +308,24 @@ class TestCheckOncePerKind:
                                                 domain_taxonomy, skill_taxonomy):
         t = synthetic_taxonomy(30)
         synthetic = random_corpus(t, 60, random.Random(5)) + [synthetic_result(t, "e0", [7])]
-        cases = [(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY),
-                 (skill_results, skill_taxonomy, GroupLevel.SKILL_LEAF),
-                 (synthetic, t, GroupLevel.DOMAIN_FAMILY)]
-        for results, taxonomy, level in cases:
+        cases = [(domain_results, domain_taxonomy), (skill_results, skill_taxonomy),
+                 (synthetic, t)]
+        for results, taxonomy in cases:
             per_example = {}
             for r in results:
                 nodes = per_example.setdefault(r.key, set())
                 if r.status is MappingStatus.MAPPED:
-                    nodes.update(node_at_level(p, level) for p in r.paths)
+                    nodes.update(node_at_level(p) for p in r.paths)
             counts = Counter(node_id for nodes in per_example.values() for node_id, _ in nodes)
 
             checked = check_results(results, taxonomy)
-            stats = breadth(checked, taxonomy, level)
-            effort = effort_by_node(checked, taxonomy, level)
+            stats = breadth(checked, taxonomy)
+            effort = effort_by_node(checked, taxonomy)
             assert effort.counts == dict(sorted(counts.items()))
             assert effort.total_examples == len(per_example)
             assert stats.per_example == {k: len(v) for k, v in per_example.items()}
-            assert (effort, stats) == (effort_by_node(list(results), taxonomy, level),
-                                       breadth(list(results), taxonomy, level))
+            assert (effort, stats) == (effort_by_node(list(results), taxonomy),
+                                       breadth(list(results), taxonomy))
 
     def test_suite_builds_node_sets_once_per_kind(self, tmp_path, domain_results,
                                                   skill_results, domain_taxonomy,
@@ -342,7 +336,7 @@ class TestCheckOncePerKind:
         # and breadth together and for every example that holds the path
         calls = []
         monkeypatch.setattr(coverage_module, "node_at_level",
-                            lambda p, level: calls.append(p) or node_at_level(p, level))
+                            lambda p: calls.append(p) or node_at_level(p))
         coverage_suite(ReportBundle(run_dir=tmp_path), results, taxonomies)
         assert calls == list(domain_taxonomy.paths) + list(skill_taxonomy.paths)
 
@@ -386,21 +380,20 @@ class TestDistinctPathSets:
     def test_equals_per_example_count(self, domain_taxonomy, skill_taxonomy, seed):
         rng = random.Random(seed)
         for t in (domain_taxonomy, skill_taxonomy):
-            level = REPORT_LEVEL[t.kind]
             fold, unions = self.random_fold(t, rng, rng.randint(1, 120))
-            nodes = {key: {node_at_level(p, level) for p in paths}
+            nodes = {key: {node_at_level(p) for p in paths}
                      for key, paths in unions.items()}
             counts = Counter(node_id for ns in nodes.values() for node_id, _ in ns)
             labels = dict(node for ns in nodes.values() for node in ns)
             widths = {key: len(ns) for key, ns in nodes.items()}
             n = len(widths)
 
-            for source in (fold, node_sets(fold, t, level)):
-                effort = effort_by_node(source, t, level)
+            for source in (fold, node_sets(fold, t)):
+                effort = effort_by_node(source, t)
                 assert effort.counts == dict(sorted(counts.items()))
                 assert effort.labels == labels
                 assert effort.total_examples == n
-                stats = breadth(source, t, level)
+                stats = breadth(source, t)
                 assert stats.per_example == widths
                 assert list(stats.per_example) == list(unions)
                 assert stats.histogram == dict(sorted(Counter(widths.values()).items()))
@@ -425,7 +418,7 @@ class TestDistinctPathSets:
             fold.add(("b", f"e{i}"), sets[i % distinct])
         tracemalloc.start()
         try:
-            effort = effort_by_node(fold, t, GroupLevel.DOMAIN_FAMILY)
+            effort = effort_by_node(fold, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

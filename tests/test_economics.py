@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from workatlas.coverage import GroupLevel, effort_by_node
+from workatlas.coverage import effort_by_node
 from workatlas.economics import (
     DigitalLabel,
     ImportanceRecord,
@@ -345,7 +345,7 @@ class TestAlignment:
                           raw_annotator_output="", annotator_id="t")
             for i in range(4)
         ]
-        effort = effort_by_node(results, taxonomy, GroupLevel.DOMAIN_FAMILY)
+        effort = effort_by_node(results, taxonomy)
         report = alignment_report(effort, econ)
         for row in report.rows:
             assert row.effort_to_employment_ratio == pytest.approx(1.0, rel=REL)
@@ -374,7 +374,7 @@ class TestAlignment:
                           raw_annotator_output="", annotator_id="t")
             for i in range(5)
         ]
-        effort = effort_by_node(results, taxonomy, GroupLevel.DOMAIN_FAMILY)
+        effort = effort_by_node(results, taxonomy)
         report = alignment_report(effort, econ)
         ratios = {r.node_id: r.effort_to_employment_ratio for r in report.rows}
         assert ratios["f0"] == pytest.approx(2.0, rel=REL)
@@ -409,7 +409,7 @@ class TestAlignment:
                           raw_annotator_output="", annotator_id="t")
             for i in range(5)
         ]
-        report = alignment_report(effort_by_node(results, taxonomy, GroupLevel.DOMAIN_FAMILY),
+        report = alignment_report(effort_by_node(results, taxonomy),
                                   econ)
         ratios = {r.node_id: r.effort_to_employment_ratio for r in report.rows}
         assert ratios == {"f0": math.inf, "f1": 0.0}
@@ -427,7 +427,7 @@ class TestAlignment:
                                       occupations, digital_labels):
         econ = domain_employment_capital(occupations, domain_taxonomy)
         digital = digital_share(digital_labels, occupations, domain_taxonomy)
-        effort = effort_by_node(domain_results, domain_taxonomy, GroupLevel.DOMAIN_FAMILY)
+        effort = effort_by_node(domain_results, domain_taxonomy)
         report = alignment_report(effort, econ, digital)
         assert abs(sum(r.effort_share for r in report.rows) - 1.0) < REL
         assert abs(sum(r.employment_share for r in report.rows) - 1.0) < REL
@@ -437,7 +437,7 @@ class TestAlignment:
     def test_skill_level_alignment(self, skill_results, skill_taxonomy,
                                    occupations, importance_table):
         econ = effective_skill_employment_capital(occupations, importance_table, skill_taxonomy)
-        effort = effort_by_node(skill_results, skill_taxonomy, GroupLevel.SKILL_LEAF)
+        effort = effort_by_node(skill_results, skill_taxonomy)
         report = alignment_report(effort, econ)
         assert abs(sum(r.effort_share for r in report.rows) - 1.0) < REL
         assert abs(sum(r.employment_share for r in report.rows) - 1.0) < REL
@@ -445,6 +445,6 @@ class TestAlignment:
     def test_grouping_level_mismatch(self, skill_results, skill_taxonomy,
                                      occupations, domain_taxonomy):
         econ = domain_employment_capital(occupations, domain_taxonomy)
-        effort = effort_by_node(skill_results, skill_taxonomy, GroupLevel.SKILL_LEAF)
+        effort = effort_by_node(skill_results, skill_taxonomy)
         with pytest.raises(ValueError, match="domain_family"):
             alignment_report(effort, econ)

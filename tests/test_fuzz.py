@@ -6,7 +6,10 @@ another JSON type, or the whole line or document becomes a non-object. In a
 CSV line, a cell is deleted, inserted or replaced, or the whole line
 becomes blank or malformed. Whatever the change, the command must end in a
 documented exit code: 0, 2 (configuration) or 3 (input violation), never 5.
-An input violation must name the file and leave no run directory.
+An input violation must name the file and leave no run directory. A line
+given a value over a decoder's limit (a JSON integer over Python's
+int-string digit limit, a CSV cell over the ``csv`` field limit) must be
+an input violation naming that line.
 """
 
 from __future__ import annotations
@@ -73,19 +76,25 @@ def mutate_csv_line(rng: random.Random, line: str) -> str:
         cells.insert(i, rng.choice(CSV_CELLS))
     else:
         cells[i] = rng.choice(CSV_CELLS)
+    return _csv_line(cells)
+
+
+def _csv_line(cells: list[str]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(cells)
     return buf.getvalue()
 
 
 def mutated_lines(mutate):
-    """A file mutator that changes one non-blank line with ``mutate``."""
-    def write(rng: random.Random, source: str, target) -> None:
+    """A file mutator that changes one non-blank line with ``mutate`` and
+    returns that line's index."""
+    def write(rng: random.Random, source: str, target) -> int:
         lines = source.splitlines()
         indices = [i for i, line in enumerate(lines) if line.strip()]
         i = rng.choice(indices)
         lines[i] = mutate(rng, lines[i])
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return i
     return write
 
 
@@ -144,6 +153,46 @@ COMMANDS = {
     "domain-rules-map": ("keyword_rules_domain.json", ["map", "--fixtures", "--domain-rules"],
                          mutated_document),
 }
+
+
+def over_limit_int(rng: random.Random, line: str) -> str:
+    """One JSON value of the line, at any depth, replaced by an integer one
+    digit over Python's int-string conversion limit."""
+    record = json.loads(line)
+    container, key = rng.choice(_locations(record, []))
+    container[key] = _HUGE
+    return json.dumps(record).replace(json.dumps(_HUGE), "9" * 4301)
+
+
+def over_limit_cell(rng: random.Random, line: str) -> str:
+    """One CSV cell of the line replaced by one a byte over the ``csv``
+    module's field limit."""
+    cells = next(csv.reader([line]))
+    cells[rng.randrange(len(cells))] = "x" * (csv.field_size_limit() + 1)
+    return _csv_line(cells)
+
+
+#: line-oriented case name -> a file mutator whose line a decoder must refuse
+OVER_LIMIT = {name: mutated_lines(over_limit_int if mutate is mutated_jsonl else over_limit_cell)
+              for name, (_, _, mutate) in COMMANDS.items()
+              if mutate in (mutated_jsonl, mutated_csv)}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_LIMIT))
+def test_value_over_a_decoder_limit_names_its_line(name, tmp_path, capsys, sources):
+    """A value that the JSON decoder or the ``csv`` module refuses is an
+    input violation naming the mutated line."""
+    file_name, argv, _ = COMMANDS[name]
+    rng = random.Random(f"over-limit-{name}")
+    for case in range(3):
+        target = tmp_path / f"{case}-{file_name}"
+        i = OVER_LIMIT[name](rng, sources(file_name), target)
+        out = tmp_path / f"runs-{case}"
+        code = main([*argv, str(target), "--out", str(out), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err[:300]
+        assert f"input violation: {target} [line {i + 1}]: " in err, err[:300]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

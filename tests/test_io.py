@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import pickle
@@ -40,7 +41,6 @@ from workatlas.io import (
 )
 from workatlas.economics import ImportanceRecord
 from workatlas.mapping import NO_METADATA, MappingResult, MappingStatus
-from workatlas.reporting import REPORT_LEVEL
 from workatlas.sampling import build_pool, permutation_sensitivity, sample_until_saturation
 from workatlas.taxonomy import TaxonomyKind, load_taxonomy, resolve_path
 
@@ -451,6 +451,140 @@ def outcome(read, path):
         return (err.line_no, err.reason)
 
 
+def dict_reader_records(path):
+    """``(line_no, record)`` for each row as ``csv.DictReader`` reads it, a
+    ``csv.Error`` raised as an :class:`InputFormatError` at its line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            for record in reader:
+                yield reader.line_num, record
+        except csv.Error as err:
+            raise InputFormatError(path, reader.line_num, str(err)) from err
+
+
+def dict_reader_header(path, required):
+    with open(path, encoding="utf-8", newline="") as fh:
+        if not set(required).issubset(csv.DictReader(fh).fieldnames or ()):
+            raise InputFormatError(path, 1, f"header must contain {sorted(required)}")
+
+
+def dict_reader_occupations(path):
+    """Reference occupations reader on ``csv.DictReader``; a missing title
+    is refused, which ``DictReader`` would read as ``None``."""
+    from workatlas.economics import OccupationStats
+
+    dict_reader_header(path, ["soc_code", "title", "employment", "median_wage"])
+    rows = []
+    for line_no, record in dict_reader_records(path):
+        try:
+            if record["title"] is None:
+                raise ValueError("title missing")
+            rows.append(OccupationStats(
+                soc_code=record["soc_code"], title=record["title"],
+                employment=workatlas_io._finite(record["employment"], "employment"),
+                median_wage=workatlas_io._finite(record["median_wage"], "median_wage")))
+        except (TypeError, ValueError) as err:
+            raise InputFormatError(path, line_no, str(err)) from err
+    return rows
+
+
+def dict_reader_digital_labels(path):
+    """Reference digital-labels reader on ``csv.DictReader``; an empty or
+    missing task hash is refused, and a missing justification reads ``""``."""
+    from workatlas.economics import DigitalLabel, WorkMode
+
+    dict_reader_header(path, ["soc_code", "task_hash", "label"])
+    rows = []
+    for line_no, record in dict_reader_records(path):
+        try:
+            label = WorkMode(record["label"])
+            if not record["task_hash"]:
+                raise ValueError(f"task_hash must not be empty, got {record['task_hash']!r}")
+        except ValueError as err:
+            raise InputFormatError(path, line_no, str(err)) from err
+        rows.append(DigitalLabel(soc_code=record["soc_code"], task_text="", label=label,
+                                 justification=record.get("justification") or "",
+                                 task_hash=record["task_hash"]))
+    return rows
+
+
+def dict_reader_curves(path):
+    """Reference curve reader on ``csv.DictReader``."""
+    from workatlas.autonomy import AutonomyCurve, LevelStats
+
+    dict_reader_header(path, ["group", "level", "successes", "totals"])
+    levels = {}
+    for line_no, record in dict_reader_records(path):
+        try:
+            level = int(record["level"])
+            stats = LevelStats(successes=int(record["successes"]), totals=int(record["totals"]))
+        except (TypeError, ValueError) as err:
+            raise InputFormatError(path, line_no, str(err)) from err
+        if level < 1:
+            raise InputFormatError(path, line_no, f"level must be >= 1, got {level}")
+        if level in levels.setdefault(record["group"], {}):
+            raise InputFormatError(
+                path, line_no, f"level {level} of group {record['group']!r} is repeated")
+        levels[record["group"]][level] = stats
+    return {g: AutonomyCurve(group_key=g, levels=dict(sorted(ls.items())))
+            for g, ls in levels.items()}
+
+
+#: reader -> (reference, required columns, optional columns, cells by column:
+#: (good ones, bad ones))
+DICT_READER_TWINS = {
+    read_occupations: (
+        dict_reader_occupations, ["soc_code", "title", "employment", "median_wage"], [],
+        {"soc_code": (["13-2011", "13-2031"], [""]), "title": (["Accountants", ""], []),
+         "employment": (["100", "2.5"], ["", "x", "nan", "-1"]),
+         "median_wage": (["50000", "0"], ["", "inf"])}),
+    read_digital_labels: (
+        dict_reader_digital_labels, ["soc_code", "task_hash", "label"], ["justification"],
+        {"soc_code": (["13-2011", "13-2031"], [""]), "task_hash": (["abc", "def"], [""]),
+         "label": (["DIGITAL", "PHYSICAL"], ["MAYBE"]),
+         "justification": (["eh", "", "generated"], [])}),
+    read_curves: (
+        dict_reader_curves, ["group", "level", "successes", "totals"], ["sr", "lcb"],
+        {"group": (["g", "h", "k", ""], []), "level": (["1", "2", "3", "4", "5"], ["0", "x"]),
+         "successes": (["0", "1"], ["3", ""]), "totals": (["1", "4"], ["0"]),
+         "sr": (["0.5"], []), "lcb": (["0.1"], [])}),
+}
+
+
+@pytest.mark.parametrize("reader", DICT_READER_TWINS, ids=lambda r: r.__name__)
+def test_reads_as_dict_reader_would(tmp_path, reader):
+    """Random headers with repeated, extra and absent optional columns;
+    short, long and blank rows: the reader and its ``csv.DictReader``
+    reference give the same records, or the same line and reason."""
+    reference, required, optional, cells = DICT_READER_TWINS[reader]
+    rng = random.Random(reader.__name__)
+    for case in range(300):
+        header = required + [name for name in optional if rng.random() < 0.6]
+        header += rng.sample([*required, *optional, "note", "extra"], rng.randint(0, 2))
+        rng.shuffle(header)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.1:
+                rows.append("")
+                continue
+            row = []
+            for name in header:
+                good, bad = cells.get(name, (["n"], []))
+                row.append(rng.choice(bad if bad and rng.random() < 0.04 else good))
+            roll = rng.random()  # short by one or two cells, long by one, or whole
+            width = len(row) - rng.randint(1, 2) if roll < 0.1 else len(row) + (roll < 0.2)
+            rows.append(",".join((row + ["more"])[:width]))
+        path = tmp_path / f"{case}.csv"
+        path.write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert outcome(reader, path) == outcome(reference, path), path.read_text()
+
+
+#: A cell one byte over the ``csv`` module's field limit, and its refusal.
+OVER_LIMIT = "x" * (csv.field_size_limit() + 1)
+OVER_LIMIT_REASON = f"field larger than field limit ({csv.field_size_limit()})"
+
+
 @pytest.mark.parametrize("reader, text, line_no, reason", [
     (read_occupations, "soc_code,title,employment,median_wage\n13-2011,A,1,2\n\n"
      "13-2031,B,oops,3\n", 4, "could not convert string to float: 'oops'"),
@@ -461,6 +595,16 @@ def outcome(read, path):
      3, "'MAYBE' is not a valid WorkMode"),
     (read_curves, "group,level,successes,totals,sr,lcb\ng,1,3,4,0.75,0.3\n\n\ng,x,0,1,0,0\n",
      5, "invalid literal for int() with base 10: 'x'"),
+    pytest.param(read_occupations, "soc_code,title,employment,median_wage\n\n"
+                 f"13-2011,{OVER_LIMIT},1,2\n", 3, OVER_LIMIT_REASON, id="occupations-over-limit"),
+    pytest.param(read_importance, "# scale_max: 5.0\nsoc_code,activity_id,importance\n"
+                 f"13-2011,4.A.1.a.1,4.0\n\n13-2031,{OVER_LIMIT},1\n", 5, OVER_LIMIT_REASON,
+                 id="importance-over-limit"),
+    pytest.param(read_digital_labels, "soc_code,task_hash,label,justification\n"
+                 f"13-2011,abc,DIGITAL,eh\n\n13-2011,def,DIGITAL,{OVER_LIMIT}\n", 4,
+                 OVER_LIMIT_REASON, id="digital-labels-over-limit"),
+    pytest.param(read_curves, "group,level,successes,totals,sr,lcb\ng,1,3,4,0.75,0.3\n\n\n"
+                 f"{OVER_LIMIT},2,0,1,0,0\n", 5, OVER_LIMIT_REASON, id="curves-over-limit"),
 ])
 def test_csv_error_names_physical_line_after_blank_rows(tmp_path, reader, text, line_no,
                                                         reason):
@@ -702,10 +846,9 @@ class TestMappingFolds:
             assert len(set(fold.sets)) == len(fold.sets)  # each distinct set once
             assert set(fold.ids) - {MISSING} == set(range(len(fold.sets)))  # each one used
             assert_numbered(fold)
-            level = REPORT_LEVEL[kind]
             assert coverage(fold, t) == coverage(rs, t)
-            assert effort_by_node(fold, t, level) == effort_by_node(rs, t, level)
-            assert breadth(fold, t, level) == breadth(rs, t, level)
+            assert effort_by_node(fold, t) == effort_by_node(rs, t)
+            assert breadth(fold, t) == breadth(rs, t)
         pool = build_pool(results)
         assert pool.examples == folded.examples
         assert pool.by_kind.keys() == folded.by_kind.keys()
