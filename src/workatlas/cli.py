@@ -626,7 +626,7 @@ def _sensitivity_rows(config: RunConfig, mappings: FoldedMappings,
     """One sensitivity summary per benchmark, sorted, then one for the whole
     pool when it spans several benchmarks; each benchmark's pool is its
     examples in pooled order."""
-    benchmarks: list[str | None] = sorted({bench for bench, _ in mappings.examples})
+    benchmarks: list[str | None] = sorted(mappings.examples.benchmarks)
     if len(benchmarks) > 1:
         benchmarks.append(None)
     return [

@@ -16,15 +16,20 @@ made with no taxonomy numbers its paths itself. A :class:`MappingFolder`
 numbers the examples once for every kind and builds one fold per kind, one
 result at a time (from a mappings file in ``io.read_mapping_folds``, by
 the path numbers that each line resolves to, as the CLI maps each result,
-and in :func:`build_pool`, which folds results with no taxonomy).
+and in :func:`build_pool`, which folds results with no taxonomy). The
+folds share one :class:`ExampleKeys`, which holds the example keys as
+columns (a tuple of benchmark names, an int per example into it, and
+the id strings) and builds a ``(benchmark, example_id)`` tuple only when
+indexed or iterated.
 :func:`check_results` is the one check of mapped paths against a taxonomy:
 a fold made for that taxonomy passes as it is, and any other fold is
 checked once per path number its sets use and renumbered into the
-taxonomy's numbers, never re-folded. Coverage collects path
-numbers per benchmark. Effort and breadth read a fold through
-:class:`NodeSets`, which finds each path's node at the grouping level once
-and builds the node set once per set id, so no per-example node table is
-built: breadth's ``per_example`` holds one width per example.
+taxonomy's numbers, never re-folded. Coverage collects path numbers per
+benchmark code, read from the benchmark column. Effort and breadth read a
+fold through :class:`NodeSets`, which finds each path's node at the
+grouping level once and builds the node set once per set id, so no
+per-example table is built: breadth keeps its histogram and shares, and
+builds its ``per_example`` widths only when they are read.
 
 All operations are pure functions of their inputs and invariant to input
 order; :class:`CoverageAccumulator` provides an incremental form, which is
@@ -34,8 +39,8 @@ exactly equivalent to a from-scratch set union.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, abc
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -69,16 +74,63 @@ def node_at_level(path: TaxonomyPath) -> tuple[str, str]:
 MISSING = -1  # the set id of an example without a result of a fold's kind
 
 
+class ExampleKeys(abc.Sequence):
+    """The ``(benchmark, example_id)`` keys of a fold's examples, by number,
+    held as columns: ``benchmarks``, the tuple of benchmark names in
+    first-seen order; ``codes``, an ``array("I")`` with one int per
+    example, its benchmark's index in ``benchmarks``; and ``ids``, the
+    example id strings. Indexing or iterating builds a key tuple on demand;
+    readers that need only the benchmark read ``codes``.
+
+    Examples are numbered in first-seen order through a per-benchmark
+    ``{example_id: number}`` index, which :meth:`MappingFolder.folded`
+    drops; once it is dropped the keys are read-only.
+    """
+
+    __slots__ = ("benchmarks", "codes", "ids", "_index")
+
+    def __init__(self):
+        self.benchmarks: tuple[str, ...] = ()
+        self.codes = array("I")
+        self.ids: list[str] = []
+        # benchmark -> (its code, example id -> number)
+        self._index: dict[str, tuple[int, dict[str, int]]] | None = {}
+
+    def number(self, benchmark: str, example_id: str) -> int:
+        """The example's number, given it at its first sight."""
+        entry = self._index.get(benchmark)
+        if entry is None:
+            code = len(self.benchmarks)
+            entry = self._index[benchmark] = (code, {})
+            self.benchmarks += (benchmark,)
+        code, numbers = entry
+        number = numbers.get(example_id)
+        if number is None:
+            number = numbers[example_id] = len(self.ids)
+            self.codes.append(code)
+            self.ids.append(example_id)
+        return number
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, n: int) -> tuple[str, str]:
+        return self.benchmarks[self.codes[n]], self.ids[n]
+
+    def __iter__(self):
+        return zip(map(self.benchmarks.__getitem__, self.codes), self.ids)
+
+
 class CheckedResults:
     """One ``kind`` of mapping results (by default ``taxonomy``'s) folded
     per example for ``taxonomy`` (``None`` for :func:`build_pool`'s folds,
     which :func:`check_results` checks as they are read): ``keys`` numbers
-    the examples in first-seen order (shared by a :class:`MappingFolder`'s
-    folds, which end with the tuple of keys), ``paths`` maps path numbers
-    to paths, ``sets`` holds each distinct union of an example's mapped
-    paths once, as the strictly increasing tuple of its path numbers, and
-    ``ids`` each example's set id, :data:`MISSING` without a result of this
-    kind. The tables and the sampler read only these.
+    the examples in first-seen order (one :class:`ExampleKeys`, shared by a
+    :class:`MappingFolder`'s folds), ``paths`` maps path numbers to paths,
+    ``sets`` holds each distinct union of an example's mapped paths once,
+    as the strictly increasing tuple of its path numbers, and ``ids`` each
+    example's set id, :data:`MISSING` without a result of this kind. The
+    tables and the sampler read only these.
 
     A fold for a taxonomy has no path table of its own: ``paths`` is the
     taxonomy's ``paths``, and :meth:`add` numbers a path by the taxonomy's
@@ -88,11 +140,11 @@ class CheckedResults:
 
     __slots__ = ("kind", "taxonomy", "keys", "paths", "sets", "ids", "_numbers", "_set_ids")
 
-    def __init__(self, taxonomy: Taxonomy | None, keys: dict | None = None,
+    def __init__(self, taxonomy: Taxonomy | None, keys: ExampleKeys | None = None,
                  kind: TaxonomyKind | None = None):
         self.kind = taxonomy.kind if kind is None else kind
         self.taxonomy = taxonomy
-        self.keys = {} if keys is None else keys
+        self.keys = ExampleKeys() if keys is None else keys
         self.paths: Sequence[TaxonomyPath] = [] if taxonomy is None else taxonomy.paths
         self.sets: list[tuple[int, ...]] = []
         self.ids = array("i")
@@ -103,7 +155,8 @@ class CheckedResults:
     def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result's mapped paths (empty for one not mapped) into
         its example's union, by their numbers (:meth:`add_numbers`). Raises
-        :class:`ForeignPathError` for a path outside the fold's taxonomy."""
+        :class:`ForeignPathError` for a path outside the fold's taxonomy,
+        and then numbers no example."""
         numbers = self._numbers
         try:
             added = [numbers[path] for path in paths]
@@ -118,15 +171,15 @@ class CheckedResults:
                     self.paths.append(path)
             added = [numbers[path] for path in paths]
         added.sort()
-        self.add_numbers(key, tuple(added))
+        self.add_numbers(self.keys.number(*key), tuple(added))
 
-    def add_numbers(self, key: tuple[str, str], numbers: tuple[int, ...]) -> None:
+    def add_numbers(self, number: int, numbers: tuple[int, ...]) -> None:
         """Fold one result's path numbers, a strictly increasing tuple
-        (empty for a result not mapped), into its example's union. The
-        numbers are taken unchecked: a fold for a taxonomy reads them as
-        that taxonomy's path numbers, which ``io.read_mapping_folds``
-        resolves each line's label lists to."""
-        number, ids, sets = self.keys.setdefault(key, len(self.keys)), self.ids, self.sets
+        (empty for a result not mapped), into the union of example
+        ``number`` in ``keys``. The path numbers are taken unchecked: a fold
+        for a taxonomy reads them as that taxonomy's path numbers, which
+        ``io.read_mapping_folds`` resolves each line's label lists to."""
+        ids, sets = self.ids, self.sets
         seen = number < len(ids)
         if seen and ids[number] != MISSING:
             numbers = tuple(sorted(set(sets[ids[number]]).union(numbers)))
@@ -137,7 +190,7 @@ class CheckedResults:
             ids[number] = set_id
             return
         if number > len(ids):  # examples that only other kinds have results for
-            ids.extend([MISSING] * (number - len(ids)))
+            ids.extend(array("i", [MISSING]) * (number - len(ids)))
         ids.append(set_id)
 
 
@@ -145,13 +198,14 @@ class CheckedResults:
 class FoldedMappings:
     """Mapping results folded per example, with no result object kept.
 
-    ``examples`` lists every example key once, by number; ``by_kind`` holds
-    one fold per kind that has a result, with a set id for every example.
-    The folds share one numbering, so only :meth:`MappingFolder.folded`
-    builds one.
+    ``examples`` lists every example key once, by number, as the columns
+    of one :class:`ExampleKeys`; ``by_kind`` holds one fold per kind that
+    has a result, with a set id for every example. The folds share that
+    numbering (each fold's ``keys`` is ``examples``), so only
+    :meth:`MappingFolder.folded` builds one.
     """
 
-    examples: tuple[tuple[str, str], ...]
+    examples: ExampleKeys
     by_kind: dict[TaxonomyKind, CheckedResults]
 
 
@@ -165,15 +219,16 @@ class MappingFolder:
     that taxonomy. :func:`build_pool` folds with ``None`` in place of
     each taxonomy, so each fold numbers its paths itself, and
     :func:`check_results` checks and renumbers such a fold wherever it is
-    read. A set is interned through a set to id dict, which :meth:`folded`
-    drops.
+    read. The folds share one :class:`ExampleKeys`, which numbers the
+    examples through a per-benchmark index; that index, and each fold's
+    set to id dict, :meth:`folded` drops.
     """
 
     __slots__ = ("_taxonomies", "_keys", "_folds")
 
     def __init__(self, taxonomies: Mapping[TaxonomyKind, Taxonomy | None]):
         self._taxonomies = taxonomies
-        self._keys: dict[tuple[str, str], int] = {}  # example key -> number
+        self._keys = ExampleKeys()
         self._folds: dict[TaxonomyKind, CheckedResults] = {}
 
     def add(self, kind: TaxonomyKind, key: tuple[str, str],
@@ -182,12 +237,13 @@ class MappingFolder:
         (empty unless it is mapped)."""
         self._fold(kind).add(key, paths)
 
-    def add_numbers(self, kind: TaxonomyKind, key: tuple[str, str],
+    def add_numbers(self, kind: TaxonomyKind, benchmark: str, example_id: str,
                     numbers: tuple[int, ...]) -> None:
-        """Fold one result by its paths' numbers in its kind's taxonomy
-        (:meth:`CheckedResults.add_numbers`); only for a folder made with a
-        taxonomy of that kind."""
-        self._fold(kind).add_numbers(key, numbers)
+        """Fold one result of example ``(benchmark, example_id)`` by its
+        paths' numbers in its kind's taxonomy
+        (:meth:`CheckedResults.add_numbers`), building no key tuple; only
+        for a folder made with a taxonomy of that kind."""
+        self._fold(kind).add_numbers(self._keys.number(benchmark, example_id), numbers)
 
     def _fold(self, kind: TaxonomyKind) -> CheckedResults:
         fold = self._folds.get(kind)
@@ -196,18 +252,19 @@ class MappingFolder:
         return fold
 
     def folded(self) -> FoldedMappings:
-        """The folds, each with a set id for every example; they drop their
-        lookup tables (path to number, set to id), so no result can be
-        added to them.
+        """The folds, each with a set id for every example; they and the
+        keys drop their lookup tables (example key to number, path to
+        number, set to id), so no result can be added to them.
 
         A repeated record replaces its example's set with a union, which
         may leave the old set unused. Each fold keeps only the sets that
         some example uses, renumbered in the order they were first added.
         """
-        examples = tuple(self._keys)
+        examples = self._keys
+        examples._index = None
         for fold in self._folds.values():
-            fold.ids.extend([MISSING] * (len(examples) - len(fold.ids)))
-            fold.keys, fold._numbers, fold._set_ids = examples, None, None
+            fold.ids.extend(array("i", [MISSING]) * (len(examples) - len(fold.ids)))
+            fold._numbers = fold._set_ids = None
             in_use = sorted(set(fold.ids) - {MISSING})
             if len(in_use) < len(fold.sets):
                 renumber = {old: new for new, old in enumerate(in_use)}
@@ -249,7 +306,7 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
             return results
         folds = [results]
     else:  # a fold of another kind fails its check, so at most one passes
-        folds = list(build_pool(results).by_kind.values()) or [CheckedResults(None, (), t.kind)]
+        folds = list(build_pool(results).by_kind.values()) or [CheckedResults(None, None, t.kind)]
     for fold in folds:
         examples = ((key, i) for key, i in zip(fold.keys, fold.ids) if i != MISSING)
         if fold.kind is not t.kind:
@@ -308,11 +365,12 @@ def coverage(results: Iterable[MappingResult] | CheckedResults, t: Taxonomy) -> 
     denominator.
     """
     fold = check_results(results, t)
-    by_benchmark: dict[str, set[int]] = {}  # benchmark -> the path numbers it covers
-    for (benchmark, _), i in zip(fold.keys, fold.ids):
+    by_code: dict[int, set[int]] = {}  # benchmark code -> the path numbers it covers
+    for code, i in zip(fold.keys.codes, fold.ids):
         if i != MISSING:
-            by_benchmark.setdefault(benchmark, set()).update(fold.sets[i])
-    covered = set().union(*by_benchmark.values())
+            by_code.setdefault(code, set()).update(fold.sets[i])
+    by_benchmark = {fold.keys.benchmarks[code]: s for code, s in by_code.items()}
+    covered = set().union(*by_code.values())
     total = t.leaf_count
     return CoverageReport(
         taxonomy_kind=t.kind,
@@ -407,16 +465,18 @@ def effort_by_node(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreadthStats:
     """Distinct-node counts per example at a grouping level.
 
     Examples whose mappings are empty or invalid stay in the denominator
-    with breadth 0; their share is reported explicitly.
+    with breadth 0; their share is reported explicitly. The summary is
+    kept; the per-example widths are read from ``node_sets`` on request
+    (:attr:`per_example`). Two stats are equal when their summaries and
+    their per-example widths are.
     """
 
     group_level: GroupLevel
-    per_example: dict[tuple[str, str], int]
     histogram: dict[int, int]
     share_zero: float
     share_exactly_one: float
@@ -424,29 +484,41 @@ class BreadthStats:
     share_more_than_three: float
     share_four_or_more: float
     mean_breadth: float
+    node_sets: NodeSets = field(repr=False, compare=False)
+
+    @property
+    def per_example(self) -> dict[tuple[str, str], int]:
+        """Each example with a result of this kind, by number, mapped to
+        its node set's width; a new dict, built on each call."""
+        of_ids, fold = self.node_sets.of_ids, self.node_sets.fold
+        return {key: len(of_ids[i]) for key, i in zip(fold.keys, fold.ids) if i != MISSING}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BreadthStats):
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.compare)
+                and self.per_example == other.per_example)
 
 
 def breadth(
     results: Iterable[MappingResult] | CheckedResults | NodeSets, t: Taxonomy
 ) -> BreadthStats:
-    """Per-example breadth (distinct nodes at ``t``'s grouping level) plus
-    its histogram and summary shares. The histogram and shares count each
-    distinct node set once, weighted by the number of examples that reach
-    it; ``per_example`` maps each example to its node set's width."""
+    """Per-example breadth (distinct nodes at ``t``'s grouping level) as
+    its histogram and summary shares, which count each distinct node set
+    once, weighted by the number of examples that reach it; no
+    per-example table is built unless ``per_example`` is read."""
     sets = node_sets(results, t)
-    per_example = {key: len(sets.of_ids[i]) for key, i in zip(sets.fold.keys, sets.fold.ids)
-                   if i != MISSING}
     histogram: Counter[int] = Counter()
     for nodes, examples in sets.examples.items():
         histogram[len(nodes)] += examples
-    n = len(per_example)
+    n = sum(histogram.values())
 
     def share(pred) -> float:
         return sum(c for width, c in histogram.items() if pred(width)) / n if n else 0.0
 
     return BreadthStats(
         group_level=REPORT_LEVEL[t.kind],
-        per_example=per_example,
         histogram=dict(sorted(histogram.items())),
         share_zero=share(lambda v: v == 0),
         share_exactly_one=share(lambda v: v == 1),
@@ -454,4 +526,5 @@ def breadth(
         share_more_than_three=share(lambda v: v > 3),
         share_four_or_more=share(lambda v: v >= 4),
         mean_breadth=(sum(width * c for width, c in histogram.items()) / n) if n else 0.0,
+        node_sets=sets,
     )

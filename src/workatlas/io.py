@@ -31,7 +31,10 @@ without metadata shares :data:`~workatlas.mapping.NO_METADATA`, an empty
 dict that is read-only. A mappings file's path sets (built once per
 distinct set of path numbers by :func:`read_mappings`, held as tuples of
 the taxonomy's path numbers by :func:`read_mapping_folds`) and id,
-annotator and raw-output strings are one object per distinct value. An
+annotator and raw-output strings are one object per distinct value;
+:func:`read_mapping_folds` keeps the example keys as columns (each
+benchmark name once, an int per example, the id strings) and builds
+no key tuple per line. An
 importance table is folded into columns as it is read, each distinct SOC
 code and activity id once and three arrays with one entry per row, and
 builds no record object unless a caller asks for ``records``. Digital
@@ -369,16 +372,15 @@ def read_mapping_folds(
     errors of :func:`read_mappings`, adding each line to its kind's fold as
     it is read. Each line's label lists are resolved straight to their
     taxonomy's path numbers, which the fold takes as they are, so no path
-    object is looked up or hashed per line. No :class:`MappingResult` is
-    built, and no ``raw`` output or annotator id is kept; each fold holds
-    each distinct path set once, as a tuple of path numbers."""
+    object is looked up or hashed per line, and its example is numbered by
+    its benchmark and id, so no key tuple is built either. No
+    :class:`MappingResult` is built, and no ``raw`` output or annotator id
+    is kept; each fold holds each distinct path set once, as a tuple of
+    path numbers, and the folds share one set of example key columns."""
     folder = MappingFolder(taxonomies)
-    shared: dict = {}  # each benchmark name once
     for line_no, record in _iter_jsonl(path):
         kind, _, numbers = _mapping_line(path, line_no, record, taxonomies)
-        benchmark = record["benchmark"]
-        folder.add_numbers(kind, (shared.setdefault(benchmark, benchmark),
-                                  record["example_id"]), numbers)
+        folder.add_numbers(kind, record["benchmark"], record["example_id"], numbers)
     return folder.folded()
 
 
@@ -396,11 +398,14 @@ def read_raw_mappings(path: str | Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def read_occupations(path: str | Path) -> list[OccupationStats]:
-    """Read the occupations CSV: soc_code,title,employment,median_wage."""
+    """Read the occupations CSV: soc_code,title,employment,median_wage. A
+    row too short to hold its SOC code or title is refused."""
     rows = []
     for line_no, (soc_code, title, employment, median_wage) in _iter_csv(
             path, ("soc_code", "title", "employment", "median_wage")):
         try:
+            if soc_code is None:
+                raise ValueError("soc_code missing")
             if title is None:
                 raise ValueError("title missing")
             rows.append(OccupationStats(soc_code, title, _finite(employment, "employment"),
@@ -413,9 +418,9 @@ def read_occupations(path: str | Path) -> list[OccupationStats]:
 def read_importance(path: str | Path) -> ImportanceTable:
     """Read the importance CSV, whose leading ``# scale_max: <value>``
     comment line gives the scale maximum. Rows are folded into the table's
-    columns as they are read, building no record object. A row whose
-    importance does not parse is reported first, by its line; then the
-    table's own checks, for the whole file.
+    columns as they are read, building no record object. A row too short
+    to hold its SOC code, or whose importance does not parse, is reported
+    first, by its line; then the table's own checks, for the whole file.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -432,6 +437,8 @@ def read_importance(path: str | Path) -> ImportanceTable:
         for line_no, (soc_code, activity_id, importance) in _iter_csv(
                 path, ("soc_code", "activity_id", "importance"), header_line=2):
             try:
+                if soc_code is None:
+                    raise ValueError("soc_code missing")
                 importance = _finite(importance, "importance")
             except (TypeError, ValueError) as err:
                 raise InputFormatError(path, line_no, str(err)) from err
@@ -449,8 +456,8 @@ def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
     """Read the digital labels CSV: soc_code,task_hash,label,justification.
 
     Only the task hash is persisted, so loaded labels carry it verbatim and
-    leave ``task_text`` empty; a row must hold a non-empty hash. A missing
-    justification reads as ``""``.
+    leave ``task_text`` empty; a row must hold its SOC code and a non-empty
+    hash. A missing justification reads as ``""``.
     """
     rows = []
     shared: dict = {}  # an occupation has many tasks; justifications repeat
@@ -458,6 +465,8 @@ def read_digital_labels(path: str | Path) -> list[DigitalLabel]:
             path, ("soc_code", "task_hash", "label", "justification"),
             optional=("justification",)):
         try:
+            if soc_code is None:
+                raise ValueError("soc_code missing")
             label = WorkMode(label)
             if not task_hash:
                 raise ValueError(f"task_hash must not be empty, got {task_hash!r}")

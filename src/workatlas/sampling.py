@@ -113,8 +113,12 @@ class _Sampler:
         }
         if not taxonomies:
             raise ValueError("at least one taxonomy is required")
-        numbers: Sequence[int] = range(len(pool.examples)) if benchmark is None else array(
-            "i", (n for n, (bench, _) in enumerate(pool.examples) if bench == benchmark))
+        keys = pool.examples
+        if benchmark is None:
+            numbers: Sequence[int] = range(len(keys))
+        else:  # a benchmark not in the pool has no code, and no example
+            code = keys.benchmarks.index(benchmark) if benchmark in keys.benchmarks else None
+            numbers = array("i", (n for n, c in enumerate(keys.codes) if c == code))
         if not numbers:
             raise ValueError("pool is empty")
         self.batch_size = batch_size
@@ -122,7 +126,7 @@ class _Sampler:
 
         self.kinds = list(taxonomies)
         self.leaf_counts = [t.leaf_count for t in taxonomies.values()]
-        self.examples, self.numbers = pool.examples, numbers
+        self.examples, self.numbers = keys, numbers
         folds = [check_results(pool.by_kind[kind], t) if kind in pool.by_kind else None
                  for kind, t in taxonomies.items()]
         set_paths = [{MISSING: ()} for _ in self.kinds]  # per kind, set id -> path ids
@@ -146,8 +150,8 @@ class _Sampler:
         first = self.leaf_counts[0]
         self.occurrence = [[c for c in counts[:first] if c],
                            [c for c in counts[first:] if c]][:len(self.kinds)]
-        benchmarks = {self.examples[n][0] for n in numbers}
-        self.benchmark = benchmarks.pop() if len(benchmarks) == 1 else POOLED_BENCHMARK
+        names = keys.benchmarks if benchmark is None else (benchmark,)
+        self.benchmark = names[0] if len(names) == 1 else POOLED_BENCHMARK
 
     def replay(self, rng: random.Random | None) -> _Replay:
         """Consume the pool batch by batch until the gain falls below delta.

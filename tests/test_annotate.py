@@ -295,9 +295,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
 @contextlib.contextmanager
 def _serving(handler):
-    """The URL of a loopback server that answers with ``handler``."""
+    """The URL of a loopback server that answers with ``handler``. The
+    server polls for shutdown every 10 ms, so teardown does not wait out
+    ``serve_forever``'s default half-second poll."""
     server = http.server.HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/annotate"

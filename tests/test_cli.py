@@ -695,6 +695,12 @@ class TestSharedValidation:
         pytest.param(ECONOMICS, "digital-labels", "soc_code,label,task_hash\n\n"
                      "13-2011,DIGITAL\n", 3, "task_hash must not be empty, got None",
                      id="digital-label-without-task-hash-cell"),
+        pytest.param(ECONOMICS, "importance", "# scale_max: 5.0\n"
+                     "activity_id,importance,soc_code\n4.A.1.a.1,4.0\n", 3, "soc_code missing",
+                     id="importance-without-soc-code-cell"),
+        pytest.param(ECONOMICS, "digital-labels", "task_hash,label,soc_code\n"
+                     "abc,DIGITAL\n", 2, "soc_code missing",
+                     id="digital-label-without-soc-code-cell"),
     ])
     def test_refused_csv_row_exits_input_naming_its_line(self, tmp_path, capsys, argv, key,
                                                          text, line, reason):
@@ -704,6 +710,24 @@ class TestSharedValidation:
         code = main([*argv, f"--{key}", str(path), "--out", str(out)])
         assert code == EXIT_INPUT
         assert f"input violation: {path} [line {line}]: {reason}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_occupation_row_without_its_soc_code_names_its_line(self, tmp_path, capsys):
+        # the bundled occupations with the SOC code moved last, and the
+        # fourth row cut short of it: refused at its line, not read as a
+        # SOC code None that only other files' checks would trip over
+        with open(fixture_path("occupations.csv"), encoding="utf-8", newline="") as fh:
+            rows = [row[1:] + row[:1] for row in csv.reader(fh)]
+        assert rows[0][-1] == "soc_code"
+        rows[4] = rows[4][:-1]
+        path = tmp_path / "occupations.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main([*ECONOMICS, "--occupations", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert f"input violation: {path} [line 5]: soc_code missing\n" in err
+        assert "unknown SOC code" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [("map", "examples"), ("coverage", "mappings"),

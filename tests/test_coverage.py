@@ -197,6 +197,58 @@ class TestBreadth:
             == breadth(domain_results, domain_taxonomy)
         )
 
+    def test_equal_only_with_equal_per_example_widths(self):
+        # the same histogram and shares, with the widths on other examples
+        t = synthetic_taxonomy(3, "skill")
+        one = breadth([synthetic_result(t, "e0", [0]), synthetic_result(t, "e1", [1, 2])], t)
+        other = breadth([synthetic_result(t, "e0", [0, 1]), synthetic_result(t, "e1", [2])], t)
+        assert one.histogram == other.histogram == {1: 1, 2: 1}
+        assert one != other
+        assert one == breadth([synthetic_result(t, "e0", [1]), synthetic_result(t, "e1", [0, 2])],
+                              t)
+
+    def test_per_example_is_built_on_request(self, domain_taxonomy):
+        # 20,000 examples over 50 path sets: breadth's working memory follows
+        # the 50 sets, and the per-example widths are built only when read
+        t, distinct = domain_taxonomy, 50
+        paths = sorted(t.path_index, key=lambda p: p.node_ids)
+        rng, unique = random.Random(28), set()
+        while len(unique) < distinct:
+            unique.add(frozenset(rng.sample(paths, rng.randint(1, 4))))
+        sets = list(unique)
+        fold = CheckedResults(t)
+        for i in range(20_000):
+            fold.add((f"b{i % 3}", f"e{i}"), sets[i % distinct])
+        shared = node_sets(fold, t)
+        tracemalloc.start()
+        try:
+            stats = breadth(shared, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * distinct
+        assert sum(stats.histogram.values()) == 20_000
+        widths = {(f"b{i % 3}", f"e{i}"): len({node_at_level(p) for p in sets[i % distinct]})
+                  for i in range(20_000)}
+        assert stats.per_example == widths
+        assert list(stats.per_example) == list(widths)
+        assert stats.per_example is not stats.per_example  # a new dict per request
+
+
+class TestExampleKeys:
+    def test_coverage_reads_the_benchmark_column(self):
+        # one id in three benchmarks names three examples, each counted
+        # for its own benchmark
+        t = synthetic_taxonomy(6)
+        results = [synthetic_result(t, "e0", [i], benchmark=b) for i, b in enumerate("cab")]
+        results.append(synthetic_result(t, "e1", [3, 4], benchmark="a"))
+        fold = build_pool(results).by_kind[TaxonomyKind.DOMAIN]
+        assert fold.keys.benchmarks == ("c", "a", "b")
+        assert list(fold.keys.codes) == [0, 1, 2, 1]
+        report = coverage(fold, t)
+        assert report.per_benchmark_covered == {"a": 3, "b": 1, "c": 1}
+        assert list(report.per_benchmark) == ["a", "b", "c"]
+
 
 class TestCheckOncePerKind:
     def test_checked_results_are_not_checked_again(self, domain_results, domain_taxonomy,
@@ -276,7 +328,7 @@ class TestCheckOncePerKind:
             folder.add(TaxonomyKind.DOMAIN, ("synth", "e1"),
                        synthetic_result(wide, "e1", range(8)).paths)
         fold = folder.folded().by_kind[TaxonomyKind.DOMAIN]
-        assert fold.keys == (("synth", "e0"),)  # the refused record left nothing
+        assert tuple(fold.keys) == (("synth", "e0"),)  # the refused record left nothing
         assert coverage(fold, narrow).coverage == 0.5
 
     def test_fold_for_a_wider_tree_checks_only_the_paths_it_uses(self):

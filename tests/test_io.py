@@ -21,7 +21,6 @@ from workatlas.coverage import (
     effort_by_node,
 )
 from workatlas.io import (
-    FoldedMappings,
     InputFormatError,
     fixture_path,
     read_curves,
@@ -420,7 +419,8 @@ class TestEconomicsFiles:
 def dict_reader_importance(path):
     """Reference importance reader on ``csv.DictReader``; a row's line is
     its physical line, one more than the reader counts after the scale
-    line."""
+    line. A missing SOC code is refused, which ``DictReader`` would read
+    as ``None``."""
     import csv
 
     from workatlas.economics import ImportanceRecord, ImportanceTable
@@ -433,6 +433,8 @@ def dict_reader_importance(path):
         records = []
         for record in reader:
             try:
+                if record["soc_code"] is None:
+                    raise ValueError("soc_code missing")
                 records.append(ImportanceRecord(
                     soc_code=record["soc_code"], activity_id=record["activity_id"],
                     importance=workatlas_io._finite(record["importance"], "importance")))
@@ -470,14 +472,16 @@ def dict_reader_header(path, required):
 
 
 def dict_reader_occupations(path):
-    """Reference occupations reader on ``csv.DictReader``; a missing title
-    is refused, which ``DictReader`` would read as ``None``."""
+    """Reference occupations reader on ``csv.DictReader``; a missing SOC
+    code or title is refused, which ``DictReader`` would read as ``None``."""
     from workatlas.economics import OccupationStats
 
     dict_reader_header(path, ["soc_code", "title", "employment", "median_wage"])
     rows = []
     for line_no, record in dict_reader_records(path):
         try:
+            if record["soc_code"] is None:
+                raise ValueError("soc_code missing")
             if record["title"] is None:
                 raise ValueError("title missing")
             rows.append(OccupationStats(
@@ -490,14 +494,17 @@ def dict_reader_occupations(path):
 
 
 def dict_reader_digital_labels(path):
-    """Reference digital-labels reader on ``csv.DictReader``; an empty or
-    missing task hash is refused, and a missing justification reads ``""``."""
+    """Reference digital-labels reader on ``csv.DictReader``; a missing SOC
+    code and an empty or missing task hash are refused, and a missing
+    justification reads ``""``."""
     from workatlas.economics import DigitalLabel, WorkMode
 
     dict_reader_header(path, ["soc_code", "task_hash", "label"])
     rows = []
     for line_no, record in dict_reader_records(path):
         try:
+            if record["soc_code"] is None:
+                raise ValueError("soc_code missing")
             label = WorkMode(record["label"])
             if not record["task_hash"]:
                 raise ValueError(f"task_hash must not be empty, got {record['task_hash']!r}")
@@ -605,6 +612,12 @@ OVER_LIMIT_REASON = f"field larger than field limit ({csv.field_size_limit()})"
                  OVER_LIMIT_REASON, id="digital-labels-over-limit"),
     pytest.param(read_curves, "group,level,successes,totals,sr,lcb\ng,1,3,4,0.75,0.3\n\n\n"
                  f"{OVER_LIMIT},2,0,1,0,0\n", 5, OVER_LIMIT_REASON, id="curves-over-limit"),
+    pytest.param(read_occupations, "title,employment,median_wage,soc_code\nA,1,2,13-2011\n\n"
+                 "B,3,4\n", 4, "soc_code missing", id="occupation-without-soc-code"),
+    pytest.param(read_importance, "# scale_max: 5.0\nactivity_id,importance,soc_code\n"
+                 "4.A.1.a.1,4.0\n", 3, "soc_code missing", id="importance-without-soc-code"),
+    pytest.param(read_digital_labels, "task_hash,label,soc_code\nabc,DIGITAL,13-2011\n"
+                 "def,DIGITAL\n", 3, "soc_code missing", id="digital-label-without-soc-code"),
 ])
 def test_csv_error_names_physical_line_after_blank_rows(tmp_path, reader, text, line_no,
                                                         reason):
@@ -826,7 +839,7 @@ class TestMappingFolds:
     def assert_fold_matches(path, taxonomies):
         results = read_mappings(path, taxonomies)
         folded = read_mapping_folds(path, taxonomies)
-        assert folded.examples == tuple(dict.fromkeys(r.key for r in results))
+        assert tuple(folded.examples) == tuple(dict.fromkeys(r.key for r in results))
         by_kind: dict = {}
         for r in results:
             by_kind.setdefault(r.taxonomy_kind, []).append(r)
@@ -850,7 +863,7 @@ class TestMappingFolds:
             assert effort_by_node(fold, t) == effort_by_node(rs, t)
             assert breadth(fold, t) == breadth(rs, t)
         pool = build_pool(results)
-        assert pool.examples == folded.examples
+        assert tuple(pool.examples) == tuple(folded.examples)
         assert pool.by_kind.keys() == folded.by_kind.keys()
         for kind, fold in folded.by_kind.items():
             # a build_pool fold of the same records, checked, is the same fold
@@ -915,6 +928,102 @@ class TestMappingFolds:
                              tuple(sorted([number[tuple(a)], number[tuple(c)]]))]
         assert list(fold.ids) == [1, 0, 0]
 
+    def test_example_keys_are_columns_in_first_seen_order(self, tmp_path, domain_taxonomy,
+                                                          skill_taxonomy):
+        taxonomies = TestValueSharing.taxonomies(domain_taxonomy, skill_taxonomy)
+        a, b, c = (list(p.labels) for p in sorted(domain_taxonomy.path_index, key=str)[:3])
+        number = {tuple(labels): domain_taxonomy.path_index[resolve_path(domain_taxonomy, labels)]
+                  for labels in (a, b, c)}
+
+        def record(benchmark, example_id, kind, paths):
+            return json.dumps({"benchmark": benchmark, "example_id": example_id,
+                               "taxonomy_kind": kind, "paths": paths,
+                               "status": "mapped" if paths else "empty"})
+
+        path = tmp_path / "mappings.jsonl"
+        path.write_text("\n".join([
+            record("b2", "e1", "domain", [a]),
+            record("b1", "e1", "domain", [b]),  # the same id in another benchmark
+            record("b2", "e2", "skill", []),
+            record("b1", "e0", "domain", []),
+            record("b2", "e1", "domain", [c]),  # a repeat four lines on: a union
+            record("b1", "e1", "domain", [b]),  # a repeat that changes nothing
+        ]) + "\n", encoding="utf-8")
+        self.assert_fold_matches(path, taxonomies)
+        folded = read_mapping_folds(path, taxonomies)
+        keys = folded.examples
+        expected = (("b2", "e1"), ("b1", "e1"), ("b2", "e2"), ("b1", "e0"))
+        assert keys.benchmarks == ("b2", "b1")
+        assert list(keys.codes) == [0, 1, 0, 1]
+        assert list(keys.ids) == ["e1", "e1", "e2", "e0"]
+        assert len(keys) == 4
+        assert [keys[n] for n in range(4)] == list(expected)
+        assert keys[-1] == ("b1", "e0")
+        with pytest.raises(IndexError):
+            keys[4]
+        assert tuple(keys) == tuple(iter(keys)) == expected
+        assert keys.index(("b2", "e2")) == 2 and ("b1", "e2") not in keys
+        fold = folded.by_kind[TaxonomyKind.DOMAIN]
+        assert fold.keys is keys
+        # b2/e1's first set, {a}, is left unused by its union and dropped
+        assert fold.sets == [(number[tuple(b)],), (),
+                             tuple(sorted([number[tuple(a)], number[tuple(c)]]))]
+        assert list(fold.ids) == [2, 0, MISSING, 1]
+
+    def test_fold_holds_no_tuple_per_example(self, domain_taxonomy, skill_taxonomy):
+        # 3,000 examples in three benchmarks, twenty path sets per kind: the
+        # fold holds its keys as two columns and a tuple of names, each
+        # distinct set once, and no table with an entry per example
+        import gc
+        from enum import Enum
+
+        taxonomies = TestValueSharing.taxonomies(domain_taxonomy, skill_taxonomy)
+        rng, n = random.Random(29), 3_000
+        sets = {kind: [tuple(sorted(rng.sample(range(len(t.paths)), rng.randint(0, 3))))
+                       for _ in range(20)] for kind, t in taxonomies.items()}
+        folder = MappingFolder(taxonomies)
+        for i in range(n):
+            for kind in taxonomies:
+                folder.add_numbers(kind, f"bench-{i % 3}", f"e{i}", rng.choice(sets[kind]))
+        folded = folder.folded()
+        skip = {id(x) for t in taxonomies.values() for x in (t, t.paths, t.path_index)}
+        seen, stack, held = set(), [folded], []
+        while stack:
+            obj = stack.pop()
+            if (id(obj) in seen or id(obj) in skip
+                    or isinstance(obj, (str, int, float, type, Enum)) or obj is None):
+                continue
+            seen.add(id(obj))
+            held.append(obj)
+            stack.extend(gc.get_referents(obj))
+        tuples = [o for o in held if type(o) is tuple]
+        distinct = sum(len(fold.sets) for fold in folded.by_kind.values())
+        assert len(folded.examples) == n
+        assert folded.examples.benchmarks in tuples
+        assert len(tuples) <= distinct + 1  # the sets and the benchmark names
+        assert not [o for o in tuples if len(o) == 2 and all(type(x) is str for x in o)]
+        assert max(len(o) for o in held if isinstance(o, dict)) < 10  # no index kept
+        assert sys.getsizeof(folded.examples.codes) < 5 * n  # an int per example
+
+    def test_folding_drops_only_the_sets_a_repeat_stranded(self, domain_taxonomy):
+        taxonomies = {TaxonomyKind.DOMAIN: domain_taxonomy}
+        a, b, c = (0,), (1,), (2,)
+        cases = [
+            # (records as (example id, path numbers), sets kept, ids)
+            ([("e1", a), ("e2", b), ("e1", a)], [a, b], [0, 1]),  # the same union
+            ([("e1", a), ("e2", a), ("e1", b)], [a, (0, 1)], [1, 0]),  # {a} still e2's
+            ([("e1", ()), ("e1", a), ("e2", b)], [a, b], [0, 1]),  # the empty set freed
+            ([("e1", a), ("e2", b), ("e1", c)], [b, (0, 2)], [1, 0]),
+            ([("e1", a), ("e2", b), ("e1", c), ("e3", a)], [a, b, (0, 2)],
+             [2, 1, 0]),  # the set e1 left is e3's
+        ]
+        for records, kept, ids in cases:
+            folder = MappingFolder(taxonomies)
+            for example_id, numbers in records:
+                folder.add_numbers(TaxonomyKind.DOMAIN, "b", example_id, numbers)
+            fold = folder.folded().by_kind[TaxonomyKind.DOMAIN]
+            assert (fold.sets, list(fold.ids)) == (kept, ids), records
+
     def test_sets_take_a_pointer_per_member(self, domain_taxonomy, skill_taxonomy):
         # 20,000 examples with one to four paths of each kind: a set is a
         # tuple of path numbers, a header and one pointer per member
@@ -938,7 +1047,8 @@ class TestMappingFolds:
         path.write_text("\n", encoding="utf-8")
         taxonomies = TestValueSharing.taxonomies(domain_taxonomy, skill_taxonomy)
         assert self.assert_fold_matches(path, taxonomies) == []
-        assert read_mapping_folds(path, taxonomies) == FoldedMappings((), {})
+        folded = read_mapping_folds(path, taxonomies)
+        assert (tuple(folded.examples), folded.by_kind) == ((), {})
 
     BASE = {"benchmark": "b", "example_id": "bad", "taxonomy_kind": "domain",
             "status": "mapped",
