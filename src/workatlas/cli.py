@@ -726,10 +726,15 @@ def _cmd_sample(config: RunConfig) -> int:
 
 def _cmd_economics(config: RunConfig) -> int:
     inputs = _load(config, "domain_taxonomy", "skill_taxonomy", "occupations")
+    # The alignment tables read only the efforts, so the folds are dropped
+    # before the labour tables are built.
+    efforts = None
+    if inputs.mappings is not None and inputs.mappings.by_kind and inputs.importance is not None:
+        efforts = effort_distributions(inputs.mappings.by_kind, inputs.taxonomies)
+    inputs.mappings = None
     bundle = _start_bundle(config, inputs)
     family, skill, digital = _economics_suite(inputs, bundle)
-    if inputs.mappings is not None and inputs.mappings.by_kind and skill is not None:
-        efforts = effort_distributions(inputs.mappings.by_kind, inputs.taxonomies)
+    if efforts is not None:
         alignment_suite(bundle, efforts, family, skill, digital)
     bundle.finalize()
     print(f"economics tables -> {bundle.run_dir}")

@@ -8,19 +8,21 @@ reaches once, however many of its paths land there. Breadth is the
 per-example count of distinct nodes at that level.
 
 All three, and the sampler, read one kind's results as a per-example fold,
-:class:`CheckedResults`: the one place where examples are numbered and each
-distinct path set is stored once, as a sorted tuple of path numbers. A fold
+:class:`CheckedResults`, which is plain columns: its examples by number
+and each distinct path set once, as a sorted tuple of path numbers. A fold
 made for a taxonomy numbers paths as the taxonomy does (``Taxonomy.paths``
 and ``Taxonomy.path_index``) and refuses a path outside it; only a fold
 made with no taxonomy numbers its paths itself. A :class:`MappingFolder`
+is the one fold builder and alone holds the lookup tables that folding
+needs (each example's number, and each kind's path and set numbers). It
 numbers the examples once for every kind and builds one fold per kind, one
 result at a time (from a mappings file in ``io.read_mapping_folds``, by
 the path numbers that each line resolves to, as the CLI maps each result,
-and in :func:`build_pool`, which folds results with no taxonomy). The
-folds share one :class:`ExampleKeys`, which holds the example keys as
-columns (a tuple of benchmark names, an int per example into it, and
-the id strings) and builds a ``(benchmark, example_id)`` tuple only when
-indexed or iterated.
+and in :func:`build_pool`, which folds results with no taxonomy), and it
+drops those tables when it hands the folds out. The folds share one
+:class:`ExampleKeys`, which holds the example keys as columns (a tuple of
+benchmark names, an int per example into it, and the id strings) and
+builds a ``(benchmark, example_id)`` tuple only when indexed or iterated.
 :func:`check_results` is the one check of mapped paths against a taxonomy:
 a fold made for that taxonomy passes as it is, and any other fold is
 checked once per path number its sets use and renumbered into the
@@ -79,42 +81,24 @@ class ExampleKeys(abc.Sequence):
     held as columns: ``benchmarks``, the tuple of benchmark names in
     first-seen order; ``codes``, an ``array("I")`` with one int per
     example, its benchmark's index in ``benchmarks``; and ``ids``, the
-    example id strings. Indexing or iterating builds a key tuple on demand;
-    readers that need only the benchmark read ``codes``.
-
-    Examples are numbered in first-seen order through a per-benchmark
-    ``{example_id: number}`` index, which :meth:`MappingFolder.folded`
-    drops; once it is dropped the keys are read-only.
+    example id strings. Indexing or iterating builds key tuples on demand
+    (a slice gives a list of them); readers that need only the benchmark
+    read ``codes``.
     """
 
-    __slots__ = ("benchmarks", "codes", "ids", "_index")
+    __slots__ = ("benchmarks", "codes", "ids")
 
-    def __init__(self):
-        self.benchmarks: tuple[str, ...] = ()
-        self.codes = array("I")
-        self.ids: list[str] = []
-        # benchmark -> (its code, example id -> number)
-        self._index: dict[str, tuple[int, dict[str, int]]] | None = {}
-
-    def number(self, benchmark: str, example_id: str) -> int:
-        """The example's number, given it at its first sight."""
-        entry = self._index.get(benchmark)
-        if entry is None:
-            code = len(self.benchmarks)
-            entry = self._index[benchmark] = (code, {})
-            self.benchmarks += (benchmark,)
-        code, numbers = entry
-        number = numbers.get(example_id)
-        if number is None:
-            number = numbers[example_id] = len(self.ids)
-            self.codes.append(code)
-            self.ids.append(example_id)
-        return number
+    def __init__(self, benchmarks: tuple[str, ...], codes: array, ids: list[str]):
+        self.benchmarks = benchmarks
+        self.codes = codes
+        self.ids = ids
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, n: int) -> tuple[str, str]:
+    def __getitem__(self, n: int | slice) -> tuple[str, str] | list[tuple[str, str]]:
+        if isinstance(n, slice):
+            return list(zip(map(self.benchmarks.__getitem__, self.codes[n]), self.ids[n]))
         return self.benchmarks[self.codes[n]], self.ids[n]
 
     def __iter__(self):
@@ -122,76 +106,29 @@ class ExampleKeys(abc.Sequence):
 
 
 class CheckedResults:
-    """One ``kind`` of mapping results (by default ``taxonomy``'s) folded
-    per example for ``taxonomy`` (``None`` for :func:`build_pool`'s folds,
-    which :func:`check_results` checks as they are read): ``keys`` numbers
-    the examples in first-seen order (one :class:`ExampleKeys`, shared by a
-    :class:`MappingFolder`'s folds), ``paths`` maps path numbers to paths,
-    ``sets`` holds each distinct union of an example's mapped paths once,
-    as the strictly increasing tuple of its path numbers, and ``ids`` each
-    example's set id, :data:`MISSING` without a result of this kind. The
-    tables and the sampler read only these.
-
-    A fold for a taxonomy has no path table of its own: ``paths`` is the
-    taxonomy's ``paths``, and :meth:`add` numbers a path by the taxonomy's
-    ``path_index``. A fold with no taxonomy numbers each distinct mapped
-    path in first-seen order, in a ``paths`` list of its own.
+    """One ``kind`` of mapping results folded per example for ``taxonomy``
+    (``None`` for :func:`build_pool`'s folds, which :func:`check_results`
+    checks as they are read): ``keys`` numbers the examples in first-seen
+    order (one :class:`ExampleKeys`, shared by a :class:`MappingFolder`'s
+    folds), ``paths`` maps path numbers to paths (``taxonomy.paths`` for a
+    fold with a taxonomy), ``sets`` holds each distinct union of an
+    example's mapped paths once, as the strictly increasing tuple of its
+    path numbers, and ``ids`` each example's set id, :data:`MISSING`
+    without a result of this kind. The tables and the sampler read only
+    these; only :meth:`MappingFolder.folded` and :func:`check_results`
+    build one.
     """
 
-    __slots__ = ("kind", "taxonomy", "keys", "paths", "sets", "ids", "_numbers", "_set_ids")
+    __slots__ = ("kind", "taxonomy", "keys", "paths", "sets", "ids")
 
-    def __init__(self, taxonomy: Taxonomy | None, keys: ExampleKeys | None = None,
-                 kind: TaxonomyKind | None = None):
-        self.kind = taxonomy.kind if kind is None else kind
+    def __init__(self, kind: TaxonomyKind, taxonomy: Taxonomy | None, keys: ExampleKeys,
+                 paths: Sequence[TaxonomyPath], sets: list[tuple[int, ...]], ids: array):
+        self.kind = kind
         self.taxonomy = taxonomy
-        self.keys = ExampleKeys() if keys is None else keys
-        self.paths: Sequence[TaxonomyPath] = [] if taxonomy is None else taxonomy.paths
-        self.sets: list[tuple[int, ...]] = []
-        self.ids = array("i")
-        # path -> its index in ``paths``
-        self._numbers: dict[TaxonomyPath, int] = {} if taxonomy is None else taxonomy.path_index
-        self._set_ids: dict[tuple[int, ...], int] = {}
-
-    def add(self, key: tuple[str, str], paths: frozenset[TaxonomyPath]) -> None:
-        """Fold one result's mapped paths (empty for one not mapped) into
-        its example's union, by their numbers (:meth:`add_numbers`). Raises
-        :class:`ForeignPathError` for a path outside the fold's taxonomy,
-        and then numbers no example."""
-        numbers = self._numbers
-        try:
-            added = [numbers[path] for path in paths]
-        except KeyError:  # a path this fold has not numbered yet
-            if self.taxonomy is not None:
-                path = min((p for p in paths if p not in numbers), key=str)
-                raise ForeignPathError(f"path {path} from {key} is not in the "
-                                       f"{self.taxonomy.kind.value} taxonomy") from None
-            for path in paths:
-                if path not in numbers:
-                    numbers[path] = len(self.paths)
-                    self.paths.append(path)
-            added = [numbers[path] for path in paths]
-        added.sort()
-        self.add_numbers(self.keys.number(*key), tuple(added))
-
-    def add_numbers(self, number: int, numbers: tuple[int, ...]) -> None:
-        """Fold one result's path numbers, a strictly increasing tuple
-        (empty for a result not mapped), into the union of example
-        ``number`` in ``keys``. The path numbers are taken unchecked: a fold
-        for a taxonomy reads them as that taxonomy's path numbers, which
-        ``io.read_mapping_folds`` resolves each line's label lists to."""
-        ids, sets = self.ids, self.sets
-        seen = number < len(ids)
-        if seen and ids[number] != MISSING:
-            numbers = tuple(sorted(set(sets[ids[number]]).union(numbers)))
-        set_id = self._set_ids.setdefault(numbers, len(sets))
-        if set_id == len(sets):
-            sets.append(numbers)
-        if seen:
-            ids[number] = set_id
-            return
-        if number > len(ids):  # examples that only other kinds have results for
-            ids.extend(array("i", [MISSING]) * (number - len(ids)))
-        ids.append(set_id)
+        self.keys = keys
+        self.paths = paths
+        self.sets = sets
+        self.ids = ids
 
 
 @dataclass(frozen=True)
@@ -210,67 +147,116 @@ class FoldedMappings:
 
 
 class MappingFolder:
-    """Builds a :class:`FoldedMappings` one result at a time.
+    """Builds a :class:`FoldedMappings` one result at a time, and alone
+    holds the lookup tables that folding needs: a per-benchmark
+    ``{example_id: number}`` index, which numbers the examples in
+    first-seen order for every kind, and for each kind a path to number
+    dict and a set to id dict.
 
     Each kind's fold is made for its entry in ``taxonomies`` and numbers a
     result's paths by that taxonomy's ``path_index``, so a path outside it
     raises :class:`ForeignPathError` and the taxonomy takes the fold without
     a further check; :meth:`add_numbers` takes numbers already resolved in
     that taxonomy. :func:`build_pool` folds with ``None`` in place of
-    each taxonomy, so each fold numbers its paths itself, and
-    :func:`check_results` checks and renumbers such a fold wherever it is
-    read. The folds share one :class:`ExampleKeys`, which numbers the
-    examples through a per-benchmark index; that index, and each fold's
-    set to id dict, :meth:`folded` drops.
+    each taxonomy, so each fold numbers its paths itself, in first-seen
+    order, and :func:`check_results` checks and renumbers such a fold
+    wherever it is read. :meth:`folded` drops every lookup table.
     """
 
-    __slots__ = ("_taxonomies", "_keys", "_folds")
+    __slots__ = ("_taxonomies", "_index", "_codes", "_ids", "_folds")
 
     def __init__(self, taxonomies: Mapping[TaxonomyKind, Taxonomy | None]):
         self._taxonomies = taxonomies
-        self._keys = ExampleKeys()
-        self._folds: dict[TaxonomyKind, CheckedResults] = {}
+        # benchmark -> (its code, example id -> number)
+        self._index: dict[str, tuple[int, dict[str, int]]] = {}
+        self._codes, self._ids = array("I"), []
+        # kind -> (path -> number, paths by number, sets, set id by example, set -> id)
+        self._folds: dict[TaxonomyKind, tuple[dict, Sequence, list, array, dict]] = {}
 
     def add(self, kind: TaxonomyKind, key: tuple[str, str],
             paths: frozenset[TaxonomyPath]) -> None:
         """Fold one result: its kind, its example's key, and its paths
-        (empty unless it is mapped)."""
-        self._fold(kind).add(key, paths)
+        (empty unless it is mapped), by their numbers (:meth:`add_numbers`).
+        Raises :class:`ForeignPathError` for a path outside the kind's
+        taxonomy, and then numbers no example."""
+        numbers, by_number = self._fold(kind)[:2]
+        try:
+            added = [numbers[path] for path in paths]
+        except KeyError:  # a path this fold has not numbered yet
+            taxonomy = self._taxonomies[kind]
+            if taxonomy is not None:
+                path = min((p for p in paths if p not in numbers), key=str)
+                raise ForeignPathError(f"path {path} from {key} is not in the "
+                                       f"{taxonomy.kind.value} taxonomy") from None
+            for path in paths:
+                if path not in numbers:
+                    numbers[path] = len(by_number)
+                    by_number.append(path)
+            added = [numbers[path] for path in paths]
+        added.sort()
+        self.add_numbers(kind, *key, tuple(added))
 
     def add_numbers(self, kind: TaxonomyKind, benchmark: str, example_id: str,
                     numbers: tuple[int, ...]) -> None:
-        """Fold one result of example ``(benchmark, example_id)`` by its
-        paths' numbers in its kind's taxonomy
-        (:meth:`CheckedResults.add_numbers`), building no key tuple; only
-        for a folder made with a taxonomy of that kind."""
-        self._fold(kind).add_numbers(self._keys.number(benchmark, example_id), numbers)
+        """Fold one result of example ``(benchmark, example_id)``, numbered
+        at its first sight, by its paths' numbers, a strictly increasing
+        tuple (empty for a result not mapped), into that example's union,
+        building no key tuple. The numbers are taken unchecked: a fold for
+        a taxonomy reads them as that taxonomy's path numbers, which
+        ``io.read_mapping_folds`` resolves each line's label lists to."""
+        entry = self._index.get(benchmark)
+        if entry is None:
+            entry = self._index[benchmark] = (len(self._index), {})
+        code, numbered = entry
+        number = numbered.get(example_id)
+        if number is None:
+            number = numbered[example_id] = len(self._ids)
+            self._codes.append(code)
+            self._ids.append(example_id)
+        _, _, sets, ids, set_ids = self._fold(kind)
+        seen = number < len(ids)
+        if seen and ids[number] != MISSING:
+            numbers = tuple(sorted(set(sets[ids[number]]).union(numbers)))
+        set_id = set_ids.setdefault(numbers, len(sets))
+        if set_id == len(sets):
+            sets.append(numbers)
+        if seen:
+            ids[number] = set_id
+            return
+        if number > len(ids):  # examples that only other kinds have results for
+            ids.extend(array("i", [MISSING]) * (number - len(ids)))
+        ids.append(set_id)
 
-    def _fold(self, kind: TaxonomyKind) -> CheckedResults:
+    def _fold(self, kind: TaxonomyKind) -> tuple[dict, Sequence, list, array, dict]:
         fold = self._folds.get(kind)
         if fold is None:
-            fold = self._folds[kind] = CheckedResults(self._taxonomies[kind], self._keys, kind)
+            taxonomy = self._taxonomies[kind]
+            numbering = ({}, []) if taxonomy is None else (taxonomy.path_index, taxonomy.paths)
+            fold = self._folds[kind] = (*numbering, [], array("i"), {})
         return fold
 
     def folded(self) -> FoldedMappings:
-        """The folds, each with a set id for every example; they and the
-        keys drop their lookup tables (example key to number, path to
-        number, set to id), so no result can be added to them.
+        """The folds, each with a set id for every example. The folder
+        drops its lookup tables before it scans the folds, so the scan's
+        memory does not stack on theirs, and no result can be added after.
 
         A repeated record replaces its example's set with a union, which
         may leave the old set unused. Each fold keeps only the sets that
         some example uses, renumbered in the order they were first added.
         """
-        examples = self._keys
-        examples._index = None
-        for fold in self._folds.values():
-            fold.ids.extend(array("i", [MISSING]) * (len(examples) - len(fold.ids)))
-            fold._numbers = fold._set_ids = None
-            in_use = sorted(set(fold.ids) - {MISSING})
-            if len(in_use) < len(fold.sets):
+        keys = ExampleKeys(tuple(self._index), self._codes, self._ids)
+        folds = [(kind, paths, sets, ids) for kind, (_, paths, sets, ids, _) in self._folds.items()]
+        self._index = self._folds = None
+        by_kind = {}
+        for kind, paths, sets, ids in folds:
+            ids.extend(array("i", [MISSING]) * (len(keys) - len(ids)))
+            in_use = sorted(set(ids) - {MISSING})
+            if len(in_use) < len(sets):
                 renumber = {old: new for new, old in enumerate(in_use)}
-                fold.sets = [fold.sets[old] for old in in_use]
-                fold.ids = array("i", [renumber.get(i, MISSING) for i in fold.ids])
-        return FoldedMappings(examples, self._folds)
+                sets[:] = [sets[old] for old in in_use]
+                ids[:] = array("i", [renumber.get(i, MISSING) for i in ids])
+            by_kind[kind] = CheckedResults(kind, self._taxonomies[kind], keys, paths, sets, ids)
+        return FoldedMappings(keys, by_kind)
 
 
 def build_pool(results: Iterable[MappingResult] | FoldedMappings) -> FoldedMappings:
@@ -306,7 +292,8 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
             return results
         folds = [results]
     else:  # a fold of another kind fails its check, so at most one passes
-        folds = list(build_pool(results).by_kind.values()) or [CheckedResults(None, None, t.kind)]
+        folds = list(build_pool(results).by_kind.values()) or [
+            CheckedResults(t.kind, None, ExampleKeys((), array("I"), []), [], [], array("i"))]
     for fold in folds:
         examples = ((key, i) for key, i in zip(fold.keys, fold.ids) if i != MISSING)
         if fold.kind is not t.kind:
@@ -320,11 +307,8 @@ def check_results(results: Iterable[MappingResult] | CheckedResults,
             key, i = next((key, i) for key, i in examples if not foreign.isdisjoint(fold.sets[i]))
             path = min((fold.paths[j] for j in foreign.intersection(fold.sets[i])), key=str)
             raise ForeignPathError(f"path {path} from {key} is not in the {t.kind.value} taxonomy")
-    checked = CheckedResults(t, fold.keys)
-    checked.sets = [tuple(sorted(renumber[j] for j in s)) for s in fold.sets]
-    checked.ids = fold.ids
-    checked._numbers = checked._set_ids = None
-    return checked
+    return CheckedResults(t.kind, t, fold.keys, t.paths,
+                          [tuple(sorted(renumber[j] for j in s)) for s in fold.sets], fold.ids)
 
 
 class CoverageAccumulator:

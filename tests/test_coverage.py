@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from workatlas.coverage import (
-    CheckedResults,
     CoverageAccumulator,
     ForeignPathError,
     GroupLevel,
@@ -216,10 +215,10 @@ class TestBreadth:
         while len(unique) < distinct:
             unique.add(frozenset(rng.sample(paths, rng.randint(1, 4))))
         sets = list(unique)
-        fold = CheckedResults(t)
+        folder = MappingFolder({t.kind: t})
         for i in range(20_000):
-            fold.add((f"b{i % 3}", f"e{i}"), sets[i % distinct])
-        shared = node_sets(fold, t)
+            folder.add(t.kind, (f"b{i % 3}", f"e{i}"), sets[i % distinct])
+        shared = node_sets(folder.folded().by_kind[t.kind], t)
         tracemalloc.start()
         try:
             stats = breadth(shared, t)
@@ -234,8 +233,41 @@ class TestBreadth:
         assert list(stats.per_example) == list(widths)
         assert stats.per_example is not stats.per_example  # a new dict per request
 
+    def test_folding_drops_its_tables_before_it_scans(self):
+        # 5,000 examples, each added four times with a distinct set: the
+        # folder's set -> id dict holds 20,000 sets, 15,000 of them stranded
+        # by a union. folded() drops it before it scans for the sets in use,
+        # so folding never holds more than the folder held before it; the
+        # scan with that dict still held reaches some 700 KB above it.
+        t, n = synthetic_taxonomy(40), 5_000
+        rng = random.Random(30)
+        records = [(f"e{i}", tuple(sorted(rng.sample(range(40), size))))
+                   for size in (2, 3, 4, 5) for i in range(n)]
+        tracemalloc.start()
+        try:
+            folder = MappingFolder({t.kind: t})
+            for example_id, numbers in records:
+                folder.add_numbers(t.kind, "b", example_id, numbers)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fold = folder.folded().by_kind[t.kind]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fold.sets) == n  # every union is distinct
+        assert peak < held + 64 * 1024, (peak, held)
+
 
 class TestExampleKeys:
+    def test_slice_gives_key_tuples(self):
+        t = synthetic_taxonomy(4)
+        results = [synthetic_result(t, f"e{i}", [i], benchmark=b) for i, b in enumerate("abab")]
+        keys = build_pool(results).examples
+        assert keys[0:2] == [("a", "e0"), ("b", "e1")]
+        assert keys[::-2] == [("b", "e3"), ("b", "e1")]
+        assert keys[5:] == []
+        assert list(reversed(keys)) == keys[::-1] == list(keys)[::-1]
+
     def test_coverage_reads_the_benchmark_column(self):
         # one id in three benchmarks names three examples, each counted
         # for its own benchmark
@@ -405,13 +437,14 @@ class TestDistinctPathSets:
 
     @staticmethod
     def random_fold(t, rng, n_examples):
-        """A fold whose examples share path-set objects, hold equal sets
-        built separately or empty sets, and are sometimes folded twice;
-        also the per-example unions, built independently."""
+        """A folded fold whose examples share path-set objects, hold equal
+        sets built separately or empty sets, and are sometimes added twice
+        (a union, which may strand the set it replaced); also the
+        per-example unions, built independently."""
         paths = sorted(t.path_index, key=lambda p: p.node_ids)
         shared = [frozenset(rng.sample(paths, rng.randint(1, 4))) for _ in range(5)]
         shared.append(frozenset())
-        fold, unions = CheckedResults(t), {}
+        folder, unions = MappingFolder({t.kind: t}), {}
         for i in range(n_examples):
             key = ("b" + str(i % 3), f"e{i}")
             for _ in range(1 if rng.random() < 0.8 else 2):  # a second fold is a union
@@ -424,9 +457,9 @@ class TestDistinctPathSets:
                     added = frozenset()
                 else:
                     added = frozenset(rng.sample(paths, rng.randint(1, 3)))
-                fold.add(key, added)
+                folder.add(t.kind, key, added)
                 unions.setdefault(key, set()).update(added)
-        return fold, unions
+        return folder.folded().by_kind[t.kind], unions
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_per_example_count(self, domain_taxonomy, skill_taxonomy, seed):
@@ -465,9 +498,10 @@ class TestDistinctPathSets:
         while len(sets) < distinct:
             sets.add(frozenset(rng.sample(paths, rng.randint(1, 4))))
         sets = list(sets)
-        fold = CheckedResults(t)
+        folder = MappingFolder({t.kind: t})
         for i in range(20_000):
-            fold.add(("b", f"e{i}"), sets[i % distinct])
+            folder.add(t.kind, ("b", f"e{i}"), sets[i % distinct])
+        fold = folder.folded().by_kind[t.kind]
         tracemalloc.start()
         try:
             effort = effort_by_node(fold, t)
