@@ -114,6 +114,62 @@ class KeywordRule:
     labels: tuple[str, ...]
 
 
+def _rule_error(i: int, r) -> str | None:
+    """Why rule ``i`` is malformed, or ``None`` when it is well formed."""
+    if not isinstance(r, dict):
+        return f"rule {i}: must be an object"
+    if not isinstance(r.get("keyword"), str):
+        return f"rule {i}: keyword must be a string"
+    if not r["keyword"].strip():
+        # the empty string occurs in every instruction, a blank in nearly
+        # every one
+        return f"rule {i}: keyword must be a non-blank string"
+    sequence = r.get("labels")
+    if not (isinstance(sequence, list) and sequence
+            and all(isinstance(x, str) for x in sequence)):
+        return f"rule {i}: labels must be a non-empty array of strings"
+    return None
+
+
+class _NotOneArray(Exception):
+    """The text is not exactly one JSON array."""
+
+
+#: ``json.loads``'s own scanner and whitespace, as ``io`` reads a line.
+_SCAN_JSON = json.JSONDecoder().scan_once
+_SKIP_SPACE = json.decoder.WHITESPACE.match
+
+
+def _array_items(text: str):
+    """Each item of the JSON array that ``text`` holds, decoded one at a
+    time as ``json.loads`` would decode it. Raises :class:`_NotOneArray`,
+    after the items before the fault, where ``json.loads`` would raise or
+    would return no array."""
+    at = _SKIP_SPACE(text, 0).end()
+    if text[at:at + 1] != "[":
+        raise _NotOneArray
+    at = _SKIP_SPACE(text, at + 1).end()
+    if text[at:at + 1] == "]":
+        at += 1
+    else:
+        while True:
+            try:
+                item, at = _SCAN_JSON(text, at)
+            except (StopIteration, ValueError):  # also an int over the digit limit
+                raise _NotOneArray from None
+            yield item
+            at = _SKIP_SPACE(text, at).end()
+            delimiter = text[at:at + 1]
+            if delimiter == "]":
+                at += 1
+                break
+            if delimiter != ",":
+                raise _NotOneArray
+            at = _SKIP_SPACE(text, at + 1).end()
+    if _SKIP_SPACE(text, at).end() != len(text):
+        raise _NotOneArray
+
+
 class KeywordAnnotator:
     """Deterministic annotator: substring keyword rules fire label sequences.
 
@@ -164,32 +220,34 @@ class KeywordAnnotator:
         where rules are loaded with no tree at hand; then every rule keeps a
         tuple of its own. Rules of one tree repeat its upper labels many
         times over, so each distinct label string of such tuples is stored
-        once across rules, and the parsed document is
-        dropped before the rules are indexed.
+        once across rules.
+
+        The array is decoded one rule at a time, so no parsed document is
+        held beside the rules. A document that is not one JSON array, or
+        not JSON, raises ``json.loads``'s own error, even where an earlier
+        rule is bad as well.
         """
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ValueError("a rules file must hold a JSON array of rules")
+            text = fh.read()
         labels: dict[str, str] = {}
         rules = []
-        for i, r in enumerate(data):
-            if not isinstance(r, dict):
-                raise ValueError(f"rule {i}: must be an object")
-            if not isinstance(r.get("keyword"), str):
-                raise ValueError(f"rule {i}: keyword must be a string")
-            if not r["keyword"].strip():
-                # the empty string occurs in every instruction, a blank in
-                # nearly every one
-                raise ValueError(f"rule {i}: keyword must be a non-blank string")
-            sequence = r.get("labels")
-            if not (isinstance(sequence, list) and sequence
-                    and all(isinstance(x, str) for x in sequence)):
-                raise ValueError(f"rule {i}: labels must be a non-empty array of strings")
-            named = None if taxonomy is None else path_with_labels(taxonomy, sequence)
-            rules.append(KeywordRule(r["keyword"], named.labels if named is not None else
-                                     tuple(labels.setdefault(x, x) for x in sequence)))
-        del data, labels
+        bad = None  # the first rule error, raised once the document is known to be JSON
+        try:
+            for i, r in enumerate(_array_items(text)):
+                if bad is None:
+                    bad = _rule_error(i, r)
+                if bad is None:
+                    sequence = r["labels"]
+                    named = None if taxonomy is None else path_with_labels(taxonomy, sequence)
+                    rules.append(KeywordRule(r["keyword"], named.labels if named is not None
+                                             else tuple(labels.setdefault(x, x)
+                                                        for x in sequence)))
+        except _NotOneArray:
+            json.loads(text)  # raises json's own error where the text is no JSON
+            raise ValueError("a rules file must hold a JSON array of rules") from None
+        del text, labels
+        if bad is not None:
+            raise ValueError(bad)
         return cls(rules, annotator_id or f"keyword:{Path(path).stem}")
 
     def annotate(self, instruction: str, taxonomy_text: str) -> str:

@@ -16,21 +16,23 @@ that order instead of walking the tree again.
 A loaded taxonomy holds its nodes, one path object per leaf, and four
 tables. It numbers each path once, in document order: ``paths`` maps
 number to path and ``path_index`` path to number, and every table and the
-sampler read paths by these numbers. The node table and each path under
-the key that resolution looks up are the other two. A path's ids and
-labels are tuples of the nodes' own strings, and every node without
-annotations shares :data:`NO_ANNOTATIONS`, an empty dict that is
-read-only. Keyword rules read with the taxonomy share its paths' label
-tuples (:func:`path_with_labels`).
+sampler read paths by these numbers. The node table and the resolution
+cache are the other two. A path's ids and labels are tuples of the nodes'
+own strings, and every node without annotations shares
+:data:`NO_ANNOTATIONS`, an empty dict that is read-only. Keyword rules
+read with the taxonomy share its paths' label tuples
+(:func:`path_with_labels`).
 
 A loaded taxonomy's tree and path tables never change. Its only mutable
 state is the resolution cache behind :func:`path_number` and
-:func:`resolve_path`, which maps each label sequence seen so far to the
-number of the path it names: the very ``int`` that ``path_index`` holds,
-under the path's own ``labels`` tuple when the sequence is verbatim, so the
-cache holds no copy of either. A cache write stores that one number for
-that sequence, so writes are idempotent, and a single dict store is atomic,
-so a taxonomy is safe to share across threads.
+:func:`resolve_path`, which maps a label sequence to the number of the
+path it names: the very ``int`` that ``path_index`` holds. The load seeds
+it with every path under the path's own ``labels`` tuple, so the cache
+holds no copy of either; a lookup adds each case or whitespace variant it
+resolves by walking the tree. The canonical keys that tell two paths
+apart exist only while the load checks them. A cache write stores that
+one number for that sequence, so writes are idempotent, and a single dict
+store is atomic, so a taxonomy is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ def canonical_label(label: str) -> str:
     return " ".join(label.split()).casefold()
 
 
-#: Joins a path's canonical labels into its key; a canonical label holds no
-#: newline, so equal keys mean equal label sequences.
+#: Joins a path's canonical labels into the key that the load checks for
+#: uniqueness; a canonical label holds no newline, so equal keys mean equal
+#: label sequences.
 _KEY_SEPARATOR = "\n"
 
 
@@ -170,8 +173,8 @@ class Taxonomy:
     Besides the tree it holds four tables: ``path_index``, every path once,
     mapped to its number, its leaf's position in document order; ``paths``,
     the paths by number; the node table, id to node in document pre-order;
-    and, for resolution, each path under its key: the canonical forms of its
-    labels joined by a newline, which no canonical label holds.
+    and the resolution cache, label tuple to path number, which holds every
+    path's own ``labels`` from the load on and each variant once resolved.
     """
 
     kind: TaxonomyKind
@@ -181,8 +184,8 @@ class Taxonomy:
 
     # internal lookup tables built by load_taxonomy; nodes in pre-order
     _nodes_by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
-    _paths_by_key: dict[str, TaxonomyPath] = field(default_factory=dict, repr=False)
-    # raw label tuple -> path number, filled by path_number
+    # raw label tuple -> path number: seeded by load_taxonomy with each
+    # path's labels, extended by path_number with the variants it resolves
     _resolved: dict[tuple, int] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -257,7 +260,7 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
         raise TaxonomySchemaError("document missing 'root'")
 
     nodes_by_id: dict[str, TaxonomyNode] = {}
-    paths: dict[str, TaxonomyPath] = {}  # path key -> path
+    paths: dict[str, TaxonomyPath] = {}  # path key -> path, during the load only
     # (node, the list its children are appended to as the walk enters them)
     parents: list[tuple[TaxonomyNode, list[TaxonomyNode]]] = []
 
@@ -333,13 +336,15 @@ def load_taxonomy(source: Mapping | str | Path) -> Taxonomy:
     for node, children in parents:
         node.children = tuple(children)
     numbered = tuple(paths.values())  # leaves in document order
+    del paths  # the keys served only the uniqueness check
+    path_index = {path: j for j, path in enumerate(numbered)}
     return Taxonomy(
         kind=kind,
         root=next(iter(nodes_by_id.values())),
-        path_index={path: j for j, path in enumerate(numbered)},
+        path_index=path_index,
         paths=numbered,
         _nodes_by_id=nodes_by_id,
-        _paths_by_key=paths,
+        _resolved={path.labels: j for path, j in path_index.items()},
     )
 
 
@@ -352,13 +357,13 @@ def path_number(t: Taxonomy, labels: Sequence[str]) -> int:
     """The number of the root-to-leaf path that a label sequence names.
 
     Matching is canonical (case-insensitive, whitespace-normalized) and must
-    cover the full path from a root child down to a leaf. Each taxonomy
-    remembers the sequences it has resolved, verbatim, so a repeated
-    sequence costs one dict lookup. The cache maps a sequence to the ``int``
-    that ``path_index`` holds for its path; a sequence equal to the path's
-    own labels is remembered under the path's ``labels`` tuple. Case and
-    whitespace variants are remembered separately and map to the same
-    number. Failures are not remembered.
+    cover the full path from a root child down to a leaf. The resolution
+    cache maps a sequence to the ``int`` that ``path_index`` holds for its
+    path. :func:`load_taxonomy` fills it with every path's own ``labels``
+    tuple, so a verbatim sequence costs one dict lookup. A case or
+    whitespace variant is resolved by a walk down the tree the first time
+    it is seen and remembered, verbatim, after that. Failures are not
+    remembered.
 
     Raises
     ------
@@ -380,11 +385,8 @@ def path_number(t: Taxonomy, labels: Sequence[str]) -> int:
     key = tuple(labels)
     number = t._resolved.get(key)
     if number is None:
-        path = _resolve_labels(t, key)
-        number = t.path_index[path]
-        # A verbatim sequence is kept as the path's own label tuple, so the
-        # cache holds no copy of it.
-        t._resolved[path.labels if path.labels == key else key] = number
+        number = t.path_index[_resolve_labels(t, key)]
+        t._resolved[key] = number
     return number
 
 
@@ -399,30 +401,42 @@ def resolve_path(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath:
 def path_with_labels(t: Taxonomy, labels: Sequence[str]) -> TaxonomyPath | None:
     """The path whose labels are exactly ``labels``, or ``None``.
 
-    Unlike :func:`resolve_path` it accepts no case or whitespace variant,
-    never raises for a sequence that names no path, and remembers nothing.
+    One lookup in the resolution cache, which holds every path under its
+    own labels. Unlike :func:`resolve_path` it accepts no case or
+    whitespace variant, never raises for a sequence that names no path (one
+    that holds a non-string or an unhashable item included), and remembers
+    nothing.
     """
-    found = t._paths_by_key.get(_KEY_SEPARATOR.join(map(canonical_label, labels)))
-    return found if found is not None and found.labels == tuple(labels) else None
+    key = tuple(labels)
+    try:
+        number = t._resolved.get(key)
+    except TypeError:  # an unhashable item
+        return None
+    if number is None or t.paths[number].labels != key:  # none, or a cached variant
+        return None
+    return t.paths[number]
 
 
 def _resolve_labels(t: Taxonomy, labels: tuple) -> TaxonomyPath:
-    """The uncached resolution behind :func:`path_number`."""
+    """The uncached resolution behind :func:`path_number`: a walk down the
+    tree that matches each label canonically, for a sequence that is not
+    some path's own labels."""
     if not all(isinstance(x, str) for x in labels):
         raise UnknownPathError(f"labels must be strings, got {list(labels)!r}")
-    key = [canonical_label(x) for x in labels]
-    found = t._paths_by_key.get(_KEY_SEPARATOR.join(key))
-    if found is not None:
-        return found
     if not labels:
         raise UnknownPathError("empty label sequence")
-    # Distinguish a valid non-leaf prefix from a genuine mismatch. Siblings
-    # whose labels are equal under canonical_label are all followed.
-    frontier = [t.root]
-    for label in key:
-        frontier = [c for n in frontier for c in n.children if canonical_label(c.label) == label]
-    node = next((n for n in frontier if not n.is_leaf), None)
-    if node is not None:
+    # Siblings whose labels are equal under canonical_label are all
+    # followed; each entry carries the ids from the root child down. Leaves
+    # sit only at LEAF_LEVEL and canonical paths are unique, so the walk
+    # ends at one leaf, at non-leaves (a valid prefix), or nowhere.
+    frontier = [(t.root, ())]
+    for label in map(canonical_label, labels):
+        frontier = [(c, ids + (c.id,)) for n, ids in frontier for c in n.children
+                    if canonical_label(c.label) == label]
+    if frontier:
+        node, ids = frontier[0]
+        if node.is_leaf:
+            return t.paths[t.path_index[TaxonomyPath(t.kind, ids, labels)]]
         raise PartialPathError(
             f"labels {list(labels)!r} stop at non-leaf {node.label!r} (level {node.level})"
         )

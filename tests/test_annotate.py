@@ -7,11 +7,13 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
+from conftest import synthetic_taxonomy
 from workatlas.annotate import (
     AnnotatorTransportError,
     KeywordAnnotator,
@@ -23,6 +25,7 @@ from workatlas.annotate import (
 )
 from workatlas.io import fixture_path
 from workatlas.mapping import MappingStatus, TaskExample, map_example
+from workatlas.taxonomy import path_with_labels
 
 
 class TestParseCandidates:
@@ -153,6 +156,102 @@ class TestRulesShareTaxonomyLabels:
         index = KeywordAnnotator(rules)._by_length[6]
         assert index == {"budget": (0, 1, 3), "ledger": 2}
         assert next(k for k in index if k == "ledger") is rules[2].keyword
+
+
+def reference_rules(path, taxonomy=None):
+    """Rules read the plain way: the whole document parsed first, then
+    each rule checked in turn."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError("a rules file must hold a JSON array of rules")
+    rules = []
+    for i, r in enumerate(data):
+        if not isinstance(r, dict):
+            raise ValueError(f"rule {i}: must be an object")
+        if not isinstance(r.get("keyword"), str):
+            raise ValueError(f"rule {i}: keyword must be a string")
+        if not r["keyword"].strip():
+            raise ValueError(f"rule {i}: keyword must be a non-blank string")
+        sequence = r.get("labels")
+        if not (isinstance(sequence, list) and sequence
+                and all(isinstance(x, str) for x in sequence)):
+            raise ValueError(f"rule {i}: labels must be a non-empty array of strings")
+        named = None if taxonomy is None else path_with_labels(taxonomy, sequence)
+        rules.append(KeywordRule(r["keyword"],
+                                 named.labels if named is not None else tuple(sequence)))
+    return rules
+
+
+def _rules_outcome(read, path, taxonomy=None):
+    try:
+        result = read(path, taxonomy=taxonomy)
+    except Exception as err:  # noqa: BLE001  (the type and message are compared)
+        return type(err), str(err)
+    return list(getattr(result, "rules", result))
+
+
+_RULE = '{"keyword": "budget", "labels": ["F", "O", "review budget"]}'
+
+
+class TestRulesFileParity:
+    """Rules decoded one at a time read as the parsed document does."""
+
+    @pytest.mark.parametrize("text", [
+        '{"keyword": "budget", "labels": ["F", "O", "T"]}',  # an object, not an array
+        "",
+        " \n\t\r ",
+        "\ufeff[" + _RULE + "]",  # a byte order mark
+        "[1,]",
+        "[" + _RULE + ",]",
+        "[" + _RULE + "] x",
+        "[" + _RULE + "] ]",
+        "[" + _RULE + "][]",
+        "[1, " + _RULE,  # a bad rule, then the document ends
+        '[1, {"keyword": "b" "labels": []}]',  # a bad rule, then a syntax error
+        "[" + _RULE + " " + _RULE + "]",
+        '[{"keyword": NaN, "labels": ["F", "O", "T"]}]',
+        '[{"keyword": "budget", "keyword": " ", "labels": ["F", "O", "T"]}]',
+        '[{"keyword": " ", "keyword": "budget", "labels": ["F", "O", "T"]}]',
+        "[" + "1" * 5000 + "]",  # an int over the interpreter's digit limit
+        "[", "]", "[]", " [ ] \n", "null", "[null]", "[[]]", '"rules"',
+        "[" + _RULE + ', {"keyword": "x", "labels": "F"}]',
+        "\r\n[\r\n" + _RULE + "\r\n]\r\n",
+    ])
+    def test_same_rules_or_same_error(self, tmp_path, domain_taxonomy, text):
+        path = tmp_path / "rules.json"
+        path.write_bytes(text.encode("utf-8"))
+        for taxonomy in (None, domain_taxonomy):
+            expected = _rules_outcome(reference_rules, path, taxonomy)
+            assert _rules_outcome(KeywordAnnotator.from_file, path, taxonomy) == expected
+
+    def test_bundled_rules(self, domain_taxonomy, skill_taxonomy):
+        for t in (domain_taxonomy, skill_taxonomy):
+            path = fixture_path(f"keyword_rules_{t.kind.value}.json")
+            assert (_rules_outcome(KeywordAnnotator.from_file, path, t)
+                    == _rules_outcome(reference_rules, path, t))
+
+    def test_reading_holds_no_parsed_document(self, tmp_path):
+        # one rule per leaf, as a product rules file has: the read may peak
+        # above the annotator it returns by the file's text and a little more
+        t = synthetic_taxonomy(5000)
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([{"keyword": f"keyword {i}", "labels": list(p.labels)}
+                                    for i, p in enumerate(t.paths)]), encoding="utf-8")
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            annotator = KeywordAnnotator.from_file(path, taxonomy=t)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(annotator.rules) == 5000
+        assert peak - start <= (held - start) + path.stat().st_size + 64 * 1024
 
 
 def linear_scan(rules, instruction):

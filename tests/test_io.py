@@ -194,12 +194,13 @@ class TestMappingsFile:
         monkeypatch.setattr(workatlas_taxonomy, "_resolve_labels",
                             lambda t, labels: slow.append(labels) or resolve_labels(t, labels))
         loaded = read_mappings(path, taxonomies)
-        assert slow == [a, b, a_case, a_space]  # nine label lists, four distinct
+        # nine label lists, four distinct; the load cached the verbatim two
+        assert slow == [a_case, a_space]
         for result, line in zip(loaded, lines):
             expected = frozenset(resolve_path(domain_taxonomy, labels)
                                  for labels in json.loads(line)["paths"])
             assert result.paths == expected
-        assert len(slow) == 4  # the checks above hit the cache
+        assert len(slow) == 2  # the checks above hit the cache
         variants = {id(p) for r in loaded for p in r.paths if p.labels == a}
         assert len(variants) == 1  # case and whitespace variants share one path object
         assert len(loaded[4].paths) == 1
@@ -221,16 +222,18 @@ class TestMappingsFile:
         monkeypatch.setattr(workatlas_taxonomy, "_resolve_labels",
                             lambda t, labels: slow.append(labels) or resolve_labels(t, labels))
         fold = read_mapping_folds(path, {TaxonomyKind.DOMAIN: t}).by_kind[TaxonomyKind.DOMAIN]
-        assert slow == [a, b, a_case, a_space]  # nine label lists, four distinct
+        # nine label lists, four distinct; the load cached the verbatim two
+        assert slow == [a_case, a_space]
         # case and whitespace variants fold to one path number
         assert [fold.sets[i] for i in fold.ids] == [(300, 599), (300,), (300, 599), (300,),
                                                     (300,)]
-        # the memo holds the taxonomy's own number objects, and a verbatim
-        # sequence under the path's own labels tuple, so it adds no copies
-        assert len(t._resolved) == 4
+        # the memo holds the taxonomy's own number objects, and every path
+        # under its own labels tuple, so it adds no copies; the variants
+        # are the only keys of their own
+        assert len(t._resolved) == t.leaf_count + 2
         for key, number in t._resolved.items():
             assert number is t.path_index[t.paths[number]]
-            assert (key is t.paths[number].labels) == (key in (a, b))
+            assert (key is t.paths[number].labels) == (key not in (a_case, a_space))
         assert {id(n) for s in fold.sets for n in s} == {id(t._resolved[a]), id(t._resolved[b])}
 
     def test_repeated_bad_sequence_named_at_first_line(self, tmp_path, domain_taxonomy):

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from conftest import synthetic_taxonomy
 from workatlas.io import fixture_path
 from workatlas.taxonomy import (
     NO_ANNOTATIONS,
@@ -24,6 +25,7 @@ from workatlas.taxonomy import (
     flatten_for_prompt,
     load_taxonomy,
     path_number,
+    path_with_labels,
     resolve_path,
 )
 
@@ -350,26 +352,29 @@ class TestResolve:
         first = resolve_path(t, list(labels))
         variant = resolve_path(t, [f" {label.upper()} " for label in labels])
         assert variant is first and resolve_path(t, labels) is first
-        assert len(t._resolved) == 2  # list and tuple spellings share one key
+        # every path is cached by the load; list and tuple spellings share
+        # its key, and the variant adds one
+        assert len(t._resolved) == t.leaf_count + 1
         with pytest.raises(UnknownPathError):
             resolve_path(t, ["no", "such", "path"])
-        assert len(t._resolved) == 2  # failures are not cached
+        assert len(t._resolved) == t.leaf_count + 1  # failures are not cached
 
     def test_verbatim_sequence_cached_under_path_labels(self):
         t = load_taxonomy(minimal_doc())
         path = next(iter(t.path_index))
         decoded = json.loads(json.dumps(list(path.labels)))  # equal strings, new objects
         assert resolve_path(t, decoded) is path
-        (key,) = t._resolved
-        assert key is path.labels
+        # the load cached each path under its own labels tuple
+        assert len(t._resolved) == t.leaf_count
+        assert all(key is t.paths[n].labels for key, n in t._resolved.items())
         variant = tuple(f" {label} " for label in path.labels)
         assert resolve_path(t, list(variant)) is path
-        assert [k for k in t._resolved if k is not path.labels] == [variant]
+        assert [k for k, n in t._resolved.items() if k is not t.paths[n].labels] == [variant]
         with pytest.raises(PartialPathError):
             resolve_path(t, path.labels[:2])
         with pytest.raises(UnknownPathError):
             resolve_path(t, ["no", "such", "path"])
-        assert len(t._resolved) == 2
+        assert len(t._resolved) == t.leaf_count + 1
 
     def test_cache_shared_by_threads(self):
         t = load_taxonomy(fixture_path("taxonomy_domain.json"))
@@ -426,6 +431,112 @@ class TestResolve:
         assert resolve_path(t, ["Fam", "B", "task B"]).node_ids == ("f2", "f2-o", "f2-t")
         with pytest.raises(UnknownPathError):
             resolve_path(t, ["Fam", "C"])
+
+
+def reference_resolve(t, paths_by_key, labels):
+    """Resolution from a table of every path under its canonical labels
+    joined by a newline, with a walk only to tell a partial prefix from a
+    mismatch."""
+    labels = tuple(labels)
+    if not all(isinstance(x, str) for x in labels):
+        raise UnknownPathError(f"labels must be strings, got {list(labels)!r}")
+    key = [canonical_label(x) for x in labels]
+    found = paths_by_key.get("\n".join(key))
+    if found is not None:
+        return found
+    if not labels:
+        raise UnknownPathError("empty label sequence")
+    frontier = [t.root]
+    for label in key:
+        frontier = [c for n in frontier for c in n.children if canonical_label(c.label) == label]
+    node = next((n for n in frontier if not n.is_leaf), None)
+    if node is not None:
+        raise PartialPathError(
+            f"labels {list(labels)!r} stop at non-leaf {node.label!r} (level {node.level})")
+    raise UnknownPathError(f"no path matches labels {list(labels)!r}")
+
+
+def _outcome(resolve, *args):
+    try:
+        return resolve(*args)
+    except Exception as err:  # noqa: BLE001  (the type and message are compared)
+        return type(err), str(err)
+
+
+class TestResolutionEquivalence:
+    """path_number and resolve_path agree with a canonical-key table."""
+
+    @staticmethod
+    def spellings(t, rng):
+        labels = [p.labels for p in t.paths]
+        every = [label for seq in labels for label in seq]
+        for seq in labels:
+            yield seq
+            yield list(seq)
+            yield tuple(x.upper() for x in seq)
+            yield tuple(f"  {x.replace(' ', '  ')}\t" for x in seq)
+            yield seq[:2]
+            yield [x.upper() for x in seq[:1]]
+        for _ in range(3 * len(labels)):
+            seq = list(rng.choice(labels))
+            change = rng.randrange(5)
+            if change == 0:  # a label from anywhere in the tree
+                seq[rng.randrange(3)] = rng.choice(every)
+            elif change == 1:  # a label that names no node
+                seq[rng.randrange(3)] = f"no such label {rng.randrange(10**6)}"
+            elif change == 2:
+                rng.shuffle(seq)
+            elif change == 3:  # over-long
+                seq.append(rng.choice(every))
+            else:  # a prefix with a stray last label
+                seq = seq[:rng.randint(1, 2)] + [rng.choice(every)]
+            yield seq
+        yield ()
+        yield ["not", 3, "strings"]
+
+    @pytest.mark.parametrize("source", [
+        "taxonomy_domain.json", "taxonomy_skill.json", 600])
+    def test_agrees_with_canonical_key_table(self, source):
+        t = (synthetic_taxonomy(source) if isinstance(source, int)
+             else load_taxonomy(fixture_path(source)))
+        paths_by_key = {"\n".join(map(canonical_label, p.labels)): p for p in t.paths}
+        outcomes = set()
+        for labels in self.spellings(t, random.Random(32)):
+            expected = _outcome(reference_resolve, t, paths_by_key, labels)
+            for _ in range(2):  # then from the cache
+                number = _outcome(path_number, t, labels)
+                found = number if isinstance(number, tuple) else t.paths[number]
+                assert found == expected, labels
+                assert _outcome(resolve_path, t, labels) == expected, labels
+            if not isinstance(expected, tuple):
+                assert found is expected
+            outcomes.add(expected[0] if isinstance(expected, tuple) else TaxonomyPath)
+        assert outcomes == {TaxonomyPath, PartialPathError, UnknownPathError}
+
+
+class TestPathWithLabels:
+    def test_exact_labels_only(self):
+        t = load_taxonomy(fixture_path("taxonomy_domain.json"))
+        for path in t.paths:
+            assert path_with_labels(t, list(path.labels)) is path
+            variant = [x.upper() for x in path.labels]
+            if variant != list(path.labels):
+                resolve_path(t, variant)  # a cached variant is still no exact match
+                assert path_with_labels(t, variant) is None
+        assert path_with_labels(t, t.paths[0].labels[:2]) is None
+        assert path_with_labels(t, []) is None
+
+    @pytest.mark.parametrize("labels", [
+        [1, 2, 3],
+        [["Business and Financial Operations"], "Accountants",
+         "prepare adjusting journal entries"],
+        [None],
+        [{"a": 1}],
+    ])
+    def test_sequence_of_non_strings_names_no_path(self, domain_taxonomy, labels):
+        resolved = dict(domain_taxonomy._resolved)
+        assert path_with_labels(domain_taxonomy, labels) is None
+        assert domain_taxonomy._resolved == resolved  # remembers nothing
 
 
 class TestFlatten:
